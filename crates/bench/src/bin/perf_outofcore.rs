@@ -4,8 +4,8 @@
 //! Pacific-NW-scale road network (1.5M points) is bulk-loaded straight
 //! onto real disk pages (`PagedTree::build_str` over a `FileDisk`),
 //! then N-CSJ and CSJ(10) run with the buffer pool capped at a shrinking
-//! fraction of the index footprint — 1/64 down to 1/8 — with async
-//! prefetch on. For each pool size the run reports throughput
+//! fraction of the index footprint — 1/64 down to 1/8 — with
+//! frontier read-ahead on. For each pool size the run reports throughput
 //! (encoded links/sec) and the page-fault curve (pool misses,
 //! evictions, physical reads), plus the in-memory engine's run as the
 //! identity/throughput reference.
@@ -225,13 +225,17 @@ fn main() {
             let secs = wall_ms / 1e3;
             eprintln!(
                 "pool 1/{frac} ({pool} pages) {name}: {wall_ms:.0} ms, {:.0} links/s, \
-                 {} misses / {} hits ({:.1}% hit rate), {} evictions, {} prefetched",
+                 {} misses / {} hits ({:.1}% hit rate), {} evictions, {} prefetched \
+                 ({} issued, {} late, {} wasted)",
                 encoded_links(&stats) as f64 / secs,
                 paged.pool.misses,
                 paged.pool.hits,
                 paged.pool.hit_rate() * 100.0,
                 paged.pool.evictions,
-                paged.prefetch_supplied
+                paged.prefetch_supplied,
+                paged.prefetch.issued,
+                paged.prefetch.late,
+                paged.prefetch.wasted
             );
             legs.push(Leg {
                 variant_name: name,
@@ -281,7 +285,8 @@ fn main() {
              \"prefetch_budget_pages\": {}, \"wall_ms\": {:.1}, \"links_per_sec\": {:.0}, \
              \"output_bytes\": {}, \"links\": {}, \"groups\": {}, \"pool_hits\": {}, \
              \"pool_misses\": {}, \"hit_rate\": {:.4}, \"evictions\": {}, \"disk_reads\": {}, \
-             \"io_retries\": {}, \"prefetch_supplied\": {}}}{comma}",
+             \"io_retries\": {}, \"prefetch_supplied\": {}, \"prefetch_issued\": {}, \
+             \"prefetch_late\": {}, \"prefetch_late_wait_ms\": {:.1}, \"prefetch_wasted\": {}}}{comma}",
             leg.variant_name,
             leg.pool_pages,
             leg.pool_fraction,
@@ -297,7 +302,11 @@ fn main() {
             leg.paged.pool.evictions,
             leg.paged.disk_reads,
             leg.paged.io_retries,
-            leg.paged.prefetch_supplied
+            leg.paged.prefetch_supplied,
+            leg.paged.prefetch.issued,
+            leg.paged.prefetch.late,
+            leg.paged.prefetch.late_wait_ns as f64 / 1e6,
+            leg.paged.prefetch.wasted
         );
     }
     let _ = writeln!(json, "  ]");

@@ -324,7 +324,7 @@ fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
 /// `csj join <points-file> --eps E --data-dir DIR [--buffer-pages N]`:
 /// the external-memory path. The tree is written to real disk pages in
 /// `DIR/tree.pages` and the join runs with at most `--buffer-pages`
-/// nodes resident (plus a small async-prefetch staging budget). Output
+/// nodes resident (plus 32 pages of frontier read-ahead). Output
 /// rows are bit-identical to the in-memory sequential join.
 fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliError> {
     use csj_core::outofcore::{JoinVariant, OutOfCoreJoin};
@@ -439,7 +439,8 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
     );
     eprintln!(
         "buffer pool: {} hits / {} misses ({:.1}% hit rate), {} evictions; disk: {} page reads, \
-         {} page writes, {} retries; prefetch supplied {} pages",
+         {} page writes, {} retries; prefetch supplied {} pages ({} issued, {} late waiting \
+         {:.1} ms, {} wasted)",
         pg.pool.hits,
         pg.pool.misses,
         pg.pool.hit_rate() * 100.0,
@@ -448,6 +449,10 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
         pg.disk_writes,
         pg.io_retries,
         pg.prefetch_supplied,
+        pg.prefetch.issued,
+        pg.prefetch.late,
+        pg.prefetch.late_wait_ns as f64 / 1e6,
+        pg.prefetch.wasted,
     );
     Ok(())
 }

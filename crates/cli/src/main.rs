@@ -89,8 +89,8 @@ commands:
       run a similarity self-join; stats go to stderr, rows to --out/stdout.
       --data-dir runs out-of-core: the R*-tree is written to real disk
       pages in <dir>/tree.pages and the join touches at most
-      --buffer-pages (default 256) resident nodes plus an async-prefetch
-      staging budget; rows are bit-identical to the in-memory join.
+      --buffer-pages (default 256) resident nodes plus 32 pages of
+      read-ahead; rows are bit-identical to the in-memory join.
       --threads runs the work-stealing parallel join (auto = one worker
       per core); output rows are deterministic regardless of thread count.
       budget flags stop the run early at a task boundary: output stays a

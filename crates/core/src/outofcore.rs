@@ -17,22 +17,22 @@
 //! * the buffer pool (`pool_pages × PAGE_SIZE` bytes of resident
 //!   nodes; in-use pages are pinned, at most two at once — a
 //!   leaf-pair probe);
-//! * the optional [`Prefetcher`] staging budget (bytes of read-ahead
-//!   admitted to the frontier).
+//! * the optional [`Prefetcher`] budget (pages staged or in flight).
 //!
-//! The prefetcher is a dedicated I/O thread with its own
-//! [`FileDisk`] handle. The engine enqueues the child pages it is
-//! about to visit; the thread reads them while the compute thread
-//! probes leaves, and finished pages are handed to the store as staged
-//! bytes ([`PagedStore::stage_raw`]) so the next miss skips its
-//! synchronous disk read. Staging only changes *who reads the bytes*,
-//! never what the traversal does — prefetch failures are silently
-//! dropped and the page is simply read synchronously when needed.
+//! The same MBR-only decisions let the engine know its next page reads
+//! before it makes them. Each internal frame computes its surviving
+//! child steps once, runs them in order, and pushes their pages onto
+//! the prefetcher's frontier while it does; a few reader threads keep
+//! the first `budget / PAGE_SIZE` unread pages of that frontier in
+//! flight. Staging only changes *who reads the bytes*, never what the
+//! traversal does — a failed read-ahead is dropped and the page is read
+//! synchronously, with retries, when the traversal gets there.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
+use std::time::Instant;
 
-use csj_geom::Mbr;
-use csj_index::paged::{PagedStats, PagedTree};
+use csj_geom::{Mbr, RecordId};
+use csj_index::paged::{NodeGuard, PagedStats, PagedStore, PagedTree, PrefetchStats};
 use csj_storage::disk::Disk;
 use csj_storage::{FileDisk, OutputSink, OutputWriter, PageId, PAGE_SIZE};
 
@@ -42,142 +42,360 @@ use crate::error::CsjError;
 use crate::group::{BallShape, MbrShape};
 use crate::output::JoinOutput;
 use crate::stats::JoinStats;
-use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::{yield_now, Arc, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::JoinConfig;
 
 /// Re-export of the CSJ group-shape selector for out-of-core runs.
 pub use crate::csj::GroupShapeKind;
 
-/// Locks a facade mutex, recovering from poisoning (the holder can only
-/// be the prefetch thread, whose state is a plain byte queue — always
-/// consistent).
-fn lock<T>(m: &Mutex<T>) -> crate::sync::MutexGuard<'_, T> {
+/// Reader threads serving the read-ahead window, each with its own
+/// page-file handle: the knee of the 1/2/4/8-in-flight curve in
+/// DESIGN.md §11.
+const READERS: usize = 4;
+
+/// How far past a batch's cursor [`Prefetcher::fetch`] looks for the
+/// pages being accessed (a step reads at most two).
+const CURSOR_HORIZON: usize = 4;
+
+/// Locks a facade mutex, recovering from poisoning (the state is plain
+/// page lists, consistent at every unlock).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// Shared state between the engine thread and the prefetch I/O thread.
-struct PrefetchShared {
-    /// Pages the engine wants read, oldest first.
-    queue: Mutex<VecDeque<u64>>,
-    /// Pages read and awaiting hand-off to the store.
-    ready: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Bytes held in `ready` — the admission gate.
-    ready_bytes: AtomicUsize,
-    /// Max bytes of read-ahead admitted to `ready`.
-    budget: usize,
+/// Blocks on `cv`, recovering from poisoning as [`lock`] does.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match cv.wait(guard) {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
 }
 
-/// Asynchronous page read-ahead on a dedicated I/O thread.
+/// What the engine and the reader threads share.
+#[derive(Default)]
+struct ReadState {
+    /// Window pages waiting for a reader, soonest first.
+    queue: VecDeque<u64>,
+    /// Pages a reader is reading now.
+    in_flight: Vec<u64>,
+    /// Finished reads not yet handed to the store (`None`: the read
+    /// failed).
+    done: Vec<(u64, Option<Vec<u8>>)>,
+    /// Reads started.
+    issued: u64,
+    shutdown: bool,
+}
+
+struct Shared {
+    state: Mutex<ReadState>,
+    /// Signalled when the queue gains pages or shutdown begins.
+    work: Condvar,
+    /// Signalled when a read finishes.
+    landed: Condvar,
+}
+
+/// The pages of one internal frame's child steps, in first-access order.
+struct Batch {
+    pages: Vec<PageId>,
+    /// Entries before this index have been accessed.
+    cursor: usize,
+}
+
+/// Frontier-ordered page read-ahead on a small pool of reader threads.
 ///
-/// The thread owns a private [`FileDisk`] handle onto the same page
-/// file, so its reads never contend with the engine's pager state. New
-/// frontier pages are admitted only while the staged bytes are under
-/// the construction-time budget; beyond it the thread idles until the
-/// engine drains.
+/// The engine [`push`](Prefetcher::push)es each internal frame's child
+/// pages as a batch and [`pop`](Prefetcher::pop)s it when the frame
+/// returns, so the batches form a stack whose walk from the newest
+/// batch down is the traversal's upcoming page order. The read-ahead
+/// window is the first `budget / PAGE_SIZE` pages of that walk that
+/// are not resident; readers fetch the window's pages soonest first,
+/// queued requests that fall out of the window are dropped, and pages
+/// staged or in flight never exceed the window. Every page access goes
+/// through [`fetch`](Prefetcher::fetch) before its pin.
 pub struct Prefetcher {
-    shared: Arc<PrefetchShared>,
-    cancel: CancelToken,
-    handle: Option<std::thread::JoinHandle<()>>,
-    /// Pages handed to the store over the run (telemetry).
-    staged_total: u64,
+    shared: Arc<Shared>,
+    readers: Vec<std::thread::JoinHandle<()>>,
+    /// Pages of read-ahead allowed staged or in flight at once.
+    window: usize,
+    frontier: Vec<Batch>,
+    /// Pages queued, in flight, or landed and not yet handed over.
+    requested: HashSet<u64>,
+    /// Pages handed to the store and not yet consumed.
+    staged: HashSet<u64>,
+    /// Staged pages the last fetch readied for a pin: consumed unless
+    /// the store still holds them at the next fetch.
+    pending: Vec<u64>,
+    /// The frontier changed since the last refill.
+    shifted: bool,
+    /// Window slots freed since the last refill.
+    freed: usize,
+    /// Refill scratch: pages walked, and the window in order.
+    seen: HashSet<u64>,
+    wanted: Vec<u64>,
+    late: u64,
+    late_wait_ns: u64,
+    wasted: u64,
 }
 
 impl std::fmt::Debug for Prefetcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Prefetcher")
-            .field("budget_bytes", &self.shared.budget)
-            .field("staged_total", &self.staged_total)
+            .field("window_pages", &self.window)
+            .field("readers", &self.readers.len())
+            .field("staged", &self.staged.len())
+            .field("requested", &self.requested.len())
             .finish()
     }
 }
 
+/// A reader thread: take the soonest queued page, read it outside the
+/// lock, publish the result, and sleep while there is nothing to do.
+fn serve_reads<R: Disk>(mut disk: R, shared: &Shared) {
+    loop {
+        let page = {
+            let mut st = lock(&shared.state);
+            loop {
+                if st.shutdown {
+                    return;
+                }
+                if let Some(page) = st.queue.pop_front() {
+                    st.in_flight.push(page);
+                    st.issued += 1;
+                    break page;
+                }
+                st = wait(&shared.work, st);
+            }
+        };
+        // A failed read-ahead is not an error: the engine reads the
+        // page synchronously, with retries, and surfaces any failure.
+        let bytes = disk.read(PageId(page)).ok().map(|p| p.data);
+        {
+            let mut st = lock(&shared.state);
+            st.in_flight.retain(|&p| p != page);
+            st.done.push((page, bytes));
+        }
+        shared.landed.notify_all();
+    }
+}
+
 impl Prefetcher {
-    /// Spawns the I/O thread over its own handle to the page file at
-    /// `path`, staging at most `budget_bytes` of read-ahead.
+    /// Spawns the reader threads, each over its own handle to the page
+    /// file at `path`, keeping at most `budget_bytes` of read-ahead
+    /// staged or in flight (at least one page).
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] when the page file cannot be
     /// opened.
     pub fn spawn(path: &std::path::Path, budget_bytes: usize) -> Result<Self, CsjError> {
-        let mut disk = FileDisk::open(path)?;
-        let shared = Arc::new(PrefetchShared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Mutex::new(Vec::new()),
-            ready_bytes: AtomicUsize::new(0),
-            budget: budget_bytes.max(PAGE_SIZE),
-        });
-        let cancel = CancelToken::new();
-        let thread_shared = Arc::clone(&shared);
-        let thread_cancel = cancel.clone();
-        let handle = std::thread::spawn(move || {
-            while !thread_cancel.is_canceled() {
-                // ORDERING: Acquire pairs with the engine's AcqRel
-                // fetch_sub in drain_into — the gate must observe a
-                // drain before treating budget as free again.
-                if thread_shared.ready_bytes.load(Ordering::Acquire) + PAGE_SIZE
-                    > thread_shared.budget
-                {
-                    yield_now(); // frontier full: wait for the engine to drain
-                    continue;
-                }
-                let next = lock(&thread_shared.queue).pop_front();
-                let Some(page) = next else {
-                    yield_now();
-                    continue;
-                };
-                // A failed read-ahead is not an error: the engine will
-                // read the page synchronously and surface the failure
-                // (with retries) itself.
-                if let Ok(p) = disk.read(PageId(page)) {
-                    // ORDERING: AcqRel makes the byte-count increment a
-                    // synchronization point with the gate's Acquire load
-                    // and the engine's fetch_sub on drain.
-                    thread_shared.ready_bytes.fetch_add(p.data.len(), Ordering::AcqRel);
-                    lock(&thread_shared.ready).push((page, p.data));
-                }
-            }
-        });
-        Ok(Prefetcher { shared, cancel, handle: Some(handle), staged_total: 0 })
+        let disks = (0..READERS).map(|_| FileDisk::open(path)).collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::with_readers(disks, budget_bytes))
     }
 
-    /// Requests read-ahead of `pages` (frontier children about to be
-    /// visited).
-    fn enqueue(&self, pages: impl IntoIterator<Item = PageId>) {
-        lock(&self.shared.queue).extend(pages.into_iter().map(|p| p.0));
-    }
-
-    /// Moves every completed read into the store's staging area.
-    fn drain_into<const D: usize, Dk: Disk>(
-        &mut self,
-        store: &csj_index::paged::PagedStore<D, Dk>,
-    ) {
-        let done: Vec<(u64, Vec<u8>)> = std::mem::take(&mut *lock(&self.shared.ready));
-        for (page, bytes) in done {
-            // ORDERING: AcqRel pairs with the prefetch thread's Acquire
-            // gate load, publishing the freed budget before the next
-            // read-ahead is admitted.
-            self.shared.ready_bytes.fetch_sub(bytes.len(), Ordering::AcqRel);
-            if store.stage_raw(PageId(page), bytes) {
-                self.staged_total += 1;
-            }
+    /// One reader thread per handle in `disks`.
+    fn with_readers<R: Disk + Send + 'static>(disks: Vec<R>, budget_bytes: usize) -> Self {
+        let shared = Arc::new(Shared {
+            state: Mutex::new(ReadState::default()),
+            work: Condvar::new(),
+            landed: Condvar::new(),
+        });
+        let readers = disks
+            .into_iter()
+            .map(|disk| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || serve_reads(disk, &shared))
+            })
+            .collect();
+        Prefetcher {
+            shared,
+            readers,
+            window: (budget_bytes / PAGE_SIZE).max(1),
+            frontier: Vec::new(),
+            requested: HashSet::new(),
+            staged: HashSet::new(),
+            pending: Vec::new(),
+            shifted: false,
+            freed: 0,
+            seen: HashSet::new(),
+            wanted: Vec::new(),
+            late: 0,
+            late_wait_ns: 0,
+            wasted: 0,
         }
     }
 
-    /// Pages handed to the store over the run.
-    pub fn staged_total(&self) -> u64 {
-        self.staged_total
+    /// Pushes a frame's child-step pages, in the order the steps will
+    /// first read them; they go to the front of the read-ahead order.
+    pub fn push(&mut self, pages: impl IntoIterator<Item = PageId>) {
+        // First accesses only: a repeat is resident or was read ahead.
+        self.seen.clear();
+        let pages = pages.into_iter().filter(|p| self.seen.insert(p.0)).collect();
+        self.frontier.push(Batch { pages, cursor: 0 });
+        self.shifted = true;
+    }
+
+    /// Pops the newest batch when its frame returns.
+    pub fn pop(&mut self) {
+        self.frontier.pop();
+        self.shifted = true;
+    }
+
+    /// Gets `pages` ready to pin: moves the newest batch's cursor past
+    /// them, waits for any of them still in flight, hands finished
+    /// reads to `store`, and refills the window. Pin nothing before
+    /// this returns: it may block.
+    pub fn fetch<const D: usize, Dk: Disk>(&mut self, store: &PagedStore<D, Dk>, pages: &[PageId]) {
+        for p in self.pending.drain(..) {
+            if store.is_staged(PageId(p)) {
+                self.staged.insert(p);
+            } else {
+                self.freed += 1;
+            }
+        }
+        if let Some(top) = self.frontier.last_mut() {
+            for p in pages {
+                let end = (top.cursor + CURSOR_HORIZON).min(top.pages.len());
+                if let Some(i) = top.pages[top.cursor..end].iter().position(|q| q == p) {
+                    top.cursor += i + 1;
+                }
+            }
+        }
+        let landed = {
+            let mut st = lock(&self.shared.state);
+            for p in pages {
+                // Queued but not started: the engine reads it itself.
+                if let Some(i) = st.queue.iter().position(|&q| q == p.0) {
+                    st.queue.remove(i);
+                    self.requested.remove(&p.0);
+                    self.freed += 1;
+                }
+            }
+            if pages.iter().any(|p| st.in_flight.contains(&p.0)) {
+                let start = Instant::now();
+                while pages.iter().any(|p| st.in_flight.contains(&p.0)) {
+                    st = wait(&self.shared.landed, st);
+                }
+                self.late += 1;
+                self.late_wait_ns += start.elapsed().as_nanos() as u64;
+            }
+            std::mem::take(&mut st.done)
+        };
+        for (page, bytes) in landed {
+            self.requested.remove(&page);
+            if bytes.is_some_and(|b| store.stage_raw(PageId(page), b)) {
+                self.staged.insert(page);
+            } else {
+                // Failed, or the page is resident already.
+                self.wasted += 1;
+                self.freed += 1;
+            }
+        }
+        for p in pages {
+            // The pin right after this consumes the staged bytes.
+            if self.staged.remove(&p.0) {
+                self.pending.push(p.0);
+            }
+        }
+        // Slots are refilled a few at a time: a refill walks the
+        // frontier, and the readers need only stay busy.
+        if self.shifted || self.freed >= (self.window / 8).clamp(1, READERS) {
+            self.refill(store, pages);
+        }
+    }
+
+    /// Recomputes the window and re-queues its unrequested pages,
+    /// dropping staged pages that fell out of it when the window needs
+    /// their room. `current` is being fetched: never read ahead.
+    fn refill<const D: usize, Dk: Disk>(&mut self, store: &PagedStore<D, Dk>, current: &[PageId]) {
+        self.shifted = false;
+        self.freed = 0;
+        self.seen.clear();
+        self.wanted.clear();
+        self.seen.extend(current.iter().map(|p| p.0));
+        'walk: for batch in self.frontier.iter().rev() {
+            for p in &batch.pages[batch.cursor..] {
+                if self.seen.insert(p.0) && !store.is_resident(*p) {
+                    self.wanted.push(p.0);
+                    if self.wanted.len() == self.window {
+                        break 'walk;
+                    }
+                }
+            }
+        }
+        let mut dropped = Vec::new();
+        {
+            let mut st = lock(&self.shared.state);
+            // Queued requests are re-decided from the new window; those
+            // that fell out of it are dropped here.
+            for p in st.queue.drain(..) {
+                self.requested.remove(&p);
+            }
+            self.wanted.retain(|p| !self.staged.contains(p) && !self.requested.contains(p));
+            let held = self.staged.len() + self.pending.len() + self.requested.len();
+            let mut free = self.window.saturating_sub(held);
+            if self.wanted.len() > free {
+                // Staged pages the walk never reached are needed after
+                // every window page: drop them for the sooner ones.
+                let deficit = self.wanted.len() - free;
+                let seen = &self.seen;
+                dropped.extend(self.staged.iter().filter(|p| !seen.contains(p)).take(deficit));
+                for p in &dropped {
+                    self.staged.remove(p);
+                }
+                free += dropped.len();
+            }
+            for &p in self.wanted.iter().take(free) {
+                st.queue.push_back(p);
+                self.requested.insert(p);
+            }
+            if !st.queue.is_empty() {
+                self.shared.work.notify_all();
+            }
+        }
+        for p in dropped {
+            store.unstage(PageId(p));
+            self.wasted += 1;
+        }
+    }
+
+    /// Stops and joins the readers; returns the reads issued and how
+    /// many landed after the last fetch.
+    fn stop_readers(&mut self) -> (u64, usize) {
+        {
+            let mut st = lock(&self.shared.state);
+            st.shutdown = true;
+            st.queue.clear();
+        }
+        self.shared.work.notify_all();
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
+        let mut st = lock(&self.shared.state);
+        let unclaimed = st.done.len();
+        st.done.clear();
+        (st.issued, unclaimed)
+    }
+
+    /// Ends the run: joins the readers, drops every read-ahead the
+    /// traversal did not consume, and records the counters in `store`.
+    pub fn finish_run<const D: usize, Dk: Disk>(mut self, store: &PagedStore<D, Dk>) {
+        let (issued, landed) = self.stop_readers();
+        let unclaimed = landed + store.clear_staged();
+        store.record_prefetch(PrefetchStats {
+            issued,
+            late: self.late,
+            late_wait_ns: self.late_wait_ns,
+            wasted: self.wasted + unclaimed as u64,
+        });
     }
 }
 
 impl Drop for Prefetcher {
     fn drop(&mut self) {
-        self.cancel.cancel();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        if !self.readers.is_empty() {
+            self.stop_readers();
         }
     }
 }
@@ -195,6 +413,31 @@ struct NodeRef<const D: usize> {
 impl<const D: usize> NodeRef<D> {
     fn is_leaf(&self) -> bool {
         self.level == 0
+    }
+}
+
+/// One recursive call an internal frame makes, after pruning.
+#[derive(Clone, Copy, Debug)]
+enum Step<const D: usize> {
+    /// `simJoin(n)`.
+    Node(NodeRef<D>),
+    /// `simJoin(a, b)`.
+    Pair(NodeRef<D>, NodeRef<D>),
+}
+
+impl<const D: usize> Step<D> {
+    /// The pages the call reads first, in order: a leaf paired with an
+    /// internal node is read only once the other side is expanded.
+    fn pages(&self) -> impl Iterator<Item = PageId> {
+        let pages = match *self {
+            Step::Node(n) => [Some(n.page), None],
+            Step::Pair(a, b) => match (a.is_leaf(), b.is_leaf()) {
+                (true, false) => [Some(b.page), None],
+                (false, true) => [Some(a.page), None],
+                _ => [Some(a.page), Some(b.page)],
+            },
+        };
+        pages.into_iter().flatten()
     }
 }
 
@@ -247,8 +490,8 @@ where
         self.cancel = Some(token);
     }
 
-    /// Attaches an async prefetcher; frontier child pages are enqueued
-    /// as the traversal expands internal nodes.
+    /// Attaches a prefetcher; [`run`](OutOfCoreEngine::run) feeds it
+    /// the traversal frontier and finishes it at the end.
     pub fn set_prefetcher(&mut self, prefetcher: Prefetcher) {
         self.prefetch = Some(prefetcher);
     }
@@ -256,11 +499,6 @@ where
     /// Why the traversal stopped early, if it did.
     pub fn stop_reason(&self) -> Option<StopReason> {
         self.stopped
-    }
-
-    /// Pages the prefetcher staged for the store over the run.
-    pub fn prefetch_staged(&self) -> u64 {
-        self.prefetch.as_ref().map_or(0, Prefetcher::staged_total)
     }
 
     /// Buffer-pool / disk / prefetch counters for the run so far.
@@ -279,7 +517,8 @@ where
         false
     }
 
-    /// Runs the full self-join.
+    /// Runs the full self-join, then finishes the prefetcher (its
+    /// counters land in the tree's [`PagedStats::prefetch`]).
     ///
     /// # Errors
     /// Returns [`CsjError::InvalidConfig`] for options the out-of-core
@@ -294,16 +533,22 @@ where
                     .into(),
             ));
         }
-        if let Some(root_page) = self.tree.root() {
-            // One page read up front for the root's own MBR and level —
-            // its parent-side summary does not exist.
-            let root = {
-                let guard = self.tree.node(root_page)?;
-                NodeRef { page: root_page, mbr: guard.mbr, level: guard.level }
-            };
-            self.join_node(root)?;
+        let res = self.join_root().and_then(|()| self.finish_only());
+        if let Some(pf) = self.prefetch.take() {
+            pf.finish_run(self.tree.store());
         }
-        self.finish_only()
+        res
+    }
+
+    fn join_root(&mut self) -> Result<(), CsjError> {
+        let Some(root_page) = self.tree.root() else { return Ok(()) };
+        // One page read up front for the root's own MBR and level — its
+        // parent-side summary does not exist.
+        let root = {
+            let guard = self.fetch_node(root_page)?;
+            NodeRef { page: root_page, mbr: guard.mbr, level: guard.level }
+        };
+        self.join_node(root)
     }
 
     /// Runs only the handler's finish step (drains the CSJ window).
@@ -312,6 +557,42 @@ where
     /// Returns [`CsjError::Storage`] when draining into the sink fails.
     pub fn finish_only(&mut self) -> Result<(), CsjError> {
         self.handler.finish(&mut self.sink, &mut self.stats)
+    }
+
+    /// Readies `pages` for pinning through the prefetcher, if any.
+    fn await_pages(&mut self, pages: &[PageId]) {
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.fetch(self.tree.store(), pages);
+        }
+    }
+
+    /// Pins `page`; every single-page access goes through here.
+    fn fetch_node(&mut self, page: PageId) -> Result<NodeGuard<'t, D, Dk>, CsjError> {
+        self.await_pages(&[page]);
+        Ok(self.tree.node(page)?)
+    }
+
+    /// Pins both pages of a leaf cross probe, readying both before
+    /// either is pinned so no pin is held across a wait.
+    fn fetch_leaf_pair(
+        &mut self,
+        a: PageId,
+        b: PageId,
+    ) -> Result<(NodeGuard<'t, D, Dk>, NodeGuard<'t, D, Dk>), CsjError> {
+        self.await_pages(&[a, b]);
+        let ga = self.tree.node(a)?;
+        let gb = self.tree.node(b)?;
+        Ok((ga, gb))
+    }
+
+    /// Appends the record ids under `pages`, in order.
+    fn collect_ids(&mut self, pages: &[PageId]) -> Result<Vec<RecordId>, CsjError> {
+        self.await_pages(pages);
+        let mut ids = Vec::new();
+        for &page in pages {
+            self.tree.collect_record_ids(page, &mut ids)?;
+        }
+        Ok(ids)
     }
 
     /// The subtree group MBR, mirroring the in-memory engine: the
@@ -331,28 +612,47 @@ where
         }
     }
 
-    /// Clones an internal node's child summaries out of its (pinned)
-    /// page, releasing the pin before any recursion, and lets the
-    /// prefetcher start on them.
+    /// Clones an internal node's child summaries out of its page,
+    /// releasing the pin before any recursion.
     fn expand(&mut self, n: &NodeRef<D>) -> Result<Vec<NodeRef<D>>, CsjError> {
-        let children: Vec<NodeRef<D>> = {
-            let guard = self.tree.node(n.page)?;
-            guard
-                .children
-                .iter()
-                .map(|&(page, mbr)| NodeRef { page, mbr, level: n.level - 1 })
-                .collect()
-        };
-        if let Some(pf) = self.prefetch.as_mut() {
-            pf.enqueue(children.iter().map(|c| c.page));
-            pf.drain_into(self.tree.store());
+        let guard = self.fetch_node(n.page)?;
+        Ok(guard
+            .children
+            .iter()
+            .map(|&(page, mbr)| NodeRef { page, mbr, level: n.level - 1 })
+            .collect())
+    }
+
+    /// Keeps `Pair(a, b)` if the pair survives the MINDIST prune.
+    fn pair_step(&mut self, steps: &mut Vec<Step<D>>, a: NodeRef<D>, b: NodeRef<D>) {
+        if self.cfg.metric.min_dist_mbr(&a.mbr, &b.mbr) <= self.cfg.epsilon {
+            steps.push(Step::Pair(a, b));
+        } else {
+            self.stats.pairs_pruned += 1;
         }
-        Ok(children)
+    }
+
+    /// Runs one frame's surviving steps in order, with their pages on
+    /// the prefetch frontier meanwhile.
+    fn run_steps(&mut self, steps: &[Step<D>]) -> Result<(), CsjError> {
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.push(steps.iter().flat_map(Step::pages));
+        }
+        for step in steps {
+            match *step {
+                Step::Node(n) => self.join_node(n)?,
+                Step::Pair(a, b) => self.join_pair(a, b)?,
+            }
+        }
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.pop();
+        }
+        Ok(())
     }
 
     /// `simJoin(n)`: self-join of one subtree. Mirrors
-    /// [`Engine::join_node`](crate::engine::Engine::join_node) line for
-    /// line.
+    /// [`Engine::join_node`](crate::engine::Engine::join_node)'s
+    /// decisions and their order.
     fn join_node(&mut self, n: NodeRef<D>) -> Result<(), CsjError> {
         if self.check_stopped() {
             return Ok(());
@@ -364,8 +664,7 @@ where
 
         if self.early_stop && metric.mbr_diameter(&n.mbr) <= eps {
             self.stats.early_stops_node += 1;
-            let mut ids = Vec::new();
-            self.tree.collect_record_ids(n.page, &mut ids)?;
+            let ids = self.collect_ids(&[n.page])?;
             let mbr = self.subtree_mbr(&n)?;
             return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
         }
@@ -374,8 +673,7 @@ where
             if self.cfg.batch_kernel {
                 return self.leaf_self_kernel(&n);
             }
-            let tree = self.tree;
-            let guard = tree.node(n.page)?;
+            let guard = self.fetch_node(n.page)?;
             let entries = guard.entries.entries();
             for i in 0..entries.len() {
                 for j in (i + 1)..entries.len() {
@@ -392,20 +690,18 @@ where
                     }
                 }
             }
+            Ok(())
         } else {
             let children = self.expand(&n)?;
-            for (i, a) in children.iter().enumerate() {
-                self.join_node(*a)?;
-                for b in &children[(i + 1)..] {
-                    if metric.min_dist_mbr(&a.mbr, &b.mbr) <= eps {
-                        self.join_pair(*a, *b)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
+            let mut steps = Vec::new();
+            for (i, &a) in children.iter().enumerate() {
+                steps.push(Step::Node(a));
+                for &b in &children[(i + 1)..] {
+                    self.pair_step(&mut steps, a, b);
                 }
             }
+            self.run_steps(&steps)
         }
-        Ok(())
     }
 
     /// `simJoin(n1, n2)`: join across two subtrees, mirroring
@@ -422,21 +718,18 @@ where
 
         if self.early_stop && metric.max_dist_mbr(&a.mbr, &b.mbr) <= eps {
             self.stats.early_stops_pair += 1;
-            let mut ids = Vec::new();
-            self.tree.collect_record_ids(a.page, &mut ids)?;
-            self.tree.collect_record_ids(b.page, &mut ids)?;
+            let ids = self.collect_ids(&[a.page, b.page])?;
             let mbr = self.subtree_mbr(&a)?.union(&self.subtree_mbr(&b)?);
             return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
         }
 
+        let mut steps = Vec::new();
         match (a.is_leaf(), b.is_leaf()) {
             (true, true) => {
                 if self.cfg.batch_kernel {
                     return self.leaf_cross_kernel(&a, &b);
                 }
-                let tree = self.tree;
-                let ga = tree.node(a.page)?;
-                let gb = tree.node(b.page)?;
+                let (ga, gb) = self.fetch_leaf_pair(a.page, b.page)?;
                 for x in ga.entries.iter() {
                     for y in gb.entries.iter() {
                         self.stats.distance_computations += 1;
@@ -452,42 +745,30 @@ where
                         }
                     }
                 }
+                return Ok(());
             }
             (true, false) => {
-                let children = self.expand(&b)?;
-                for c in children {
-                    if metric.min_dist_mbr(&a.mbr, &c.mbr) <= eps {
-                        self.join_pair(a, c)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
+                for c in self.expand(&b)? {
+                    self.pair_step(&mut steps, a, c);
                 }
             }
             (false, true) => {
-                let children = self.expand(&a)?;
-                for c in children {
-                    if metric.min_dist_mbr(&c.mbr, &b.mbr) <= eps {
-                        self.join_pair(c, b)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
+                for c in self.expand(&a)? {
+                    self.pair_step(&mut steps, c, b);
                 }
             }
             (false, false) => {
+                self.await_pages(&[a.page, b.page]);
                 let ca = self.expand(&a)?;
                 let cb = self.expand(&b)?;
-                for x in &ca {
-                    for y in &cb {
-                        if metric.min_dist_mbr(&x.mbr, &y.mbr) <= eps {
-                            self.join_pair(*x, *y)?;
-                        } else {
-                            self.stats.pairs_pruned += 1;
-                        }
+                for &x in &ca {
+                    for &y in &cb {
+                        self.pair_step(&mut steps, x, y);
                     }
                 }
             }
         }
-        Ok(())
+        self.run_steps(&steps)
     }
 
     /// Batched leaf self-join over the page-resident leaf's
@@ -495,8 +776,7 @@ where
     /// the in-memory kernel path exactly.
     fn leaf_self_kernel(&mut self, n: &NodeRef<D>) -> Result<(), CsjError> {
         let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let tree = self.tree;
-        let guard = tree.node(n.page)?;
+        let guard = self.fetch_node(n.page)?;
         let entries = guard.entries.entries();
         let soa = guard.entries.soa();
         let handler = &mut self.handler;
@@ -521,9 +801,7 @@ where
     /// probe (the pool's two-pin high-water mark).
     fn leaf_cross_kernel(&mut self, a: &NodeRef<D>, b: &NodeRef<D>) -> Result<(), CsjError> {
         let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let tree = self.tree;
-        let ga = tree.node(a.page)?;
-        let gb = tree.node(b.page)?;
+        let (ga, gb) = self.fetch_leaf_pair(a.page, b.page)?;
         let ea = ga.entries.entries();
         let eb = gb.entries.entries();
         let sa = ga.entries.soa();
@@ -619,7 +897,7 @@ impl OutOfCoreJoin {
         handler: H,
         sink: R,
         path: Option<&std::path::Path>,
-    ) -> Result<(R, JoinStats, u64), CsjError>
+    ) -> Result<(R, JoinStats), CsjError>
     where
         H: LinkHandler<D>,
         R: RowSink,
@@ -630,8 +908,7 @@ impl OutOfCoreJoin {
             engine.set_prefetcher(pf);
         }
         engine.run()?;
-        let staged = engine.prefetch_staged();
-        Ok((engine.sink, engine.stats, staged))
+        Ok((engine.sink, engine.stats))
     }
 
     fn dispatch<R, const D: usize, Dk>(
@@ -639,7 +916,7 @@ impl OutOfCoreJoin {
         tree: &PagedTree<D, Dk>,
         sink: R,
         path: Option<&std::path::Path>,
-    ) -> Result<(R, JoinStats, u64), CsjError>
+    ) -> Result<(R, JoinStats), CsjError>
     where
         R: RowSink,
         Dk: Disk,
@@ -678,7 +955,7 @@ impl OutOfCoreJoin {
         tree: &PagedTree<D, Dk>,
         prefetch_path: Option<&std::path::Path>,
     ) -> Result<JoinOutput, CsjError> {
-        let (sink, stats, _) = self.dispatch(tree, CollectSink::default(), prefetch_path)?;
+        let (sink, stats) = self.dispatch(tree, CollectSink::default(), prefetch_path)?;
         Ok(JoinOutput { items: sink.items, stats, ..Default::default() })
     }
 
@@ -692,7 +969,7 @@ impl OutOfCoreJoin {
         writer: &mut OutputWriter<S>,
         prefetch_path: Option<&std::path::Path>,
     ) -> Result<JoinStats, CsjError> {
-        let (_, stats, _) = self.dispatch(tree, StreamSink::new(writer), prefetch_path)?;
+        let (_, stats) = self.dispatch(tree, StreamSink::new(writer), prefetch_path)?;
         Ok(stats)
     }
 }
@@ -738,6 +1015,40 @@ mod tests {
         assert_eq!(m.pairs_pruned, o.pairs_pruned, "{label}: pairs_pruned");
         assert_eq!(m.links_emitted, o.links_emitted, "{label}: links_emitted");
         assert_eq!(m.groups_emitted, o.groups_emitted, "{label}: groups_emitted");
+        assert_eq!(m, o, "{label}: every JoinStats counter");
+    }
+
+    /// Checks a prefetched run's read-ahead accounting on `tree`: every
+    /// issued read ended useful or wasted, nothing stays staged, and
+    /// staging never held more than `budget_pages`.
+    fn assert_prefetch_accounting<Dk: Disk>(tree: &PagedTree<2, Dk>, budget_pages: usize) {
+        let pg = tree.stats();
+        assert_eq!(
+            pg.prefetch_supplied + pg.prefetch.wasted,
+            pg.prefetch.issued,
+            "useful + wasted == issued: {pg:?}"
+        );
+        assert_eq!(tree.store().staged_bytes(), 0, "no read-ahead outlives the run");
+        assert!(
+            tree.store().staged_peak_bytes() <= budget_pages * PAGE_SIZE,
+            "staged {} bytes on a {budget_pages}-page budget",
+            tree.store().staged_peak_bytes()
+        );
+    }
+
+    /// Builds `pts` onto a fresh page file and reopens it cold with a
+    /// `pool`-page pool, as `csj join --data-dir` does.
+    fn cold_file_tree(
+        pts: &[Point<2>],
+        fanout: usize,
+        path: &std::path::Path,
+        pool: usize,
+    ) -> PagedTree<2, csj_storage::FileDisk> {
+        let cfg = RTreeConfig::with_max_fanout(fanout);
+        let disk = csj_storage::FileDisk::create(path).unwrap();
+        drop(PagedTree::build_str(pts, cfg, disk, RetryPolicy::no_backoff(2), 64).unwrap());
+        let disk = csj_storage::FileDisk::open(path).unwrap();
+        PagedTree::open(disk, RetryPolicy::no_backoff(2), pool).unwrap()
     }
 
     fn variants() -> [(JoinVariant, &'static str); 3] {
@@ -855,6 +1166,145 @@ mod tests {
     }
 
     #[test]
+    fn prefetch_budget_bounds_staging_and_accounts_every_read() {
+        let pts = scatter(3000, 41);
+        let eps = 0.02;
+        let rtree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
+        let mem = in_memory(JoinVariant::Ncsj, eps, &rtree);
+        for budget in [1usize, 2, 8] {
+            let path = temp_pages(&format!("budget{budget}"));
+            let tree = cold_file_tree(&pts, 8, &path, 4);
+            let ooc = OutOfCoreJoin::new(JoinVariant::Ncsj, eps)
+                .with_prefetch_budget(budget * PAGE_SIZE)
+                .run(&tree, Some(&path))
+                .unwrap();
+            assert_same_run(&mem, &ooc, &format!("budget {budget}"));
+            assert_prefetch_accounting(&tree, budget);
+            assert!(tree.stats().prefetch.issued > 0, "budget {budget}: no read-ahead ran");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// Regression: read-ahead used to reach the store only when an
+    /// internal node was expanded, so leaf reads never saw it and it
+    /// supplied about 0.5 % of misses. Following the frontier, it must
+    /// supply most of them at a 1/64 pool.
+    #[test]
+    fn prefetch_supplies_most_misses_at_a_small_pool() {
+        let pts = scatter(20_000, 3);
+        let eps = 0.004;
+        let path = temp_pages("share");
+        let node_pages = cold_file_tree(&pts, 50, &path, 2).meta().node_pages as usize;
+        let tree = cold_file_tree(&pts, 50, &path, (node_pages / 64).max(2));
+        OutOfCoreJoin::new(JoinVariant::Ncsj, eps)
+            .with_prefetch_budget(32 * PAGE_SIZE)
+            .run(&tree, Some(&path))
+            .unwrap();
+        let pg = tree.stats();
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            pg.prefetch_supplied * 2 >= pg.pool.misses,
+            "prefetch supplied {} of {} misses",
+            pg.prefetch_supplied,
+            pg.pool.misses
+        );
+        assert_prefetch_accounting(&tree, 32);
+    }
+
+    /// A reader handle whose first read stalls and then fails.
+    struct StallThenFail {
+        inner: csj_storage::FileDisk,
+        failed: bool,
+    }
+
+    impl Disk for StallThenFail {
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn alloc(&mut self) -> Result<PageId, csj_storage::StorageError> {
+            self.inner.alloc()
+        }
+        fn alloc_through(&mut self, id: PageId) -> Result<(), csj_storage::StorageError> {
+            self.inner.alloc_through(id)
+        }
+        fn read(&mut self, id: PageId) -> Result<csj_storage::Page, csj_storage::StorageError> {
+            if !self.failed {
+                self.failed = true;
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                return Err(csj_storage::StorageError::FaultInjected {
+                    op: csj_storage::IoOp::Read,
+                    seq: 1,
+                });
+            }
+            self.inner.read(id)
+        }
+        fn write(&mut self, page: &csj_storage::Page) -> Result<(), csj_storage::StorageError> {
+            self.inner.write(page)
+        }
+        fn sync(&mut self) -> Result<(), csj_storage::StorageError> {
+            self.inner.sync()
+        }
+        fn reads(&self) -> u64 {
+            self.inner.reads()
+        }
+        fn writes(&self) -> u64 {
+            self.inner.writes()
+        }
+        fn faults_injected(&self) -> u64 {
+            u64::from(self.failed)
+        }
+    }
+
+    /// A read-ahead that fails while the engine waits on its page must
+    /// wake the engine, which then reads the page synchronously with
+    /// unchanged output. Runs under a hard timeout so a lost wake-up
+    /// fails the test instead of hanging it.
+    #[test]
+    fn failed_readahead_wakes_the_waiting_engine() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pts = scatter(1500, 17);
+            let eps = 0.02;
+            let rtree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
+            let mem = run_collecting(&rtree, JoinConfig::new(eps), true, DirectEmit);
+            let path = temp_pages("stall");
+            let tree = cold_file_tree(&pts, 10, &path, 4);
+            let reader =
+                StallThenFail { inner: csj_storage::FileDisk::open(&path).unwrap(), failed: false };
+            let mut engine = OutOfCoreEngine::new(
+                &tree,
+                JoinConfig::new(eps),
+                true,
+                DirectEmit,
+                CollectSink::default(),
+            );
+            // One page of window: nothing else is queued, so no later
+            // read's signal can mask a missing one for the failed read.
+            engine.set_prefetcher(Prefetcher::with_readers(vec![reader], PAGE_SIZE));
+            engine.run().unwrap();
+            let ooc =
+                JoinOutput { items: engine.sink.items, stats: engine.stats, ..Default::default() };
+            assert_same_run(&mem, &ooc, "failed read-ahead");
+            let pg = tree.stats();
+            assert!(pg.prefetch.late >= 1, "the engine never waited on the stalled read: {pg:?}");
+            assert!(pg.prefetch.late_wait_ns > 0);
+            assert!(pg.prefetch.wasted >= 1, "the failed read counts as wasted");
+            assert_prefetch_accounting(&tree, 1);
+            let _ = std::fs::remove_file(&path);
+            tx.send(()).unwrap();
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("the engine did not finish: lost wake-up on a failed read-ahead")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("the join thread panicked (see its output above)")
+            }
+        }
+    }
+
+    #[test]
     fn pool_of_one_cannot_pin_a_leaf_pair() {
         let pts = scatter(600, 2);
         let eps = 0.05; // wide enough to force cross-leaf probes
@@ -910,6 +1360,16 @@ mod tests {
                     let tree = PagedTree::from_core(
                         rtree.core(), disk, RetryPolicy::no_backoff(2), pool).unwrap();
                     let out = OutOfCoreJoin::new(variant, eps).run(&tree, None).unwrap();
+                    // The prefetched leg, at budgets from one page up.
+                    for budget in [1usize, 2, 32] {
+                        let prefetched = OutOfCoreJoin::new(variant, eps)
+                            .with_prefetch_budget(budget * PAGE_SIZE)
+                            .run(&tree, Some(&path))
+                            .unwrap();
+                        assert_same_run(
+                            &mem, &prefetched, &format!("prop {name} pool={pool} budget={budget}"));
+                        assert_prefetch_accounting(&tree, budget);
+                    }
                     let _ = std::fs::remove_file(&path);
                     out
                 } else {

@@ -19,11 +19,11 @@
 //! is visible to review and to the model.
 
 #[cfg(csj_model)]
-pub use csj_model::sync::{atomic, Arc, Mutex, MutexGuard};
+pub use csj_model::sync::{atomic, Arc, Condvar, Mutex, MutexGuard};
 #[cfg(csj_model)]
 pub use csj_model::thread::yield_now;
 
 #[cfg(not(csj_model))]
-pub use std::sync::{atomic, Arc, Mutex, MutexGuard};
+pub use std::sync::{atomic, Arc, Condvar, Mutex, MutexGuard};
 #[cfg(not(csj_model))]
 pub use std::thread::yield_now;

@@ -42,7 +42,9 @@ pub mod traits;
 pub mod validate;
 
 pub use arena::NodeId;
-pub use paged::{NodeGuard, PagedMeta, PagedNode, PagedStats, PagedStore, PagedTree};
+pub use paged::{
+    NodeGuard, PagedMeta, PagedNode, PagedStats, PagedStore, PagedTree, PrefetchStats,
+};
 pub use rstar::RStarTree;
 pub use rtree::RTree;
 pub use store::LeafStore;

@@ -358,10 +358,29 @@ pub struct PagedStats {
     /// Faults the disk's injector produced.
     pub faults_injected: u64,
     /// Page misses served from prefetch-staged bytes instead of a
-    /// synchronous disk read.
+    /// synchronous disk read: the read-aheads that proved useful.
     pub prefetch_supplied: u64,
     /// Node pages decoded (equals pool misses for a read-only join).
     pub nodes_decoded: u64,
+    /// What the read-ahead did besides supplying misses.
+    pub prefetch: PrefetchStats,
+}
+
+/// Read-ahead counters a prefetcher reports into the store it fed
+/// ([`PagedStore::record_prefetch`]). After a complete run every
+/// issued read ended exactly one way, so
+/// `PagedStats::prefetch_supplied + wasted == issued`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PrefetchStats {
+    /// Read-aheads started on a reader thread.
+    pub issued: u64,
+    /// Page accesses that found their page still in flight and waited.
+    pub late: u64,
+    /// Total time those accesses waited, in nanoseconds.
+    pub late_wait_ns: u64,
+    /// Read-aheads that supplied nothing: failed, landed on a page
+    /// already resident, dropped from staging, or never consumed.
+    pub wasted: u64,
 }
 
 /// In-memory page state: the pool, the decoded-node cache, dirty
@@ -373,11 +392,30 @@ struct PoolState<const D: usize> {
     cache: HashMap<PageId, Rc<PagedNode<D>>>,
     dirty: HashSet<PageId>,
     staged: HashMap<PageId, Vec<u8>>,
+    /// Bytes held in `staged`, kept in step with it.
+    staged_bytes: usize,
+    /// High-water mark of `staged_bytes`.
+    staged_peak: usize,
     prefetch_supplied: u64,
     nodes_decoded: u64,
+    prefetch: PrefetchStats,
 }
 
 impl<const D: usize> PoolState<D> {
+    fn stage(&mut self, page: PageId, bytes: Vec<u8>) {
+        self.staged_bytes += bytes.len();
+        self.staged_peak = self.staged_peak.max(self.staged_bytes);
+        if let Some(old) = self.staged.insert(page, bytes) {
+            self.staged_bytes -= old.len();
+        }
+    }
+
+    fn unstage(&mut self, page: PageId) -> Option<Vec<u8>> {
+        let bytes = self.staged.remove(&page)?;
+        self.staged_bytes -= bytes.len();
+        Some(bytes)
+    }
+
     /// Detaches an evicted `victim` from the cache, returning its
     /// encoded bytes when it was dirty and must reach the disk. The
     /// write itself is the caller's job, outside this borrow.
@@ -465,8 +503,11 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
                 cache: HashMap::new(),
                 dirty: HashSet::new(),
                 staged: HashMap::new(),
+                staged_bytes: 0,
+                staged_peak: 0,
                 prefetch_supplied: 0,
                 nodes_decoded: 0,
+                prefetch: PrefetchStats::default(),
             }),
             io: RefCell::new(RetryPager::new(disk, policy)),
         }
@@ -499,7 +540,7 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
                 state.pool.pin(page);
                 return Ok(NodeGuard { store: self, page, node });
             }
-            state.staged.remove(&page)
+            state.unstage(page)
         };
 
         // Miss: fetch and decode with no borrow across the I/O.
@@ -519,7 +560,7 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
                 Err(e) => {
                     if from_prefetch {
                         // Keep the prefetched copy for a later retry.
-                        state.staged.insert(page, bytes);
+                        state.stage(page, bytes);
                     }
                     return Err(e);
                 }
@@ -656,14 +697,45 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
 
     /// Offers raw prefetched page bytes. Accepted (and later consumed by
     /// the next miss on that page) unless the page is already resident
-    /// or already staged; returns whether the bytes were kept.
+    /// or already staged; returns whether the bytes were kept. The
+    /// store does not bound staging: the prefetcher that feeds it
+    /// counts what it staged against its budget and
+    /// [`unstage`](PagedStore::unstage)s what it no longer wants.
     pub fn stage_raw(&self, page: PageId, bytes: Vec<u8>) -> bool {
         let mut state = self.state.borrow_mut();
         if state.pool.contains(page) || state.staged.contains_key(&page) {
             return false;
         }
-        state.staged.insert(page, bytes);
+        state.stage(page, bytes);
         true
+    }
+
+    /// `true` when prefetched bytes for `page` are staged.
+    pub fn is_staged(&self, page: PageId) -> bool {
+        self.state.borrow().staged.contains_key(&page)
+    }
+
+    /// Drops `page`'s staged bytes; returns whether any were held.
+    pub fn unstage(&self, page: PageId) -> bool {
+        self.state.borrow_mut().unstage(page).is_some()
+    }
+
+    /// Drops every staged page, returning how many there were.
+    pub fn clear_staged(&self) -> usize {
+        let mut state = self.state.borrow_mut();
+        state.staged_bytes = 0;
+        let n = state.staged.len();
+        state.staged.clear();
+        n
+    }
+
+    /// Adds a prefetcher's read-ahead counters to [`PagedStats::prefetch`].
+    pub fn record_prefetch(&self, run: PrefetchStats) {
+        let p = &mut self.state.borrow_mut().prefetch;
+        p.issued += run.issued;
+        p.late += run.late;
+        p.late_wait_ns += run.late_wait_ns;
+        p.wasted += run.wasted;
     }
 
     /// `true` when `page` is resident in the pool (its node is cached).
@@ -671,9 +743,14 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
         self.state.borrow().pool.contains(page)
     }
 
-    /// Bytes currently held in the prefetch staging area.
+    /// Bytes currently held in the prefetch staging area (O(1)).
     pub fn staged_bytes(&self) -> usize {
-        self.state.borrow().staged.values().map(Vec::len).sum()
+        self.state.borrow().staged_bytes
+    }
+
+    /// The most bytes the staging area has held at once.
+    pub fn staged_peak_bytes(&self) -> usize {
+        self.state.borrow().staged_peak
     }
 
     /// Pool capacity in pages.
@@ -693,6 +770,7 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
             faults_injected: io.disk().faults_injected(),
             prefetch_supplied: state.prefetch_supplied,
             nodes_decoded: state.nodes_decoded,
+            prefetch: state.prefetch,
         }
     }
 

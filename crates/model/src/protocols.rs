@@ -21,10 +21,10 @@
 //!   arriving between a pool pop and task execution (mid-steal).
 //! * [`resplit_scenario`] — starvation-driven re-splitting covers
 //!   exactly the parent's leaves, exactly once.
-//! * [`prefetch_scenario`] — the out-of-core prefetcher's budget gate,
-//!   `stage_raw` handoff, failed-read-ahead fallback and drop-time
-//!   cancel/join deliver every page's bytes exactly once (mirrored
-//!   from `csj_core::outofcore`).
+//! * [`prefetch_scenario`] — the out-of-core read-ahead: reader
+//!   threads, window refill, waits on in-flight pages with wake-up on
+//!   failure, and shutdown/join deliver every page's bytes exactly
+//!   once and account every read (mirrored from `csj_core::outofcore`).
 //!
 //! The deliberately broken [`relaxed_publication_race`] (data behind a
 //! `Relaxed` flag) is the seeded-race fixture: the checker must find
@@ -37,7 +37,7 @@ use std::sync::PoisonError;
 
 use crate::cell::RaceCell;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, Condvar, Mutex};
 use crate::thread;
 
 /// A task covering the leaf range `lo..=hi`; splittable when it covers
@@ -520,137 +520,159 @@ pub fn shard_retry_quiesce_scenario(second_attempt_dies: bool) {
     assert!(leftover <= 2, "at most one queued event per attempt");
 }
 
-/// Mirror of `csj_core::outofcore`'s prefetcher handshake: a dedicated
-/// I/O thread races the engine over a byte-budget gate, a page queue
-/// and a ready list, ending in the drop-time cancel/join.
+/// Mirror of `csj_core::outofcore`'s read-ahead handshake: reader
+/// threads serve a page queue the engine refills from its window, and
+/// the engine waits on pages still in flight.
 ///
-/// The real protocol (`Prefetcher::spawn` / `drain_into` /
-/// `Drop for Prefetcher`) has three legs, all kept operation for
-/// operation with the same memory orderings:
+/// The real protocol (`serve_reads`, `Prefetcher::fetch` /
+/// `refill` / `finish`) is kept operation for operation on the shared
+/// state — one mutex over the queue, the in-flight list and the
+/// finished reads, plus two condvars:
 ///
-/// * the I/O thread admits a read-ahead only while `ready_bytes`
-///   (`Acquire`, pairing with the engine's `AcqRel` `fetch_sub`) plus
-///   one page fits the budget, pops the oldest queued page, and
-///   publishes the bytes with an `AcqRel` `fetch_add` before pushing
-///   them onto `ready`;
-/// * a failed read-ahead is dropped *silently* — the engine reads the
-///   page synchronously when it gets there, so staging only ever
-///   changes who reads the bytes, never what the traversal does;
-/// * the engine drains `ready` into the store via the `stage_raw`
-///   handoff, which rejects pages already resident or already staged;
-///   on drop it cancels (`Relaxed`, the `CancelToken` mirror) and
-///   joins the thread.
+/// * a reader sleeps on `work` until the queue has a page or shutdown
+///   begins, moves the page to `in_flight` (counting it issued), reads
+///   it *outside* the lock, then moves it to `done` — `None` for a
+///   failed read — and signals `landed`;
+/// * the engine's fetch takes its page back out of the queue if no
+///   reader has started it (it reads it itself), waits on `landed`
+///   while the page is in flight, and stages what landed: successful
+///   reads of non-resident pages, each counted against the window; the
+///   refill then re-decides the whole queue from the window, dropping
+///   queued requests that fell out of it, and wakes the readers;
+/// * `finish` sets `shutdown`, clears the queue, wakes and joins every
+///   reader, and counts the reads that never got consumed as wasted.
 ///
-/// Asserted under every schedule within the bound: the budget gate
-/// never over-admits, every page is decoded exactly once from exactly
-/// one source (staged bytes or the synchronous fallback), a failed
-/// read-ahead never stages, `ready_bytes` balances exactly the
-/// undrained `ready` entries at quiescence, and no staged page is lost
-/// or duplicated across the handoff
-/// (`supplied + unconsumed + rejected + leftover == read_ahead`).
+/// Asserted under every schedule within the bound: the window is
+/// never over-committed (staged + requested ≤ budget), every page is
+/// decoded exactly once from exactly one source, a failed read never
+/// stages, and after the join every issued read was either useful or
+/// wasted (`supplied + wasted == issued`). The checker itself refutes
+/// a lost wake-up: the condvars have no spurious wake-ups, so an
+/// engine left waiting on a page nobody will signal is a deadlock.
 ///
-/// `read_ahead_fails` injects the lost-read leg: the prefetch read of
-/// one page fails, and that page must arrive via the fallback.
+/// `read_ahead_fails` injects the failure leg: the read-ahead of one
+/// page fails, and the engine — possibly already waiting on it — must
+/// be woken and read the page synchronously.
 pub fn prefetch_scenario(read_ahead_fails: bool) {
-    const PAGES: u64 = 4;
+    const PAGES: u64 = 3;
     const FAIL_PAGE: u64 = 2;
-    /// Model page size: one budget unit per page.
-    const PAGE_BYTES: usize = 1;
-    /// One page of budget, so the gate genuinely blocks and every
-    /// admit/drain alternation is explored.
-    const BUDGET: usize = 1;
+    const READERS: usize = 2;
+    /// Window in pages: smaller than the page count, so the refill
+    /// genuinely re-queues as the engine advances.
+    const BUDGET: usize = 2;
 
-    struct PrefetchModel {
-        /// Pages the engine wants read, oldest first.
-        queue: Mutex<VecDeque<u64>>,
-        /// Pages read and awaiting hand-off to the store.
-        ready: Mutex<Vec<(u64, usize)>>,
-        /// Bytes held in `ready` — the admission gate.
-        ready_bytes: AtomicUsize,
-        /// Max bytes of read-ahead admitted to `ready`.
-        budget: usize,
-        /// Mirror of `CancelToken`'s flag.
-        cancel: AtomicBool,
+    #[derive(Default)]
+    struct ReadState {
+        queue: VecDeque<u64>,
+        in_flight: Vec<u64>,
+        done: Vec<(u64, Option<u64>)>,
+        issued: usize,
+        shutdown: bool,
     }
 
-    let shared = Arc::new(PrefetchModel {
-        queue: Mutex::new((1..=PAGES).collect()),
-        ready: Mutex::new(Vec::new()),
-        ready_bytes: AtomicUsize::new(0),
-        budget: BUDGET,
-        cancel: AtomicBool::new(false),
+    struct Shared {
+        state: Mutex<ReadState>,
+        work: Condvar,
+        landed: Condvar,
+    }
+
+    fn lock(m: &Mutex<ReadState>) -> crate::sync::MutexGuard<'_, ReadState> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    let shared = Arc::new(Shared {
+        state: Mutex::new(ReadState::default()),
+        work: Condvar::new(),
+        landed: Condvar::new(),
     });
 
-    // The I/O thread: the exact loop of `Prefetcher::spawn` — cancel
-    // check, budget gate, queue pop, fallible read, publish.
-    let io = thread::spawn({
-        let shared = Arc::clone(&shared);
-        move || {
-            let mut read_ahead = 0usize;
-            // ORDERING: mirror of CancelToken::is_canceled (Relaxed).
-            while !shared.cancel.load(Ordering::Relaxed) {
-                // ORDERING: Acquire pairs with the engine's AcqRel
-                // fetch_sub in the drain, exactly as in the gate of
-                // `Prefetcher::spawn`.
-                if shared.ready_bytes.load(Ordering::Acquire) + PAGE_BYTES > shared.budget {
-                    thread::yield_now(); // frontier full: wait for a drain
-                    continue;
-                }
-                let next = shared.queue.lock().unwrap_or_else(PoisonError::into_inner).pop_front();
-                let Some(page) = next else {
-                    thread::yield_now();
-                    continue;
+    // The readers: the exact loop of `serve_reads`.
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            thread::spawn(move || loop {
+                let page = {
+                    let mut st = lock(&shared.state);
+                    loop {
+                        if st.shutdown {
+                            return;
+                        }
+                        if let Some(page) = st.queue.pop_front() {
+                            st.in_flight.push(page);
+                            st.issued += 1;
+                            break page;
+                        }
+                        st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    }
                 };
-                // A failed read-ahead is not an error: dropped silently,
-                // the engine reads the page synchronously itself.
-                if read_ahead_fails && page == FAIL_PAGE {
-                    continue;
+                // The read itself, outside the lock.
+                let bytes = (!(read_ahead_fails && page == FAIL_PAGE)).then_some(page);
+                {
+                    let mut st = lock(&shared.state);
+                    st.in_flight.retain(|&p| p != page);
+                    st.done.push((page, bytes));
                 }
-                // ORDERING: AcqRel publishes the budget claim to the
-                // gate's Acquire load and the engine's drain, as in
-                // `Prefetcher::spawn`.
-                let seen = shared.ready_bytes.fetch_add(PAGE_BYTES, Ordering::AcqRel);
-                assert!(
-                    seen + PAGE_BYTES <= shared.budget,
-                    "the gate admitted read-ahead past the budget"
-                );
-                shared
-                    .ready
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push((page, PAGE_BYTES));
-                read_ahead += 1;
-            }
-            read_ahead
-        }
-    });
+                shared.landed.notify_all();
+            })
+        })
+        .collect();
 
-    // The engine side: `drain_into` + the staged-or-sync decode of
-    // `PagedStore::node`, page by page along the traversal.
+    // The engine: `fetch` page by page along a one-batch frontier, then
+    // `finish`.
+    let mut requested: Vec<u64> = Vec::new(); // queued, in flight or landed
+    let mut staged: Vec<u64> = Vec::new();
     let mut resident: Vec<u64> = Vec::new();
-    let mut staged: Vec<(u64, usize)> = Vec::new();
-    let mut supplied = 0usize; // pages decoded from staged bytes
-    let mut sync_reads = 0usize; // pages decoded via the fallback read
-    let mut rejected = 0usize; // stage_raw refusals (already resident/staged)
+    let (mut supplied, mut sync_reads, mut wasted) = (0usize, 0usize, 0usize);
     for page in 1..=PAGES {
-        // drain_into: move every completed read into the staging area.
-        let done: Vec<(u64, usize)> =
-            std::mem::take(&mut *shared.ready.lock().unwrap_or_else(PoisonError::into_inner));
-        for (p, bytes) in done {
-            // ORDERING: AcqRel pairs with the gate's Acquire load,
-            // publishing the freed budget, exactly as in `drain_into`.
-            shared.ready_bytes.fetch_sub(bytes, Ordering::AcqRel);
-            // stage_raw: pages already resident or staged are refused.
-            if resident.contains(&p) || staged.iter().any(|&(q, _)| q == p) {
-                rejected += 1;
+        let landed = {
+            let mut st = lock(&shared.state);
+            if let Some(i) = st.queue.iter().position(|&q| q == page) {
+                st.queue.remove(i);
+                requested.retain(|&q| q != page);
+            }
+            while st.in_flight.contains(&page) {
+                st = shared.landed.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            std::mem::take(&mut st.done)
+        };
+        for (p, bytes) in landed {
+            requested.retain(|&q| q != p);
+            // stage_raw: refused for a failed read or a resident page.
+            if bytes.is_some() && !resident.contains(&p) {
+                staged.push(p);
             } else {
-                staged.push((p, bytes));
+                assert!(bytes.is_some() || p == FAIL_PAGE, "only the injected read fails");
+                wasted += 1;
             }
         }
-        // node(page): staged bytes win; otherwise the synchronous read.
-        if let Some(i) = staged.iter().position(|&(q, _)| q == page) {
+        // refill: the window is the next BUDGET unread pages.
+        {
+            let mut st = lock(&shared.state);
+            for p in st.queue.drain(..) {
+                requested.retain(|&q| q != p);
+            }
+            // A staged page being fetched holds its slot until the pin.
+            let held = staged.len() + requested.len();
+            let free = BUDGET.saturating_sub(held);
+            let wanted: Vec<u64> = ((page + 1)..=PAGES)
+                .take(BUDGET)
+                .filter(|p| !staged.contains(p) && !requested.contains(p))
+                .take(free)
+                .collect();
+            for p in wanted {
+                st.queue.push_back(p);
+                requested.push(p);
+            }
+            assert!(held + st.queue.len() <= BUDGET, "the window was over-committed");
+            if !st.queue.is_empty() {
+                shared.work.notify_all();
+            }
+        }
+        // The pin: staged bytes win; otherwise the synchronous read.
+        if let Some(i) = staged.iter().position(|&q| q == page) {
             staged.remove(i);
             supplied += 1;
+            assert!(!(read_ahead_fails && page == FAIL_PAGE), "a failed read-ahead staged");
         } else {
             sync_reads += 1;
         }
@@ -658,32 +680,25 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
         resident.push(page);
     }
 
-    // Drop handshake, exactly `Drop for Prefetcher`: cancel, then join.
-    // ORDERING: mirror of CancelToken::cancel (Relaxed).
-    shared.cancel.store(true, Ordering::Relaxed);
-    let read_ahead = io.join();
-
-    // Every page decoded exactly once, from exactly one source.
-    assert_eq!(supplied + sync_reads, PAGES as usize, "one byte source per page");
-    if read_ahead_fails {
-        assert!(supplied < PAGES as usize, "a failed read-ahead cannot stage its page");
+    // finish: shut down, wake and join every reader, count leftovers.
+    {
+        let mut st = lock(&shared.state);
+        st.shutdown = true;
+        st.queue.clear();
     }
-    // Budget accounting balances at quiescence: the unclaimed bytes are
-    // exactly the undrained ready entries.
-    let leftover = shared.ready.lock().unwrap_or_else(PoisonError::into_inner).len();
-    assert_eq!(
-        shared.ready_bytes.load(Ordering::SeqCst),
-        leftover * PAGE_BYTES,
-        "ready_bytes out of sync with the undrained staging area"
-    );
-    // Conservation across the handoff: everything the thread published
-    // was consumed, is still staged, was refused, or sits undrained.
-    assert!(read_ahead <= PAGES as usize, "read-ahead invented a page");
-    assert_eq!(
-        supplied + staged.len() + rejected + leftover,
-        read_ahead,
-        "a staged page was lost or duplicated in the handoff"
-    );
+    shared.work.notify_all();
+    for reader in readers {
+        reader.join();
+    }
+    let (issued, leftover) = {
+        let mut st = lock(&shared.state);
+        assert!(st.in_flight.is_empty(), "a joined reader left a read in flight");
+        (st.issued, std::mem::take(&mut st.done).len())
+    };
+    wasted += leftover + staged.len();
+
+    assert_eq!(supplied + sync_reads, PAGES as usize, "one byte source per page");
+    assert_eq!(supplied + wasted, issued, "a read-ahead was neither useful nor wasted");
 }
 
 /// The seeded race: data in a [`RaceCell`] published through a

@@ -66,6 +66,12 @@ pub(crate) enum Op {
     CellWrite { loc: u64 },
     /// Join on another model thread (disabled until it finishes).
     Join { tid: usize },
+    /// Condvar wait that began after `seen` notifications (disabled
+    /// until a later notification arrives: no spurious wake-ups, so a
+    /// lost wake-up shows up as a deadlock).
+    CondWait { cv: u64, seen: u64 },
+    /// Condvar `notify_all`.
+    CondNotify { cv: u64 },
 }
 
 impl Op {
@@ -77,6 +83,8 @@ impl Op {
             Op::AtomicStore { loc, .. } => format!("atomic-store@{loc}"),
             Op::AtomicRmw { loc, .. } => format!("atomic-rmw@{loc}"),
             Op::MutexLock { loc } => format!("mutex-lock@{loc}"),
+            Op::CondWait { cv, .. } => format!("condvar-wait@{cv}"),
+            Op::CondNotify { cv } => format!("condvar-notify@{cv}"),
             Op::CellRead { loc } => format!("cell-read@{loc}"),
             Op::CellWrite { loc } => format!("cell-write@{loc}"),
             Op::Join { tid } => format!("join({tid})"),
@@ -123,6 +131,8 @@ struct Core {
     atomic_sync: HashMap<u64, VClock>,
     mutex_clock: HashMap<u64, VClock>,
     mutex_held: HashMap<u64, bool>,
+    /// Notifications each condvar has received so far.
+    cv_notifies: HashMap<u64, u64>,
     cells: HashMap<u64, CellState>,
     ops: usize,
     max_ops: usize,
@@ -142,6 +152,7 @@ impl Core {
             atomic_sync: HashMap::new(),
             mutex_clock: HashMap::new(),
             mutex_held: HashMap::new(),
+            cv_notifies: HashMap::new(),
             cells: HashMap::new(),
             ops: 0,
             max_ops,
@@ -160,7 +171,10 @@ impl Core {
     /// and runs the race detector for cell accesses.
     fn apply(&mut self, tid: usize, op: Op) {
         match op {
-            Op::Start | Op::Yield => {}
+            // A condvar carries no happens-before edge of its own: the
+            // waiter's re-acquisition of the mutex supplies it.
+            Op::Start | Op::Yield | Op::CondWait { .. } => {}
+            Op::CondNotify { cv } => *self.cv_notifies.entry(cv).or_default() += 1,
             Op::AtomicLoad { loc, acquire } => {
                 if acquire {
                     if let Some(sync) = self.atomic_sync.get(&loc).cloned() {
@@ -251,6 +265,7 @@ impl Core {
         match self.threads[tid].op {
             Op::MutexLock { loc } => !self.mutex_held.get(&loc).copied().unwrap_or(false),
             Op::Join { tid: t } => self.threads[t].status == TStatus::Finished,
+            Op::CondWait { cv, seen } => self.cv_notifies.get(&cv).copied().unwrap_or(0) > seen,
             _ => true,
         }
     }
@@ -330,6 +345,15 @@ pub(crate) fn mutex_unlock(loc: u64) {
     core.mutex_clock.insert(loc, mine);
     core.clocks[tid].bump(tid);
     inner.cvar.notify_all();
+}
+
+/// Notifications `cv` has received so far, read by a waiter while it
+/// still holds the mutex; `None` in passthrough mode. Not a scheduling
+/// point.
+pub(crate) fn condvar_epoch(cv: u64) -> Option<u64> {
+    let (inner, _) = current()?;
+    let core = lock_core(&inner);
+    Some(core.cv_notifies.get(&cv).copied().unwrap_or(0))
 }
 
 /// Registers a new model thread (the root, or a child of `parent`) and

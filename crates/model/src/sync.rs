@@ -208,13 +208,7 @@ impl<T> Mutex<T> {
     /// callers use the same poison policy they would with `std`.
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         sched::yield_point(Op::MutexLock { loc: self.id });
-        match self.inner.lock() {
-            Ok(g) => Ok(MutexGuard { loc: self.id, inner: Some(g) }),
-            Err(poisoned) => Err(PoisonError::new(MutexGuard {
-                loc: self.id,
-                inner: Some(poisoned.into_inner()),
-            })),
-        }
+        guard_of(self.id, &self.inner, self.inner.lock())
     }
 
     /// Instrumented `into_inner`.
@@ -236,10 +230,26 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
+/// Wraps a backing-lock result in the model guard.
+fn guard_of<'a, T>(
+    loc: u64,
+    lock: &'a std::sync::Mutex<T>,
+    result: LockResult<std::sync::MutexGuard<'a, T>>,
+) -> LockResult<MutexGuard<'a, T>> {
+    match result {
+        Ok(g) => Ok(MutexGuard { loc, lock, inner: Some(g) }),
+        Err(poisoned) => {
+            Err(PoisonError::new(MutexGuard { loc, lock, inner: Some(poisoned.into_inner()) }))
+        }
+    }
+}
+
 /// Guard returned by [`Mutex::lock`]; dropping it releases the model
 /// mutex and publishes the holder's clock.
 pub struct MutexGuard<'a, T> {
     loc: u64,
+    /// The backing mutex, for re-acquisition after a [`Condvar::wait`].
+    lock: &'a std::sync::Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -263,5 +273,70 @@ impl<T> Drop for MutexGuard<'_, T> {
         // granted peer can never find it still held.
         self.inner.take();
         sched::mutex_unlock(self.loc);
+    }
+}
+
+/// Instrumented `std::sync::Condvar` (only `notify_all`: a modeled
+/// `notify_one` would have to pick its waiter, and the callers do not
+/// need it).
+///
+/// In a model execution a wait releases the mutex, parks on a
+/// scheduling point that stays disabled until a *later* `notify_all`
+/// on the same condvar, then re-acquires the mutex. There are no
+/// spurious wake-ups, so a notification the waiter can miss leaves it
+/// blocked and the checker reports the lost wake-up as a deadlock.
+pub struct Condvar {
+    id: u64,
+    inner: std::sync::Condvar,
+}
+
+impl Condvar {
+    /// Creates a condvar.
+    pub fn new() -> Self {
+        Self { id: sched::next_loc_id(), inner: std::sync::Condvar::new() }
+    }
+
+    /// Instrumented `wait`.
+    ///
+    /// # Errors
+    ///
+    /// Mirrors `std::sync::Condvar::wait`: returns [`PoisonError`] when
+    /// the mutex was poisoned while the caller waited.
+    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+        let (loc, lock) = (guard.loc, guard.lock);
+        match sched::condvar_epoch(self.id) {
+            Some(seen) => {
+                drop(guard);
+                sched::yield_point(Op::CondWait { cv: self.id, seen });
+                sched::yield_point(Op::MutexLock { loc });
+                guard_of(loc, lock, lock.lock())
+            }
+            None => {
+                let Some(held) = guard.inner.take() else {
+                    unreachable!("guard accessed after drop")
+                };
+                drop(guard);
+                guard_of(loc, lock, self.inner.wait(held))
+            }
+        }
+    }
+
+    /// Instrumented `notify_all`.
+    pub fn notify_all(&self) {
+        if !sched::yield_point(Op::CondNotify { cv: self.id }) {
+            self.inner.notify_all();
+        }
+    }
+}
+
+impl Default for Condvar {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for Condvar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Condvar").finish_non_exhaustive()
     }
 }

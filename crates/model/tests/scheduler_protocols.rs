@@ -78,10 +78,11 @@ fn shard_exhausted_budget_protocol_exhausted_at_bound_2() {
     );
 }
 
-/// Prefetcher stage/cancel/join handshake, clean path: every read-ahead
-/// succeeds. Under every interleaving of the budget gate, the queue
-/// pops, the `stage_raw` drains and the drop-time cancel, each page's
-/// bytes arrive exactly once and the byte accounting balances.
+/// Read-ahead handshake, clean path: every read-ahead succeeds. Under
+/// every interleaving of two readers, the window refills, the engine's
+/// waits on in-flight pages and the shutdown/join, each page's bytes
+/// arrive exactly once, the window is never over-committed, and every
+/// issued read ends useful or wasted.
 #[test]
 fn prefetch_handshake_protocol_exhausted_at_bound_3() {
     let report = Config::new().preemptions(3).check(|| prefetch_scenario(false));
@@ -93,9 +94,10 @@ fn prefetch_handshake_protocol_exhausted_at_bound_3() {
     );
 }
 
-/// Prefetcher handshake, lost-read leg: one read-ahead fails and is
-/// dropped silently. The engine must fall back to a synchronous read
-/// for that page — same exactly-once delivery, same accounting.
+/// Read-ahead handshake, failure leg: one read-ahead fails. An engine
+/// waiting on that page must be woken (a lost wake-up is a deadlock
+/// here) and read it synchronously — same exactly-once delivery, same
+/// accounting.
 #[test]
 fn prefetch_failed_readahead_protocol_exhausted_at_bound_3() {
     let report = Config::new().preemptions(3).check(|| prefetch_scenario(true));
