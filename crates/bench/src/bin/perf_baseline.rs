@@ -1,11 +1,10 @@
 //! Reproducible performance baseline for the parallel join stack.
 //!
 //! Runs {uniform, skewed-cluster, sierpinski} × {SSJ, N-CSJ, CSJ(10)} ×
-//! {1, N threads} through the work-stealing [`ParallelJoin`], compares
-//! the work-stealing runner against the retired static-split baseline
-//! (scalar leaf probes), and microbenchmarks the batched distance kernel
-//! against the scalar probe loop. Results land in `BENCH_parallel.json`
-//! (see DESIGN.md for the field reference).
+//! {1, N threads} through the work-stealing [`ParallelJoin`] and
+//! microbenchmarks the batched distance kernel against a scalar probe
+//! loop. Results land in `BENCH_parallel.json` (see DESIGN.md for the
+//! field reference).
 //!
 //! ```text
 //! perf_baseline [--smoke] [--out <file>] [--n <points>] [--iters <n>] [--threads <n>]
@@ -18,9 +17,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use csj_bench::harness::{median_time_ms, time_stats_ms, TimeStats};
-use csj_core::parallel::baseline::StaticParallelJoin;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
-use csj_core::JoinConfig;
 use csj_geom::{DistKernel, KernelPath, Metric, Point, RecordId, SoaBuffer};
 use csj_index::{rstar::RStarTree, LeafEntry, RTreeConfig};
 
@@ -218,28 +215,10 @@ fn measure_grid(w: &Workload, iters: usize, max_threads: usize) -> Vec<RunRow> {
     rows
 }
 
-/// Static-split + scalar probes versus work-stealing + batched kernel,
-/// N-CSJ on the skewed cluster — the headline speedup.
-fn baseline_comparison(w: &Workload, iters: usize, threads: usize) -> (f64, f64) {
-    let tree = RStarTree::bulk_load_str(&w.points, bench_tree_config());
-    let scalar_cfg = JoinConfig::new(w.eps).with_scalar_leaf_probe();
-    let old = StaticParallelJoin::with_config(scalar_cfg, ParallelAlgo::Ncsj).with_threads(threads);
-    let new = ParallelJoin::new(w.eps, ParallelAlgo::Ncsj).with_threads(threads);
-    // Both runners produce the same expanded link set; measure wall time.
-    let static_ms = median_time_ms(iters, || {
-        std::hint::black_box(old.run(&tree));
-    });
-    let stealing_ms = median_time_ms(iters, || {
-        std::hint::black_box(new.run(&tree));
-    });
-    (static_ms, stealing_ms)
-}
-
-/// The SSJ leaf probe in isolation, both engine code paths faithfully:
-/// the scalar arm iterates interleaved [`LeafEntry`] records, counts each
-/// predicate evaluation and pushes hit id pairs; the batched arm runs the
-/// ε²-kernel over the leaf's contiguous point mirror, as
-/// `Engine::leaf_self_kernel` does.
+/// The SSJ leaf probe in isolation: the scalar arm iterates interleaved
+/// [`LeafEntry`] records, counts each predicate evaluation and pushes hit
+/// id pairs; the batched arm runs the ε²-kernel over the leaf's
+/// contiguous point mirror, as the engine's leaf probe does.
 fn kernel_microbench(iters: usize, n: usize) -> (usize, u64, f64, f64) {
     let mut rng = Lcg(7);
     // A tight box: every pair is a near-miss or a hit, like a dense leaf.
@@ -363,25 +342,6 @@ fn main() {
         let _ = writeln!(json, "    ]}}{}", if wi + 1 == all.len() { "" } else { "," });
     }
     json.push_str("  ],\n");
-
-    let skew = &all[1];
-    assert_eq!(skew.name, "skewed-cluster");
-    let (static_ms, stealing_ms) = baseline_comparison(skew, args.iters, args.threads);
-    let _ = writeln!(
-        json,
-        "  \"baseline_comparison\": {{\"workload\": \"skewed-cluster\", \"algo\": \"N-CSJ\", \
-         \"threads\": {}, \"static_scalar_wall_ms\": {:.3}, \"work_stealing_wall_ms\": {:.3}, \
-         \"speedup\": {:.3}}},",
-        args.threads,
-        static_ms,
-        stealing_ms,
-        static_ms / stealing_ms,
-    );
-    eprintln!(
-        "# baseline comparison: static+scalar {static_ms:.1} ms vs work-stealing+kernel \
-         {stealing_ms:.1} ms ({:.2}x)",
-        static_ms / stealing_ms
-    );
 
     let micro_n = if args.smoke { 500 } else { 3_000 };
     let (n, pairs, scalar_ms, batched_ms) = kernel_microbench(args.iters, micro_n);

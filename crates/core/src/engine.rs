@@ -1,4 +1,4 @@
-//! The shared recursive join engine.
+//! The Figure-3 join engine: one recursion for every join path.
 //!
 //! Figure 3 of the paper gives one pseudo-code skeleton for all three
 //! algorithms — `simJoin(n)` / `simJoin(n1, n2)` — with the compact
@@ -9,13 +9,29 @@
 //! * `early_stop = true`, [`DirectEmit`] → **N-CSJ**;
 //! * `early_stop = true`, [`WindowedEmit`] → **CSJ(g)**.
 //!
+//! The engine reaches nodes through a [`NodeSource`]. Every [`JoinIndex`]
+//! is one, with `NodeId` handles and no I/O; `outofcore::PagedSource`
+//! is the other, reading node pages through a pinned buffer pool. Every pruning and
+//! early-stopping decision is a pure function of bounding shapes a parent
+//! already holds for its children, so both sources make the same
+//! decisions in the same order and emit the same bytes; only the I/O
+//! differs.
+//!
+//! A [`Step`] is `simJoin(n)` or `simJoin(n1, n2)`. One function decides
+//! what a step does once visited: stop early, probe a leaf (pair), or run
+//! its surviving child steps — in stored order, or in plane-sweep order
+//! when configured. The recursion runs those children; the parallel
+//! runner's task splitter and the root splits of the resilient and
+//! budgeted runners take them from [`Engine::split`] and run them as
+//! separate tasks, so every path counts the same visits and pruned pairs.
+//!
 //! Output rows go to a [`RowSink`] — collected in memory or streamed
 //! straight into a `csj-storage` writer — so the same engine serves both
 //! verification (structured output) and the experiment harness (byte
 //! counting at full speed).
 
-use csj_geom::{Mbr, Metric, Point, RecordId};
-use csj_index::{JoinIndex, NodeId};
+use csj_geom::{DistKernel, Mbr, Metric, Point, RecordId, SoaView};
+use csj_index::{JoinIndex, LeafEntry, NodeId};
 use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{CancelToken, StopReason};
@@ -276,9 +292,274 @@ impl<S: GroupShape<D>, const D: usize> LinkHandler<D> for WindowedEmit<S, D> {
     }
 }
 
-/// The Figure-3 recursion, generic over tree, link handling and row sink.
-pub struct Engine<'t, T, H, R, const D: usize> {
+/// One Figure-3 call: `simJoin(n)` or `simJoin(n1, n2)`.
+#[derive(Clone, Copy, Debug)]
+pub enum Step<N> {
+    /// `simJoin(n)`: the self-join of one subtree.
+    Node(N),
+    /// `simJoin(n1, n2)`: the join across two subtrees.
+    Pair(N, N),
+}
+
+/// A pinned leaf: its records and their struct-of-arrays coordinate
+/// slab, row for row (`soa().point(i) == entries()[i].point`).
+pub trait LeafView<const D: usize> {
+    /// The leaf's records.
+    fn entries(&self) -> &[LeafEntry<D>];
+    /// The records' coordinates, one contiguous slab per dimension.
+    fn soa(&self) -> SoaView<'_, D>;
+}
+
+/// How the engine reaches tree nodes.
+///
+/// A handle carries what the pruning rules need, so the three bounds are
+/// I/O-free; reading a node's contents (children, leaf records) is
+/// fallible and may pin a page until the returned view drops. Every
+/// [`JoinIndex`] is a source, with `NodeId` handles and no I/O;
+/// `outofcore::PagedSource` reads node pages through a buffer pool.
+pub trait NodeSource<const D: usize> {
+    /// A node handle.
+    type Node: Copy;
+    /// A pinned leaf.
+    type Leaf<'a>: LeafView<D>
+    where
+        Self: 'a;
+
+    /// The root, or `None` for an empty tree.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when the root cannot be read.
+    fn root(&mut self) -> Result<Option<Self::Node>, CsjError>;
+
+    /// `true` if `n` stores records directly.
+    fn is_leaf(&self, n: Self::Node) -> bool;
+
+    /// The id the access log records for a visit of `n`.
+    fn log_id(&self, n: Self::Node) -> u32;
+
+    /// A rectangle covering `n`'s bounding shape.
+    fn mbr(&self, n: Self::Node) -> Mbr<D>;
+
+    /// Upper bound on the distance between two points below `n`.
+    fn max_diameter(&self, n: Self::Node, metric: Metric) -> f64;
+
+    /// Upper bound on the distance between two points below `a` or `b`.
+    fn pair_diameter(&self, a: Self::Node, b: Self::Node, metric: Metric) -> f64;
+
+    /// Lower bound on the distance between a point below `a` and one
+    /// below `b`.
+    fn min_dist(&self, a: Self::Node, b: Self::Node, metric: Metric) -> f64;
+
+    /// The children of internal node `n`, in stored order.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when `n` cannot be read.
+    fn children(&mut self, n: Self::Node) -> Result<Vec<Self::Node>, CsjError>;
+
+    /// Pins leaf `n`.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when `n` cannot be read.
+    fn leaf(&mut self, n: Self::Node) -> Result<Self::Leaf<'_>, CsjError>;
+
+    /// Pins leaves `a` and `b` for a cross probe, readying both before
+    /// pinning either.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when either leaf cannot be read.
+    fn leaf_pair(
+        &mut self,
+        a: Self::Node,
+        b: Self::Node,
+    ) -> Result<(Self::Leaf<'_>, Self::Leaf<'_>), CsjError>;
+
+    /// Appends every record id below `n` to `out`, in
+    /// [`JoinIndex::collect_record_ids`] order (the group-member order).
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node below `n` cannot be read.
+    fn collect_record_ids(
+        &mut self,
+        n: Self::Node,
+        out: &mut Vec<RecordId>,
+    ) -> Result<(), CsjError>;
+
+    /// Appends every record below `n` to `out` (for tightened group
+    /// MBRs).
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node below `n` cannot be read.
+    fn collect_entries(
+        &mut self,
+        n: Self::Node,
+        out: &mut Vec<LeafEntry<D>>,
+    ) -> Result<(), CsjError>;
+
+    /// A frame is about to run `steps`, in order.
+    fn push(&mut self, _steps: &[Step<Self::Node>]) {}
+
+    /// The frame of the matching [`NodeSource::push`] has returned.
+    fn pop(&mut self) {}
+}
+
+/// A leaf of an in-memory [`JoinIndex`], read on demand.
+pub struct IndexLeaf<'t, T> {
     tree: &'t T,
+    n: NodeId,
+}
+
+impl<T: JoinIndex<D>, const D: usize> LeafView<D> for IndexLeaf<'_, T> {
+    fn entries(&self) -> &[LeafEntry<D>] {
+        self.tree.leaf_entries(self.n)
+    }
+    fn soa(&self) -> SoaView<'_, D> {
+        self.tree.leaf_soa(self.n)
+    }
+}
+
+impl<'t, T: JoinIndex<D>, const D: usize> NodeSource<D> for &'t T {
+    type Node = NodeId;
+    type Leaf<'a>
+        = IndexLeaf<'t, T>
+    where
+        Self: 'a;
+
+    fn root(&mut self) -> Result<Option<NodeId>, CsjError> {
+        Ok((**self).root())
+    }
+    fn is_leaf(&self, n: NodeId) -> bool {
+        (**self).is_leaf(n)
+    }
+    fn log_id(&self, n: NodeId) -> u32 {
+        n.0
+    }
+    fn mbr(&self, n: NodeId) -> Mbr<D> {
+        (**self).node_mbr(n)
+    }
+    fn max_diameter(&self, n: NodeId, metric: Metric) -> f64 {
+        (**self).max_diameter(n, metric)
+    }
+    fn pair_diameter(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
+        (**self).pair_diameter(a, b, metric)
+    }
+    fn min_dist(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
+        (**self).min_dist(a, b, metric)
+    }
+    fn children(&mut self, n: NodeId) -> Result<Vec<NodeId>, CsjError> {
+        Ok((**self).children(n).to_vec())
+    }
+    fn leaf(&mut self, n: NodeId) -> Result<IndexLeaf<'t, T>, CsjError> {
+        Ok(IndexLeaf { tree: *self, n })
+    }
+    fn leaf_pair(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+    ) -> Result<(IndexLeaf<'t, T>, IndexLeaf<'t, T>), CsjError> {
+        Ok((IndexLeaf { tree: *self, n: a }, IndexLeaf { tree: *self, n: b }))
+    }
+    fn collect_record_ids(&mut self, n: NodeId, out: &mut Vec<RecordId>) -> Result<(), CsjError> {
+        (**self).collect_record_ids(n, out);
+        Ok(())
+    }
+    fn collect_entries(&mut self, n: NodeId, out: &mut Vec<LeafEntry<D>>) -> Result<(), CsjError> {
+        (**self).collect_entries(n, out);
+        Ok(())
+    }
+}
+
+/// What a step does once visited.
+enum Expansion {
+    /// Its subtree (pair) fits within ε: one group.
+    EarlyStop,
+    /// A leaf (pair): probe the records.
+    Leaf,
+    /// Its surviving child steps, in execution order, now end the
+    /// engine's step stack.
+    Children,
+}
+
+/// The widest side of `mbr`: the plane-sweep axis, where axis
+/// separation prunes the most pairs.
+fn widest_axis<const D: usize>(mbr: &Mbr<D>) -> usize {
+    let mut best = 0;
+    let mut best_extent = f64::NEG_INFINITY;
+    for d in 0..D {
+        if mbr.extent(d) > best_extent {
+            best_extent = mbr.extent(d);
+            best = d;
+        }
+    }
+    best
+}
+
+/// Plane-sweep leaf self-join: entries sorted along `axis`; the inner
+/// scan stops once the axis gap alone exceeds ε (valid for every `Lp`
+/// metric, where per-axis deltas lower-bound the distance).
+fn sweep_self<const D: usize>(
+    entries: &[LeafEntry<D>],
+    axis: usize,
+    metric: Metric,
+    eps: f64,
+    comps: &mut u64,
+    mut hit: impl FnMut(&LeafEntry<D>, &LeafEntry<D>) -> Result<(), CsjError>,
+) -> Result<(), CsjError> {
+    let mut entries = entries.to_vec();
+    entries.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
+    for (i, x) in entries.iter().enumerate() {
+        for y in &entries[(i + 1)..] {
+            if y.point[axis] - x.point[axis] > eps {
+                break;
+            }
+            *comps += 1;
+            if metric.within(&x.point, &y.point, eps) {
+                hit(x, y)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Plane-sweep leaf cross-join: both entry lists sorted along `axis`,
+/// joined with a sliding window.
+fn sweep_cross<const D: usize>(
+    left: &[LeafEntry<D>],
+    right: &[LeafEntry<D>],
+    axis: usize,
+    metric: Metric,
+    eps: f64,
+    comps: &mut u64,
+    mut hit: impl FnMut(&LeafEntry<D>, &LeafEntry<D>) -> Result<(), CsjError>,
+) -> Result<(), CsjError> {
+    let mut ea = left.to_vec();
+    let mut eb = right.to_vec();
+    ea.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
+    eb.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
+    let mut start = 0usize;
+    for x in &ea {
+        while start < eb.len() && eb[start].point[axis] < x.point[axis] - eps {
+            start += 1;
+        }
+        for y in &eb[start..] {
+            if y.point[axis] - x.point[axis] > eps {
+                break;
+            }
+            *comps += 1;
+            if metric.within(&x.point, &y.point, eps) {
+                hit(x, y)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The Figure-3 recursion, generic over node source, link handling and
+/// row sink.
+pub struct Engine<S: NodeSource<D>, H, R, const D: usize> {
+    pub(crate) source: S,
+    /// The child steps of every frame on the recursion path, innermost
+    /// frame's last.
+    steps: Vec<Step<S::Node>>,
     cfg: JoinConfig,
     early_stop: bool,
     handler: H,
@@ -290,24 +571,34 @@ pub struct Engine<'t, T, H, R, const D: usize> {
     pub stats: JoinStats,
 }
 
-impl<'t, T, H, R, const D: usize> Engine<'t, T, H, R, D>
+impl<S, H, R, const D: usize> Engine<S, H, R, D>
 where
-    T: JoinIndex<D>,
+    S: NodeSource<D>,
     H: LinkHandler<D>,
     R: RowSink,
 {
     /// Builds an engine; `early_stop` enables the compact-join group
     /// rules (italic lines of Figure 3).
-    pub fn new(tree: &'t T, cfg: JoinConfig, early_stop: bool, handler: H, sink: R) -> Self {
+    pub fn new(source: S, cfg: JoinConfig, early_stop: bool, handler: H, sink: R) -> Self {
         // One engine is one thread of execution; the parallel runner
         // overwrites this with the real worker count after merging.
         let stats = JoinStats { threads_used: 1, ..JoinStats::new(cfg.record_access_log) };
-        Engine { tree, cfg, early_stop, handler, cancel: None, stopped: None, sink, stats }
+        Engine {
+            source,
+            steps: Vec::new(),
+            cfg,
+            early_stop,
+            handler,
+            cancel: None,
+            stopped: None,
+            sink,
+            stats,
+        }
     }
 
     /// Arms a cooperative cancellation token: the recursion checks it on
-    /// every node visit and unwinds promptly (keeping all rows emitted so
-    /// far) once it is triggered.
+    /// every step and unwinds promptly (keeping all rows emitted so far)
+    /// once it is triggered.
     pub fn set_cancel(&mut self, token: CancelToken) {
         self.cancel = Some(token);
     }
@@ -333,18 +624,18 @@ where
     /// Runs the full self-join.
     ///
     /// # Errors
-    /// Returns [`CsjError::Storage`] when the handler's sink rejects a
-    /// write; traversal stops at the failing row.
+    /// Returns [`CsjError::Storage`] when a node read fails beyond retry
+    /// or the sink rejects a write; traversal stops at the failure.
     pub fn run(&mut self) -> Result<(), CsjError> {
-        if let Some(root) = self.tree.root() {
-            self.join_node(root)?;
+        if let Some(root) = self.source.root()? {
+            self.run_step(Step::Node(root))?;
         }
         self.finish_only()
     }
 
-    /// Runs only the finish step (used by the budgeted runner after an
-    /// aborted traversal; drains the CSJ window so the output stays
-    /// lossless over the processed region).
+    /// Runs only the finish step (used by the task runners after their
+    /// last task or an aborted traversal; drains the CSJ window so the
+    /// output stays lossless over the processed region).
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] when draining the window into the
@@ -353,389 +644,251 @@ where
         self.handler.finish(&mut self.sink, &mut self.stats)
     }
 
+    /// Runs one step and everything below it.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] as [`Engine::run`] does.
+    pub fn run_step(&mut self, step: Step<S::Node>) -> Result<(), CsjError> {
+        if self.check_stopped() {
+            return Ok(());
+        }
+        self.visit(step);
+        let start = self.steps.len();
+        match self.expand(step)? {
+            Expansion::EarlyStop => self.emit_subtree(step),
+            Expansion::Leaf => self.probe_leaves(step),
+            Expansion::Children => {
+                self.source.push(&self.steps[start..]);
+                for i in start..self.steps.len() {
+                    self.run_step(self.steps[i])?;
+                }
+                self.source.pop();
+                self.steps.truncate(start);
+                Ok(())
+            }
+        }
+    }
+
+    /// Expands `step` one level exactly as [`Engine::run_step`] would and
+    /// returns its child steps instead of running them, crediting the
+    /// step's visit and pruned pairs. Returns `None`, crediting nothing,
+    /// when the step must run whole: a leaf (pair) or an early stop.
+    /// Running the children in order is running the step.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node read fails.
+    pub fn split(&mut self, step: Step<S::Node>) -> Result<Option<Vec<Step<S::Node>>>, CsjError> {
+        let start = self.steps.len();
+        Ok(match self.expand(step)? {
+            Expansion::Children => {
+                self.visit(step);
+                Some(self.steps.split_off(start))
+            }
+            Expansion::EarlyStop | Expansion::Leaf => None,
+        })
+    }
+
+    /// The root split: the steps the root expands into (see
+    /// [`Engine::split`]), or the root alone when it must run whole;
+    /// empty for an empty tree.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node read fails.
+    pub fn split_root(&mut self) -> Result<Vec<Step<S::Node>>, CsjError> {
+        let Some(root) = self.source.root()? else { return Ok(Vec::new()) };
+        Ok(self.split(Step::Node(root))?.unwrap_or_else(|| vec![Step::Node(root)]))
+    }
+
+    /// Counts a step's visit (and logs its nodes when armed).
+    fn visit(&mut self, step: Step<S::Node>) {
+        match step {
+            Step::Node(n) => {
+                self.stats.node_visits += 1;
+                self.stats.touch_node(self.source.log_id(n));
+            }
+            Step::Pair(a, b) => {
+                self.stats.pair_visits += 1;
+                self.stats.touch_node(self.source.log_id(a));
+                self.stats.touch_node(self.source.log_id(b));
+            }
+        }
+    }
+
+    /// The one place a step's fate is decided: the early-stop test, then
+    /// the leaf test, then child pairing with the MINDIST prune (pruned
+    /// pairs are counted here). The surviving child steps are pushed on
+    /// the step stack: in stored order, or with plane sweep in order of
+    /// their lower bound on the widest axis, where a pair is skipped once
+    /// the axis gap alone exceeds ε.
+    fn expand(&mut self, step: Step<S::Node>) -> Result<Expansion, CsjError> {
+        let eps = self.cfg.epsilon;
+        let metric = self.cfg.metric;
+        match step {
+            Step::Node(n) => {
+                if self.early_stop && self.source.max_diameter(n, metric) <= eps {
+                    return Ok(Expansion::EarlyStop);
+                }
+                if self.source.is_leaf(n) {
+                    return Ok(Expansion::Leaf);
+                }
+                let axis = self.sweep_axis(&[n]);
+                let children = self.source.children(n)?;
+                let children = self.sweep_sorted(children, axis);
+                for (i, &a) in children.iter().enumerate() {
+                    self.steps.push(Step::Node(a));
+                    for &b in &children[(i + 1)..] {
+                        if self.swept_past(axis, a, b) {
+                            break;
+                        }
+                        self.pair_step(a, b);
+                    }
+                }
+            }
+            Step::Pair(a, b) => {
+                if self.early_stop && self.source.pair_diameter(a, b, metric) <= eps {
+                    return Ok(Expansion::EarlyStop);
+                }
+                match (self.source.is_leaf(a), self.source.is_leaf(b)) {
+                    (true, true) => return Ok(Expansion::Leaf),
+                    (true, false) => {
+                        for c in self.source.children(b)? {
+                            self.pair_step(a, c);
+                        }
+                    }
+                    (false, true) => {
+                        for c in self.source.children(a)? {
+                            self.pair_step(c, b);
+                        }
+                    }
+                    (false, false) => {
+                        let axis = self.sweep_axis(&[a, b]);
+                        let ca = self.source.children(a)?;
+                        let cb = self.source.children(b)?;
+                        let (ca, cb) = (self.sweep_sorted(ca, axis), self.sweep_sorted(cb, axis));
+                        for &x in &ca {
+                            for &y in &cb {
+                                if self.swept_past(axis, x, y) {
+                                    break;
+                                }
+                                self.pair_step(x, y);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(Expansion::Children)
+    }
+
+    /// Keeps `Pair(a, b)` if it survives the MINDIST prune.
+    fn pair_step(&mut self, a: S::Node, b: S::Node) {
+        if self.source.min_dist(a, b, self.cfg.metric) <= self.cfg.epsilon {
+            self.steps.push(Step::Pair(a, b));
+        } else {
+            self.stats.pairs_pruned += 1;
+        }
+    }
+
+    /// The plane-sweep axis over `nodes`' combined box, or `None` when
+    /// plane sweep is off.
+    fn sweep_axis(&self, nodes: &[S::Node]) -> Option<usize> {
+        self.cfg.plane_sweep.then(|| {
+            let union = nodes.iter().map(|&n| self.source.mbr(n)).reduce(|x, y| x.union(&y));
+            union.map_or(0, |m| widest_axis(&m))
+        })
+    }
+
+    /// `nodes` in sweep order: by lower bound on `axis` (stable), or as
+    /// stored without plane sweep.
+    fn sweep_sorted(&self, mut nodes: Vec<S::Node>, axis: Option<usize>) -> Vec<S::Node> {
+        if let Some(axis) = axis {
+            let lo = |n: S::Node| self.source.mbr(n).lo[axis];
+            nodes.sort_by(|&x, &y| lo(x).total_cmp(&lo(y)));
+        }
+        nodes
+    }
+
+    /// `true` when `b` starts more than ε past the end of `a` on the
+    /// sweep axis; in sweep order, so does every node after `b`.
+    fn swept_past(&self, axis: Option<usize>, a: S::Node, b: S::Node) -> bool {
+        axis.is_some_and(|axis| {
+            self.source.mbr(b).lo[axis] - self.source.mbr(a).hi[axis] > self.cfg.epsilon
+        })
+    }
+
+    /// Emits an early-stopped subtree (pair) as one group.
+    fn emit_subtree(&mut self, step: Step<S::Node>) -> Result<(), CsjError> {
+        let mut ids = Vec::new();
+        let mbr = match step {
+            Step::Node(n) => {
+                self.stats.early_stops_node += 1;
+                self.source.collect_record_ids(n, &mut ids)?;
+                self.subtree_mbr(n)?
+            }
+            Step::Pair(a, b) => {
+                self.stats.early_stops_pair += 1;
+                self.source.collect_record_ids(a, &mut ids)?;
+                self.source.collect_record_ids(b, &mut ids)?;
+                self.subtree_mbr(a)?.union(&self.subtree_mbr(b)?)
+            }
+        };
+        self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats)
+    }
+
     /// The subtree group MBR: the node's bounding shape by default, or
     /// recomputed from the member points when configured.
-    fn subtree_mbr(&self, ids_node: NodeId) -> Mbr<D> {
-        if self.cfg.tighten_group_mbr {
-            let mut entries = Vec::new();
-            self.tree.collect_entries(ids_node, &mut entries);
-            let mut mbr = Mbr::empty();
-            for e in &entries {
-                mbr.expand_to_point(&e.point);
-            }
-            mbr
-        } else {
-            self.tree.node_mbr(ids_node)
+    fn subtree_mbr(&mut self, n: S::Node) -> Result<Mbr<D>, CsjError> {
+        if !self.cfg.tighten_group_mbr {
+            return Ok(self.source.mbr(n));
         }
+        let mut entries = Vec::new();
+        self.source.collect_entries(n, &mut entries)?;
+        let mut mbr = Mbr::empty();
+        for e in &entries {
+            mbr.expand_to_point(&e.point);
+        }
+        Ok(mbr)
     }
 
-    /// `simJoin(n)`: self-join of one subtree.
-    ///
-    /// # Errors
-    /// Returns [`CsjError::Storage`] when a leaf probe or emit hits a
-    /// storage failure the retry policy could not absorb.
-    pub fn join_node(&mut self, n: NodeId) -> Result<(), CsjError> {
-        if self.check_stopped() {
-            return Ok(());
-        }
-        self.stats.node_visits += 1;
-        self.stats.touch_node(n.0);
+    /// Probes a leaf (pair): the batched distance kernel over the
+    /// struct-of-arrays slabs (SIMD when the host has it, chunked scalar
+    /// otherwise), or the sorted plane sweep when configured.
+    fn probe_leaves(&mut self, step: Step<S::Node>) -> Result<(), CsjError> {
         let eps = self.cfg.epsilon;
         let metric = self.cfg.metric;
-
-        if self.early_stop && self.tree.max_diameter(n, metric) <= eps {
-            self.stats.early_stops_node += 1;
-            let mut ids = Vec::new();
-            self.tree.collect_record_ids(n, &mut ids);
-            let mbr = self.subtree_mbr(n);
-            return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
-        }
-
-        if self.tree.is_leaf(n) {
-            if self.cfg.plane_sweep {
-                return self.leaf_self_sweep(n);
-            }
-            if self.cfg.batch_kernel {
-                return self.leaf_self_kernel(n);
-            }
-            let entries = self.tree.leaf_entries(n);
-            for i in 0..entries.len() {
-                for j in (i + 1)..entries.len() {
-                    self.stats.distance_computations += 1;
-                    if metric.within(&entries[i].point, &entries[j].point, eps) {
-                        self.handler.on_link(
-                            entries[i].id,
-                            &entries[i].point,
-                            entries[j].id,
-                            &entries[j].point,
-                            &mut self.sink,
-                            &mut self.stats,
-                        )?;
-                    }
-                }
-            }
-        } else if self.cfg.plane_sweep {
-            self.internal_self_sweep(n)?;
-        } else {
-            let children = self.tree.children(n).to_vec();
-            for (i, &a) in children.iter().enumerate() {
-                self.join_node(a)?;
-                for &b in &children[(i + 1)..] {
-                    if self.tree.min_dist(a, b, metric) <= eps {
-                        self.join_pair(a, b)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sweep axis for a node: the widest side of its bounding box, where
-    /// axis separation prunes the most pairs.
-    fn sweep_axis(&self, n: NodeId) -> usize {
-        let mbr = self.tree.node_mbr(n);
-        let mut best = 0;
-        let mut best_extent = f64::NEG_INFINITY;
-        for d in 0..D {
-            let e = mbr.extent(d);
-            if e > best_extent {
-                best_extent = e;
-                best = d;
-            }
-        }
-        best
-    }
-
-    /// Plane-sweep leaf self-join: entries sorted along the sweep axis;
-    /// the inner scan stops once the axis gap alone exceeds ε (valid for
-    /// every `Lp` metric, where per-axis deltas lower-bound the distance).
-    fn leaf_self_sweep(&mut self, n: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = self.sweep_axis(n);
-        let mut entries = self.tree.leaf_entries(n).to_vec();
-        entries.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
-        for i in 0..entries.len() {
-            for j in (i + 1)..entries.len() {
-                if entries[j].point[axis] - entries[i].point[axis] > eps {
-                    break;
-                }
-                self.stats.distance_computations += 1;
-                if metric.within(&entries[i].point, &entries[j].point, eps) {
-                    self.handler.on_link(
-                        entries[i].id,
-                        &entries[i].point,
-                        entries[j].id,
-                        &entries[j].point,
-                        &mut self.sink,
-                        &mut self.stats,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched leaf self-join: probes the leaf's struct-of-arrays
-    /// coordinate slabs with [`csj_geom::DistKernel`] (SIMD when the host
-    /// has it, chunked scalar otherwise). Hit order and comparison counts
-    /// are identical to the scalar nested loop on every path.
-    fn leaf_self_kernel(&mut self, n: NodeId) -> Result<(), CsjError> {
-        let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let tree = self.tree;
-        let entries = tree.leaf_entries(n);
-        let soa = tree.leaf_soa(n);
-        debug_assert_eq!(entries.len(), soa.len(), "leaf_soa must mirror leaf_entries");
+        let kernel = DistKernel::new(metric, eps);
+        let axis = match step {
+            Step::Node(n) => self.sweep_axis(&[n]),
+            Step::Pair(a, b) => self.sweep_axis(&[a, b]),
+        };
         let handler = &mut self.handler;
         let sink = &mut self.sink;
         let stats = &mut self.stats;
         let mut comps = 0u64;
-        let res = kernel.self_join(soa, &mut comps, |i, j| {
-            handler.on_link(
-                entries[i].id,
-                &entries[i].point,
-                entries[j].id,
-                &entries[j].point,
-                &mut *sink,
-                &mut *stats,
-            )
-        });
-        stats.distance_computations += comps;
+        let mut hit = |x: &LeafEntry<D>, y: &LeafEntry<D>| {
+            handler.on_link(x.id, &x.point, y.id, &y.point, &mut *sink, &mut *stats)
+        };
+        let res = match step {
+            Step::Node(n) => {
+                let leaf = self.source.leaf(n)?;
+                let e = leaf.entries();
+                match axis {
+                    Some(axis) => sweep_self(e, axis, metric, eps, &mut comps, &mut hit),
+                    None => kernel.self_join(leaf.soa(), &mut comps, |i, j| hit(&e[i], &e[j])),
+                }
+            }
+            Step::Pair(a, b) => {
+                let (la, lb) = self.source.leaf_pair(a, b)?;
+                let (ea, eb) = (la.entries(), lb.entries());
+                match axis {
+                    Some(axis) => sweep_cross(ea, eb, axis, metric, eps, &mut comps, &mut hit),
+                    None => kernel
+                        .cross_join(la.soa(), lb.soa(), &mut comps, |i, j| hit(&ea[i], &eb[j])),
+                }
+            }
+        };
+        self.stats.distance_computations += comps;
         res
-    }
-
-    /// Batched leaf cross-join: the kernel analogue of the scalar nested
-    /// loop in [`Engine::join_pair`].
-    fn leaf_cross_kernel(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let tree = self.tree;
-        let ea = tree.leaf_entries(a);
-        let eb = tree.leaf_entries(b);
-        let sa = tree.leaf_soa(a);
-        let sb = tree.leaf_soa(b);
-        debug_assert_eq!(ea.len(), sa.len(), "leaf_soa must mirror leaf_entries");
-        debug_assert_eq!(eb.len(), sb.len(), "leaf_soa must mirror leaf_entries");
-        let handler = &mut self.handler;
-        let sink = &mut self.sink;
-        let stats = &mut self.stats;
-        let mut comps = 0u64;
-        let res = kernel.cross_join(sa, sb, &mut comps, |i, j| {
-            handler.on_link(ea[i].id, &ea[i].point, eb[j].id, &eb[j].point, &mut *sink, &mut *stats)
-        });
-        stats.distance_computations += comps;
-        res
-    }
-
-    /// Plane-sweep child pairing: children sorted by their lower bound on
-    /// the sweep axis; a pair is skipped as soon as the axis gap exceeds ε.
-    fn internal_self_sweep(&mut self, n: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = self.sweep_axis(n);
-        let mut children: Vec<(f64, f64, NodeId)> = self
-            .tree
-            .children(n)
-            .iter()
-            .map(|&c| {
-                let m = self.tree.node_mbr(c);
-                (m.lo[axis], m.hi[axis], c)
-            })
-            .collect();
-        children.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for i in 0..children.len() {
-            self.join_node(children[i].2)?;
-            for j in (i + 1)..children.len() {
-                if children[j].0 - children[i].1 > eps {
-                    break; // sorted by lo: every later child is farther
-                }
-                if self.tree.min_dist(children[i].2, children[j].2, metric) <= eps {
-                    self.join_pair(children[i].2, children[j].2)?;
-                } else {
-                    self.stats.pairs_pruned += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// `simJoin(n1, n2)`: join across two subtrees.
-    ///
-    /// # Errors
-    /// Returns [`CsjError::Storage`] as in [`Self::join_node`].
-    pub fn join_pair(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        if self.check_stopped() {
-            return Ok(());
-        }
-        self.stats.pair_visits += 1;
-        self.stats.touch_node(a.0);
-        self.stats.touch_node(b.0);
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-
-        if self.early_stop && self.tree.pair_diameter(a, b, metric) <= eps {
-            self.stats.early_stops_pair += 1;
-            let mut ids = Vec::new();
-            self.tree.collect_record_ids(a, &mut ids);
-            self.tree.collect_record_ids(b, &mut ids);
-            let mbr = self.subtree_mbr(a).union(&self.subtree_mbr(b));
-            return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
-        }
-
-        match (self.tree.is_leaf(a), self.tree.is_leaf(b)) {
-            (true, true) => {
-                if self.cfg.plane_sweep {
-                    return self.leaf_cross_sweep(a, b);
-                }
-                if self.cfg.batch_kernel {
-                    return self.leaf_cross_kernel(a, b);
-                }
-                let ea = self.tree.leaf_entries(a);
-                let eb = self.tree.leaf_entries(b);
-                for x in ea {
-                    for y in eb {
-                        self.stats.distance_computations += 1;
-                        if metric.within(&x.point, &y.point, eps) {
-                            self.handler.on_link(
-                                x.id,
-                                &x.point,
-                                y.id,
-                                &y.point,
-                                &mut self.sink,
-                                &mut self.stats,
-                            )?;
-                        }
-                    }
-                }
-            }
-            (true, false) => {
-                let children = self.tree.children(b).to_vec();
-                for c in children {
-                    if self.tree.min_dist(a, c, metric) <= eps {
-                        self.join_pair(a, c)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-            (false, true) => {
-                let children = self.tree.children(a).to_vec();
-                for c in children {
-                    if self.tree.min_dist(c, b, metric) <= eps {
-                        self.join_pair(c, b)?;
-                    } else {
-                        self.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-            (false, false) => {
-                if self.cfg.plane_sweep {
-                    return self.internal_cross_sweep(a, b);
-                }
-                let ca = self.tree.children(a).to_vec();
-                let cb = self.tree.children(b).to_vec();
-                for &x in &ca {
-                    for &y in &cb {
-                        if self.tree.min_dist(x, y, metric) <= eps {
-                            self.join_pair(x, y)?;
-                        } else {
-                            self.stats.pairs_pruned += 1;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Plane-sweep leaf cross-join: both entry lists sorted on the sweep
-    /// axis of the combined box, joined with a sliding window.
-    fn leaf_cross_sweep(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = {
-            let union = self.tree.node_mbr(a).union(&self.tree.node_mbr(b));
-            let mut best = 0;
-            let mut best_extent = f64::NEG_INFINITY;
-            for d in 0..D {
-                if union.extent(d) > best_extent {
-                    best_extent = union.extent(d);
-                    best = d;
-                }
-            }
-            best
-        };
-        let mut ea = self.tree.leaf_entries(a).to_vec();
-        let mut eb = self.tree.leaf_entries(b).to_vec();
-        ea.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
-        eb.sort_by(|x, y| x.point[axis].total_cmp(&y.point[axis]));
-        let mut start = 0usize;
-        for x in &ea {
-            while start < eb.len() && eb[start].point[axis] < x.point[axis] - eps {
-                start += 1;
-            }
-            for y in &eb[start..] {
-                if y.point[axis] - x.point[axis] > eps {
-                    break;
-                }
-                self.stats.distance_computations += 1;
-                if metric.within(&x.point, &y.point, eps) {
-                    self.handler.on_link(
-                        x.id,
-                        &x.point,
-                        y.id,
-                        &y.point,
-                        &mut self.sink,
-                        &mut self.stats,
-                    )?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Plane-sweep internal cross-join: `b`'s children sorted by their
-    /// lower bound; for each child of `a`, the scan stops once the axis
-    /// gap exceeds ε.
-    fn internal_cross_sweep(&mut self, a: NodeId, b: NodeId) -> Result<(), CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let axis = {
-            let union = self.tree.node_mbr(a).union(&self.tree.node_mbr(b));
-            let mut best = 0;
-            let mut best_extent = f64::NEG_INFINITY;
-            for d in 0..D {
-                if union.extent(d) > best_extent {
-                    best_extent = union.extent(d);
-                    best = d;
-                }
-            }
-            best
-        };
-        let span = |c: NodeId| {
-            let m = self.tree.node_mbr(c);
-            (m.lo[axis], m.hi[axis], c)
-        };
-        let mut ca: Vec<(f64, f64, NodeId)> =
-            self.tree.children(a).iter().map(|&c| span(c)).collect();
-        let mut cb: Vec<(f64, f64, NodeId)> =
-            self.tree.children(b).iter().map(|&c| span(c)).collect();
-        ca.sort_by(|x, y| x.0.total_cmp(&y.0));
-        cb.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for &(_, x_hi, x) in &ca {
-            for &(y_lo, _, y) in &cb {
-                if y_lo - x_hi > eps {
-                    break; // sorted by lo: all later children are farther
-                }
-                if self.tree.min_dist(x, y, metric) <= eps {
-                    self.join_pair(x, y)?;
-                } else {
-                    self.stats.pairs_pruned += 1;
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -67,47 +67,15 @@ impl BudgetedSsj {
         let mut engine =
             Engine::new(tree, self.cfg, false, DirectEmit, StreamSink::new(&mut writer));
 
-        let Some(root) = tree.root() else {
-            return SsjEstimate {
-                completed: true,
-                measured_links: 0,
-                measured_bytes: 0,
-                fraction_done: 1.0,
-                stats: engine.stats,
-            };
-        };
-
-        // Root-level task list: child self-joins plus qualifying child
-        // pairs. A leaf root is a single task.
-        enum Task {
-            SelfJoin(csj_index::NodeId),
-            PairJoin(csj_index::NodeId, csj_index::NodeId),
-        }
-        let mut tasks: Vec<Task> = Vec::new();
-        if tree.is_leaf(root) {
-            tasks.push(Task::SelfJoin(root));
-        } else {
-            let children = tree.children(root).to_vec();
-            for (i, &a) in children.iter().enumerate() {
-                tasks.push(Task::SelfJoin(a));
-                for &b in &children[(i + 1)..] {
-                    if tree.min_dist(a, b, self.cfg.metric) <= self.cfg.epsilon {
-                        tasks.push(Task::PairJoin(a, b));
-                    }
-                }
-            }
-        }
-
-        let total = tasks.len().max(1);
+        // Root-level tasks: the engine's root split, which credits the
+        // root's visit and pruned pairs. A counting sink cannot fail, so
+        // the engine results are infallible here.
+        let tasks = infallible(engine.split_root());
+        let total = tasks.len();
         let mut done = 0usize;
         let mut completed = true;
         for task in tasks {
-            // A counting sink cannot fail, so the engine results are
-            // infallible here.
-            match task {
-                Task::SelfJoin(n) => infallible(engine.join_node(n)),
-                Task::PairJoin(a, b) => infallible(engine.join_pair(a, b)),
-            }
+            infallible(engine.run_step(task));
             done += 1;
             if engine.stats.links_emitted >= self.max_links && done < total {
                 completed = false;
@@ -122,7 +90,7 @@ impl BudgetedSsj {
             completed,
             measured_links: stats.links_emitted,
             measured_bytes: writer.bytes_written(),
-            fraction_done: done as f64 / total as f64,
+            fraction_done: if total == 0 { 1.0 } else { done as f64 / total as f64 },
             stats,
         }
     }

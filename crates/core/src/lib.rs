@@ -106,12 +106,6 @@ pub struct JoinConfig {
     /// traversal order (and therefore CSJ's grouping), never the
     /// represented link set.
     pub plane_sweep: bool,
-    /// Probe leaf pairs with the batched distance kernel
-    /// ([`csj_geom::DistKernel`]) instead of per-pair scalar `within`
-    /// calls. Identical link output and comparison counts; on by default.
-    /// The `false` setting exists as the A/B baseline for the
-    /// `perf_baseline` benchmark.
-    pub batch_kernel: bool,
 }
 
 impl JoinConfig {
@@ -124,14 +118,7 @@ impl JoinConfig {
             record_access_log: false,
             tighten_group_mbr: false,
             plane_sweep: false,
-            batch_kernel: true,
         }
-    }
-
-    /// Disables the batched leaf-probe kernel (scalar per-pair probing).
-    pub fn with_scalar_leaf_probe(mut self) -> Self {
-        self.batch_kernel = false;
-        self
     }
 
     /// Enables the plane-sweep access ordering.

@@ -1,16 +1,16 @@
 //! External-memory joins over page-resident trees.
 //!
-//! [`OutOfCoreEngine`] is the Figure-3 recursion of [`crate::engine`]
-//! re-targeted at a [`PagedTree`]: nodes live in disk pages behind a
-//! pinned LRU buffer pool instead of an in-memory arena. Because every
-//! pruning and early-stopping decision (`min_dist`, `pair_diameter`,
-//! `max_diameter`) is a pure function of node MBRs — and parents store
-//! their children's MBRs on the same page — the engine makes the exact
-//! decisions the in-memory [`Engine`](crate::engine::Engine) makes, in
-//! the exact order, and only faults a child page in when the traversal
-//! actually descends into it. The output (links, groups, member order)
-//! is **bit-identical** to the in-memory sequential join; only the I/O
-//! counters differ.
+//! There is no separate out-of-core recursion: [`OutOfCoreJoin`] runs the
+//! one [`Engine`] of [`crate::engine`] over a [`PagedSource`], the
+//! [`NodeSource`] whose nodes live in disk pages behind a pinned LRU
+//! buffer pool instead of an in-memory arena. A node handle
+//! ([`NodeRef`]) carries the MBR and level its parent recorded, so every
+//! pruning and early-stopping bound is computed without I/O and a child
+//! page is only faulted in when the traversal descends into it. The
+//! engine therefore makes the decisions it makes in memory, in the same
+//! order: output (links, groups, member order) and every traversal
+//! counter are **bit-identical** to the in-memory sequential join, with
+//! or without plane sweep; only the I/O counters differ.
 //!
 //! Memory is bounded by two knobs:
 //!
@@ -20,9 +20,9 @@
 //! * the optional [`Prefetcher`] budget (pages staged or in flight).
 //!
 //! The same MBR-only decisions let the engine know its next page reads
-//! before it makes them. Each internal frame computes its surviving
-//! child steps once, runs them in order, and pushes their pages onto
-//! the prefetcher's frontier while it does; a few reader threads keep
+//! before it makes them. Each frame computes its surviving child steps
+//! once and runs them in order; [`PagedSource`] pushes their pages onto
+//! the prefetcher's frontier meanwhile, and a few reader threads keep
 //! the first `budget / PAGE_SIZE` unread pages of that frontier in
 //! flight. Staging only changes *who reads the bytes*, never what the
 //! traversal does — a failed read-ahead is dropped and the page is read
@@ -31,13 +31,16 @@
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
-use csj_geom::{Mbr, RecordId};
-use csj_index::paged::{NodeGuard, PagedStats, PagedStore, PagedTree, PrefetchStats};
+use csj_geom::{Mbr, Metric, RecordId, SoaView};
+use csj_index::paged::{NodeGuard, PagedStore, PagedTree, PrefetchStats};
+use csj_index::LeafEntry;
 use csj_storage::disk::Disk;
 use csj_storage::{FileDisk, OutputSink, OutputWriter, PageId, PAGE_SIZE};
 
-use crate::budget::{CancelToken, StopReason};
-use crate::engine::{CollectSink, DirectEmit, LinkHandler, RowSink, StreamSink, WindowedEmit};
+use crate::engine::{
+    CollectSink, DirectEmit, Engine, LeafView, LinkHandler, NodeSource, RowSink, Step, StreamSink,
+    WindowedEmit,
+};
 use crate::error::CsjError;
 use crate::group::{BallShape, MbrShape};
 use crate::output::JoinOutput;
@@ -404,159 +407,47 @@ impl Drop for Prefetcher {
 /// plus the MBR and level its parent recorded. Everything the pruning
 /// rules need, no I/O.
 #[derive(Clone, Copy, Debug)]
-struct NodeRef<const D: usize> {
+pub(crate) struct NodeRef<const D: usize> {
     page: PageId,
     mbr: Mbr<D>,
     level: u32,
 }
 
-impl<const D: usize> NodeRef<D> {
-    fn is_leaf(&self) -> bool {
-        self.level == 0
-    }
+/// The pages a step reads first, in order: a leaf paired with an
+/// internal node is read only once the other side is expanded.
+fn step_pages<const D: usize>(step: &Step<NodeRef<D>>) -> impl Iterator<Item = PageId> {
+    let pages = match *step {
+        Step::Node(n) => [Some(n.page), None],
+        Step::Pair(a, b) => match (a.level == 0, b.level == 0) {
+            (true, false) => [Some(b.page), None],
+            (false, true) => [Some(a.page), None],
+            _ => [Some(a.page), Some(b.page)],
+        },
+    };
+    pages.into_iter().flatten()
 }
 
-/// One recursive call an internal frame makes, after pruning.
-#[derive(Clone, Copy, Debug)]
-enum Step<const D: usize> {
-    /// `simJoin(n)`.
-    Node(NodeRef<D>),
-    /// `simJoin(a, b)`.
-    Pair(NodeRef<D>, NodeRef<D>),
-}
-
-impl<const D: usize> Step<D> {
-    /// The pages the call reads first, in order: a leaf paired with an
-    /// internal node is read only once the other side is expanded.
-    fn pages(&self) -> impl Iterator<Item = PageId> {
-        let pages = match *self {
-            Step::Node(n) => [Some(n.page), None],
-            Step::Pair(a, b) => match (a.is_leaf(), b.is_leaf()) {
-                (true, false) => [Some(b.page), None],
-                (false, true) => [Some(a.page), None],
-                _ => [Some(a.page), Some(b.page)],
-            },
-        };
-        pages.into_iter().flatten()
-    }
-}
-
-/// The out-of-core Figure-3 recursion (see the module docs).
-pub struct OutOfCoreEngine<'t, H, R, const D: usize, Dk: Disk> {
+/// A [`NodeSource`] over a page-resident tree: every node read pins its
+/// page in the tree's buffer pool, after the optional [`Prefetcher`]
+/// has readied it, and the engine's frames feed the prefetcher's
+/// frontier.
+pub(crate) struct PagedSource<'t, const D: usize, Dk: Disk> {
     tree: &'t PagedTree<D, Dk>,
-    cfg: JoinConfig,
-    early_stop: bool,
-    handler: H,
-    cancel: Option<CancelToken>,
-    stopped: Option<StopReason>,
     prefetch: Option<Prefetcher>,
-    /// The row sink (public so callers can recover collected rows).
-    pub sink: R,
-    /// Accumulated counters.
-    pub stats: JoinStats,
 }
 
-impl<'t, H, R, const D: usize, Dk> OutOfCoreEngine<'t, H, R, D, Dk>
-where
-    H: LinkHandler<D>,
-    R: RowSink,
-    Dk: Disk,
-{
-    /// Builds an engine over a paged tree; `early_stop` enables the
-    /// compact-join group rules exactly as in the in-memory engine.
-    pub fn new(
-        tree: &'t PagedTree<D, Dk>,
-        cfg: JoinConfig,
-        early_stop: bool,
-        handler: H,
-        sink: R,
-    ) -> Self {
-        let stats = JoinStats { threads_used: 1, ..JoinStats::new(cfg.record_access_log) };
-        OutOfCoreEngine {
-            tree,
-            cfg,
-            early_stop,
-            handler,
-            cancel: None,
-            stopped: None,
-            prefetch: None,
-            sink,
-            stats,
-        }
+impl<'t, const D: usize, Dk: Disk> PagedSource<'t, D, Dk> {
+    /// Reads `tree`, with read-ahead by `prefetch` if given.
+    pub(crate) fn new(tree: &'t PagedTree<D, Dk>, prefetch: Option<Prefetcher>) -> Self {
+        PagedSource { tree, prefetch }
     }
 
-    /// Arms cooperative cancellation (checked on every node/pair visit).
-    pub fn set_cancel(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Attaches a prefetcher; [`run`](OutOfCoreEngine::run) feeds it
-    /// the traversal frontier and finishes it at the end.
-    pub fn set_prefetcher(&mut self, prefetcher: Prefetcher) {
-        self.prefetch = Some(prefetcher);
-    }
-
-    /// Why the traversal stopped early, if it did.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.stopped
-    }
-
-    /// Buffer-pool / disk / prefetch counters for the run so far.
-    pub fn paged_stats(&self) -> PagedStats {
-        self.tree.stats()
-    }
-
-    fn check_stopped(&mut self) -> bool {
-        if self.stopped.is_some() {
-            return true;
-        }
-        if self.cancel.as_ref().is_some_and(CancelToken::is_canceled) {
-            self.stopped = Some(StopReason::Canceled);
-            return true;
-        }
-        false
-    }
-
-    /// Runs the full self-join, then finishes the prefetcher (its
-    /// counters land in the tree's [`PagedStats::prefetch`]).
-    ///
-    /// # Errors
-    /// Returns [`CsjError::InvalidConfig`] for options the out-of-core
-    /// path does not support (plane-sweep ordering) and
-    /// [`CsjError::Storage`] when a page read fails beyond retry or the
-    /// sink rejects a row.
-    pub fn run(&mut self) -> Result<(), CsjError> {
-        if self.cfg.plane_sweep {
-            return Err(CsjError::InvalidConfig(
-                "plane-sweep ordering is not supported out-of-core (its child reordering \
-                 changes the visit order; run it in-memory instead)"
-                    .into(),
-            ));
-        }
-        let res = self.join_root().and_then(|()| self.finish_only());
-        if let Some(pf) = self.prefetch.take() {
+    /// Ends the run: finishes the prefetcher, whose counters land in the
+    /// tree's `PagedStats::prefetch`.
+    pub(crate) fn finish_run(self) {
+        if let Some(pf) = self.prefetch {
             pf.finish_run(self.tree.store());
         }
-        res
-    }
-
-    fn join_root(&mut self) -> Result<(), CsjError> {
-        let Some(root_page) = self.tree.root() else { return Ok(()) };
-        // One page read up front for the root's own MBR and level — its
-        // parent-side summary does not exist.
-        let root = {
-            let guard = self.fetch_node(root_page)?;
-            NodeRef { page: root_page, mbr: guard.mbr, level: guard.level }
-        };
-        self.join_node(root)
-    }
-
-    /// Runs only the handler's finish step (drains the CSJ window).
-    ///
-    /// # Errors
-    /// Returns [`CsjError::Storage`] when draining into the sink fails.
-    pub fn finish_only(&mut self) -> Result<(), CsjError> {
-        self.handler.finish(&mut self.sink, &mut self.stats)
     }
 
     /// Readies `pages` for pinning through the prefetcher, if any.
@@ -571,50 +462,52 @@ where
         self.await_pages(&[page]);
         Ok(self.tree.node(page)?)
     }
+}
 
-    /// Pins both pages of a leaf cross probe, readying both before
-    /// either is pinned so no pin is held across a wait.
-    fn fetch_leaf_pair(
-        &mut self,
-        a: PageId,
-        b: PageId,
-    ) -> Result<(NodeGuard<'t, D, Dk>, NodeGuard<'t, D, Dk>), CsjError> {
-        self.await_pages(&[a, b]);
-        let ga = self.tree.node(a)?;
-        let gb = self.tree.node(b)?;
-        Ok((ga, gb))
+impl<const D: usize, Dk: Disk> LeafView<D> for NodeGuard<'_, D, Dk> {
+    fn entries(&self) -> &[LeafEntry<D>] {
+        self.entries.entries()
     }
-
-    /// Appends the record ids under `pages`, in order.
-    fn collect_ids(&mut self, pages: &[PageId]) -> Result<Vec<RecordId>, CsjError> {
-        self.await_pages(pages);
-        let mut ids = Vec::new();
-        for &page in pages {
-            self.tree.collect_record_ids(page, &mut ids)?;
-        }
-        Ok(ids)
+    fn soa(&self) -> SoaView<'_, D> {
+        self.entries.soa()
     }
+}
 
-    /// The subtree group MBR, mirroring the in-memory engine: the
-    /// node's stored shape by default, recomputed from member points
-    /// when configured.
-    fn subtree_mbr(&self, n: &NodeRef<D>) -> Result<Mbr<D>, CsjError> {
-        if self.cfg.tighten_group_mbr {
-            let mut entries = Vec::new();
-            self.tree.collect_entries(n.page, &mut entries)?;
-            let mut mbr = Mbr::empty();
-            for e in &entries {
-                mbr.expand_to_point(&e.point);
-            }
-            Ok(mbr)
-        } else {
-            Ok(n.mbr)
-        }
+impl<'t, const D: usize, Dk: Disk> NodeSource<D> for PagedSource<'t, D, Dk> {
+    type Node = NodeRef<D>;
+    type Leaf<'a>
+        = NodeGuard<'t, D, Dk>
+    where
+        Self: 'a;
+
+    fn root(&mut self) -> Result<Option<NodeRef<D>>, CsjError> {
+        let Some(page) = self.tree.root() else { return Ok(None) };
+        // One page read up front for the root's own MBR and level — its
+        // parent-side summary does not exist.
+        let guard = self.fetch_node(page)?;
+        Ok(Some(NodeRef { page, mbr: guard.mbr, level: guard.level }))
     }
-
-    /// Clones an internal node's child summaries out of its page,
-    /// releasing the pin before any recursion.
-    fn expand(&mut self, n: &NodeRef<D>) -> Result<Vec<NodeRef<D>>, CsjError> {
+    fn is_leaf(&self, n: NodeRef<D>) -> bool {
+        n.level == 0
+    }
+    fn log_id(&self, n: NodeRef<D>) -> u32 {
+        n.page.0 as u32
+    }
+    fn mbr(&self, n: NodeRef<D>) -> Mbr<D> {
+        n.mbr
+    }
+    fn max_diameter(&self, n: NodeRef<D>, metric: Metric) -> f64 {
+        metric.mbr_diameter(&n.mbr)
+    }
+    fn pair_diameter(&self, a: NodeRef<D>, b: NodeRef<D>, metric: Metric) -> f64 {
+        metric.max_dist_mbr(&a.mbr, &b.mbr)
+    }
+    fn min_dist(&self, a: NodeRef<D>, b: NodeRef<D>, metric: Metric) -> f64 {
+        metric.min_dist_mbr(&a.mbr, &b.mbr)
+    }
+    fn children(&mut self, n: NodeRef<D>) -> Result<Vec<NodeRef<D>>, CsjError> {
+        // The children's summaries are cloned out of the page, so the pin
+        // is released before any recursion.
         let guard = self.fetch_node(n.page)?;
         Ok(guard
             .children
@@ -622,199 +515,47 @@ where
             .map(|&(page, mbr)| NodeRef { page, mbr, level: n.level - 1 })
             .collect())
     }
-
-    /// Keeps `Pair(a, b)` if the pair survives the MINDIST prune.
-    fn pair_step(&mut self, steps: &mut Vec<Step<D>>, a: NodeRef<D>, b: NodeRef<D>) {
-        if self.cfg.metric.min_dist_mbr(&a.mbr, &b.mbr) <= self.cfg.epsilon {
-            steps.push(Step::Pair(a, b));
-        } else {
-            self.stats.pairs_pruned += 1;
+    fn leaf(&mut self, n: NodeRef<D>) -> Result<NodeGuard<'t, D, Dk>, CsjError> {
+        self.fetch_node(n.page)
+    }
+    fn leaf_pair(
+        &mut self,
+        a: NodeRef<D>,
+        b: NodeRef<D>,
+    ) -> Result<(NodeGuard<'t, D, Dk>, NodeGuard<'t, D, Dk>), CsjError> {
+        // Both pages are readied before either is pinned, so no pin is
+        // held across a wait; both stay pinned for the probe (the pool's
+        // two-pin high-water mark).
+        self.await_pages(&[a.page, b.page]);
+        let ga = self.tree.node(a.page)?;
+        let gb = self.tree.node(b.page)?;
+        Ok((ga, gb))
+    }
+    fn collect_record_ids(
+        &mut self,
+        n: NodeRef<D>,
+        out: &mut Vec<RecordId>,
+    ) -> Result<(), CsjError> {
+        self.await_pages(&[n.page]);
+        Ok(self.tree.collect_record_ids(n.page, out)?)
+    }
+    fn collect_entries(
+        &mut self,
+        n: NodeRef<D>,
+        out: &mut Vec<LeafEntry<D>>,
+    ) -> Result<(), CsjError> {
+        self.await_pages(&[n.page]);
+        Ok(self.tree.collect_entries(n.page, out)?)
+    }
+    fn push(&mut self, steps: &[Step<NodeRef<D>>]) {
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.push(steps.iter().flat_map(step_pages));
         }
     }
-
-    /// Runs one frame's surviving steps in order, with their pages on
-    /// the prefetch frontier meanwhile.
-    fn run_steps(&mut self, steps: &[Step<D>]) -> Result<(), CsjError> {
-        if let Some(pf) = self.prefetch.as_mut() {
-            pf.push(steps.iter().flat_map(Step::pages));
-        }
-        for step in steps {
-            match *step {
-                Step::Node(n) => self.join_node(n)?,
-                Step::Pair(a, b) => self.join_pair(a, b)?,
-            }
-        }
+    fn pop(&mut self) {
         if let Some(pf) = self.prefetch.as_mut() {
             pf.pop();
         }
-        Ok(())
-    }
-
-    /// `simJoin(n)`: self-join of one subtree. Mirrors
-    /// [`Engine::join_node`](crate::engine::Engine::join_node)'s
-    /// decisions and their order.
-    fn join_node(&mut self, n: NodeRef<D>) -> Result<(), CsjError> {
-        if self.check_stopped() {
-            return Ok(());
-        }
-        self.stats.node_visits += 1;
-        self.stats.touch_node(n.page.0 as u32);
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-
-        if self.early_stop && metric.mbr_diameter(&n.mbr) <= eps {
-            self.stats.early_stops_node += 1;
-            let ids = self.collect_ids(&[n.page])?;
-            let mbr = self.subtree_mbr(&n)?;
-            return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
-        }
-
-        if n.is_leaf() {
-            if self.cfg.batch_kernel {
-                return self.leaf_self_kernel(&n);
-            }
-            let guard = self.fetch_node(n.page)?;
-            let entries = guard.entries.entries();
-            for i in 0..entries.len() {
-                for j in (i + 1)..entries.len() {
-                    self.stats.distance_computations += 1;
-                    if metric.within(&entries[i].point, &entries[j].point, eps) {
-                        self.handler.on_link(
-                            entries[i].id,
-                            &entries[i].point,
-                            entries[j].id,
-                            &entries[j].point,
-                            &mut self.sink,
-                            &mut self.stats,
-                        )?;
-                    }
-                }
-            }
-            Ok(())
-        } else {
-            let children = self.expand(&n)?;
-            let mut steps = Vec::new();
-            for (i, &a) in children.iter().enumerate() {
-                steps.push(Step::Node(a));
-                for &b in &children[(i + 1)..] {
-                    self.pair_step(&mut steps, a, b);
-                }
-            }
-            self.run_steps(&steps)
-        }
-    }
-
-    /// `simJoin(n1, n2)`: join across two subtrees, mirroring
-    /// [`Engine::join_pair`](crate::engine::Engine::join_pair).
-    fn join_pair(&mut self, a: NodeRef<D>, b: NodeRef<D>) -> Result<(), CsjError> {
-        if self.check_stopped() {
-            return Ok(());
-        }
-        self.stats.pair_visits += 1;
-        self.stats.touch_node(a.page.0 as u32);
-        self.stats.touch_node(b.page.0 as u32);
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-
-        if self.early_stop && metric.max_dist_mbr(&a.mbr, &b.mbr) <= eps {
-            self.stats.early_stops_pair += 1;
-            let ids = self.collect_ids(&[a.page, b.page])?;
-            let mbr = self.subtree_mbr(&a)?.union(&self.subtree_mbr(&b)?);
-            return self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats);
-        }
-
-        let mut steps = Vec::new();
-        match (a.is_leaf(), b.is_leaf()) {
-            (true, true) => {
-                if self.cfg.batch_kernel {
-                    return self.leaf_cross_kernel(&a, &b);
-                }
-                let (ga, gb) = self.fetch_leaf_pair(a.page, b.page)?;
-                for x in ga.entries.iter() {
-                    for y in gb.entries.iter() {
-                        self.stats.distance_computations += 1;
-                        if metric.within(&x.point, &y.point, eps) {
-                            self.handler.on_link(
-                                x.id,
-                                &x.point,
-                                y.id,
-                                &y.point,
-                                &mut self.sink,
-                                &mut self.stats,
-                            )?;
-                        }
-                    }
-                }
-                return Ok(());
-            }
-            (true, false) => {
-                for c in self.expand(&b)? {
-                    self.pair_step(&mut steps, a, c);
-                }
-            }
-            (false, true) => {
-                for c in self.expand(&a)? {
-                    self.pair_step(&mut steps, c, b);
-                }
-            }
-            (false, false) => {
-                self.await_pages(&[a.page, b.page]);
-                let ca = self.expand(&a)?;
-                let cb = self.expand(&b)?;
-                for &x in &ca {
-                    for &y in &cb {
-                        self.pair_step(&mut steps, x, y);
-                    }
-                }
-            }
-        }
-        self.run_steps(&steps)
-    }
-
-    /// Batched leaf self-join over the page-resident leaf's
-    /// struct-of-arrays slabs. Hit order and comparison counts match
-    /// the in-memory kernel path exactly.
-    fn leaf_self_kernel(&mut self, n: &NodeRef<D>) -> Result<(), CsjError> {
-        let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let guard = self.fetch_node(n.page)?;
-        let entries = guard.entries.entries();
-        let soa = guard.entries.soa();
-        let handler = &mut self.handler;
-        let sink = &mut self.sink;
-        let stats = &mut self.stats;
-        let mut comps = 0u64;
-        let res = kernel.self_join(soa, &mut comps, |i, j| {
-            handler.on_link(
-                entries[i].id,
-                &entries[i].point,
-                entries[j].id,
-                &entries[j].point,
-                &mut *sink,
-                &mut *stats,
-            )
-        });
-        stats.distance_computations += comps;
-        res
-    }
-
-    /// Batched leaf cross-join; both leaf pages stay pinned for the
-    /// probe (the pool's two-pin high-water mark).
-    fn leaf_cross_kernel(&mut self, a: &NodeRef<D>, b: &NodeRef<D>) -> Result<(), CsjError> {
-        let kernel = csj_geom::DistKernel::new(self.cfg.metric, self.cfg.epsilon);
-        let (ga, gb) = self.fetch_leaf_pair(a.page, b.page)?;
-        let ea = ga.entries.entries();
-        let eb = gb.entries.entries();
-        let sa = ga.entries.soa();
-        let sb = gb.entries.soa();
-        let handler = &mut self.handler;
-        let sink = &mut self.sink;
-        let stats = &mut self.stats;
-        let mut comps = 0u64;
-        let res = kernel.cross_join(sa, sb, &mut comps, |i, j| {
-            handler.on_link(ea[i].id, &ea[i].point, eb[j].id, &eb[j].point, &mut *sink, &mut *stats)
-        });
-        stats.distance_computations += comps;
-        res
     }
 }
 
@@ -903,12 +644,12 @@ impl OutOfCoreJoin {
         R: RowSink,
         Dk: Disk,
     {
-        let mut engine = OutOfCoreEngine::new(tree, self.cfg, self.early_stop(), handler, sink);
-        if let Some(pf) = self.spawn_prefetcher(path)? {
-            engine.set_prefetcher(pf);
-        }
-        engine.run()?;
-        Ok((engine.sink, engine.stats))
+        let source = PagedSource::new(tree, self.spawn_prefetcher(path)?);
+        let mut engine = Engine::new(source, self.cfg, self.early_stop(), handler, sink);
+        let res = engine.run();
+        let Engine { source, sink, stats, .. } = engine;
+        source.finish_run();
+        res.map(|()| (sink, stats))
     }
 
     fn dispatch<R, const D: usize, Dk>(
@@ -948,8 +689,7 @@ impl OutOfCoreJoin {
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] for unrecoverable page I/O
-    /// failures and [`CsjError::InvalidConfig`] for unsupported
-    /// options.
+    /// failures.
     pub fn run<const D: usize, Dk: Disk>(
         &self,
         tree: &PagedTree<D, Dk>,
@@ -1060,10 +800,14 @@ mod tests {
     }
 
     fn in_memory(variant: JoinVariant, eps: f64, tree: &RStarTree<2>) -> JoinOutput {
+        in_memory_with(variant, JoinConfig::new(eps), tree)
+    }
+
+    fn in_memory_with(variant: JoinVariant, cfg: JoinConfig, tree: &RStarTree<2>) -> JoinOutput {
         match variant {
-            JoinVariant::Ssj => SsjJoin::new(eps).run(tree),
-            JoinVariant::Ncsj => NcsjJoin::new(eps).run(tree),
-            JoinVariant::Csj { window } => CsjJoin::new(eps).with_window(window).run(tree),
+            JoinVariant::Ssj => SsjJoin::with_config(cfg).run(tree),
+            JoinVariant::Ncsj => NcsjJoin::with_config(cfg).run(tree),
+            JoinVariant::Csj { window } => CsjJoin::with_config(cfg).with_window(window).run(tree),
         }
     }
 
@@ -1086,21 +830,6 @@ mod tests {
                 assert_same_run(&mem, &ooc, &format!("{name} pool={pool}"));
             }
         }
-    }
-
-    #[test]
-    fn bit_identical_with_scalar_leaf_probes() {
-        // The no-batch-kernel path takes the nested scalar loops.
-        let pts = scatter(800, 3);
-        let eps = 0.03;
-        let cfg = JoinConfig::new(eps).with_scalar_leaf_probe();
-        let rtree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
-        let mem = run_collecting(&rtree, cfg, true, DirectEmit);
-        let tree = PagedTree::from_core(rtree.core(), SimulatedDisk::new(), RetryPolicy::none(), 3)
-            .unwrap();
-        let ooc =
-            OutOfCoreJoin::new(JoinVariant::Ncsj, eps).with_config(cfg).run(&tree, None).unwrap();
-        assert_same_run(&mem, &ooc, "scalar ncsj");
     }
 
     #[test]
@@ -1271,19 +1000,20 @@ mod tests {
             let tree = cold_file_tree(&pts, 10, &path, 4);
             let reader =
                 StallThenFail { inner: csj_storage::FileDisk::open(&path).unwrap(), failed: false };
-            let mut engine = OutOfCoreEngine::new(
-                &tree,
+            // One page of window: nothing else is queued, so no later
+            // read's signal can mask a missing one for the failed read.
+            let prefetcher = Prefetcher::with_readers(vec![reader], PAGE_SIZE);
+            let mut engine = Engine::new(
+                PagedSource::new(&tree, Some(prefetcher)),
                 JoinConfig::new(eps),
                 true,
                 DirectEmit,
                 CollectSink::default(),
             );
-            // One page of window: nothing else is queued, so no later
-            // read's signal can mask a missing one for the failed read.
-            engine.set_prefetcher(Prefetcher::with_readers(vec![reader], PAGE_SIZE));
             engine.run().unwrap();
-            let ooc =
-                JoinOutput { items: engine.sink.items, stats: engine.stats, ..Default::default() };
+            let Engine { source, sink, stats, .. } = engine;
+            source.finish_run();
+            let ooc = JoinOutput { items: sink.items, stats, ..Default::default() };
             assert_same_run(&mem, &ooc, "failed read-ahead");
             let pg = tree.stats();
             assert!(pg.prefetch.late >= 1, "the engine never waited on the stalled read: {pg:?}");
@@ -1320,27 +1050,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plane_sweep_is_rejected() {
-        let pts = scatter(100, 9);
-        let rtree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
-        let tree = PagedTree::from_core(rtree.core(), SimulatedDisk::new(), RetryPolicy::none(), 4)
-            .unwrap();
-        let cfg = JoinConfig::new(0.05).with_plane_sweep();
-        let err = OutOfCoreJoin::new(JoinVariant::Ncsj, 0.05)
-            .with_config(cfg)
-            .run(&tree, None)
-            .unwrap_err();
-        assert!(matches!(err, CsjError::InvalidConfig(_)), "got {err}");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// The tentpole invariant: out-of-core joins are bit-identical
         /// to the in-memory engine for every variant, across pool sizes
         /// down to the pathological minimum of two frames, on both disk
-        /// backends.
+        /// backends, in stored and in plane-sweep order.
         #[test]
         fn outofcore_matches_in_memory(
             n in 64usize..400,
@@ -1378,6 +1094,17 @@ mod tests {
                     OutOfCoreJoin::new(variant, eps).run(&tree, None).unwrap()
                 };
                 assert_same_run(&mem, &ooc, &format!("prop {name} pool={pool}"));
+                // The plane-sweep leg: sweep order is MBR ordering, which
+                // the paged source knows without I/O.
+                let swept_cfg = JoinConfig::new(eps).with_plane_sweep();
+                let swept_mem = in_memory_with(variant, swept_cfg, &rtree);
+                let tree = PagedTree::from_core(
+                    rtree.core(), SimulatedDisk::new(), RetryPolicy::none(), pool).unwrap();
+                let swept = OutOfCoreJoin::new(variant, eps)
+                    .with_config(swept_cfg)
+                    .run(&tree, None)
+                    .unwrap();
+                assert_same_run(&swept_mem, &swept, &format!("prop swept {name} pool={pool}"));
             }
         }
     }

@@ -4,8 +4,8 @@
 //! The recursion of Figure 3 decomposes naturally: expand the tree a few
 //! levels into independent *tasks* (subtree self-joins and qualifying
 //! subtree pairs), then run the ordinary [`Engine`] on each task from a
-//! worker pool. The scheduler here replaces the original static split
-//! (kept in [`baseline`]) with three mechanisms:
+//! worker pool. The scheduler replaces a static split with three
+//! mechanisms:
 //!
 //! * **Per-worker deques.** Each worker owns a private task deque; the
 //!   per-task hot path is a plain `pop_front` plus a handful of atomic
@@ -17,25 +17,24 @@
 //!   only ever touched on this cold path.
 //! * **Adaptive splitting.** When workers are starving and the pool is
 //!   empty, a busy worker splits the task it just claimed into its
-//!   canonical child tasks instead of running it whole, so one dense
-//!   subtree (the skewed-cluster case) no longer pins a single worker.
+//!   child tasks instead of running it whole, so one dense subtree (the
+//!   skewed-cluster case) no longer pins a single worker.
 //!
 //! Determinism: every task carries a hierarchical key (its split
 //! genealogy); results are merged in key order, and splitting a task
 //! yields children whose key-ordered output is item-for-item identical
-//! to running the parent directly — the child expansion mirrors the
-//! engine's own recursion, including the early-stop and MINDIST checks.
-//! Output is therefore identical run to run regardless of scheduling,
-//! and identical whether or not any task was split or stolen.
+//! to running the parent directly — a split is the engine's own child
+//! expansion ([`Engine::split`]), which also credits the parent's visit
+//! and pruned pairs. Output and traversal counters are therefore
+//! identical run to run regardless of scheduling, and identical whether
+//! or not any task was split or stolen.
 //!
-//! Correctness is unchanged from the baseline: SSJ and N-CSJ share no
-//! state across tasks; for CSJ(g), each task gets its own fresh window —
-//! windows only affect *compaction* (which links land in which group),
-//! never the represented link set, so the parallel CSJ is still
-//! lossless. CSJ tasks are never split at runtime (window grouping is
-//! traversal-shaped), so its compaction is also deterministic.
-
-pub mod baseline;
+//! SSJ and N-CSJ share no state across tasks; for CSJ(g), each task
+//! gets its own fresh window — windows only affect *compaction* (which
+//! links land in which group), never the represented link set, so the
+//! parallel CSJ is still lossless. CSJ tasks are never split at runtime
+//! (window grouping is traversal-shaped), so its compaction is also
+//! deterministic.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -43,7 +42,7 @@ use std::time::Instant;
 use csj_index::{JoinIndex, NodeId};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
-use crate::engine::{infallible, CollectSink, DirectEmit, Engine, LinkHandler, WindowedEmit};
+use crate::engine::{infallible, CollectSink, DirectEmit, Engine, LinkHandler, Step, WindowedEmit};
 use crate::group::MbrShape;
 use crate::output::{JoinOutput, OutputItem};
 use crate::stats::JoinStats;
@@ -88,12 +87,6 @@ pub struct ParallelJoin {
     id_width: usize,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Task {
-    SelfJoin(NodeId),
-    PairJoin(NodeId, NodeId),
-}
-
 /// A task's split genealogy: child `j` of a task keyed `k` is keyed
 /// `k ++ [j]`. Lexicographic key order reproduces the engine's own
 /// depth-first emission order, so sorting results by key makes the
@@ -103,12 +96,15 @@ type TaskKey = Vec<u32>;
 
 struct TaskItem {
     key: TaskKey,
-    task: Task,
+    task: Step<NodeId>,
     /// Worker currently holding the task; a pool take by a different
     /// worker counts as a steal.
     owner: usize,
 }
 
+/// A task's key, rows, counters, and whether it ran to completion. A
+/// split parent leaves a record too: no rows, the counters of its
+/// split, and never counted as a completed task.
 type TaskResult = (TaskKey, Vec<OutputItem>, JoinStats, bool);
 
 /// Scheduler state shared by all workers. The `pool` mutex is the only
@@ -233,7 +229,7 @@ impl ParallelJoin {
     /// returned [`JoinOutput::completion`] says so, and the rows produced
     /// remain lossless over the processed region.
     pub fn run<T: JoinIndex<D> + Sync, const D: usize>(&self, tree: &T) -> JoinOutput {
-        let tasks = self.expand_tasks(tree);
+        let (tasks, splits) = self.expand_tasks(tree);
         if tasks.is_empty() {
             return JoinOutput::default();
         }
@@ -281,7 +277,8 @@ impl ParallelJoin {
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
         });
 
-        let mut results: Vec<TaskResult> = worker_results.into_iter().flatten().collect();
+        let mut results: Vec<TaskResult> =
+            worker_results.into_iter().flatten().chain(splits).collect();
         results.sort_by(|a, b| a.0.cmp(&b.0));
 
         let mut output =
@@ -398,8 +395,7 @@ impl ParallelJoin {
             // Adaptive splitting: more peers are starving than the pool
             // can feed — break this task apart instead of running it.
             // CSJ tasks are exempt (their window compaction is shaped by
-            // the traversal), as are plane-sweep runs (the sweep visits
-            // children in sorted, not canonical, order).
+            // the traversal).
             //
             // ORDERING: both loads are advisory. `starving` and
             // `pool_len` only steer the split-vs-run heuristic; a stale
@@ -410,9 +406,8 @@ impl ParallelJoin {
             let starving_now = shared.starving.load(Ordering::Relaxed);
             if starving_now > shared.pool_len.load(Ordering::Relaxed) // ORDERING: as `starving`
                 && !matches!(self.algo, ParallelAlgo::Csj(_))
-                && !self.cfg.plane_sweep
             {
-                if let Some(children) = self.split_task(tree, &item) {
+                if let Some((children, split)) = self.split_task(tree, &item) {
                     if !children.is_empty() {
                         // ORDERING: stat counters, read after the scope
                         // join (see the Shared docs).
@@ -422,6 +417,7 @@ impl ParallelJoin {
                                                                                                     // `pending` never dips to zero in between; SeqCst
                                                                                                     // because `pending` gates termination.
                         shared.pending.fetch_add(children.len() - 1, Ordering::SeqCst);
+                        out.push((item.key, Vec::new(), split, false));
                         // csj-lint: allow(panic-safety) — see the acquire
                         // path: a poisoned pool lock is a peer's panic.
                         let mut pool = shared.pool.lock().expect("pool lock poisoned");
@@ -458,7 +454,7 @@ impl ParallelJoin {
                 shared.pool_len.store(pool.len(), Ordering::Relaxed);
             }
 
-            let (items, stats, completed) = self.run_task(tree, &item.task);
+            let (items, stats, completed) = self.run_task(tree, item.task);
             // Load-bearing: `pending` gates the starving workers' exit
             // check and must stay SeqCst (see the Shared docs).
             shared.pending.fetch_sub(1, Ordering::SeqCst);
@@ -479,18 +475,21 @@ impl ParallelJoin {
         out
     }
 
+    /// SSJ runs without the early-stop rule; the compact joins with it.
+    fn early_stop(&self) -> bool {
+        self.algo != ParallelAlgo::Ssj
+    }
+
     fn run_task<T: JoinIndex<D>, const D: usize>(
         &self,
         tree: &T,
-        task: &Task,
+        task: Step<NodeId>,
     ) -> (Vec<OutputItem>, JoinStats, bool) {
         match self.algo {
-            ParallelAlgo::Ssj => self.run_task_with(tree, task, false, DirectEmit),
-            ParallelAlgo::Ncsj => self.run_task_with(tree, task, true, DirectEmit),
+            ParallelAlgo::Ssj | ParallelAlgo::Ncsj => self.run_task_with(tree, task, DirectEmit),
             ParallelAlgo::Csj(g) => self.run_task_with(
                 tree,
                 task,
-                true,
                 WindowedEmit::<MbrShape<D>, D>::new(g, self.cfg.epsilon, self.cfg.metric),
             ),
         }
@@ -499,123 +498,77 @@ impl ParallelJoin {
     fn run_task_with<T: JoinIndex<D>, H: LinkHandler<D>, const D: usize>(
         &self,
         tree: &T,
-        task: &Task,
-        early_stop: bool,
+        task: Step<NodeId>,
         handler: H,
     ) -> (Vec<OutputItem>, JoinStats, bool) {
-        let mut engine = Engine::new(tree, self.cfg, early_stop, handler, CollectSink::default());
+        let mut engine =
+            Engine::new(tree, self.cfg, self.early_stop(), handler, CollectSink::default());
         if let Some(token) = &self.cancel {
             engine.set_cancel(token.clone());
         }
-        match task {
-            Task::SelfJoin(n) => infallible(engine.join_node(*n)),
-            Task::PairJoin(a, b) => infallible(engine.join_pair(*a, *b)),
-        }
+        infallible(engine.run_step(task));
         infallible(engine.finish_only());
         let completed = engine.stop_reason().is_none();
         (std::mem::take(&mut engine.sink.items), engine.stats, completed)
     }
 
-    /// Splits a task into its canonical child tasks, mirroring exactly
-    /// what the engine's recursion would do one level down — same child
-    /// order, same early-stop guards, same MINDIST pruning. Returns
-    /// `None` when the task must run whole: leaf-level work, or a
-    /// subtree/pair a compact join would early-stop (splitting it would
-    /// change the emitted groups).
+    /// Splits a task into its child tasks through the engine's own
+    /// expansion ([`Engine::split`]): same child order, same early-stop
+    /// guard, same MINDIST prune. Returns the children with the split's
+    /// counters (the parent's visit and pruned pairs), or `None` when the
+    /// task must run whole: leaf-level work, or a subtree/pair a compact
+    /// join would early-stop (splitting it would change the emitted
+    /// groups).
     ///
-    /// Because the expansion is exact, executing the children in key
-    /// order produces item-for-item the same output as executing the
-    /// parent — splitting is invisible in the merged result.
+    /// Executing the children in key order produces item-for-item the
+    /// same output as executing the parent, so splitting is invisible in
+    /// the merged result.
     fn split_task<T: JoinIndex<D>, const D: usize>(
         &self,
         tree: &T,
         item: &TaskItem,
-    ) -> Option<Vec<TaskItem>> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        let early_stop = self.algo != ParallelAlgo::Ssj;
-        let mut children: Vec<Task> = Vec::new();
-        match item.task {
-            Task::SelfJoin(n) => {
-                if tree.is_leaf(n) {
-                    return None;
-                }
-                if early_stop && tree.max_diameter(n, metric) <= eps {
-                    return None;
-                }
-                let cs = tree.children(n).to_vec();
-                for (i, &a) in cs.iter().enumerate() {
-                    children.push(Task::SelfJoin(a));
-                    for &b in &cs[(i + 1)..] {
-                        if tree.min_dist(a, b, metric) <= eps {
-                            children.push(Task::PairJoin(a, b));
-                        }
-                    }
-                }
-            }
-            Task::PairJoin(a, b) => {
-                if early_stop && tree.pair_diameter(a, b, metric) <= eps {
-                    return None;
-                }
-                match (tree.is_leaf(a), tree.is_leaf(b)) {
-                    (true, true) => return None,
-                    (true, false) => {
-                        for &c in tree.children(b) {
-                            if tree.min_dist(a, c, metric) <= eps {
-                                children.push(Task::PairJoin(a, c));
-                            }
-                        }
-                    }
-                    (false, true) => {
-                        for &c in tree.children(a) {
-                            if tree.min_dist(c, b, metric) <= eps {
-                                children.push(Task::PairJoin(c, b));
-                            }
-                        }
-                    }
-                    (false, false) => {
-                        for &x in tree.children(a) {
-                            for &y in tree.children(b) {
-                                if tree.min_dist(x, y, metric) <= eps {
-                                    children.push(Task::PairJoin(x, y));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Some(
-            children
-                .into_iter()
-                .enumerate()
-                .map(|(j, task)| {
-                    let mut key = item.key.clone();
-                    key.push(j as u32);
-                    TaskItem { key, task, owner: item.owner }
-                })
-                .collect(),
-        )
+    ) -> Option<(Vec<TaskItem>, JoinStats)> {
+        let mut engine =
+            Engine::new(tree, self.cfg, self.early_stop(), DirectEmit, CollectSink::default());
+        let steps = infallible(engine.split(item.task))?;
+        let children = steps
+            .into_iter()
+            .enumerate()
+            .map(|(j, task)| {
+                let mut key = item.key.clone();
+                key.push(j as u32);
+                TaskItem { key, task, owner: item.owner }
+            })
+            .collect();
+        Some((children, engine.stats))
     }
 
     /// Breadth-first task expansion until there are comfortably more
     /// tasks than workers (or nothing left to split). Uses the same
-    /// canonical [`ParallelJoin::split_task`] as the runtime splitter, so
-    /// the initial task set is just a pre-applied sequence of splits.
-    /// CSJ tasks are splittable *here* (this fixed partitioning is what
-    /// makes its compaction deterministic) but not at runtime.
-    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<TaskItem> {
-        let Some(root) = tree.root() else { return Vec::new() };
+    /// [`ParallelJoin::split_task`] as the runtime splitter, so the
+    /// initial task set is just a pre-applied sequence of splits; their
+    /// records come back alongside. CSJ tasks are splittable *here* (this
+    /// fixed partitioning is what makes its compaction deterministic) but
+    /// not at runtime.
+    fn expand_tasks<T: JoinIndex<D>, const D: usize>(
+        &self,
+        tree: &T,
+    ) -> (Vec<TaskItem>, Vec<TaskResult>) {
+        let Some(root) = tree.root() else { return (Vec::new(), Vec::new()) };
         let target = self.threads * 8;
         let mut queue =
-            VecDeque::from([TaskItem { key: Vec::new(), task: Task::SelfJoin(root), owner: 0 }]);
+            VecDeque::from([TaskItem { key: Vec::new(), task: Step::Node(root), owner: 0 }]);
         let mut done: Vec<TaskItem> = Vec::new();
+        let mut splits: Vec<TaskResult> = Vec::new();
         while done.len() + queue.len() < target {
             let Some(item) = queue.pop_front() else { break };
             match self.split_task(tree, &item) {
-                // A pair whose children all pruned away: no work at all.
-                Some(children) if children.is_empty() => {}
-                Some(children) => queue.extend(children),
+                // A pair whose children all pruned away leaves only its
+                // record.
+                Some((children, split)) => {
+                    queue.extend(children);
+                    splits.push((item.key, Vec::new(), split, false));
+                }
                 None => done.push(item),
             }
         }
@@ -623,7 +576,7 @@ impl ParallelJoin {
         // Canonical order: workers consume roughly in engine order, so a
         // budget-stopped run is biased toward a clean output prefix.
         done.sort_by(|a, b| a.key.cmp(&b.key));
-        done
+        (done, splits)
     }
 }
 
@@ -713,6 +666,22 @@ mod tests {
         let one = ParallelJoin::new(0.03, ParallelAlgo::Ssj).with_threads(1).run(&tree);
         let eight = ParallelJoin::new(0.03, ParallelAlgo::Ssj).with_threads(8).run(&tree);
         assert_eq!(one.items, eight.items);
+    }
+
+    #[test]
+    fn plane_sweep_splits_follow_sweep_order() {
+        // Initial and runtime splits expand in sweep order, so SSJ rows
+        // land exactly where the sequential sweep puts them.
+        let pts = skewed(2_000);
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
+        let seq = SsjJoin::new(0.03).with_plane_sweep().run(&tree);
+        for threads in [1, 8] {
+            let cfg = JoinConfig::new(0.03).with_plane_sweep();
+            let par =
+                ParallelJoin::with_config(cfg, ParallelAlgo::Ssj).with_threads(threads).run(&tree);
+            assert_eq!(par.items, seq.items, "threads={threads}");
+            assert_eq!(par.stats.pairs_pruned, seq.stats.pairs_pruned, "threads={threads}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The fault-tolerant join runner.
 //!
 //! [`ResilientJoin`] wraps the Figure-3 engine with the full robustness
-//! stack: a [`RunBudget`] checked at root-level task boundaries, a
+//! stack: a [`RunBudget`] checked at root-level task boundaries (the
+//! engine's own root split, [`Engine::split_root`]), a
 //! cooperative [`CancelToken`], and a [`StorageProbe`] that escalates
 //! unrecoverable page-I/O errors (transient faults are absorbed by the
 //! storage layer's retries and only *counted*, in
@@ -37,7 +38,7 @@
 
 use std::time::Instant;
 
-use csj_index::{JoinIndex, NodeId};
+use csj_index::JoinIndex;
 use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
@@ -64,11 +65,6 @@ pub struct ResilientJoin {
     budget: RunBudget,
     cancel: Option<CancelToken>,
     id_width: usize,
-}
-
-enum Task {
-    SelfJoin(NodeId),
-    PairJoin(NodeId, NodeId),
 }
 
 /// What a resilient run reports alongside its rows.
@@ -240,9 +236,9 @@ impl ResilientJoin {
         Ok(ResilientReport { stats, completion })
     }
 
-    /// The shared task loop: expand root-level tasks, run them through
-    /// one engine, check cancel / storage / budget between tasks, drain
-    /// the window on any stop.
+    /// The shared task loop: split the root into tasks, run them through
+    /// one engine, check cancel / storage / budget before the split and
+    /// between tasks, drain the window on any stop.
     fn run_tasks<T, P, H, R, const D: usize>(
         &self,
         tree: &T,
@@ -258,27 +254,25 @@ impl ResilientJoin {
         R: RowSink,
     {
         let start = Instant::now();
-        let tasks = self.expand_tasks(tree);
-        let total = tasks.len();
         let mut engine = Engine::new(tree, self.cfg, early_stop, handler, sink);
         if let Some(token) = &self.cancel {
             engine.set_cancel(token.clone());
         }
 
+        // A cancel or a budget trip before any work stops the run without
+        // splitting the root (a pre-canceled token costs zero node
+        // visits). The split credits the root's visit and pruned pairs.
+        let mut reason = self.boundary_check(&engine.stats, probe, start)?;
+        let tasks = if reason.is_none() { engine.split_root()? } else { Vec::new() };
         let mut done = 0usize;
-        let mut reason: Option<StopReason> = None;
-        for task in &tasks {
+        for &task in &tasks {
             // Pre-task boundary: a cancel or a budget trip stops the run
-            // before more work starts (a pre-canceled token costs zero
-            // node visits).
+            // before more work starts.
             if let Some(r) = self.boundary_check(&engine.stats, probe, start)? {
                 reason = Some(r);
                 break;
             }
-            match task {
-                Task::SelfJoin(n) => engine.join_node(*n)?,
-                Task::PairJoin(a, b) => engine.join_pair(*a, *b)?,
-            }
+            engine.run_step(task)?;
             if let Some(r) = engine.stop_reason() {
                 // Mid-task stop (cancel): the task did not complete.
                 reason = Some(r);
@@ -297,10 +291,10 @@ impl ResilientJoin {
         stats.io_retries += probe.io_retries();
         let usage = self.usage_of(&stats);
         let completion = match reason {
-            None if done == total => Completion::Complete,
-            r => Completion::partial(
-                r.unwrap_or(StopReason::Canceled),
-                if total == 0 { 1.0 } else { done as f64 / total as f64 },
+            None => Completion::Complete,
+            Some(r) => Completion::partial(
+                r,
+                done as f64 / tasks.len().max(1) as f64,
                 usage.links,
                 usage.bytes,
             ),
@@ -341,32 +335,6 @@ impl ResilientJoin {
             bytes: ids * (self.id_width as u64 + 1),
         }
     }
-
-    /// Root-level task list: child self-joins plus qualifying child
-    /// pairs; a leaf (or early-stoppable) root is a single task.
-    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task> {
-        let Some(root) = tree.root() else { return Vec::new() };
-        let compact = self.algo != ParallelAlgo::Ssj;
-        if tree.is_leaf(root)
-            || (compact && tree.max_diameter(root, self.cfg.metric) <= self.cfg.epsilon)
-        {
-            return vec![Task::SelfJoin(root)];
-        }
-        let children = tree.children(root).to_vec();
-        let mut tasks = Vec::new();
-        for (i, &a) in children.iter().enumerate() {
-            tasks.push(Task::SelfJoin(a));
-            for &b in &children[(i + 1)..] {
-                if tree.min_dist(a, b, self.cfg.metric) <= self.cfg.epsilon {
-                    tasks.push(Task::PairJoin(a, b));
-                } else {
-                    // Pruned pairs are still the engine's business when a
-                    // task runs; at the root level the prune is final.
-                }
-            }
-        }
-        tasks
-    }
 }
 
 #[cfg(test)]
@@ -375,6 +343,7 @@ mod tests {
     use crate::brute::brute_force_links;
     use crate::csj::CsjJoin;
     use crate::paged::FaultPagedTree;
+    use crate::ssj::SsjJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, RTreeConfig};
     use csj_storage::{FaultPolicy, RetryPolicy, VecSink};
@@ -398,6 +367,25 @@ mod tests {
             ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree).expect("in-memory");
         assert!(resilient.completion.is_complete());
         assert_eq!(resilient.expanded_link_set(), plain.expanded_link_set());
+    }
+
+    #[test]
+    fn plane_sweep_rows_match_the_sequential_sweep() {
+        // The root split follows sweep order, so the tasks run in the
+        // sequential sweep's order.
+        let pts = csj_data::uniform::uniform::<2>(3000, 11);
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
+        let eps = 0.02;
+        let cfg = JoinConfig::new(eps).with_plane_sweep();
+        let seq = SsjJoin::new(eps).with_plane_sweep().run(&tree);
+        let out = ResilientJoin::with_config(cfg, ParallelAlgo::Ssj).run(&tree).expect("in-memory");
+        assert_eq!(out.items, seq.items);
+        assert_eq!(out.stats, seq.stats);
+        let seq = CsjJoin::new(eps).with_window(10).with_plane_sweep().run(&tree);
+        let out =
+            ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10)).run(&tree).expect("in-memory");
+        assert_eq!(out.items, seq.items);
+        assert_eq!(out.stats, seq.stats);
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub struct WorkerOutcome {
 }
 
 /// One worker's run: the protocol skeleton of `worker_loop`, operation
-/// for operation. `may_split` mirrors the non-CSJ/non-plane-sweep
-/// condition; `pre_starving` mirrors workers 1..n starting registered.
+/// for operation. `may_split` mirrors the non-CSJ condition;
+/// `pre_starving` mirrors workers 1..n starting registered.
 pub fn worker(
     wid: usize,
     shared: &ModelShared,
