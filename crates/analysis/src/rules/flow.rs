@@ -110,10 +110,11 @@ fn strip_call_suffix(s: &str) -> &str {
     s.trim_end_matches("()")
 }
 
-/// Direct disk I/O: `read`/`write`/`sync`/`flush` invoked on a
-/// disk/pager-shaped receiver.
+/// Direct disk I/O: `read`/`write`/`write_run`/`sync`/`flush` invoked
+/// on a disk/pager-shaped receiver.
 pub fn direct_io(c: &CallInfo) -> bool {
-    if !c.is_method || !matches!(c.name.as_str(), "read" | "write" | "sync" | "flush") {
+    if !c.is_method || !matches!(c.name.as_str(), "read" | "write" | "write_run" | "sync" | "flush")
+    {
         return false;
     }
     let recv = c.recv.as_deref().unwrap_or("");
@@ -198,6 +199,7 @@ pub fn drop_named(state: &mut BTreeSet<Held>, name: &str) {
 const GENERIC_NAMES: &[&str] = &[
     "read",
     "write",
+    "write_run",
     "sync",
     "flush",
     "new",

@@ -6,11 +6,8 @@ fn assume_wrap_soundness_check() {
     // guard (x0 - 15) >= v0 is TRUE for v0 = 5, and p = x0 = 0.
     let src = "fn f(v0: u64) { let x0 = 0; if (x0 - 15) >= v0 { let p = x0; probe(p); } }";
     let v = probe_intervals(src);
-    println!("probe results: {v:?}");
-    if let Some((_, av)) = v.first() {
-        assert!(av.lo <= 0, "UNSOUND: abstract lo {} excludes concrete value 0", av.lo);
-    } else {
-        println!("branch judged unreachable (also unsound if concretely reachable)");
-        panic!("probe abstractly unreachable but concretely reachable");
-    }
+    let Some((_, av)) = v.first() else {
+        panic!("probe abstractly unreachable but concretely reachable (probe results: {v:?})");
+    };
+    assert!(av.lo <= 0, "UNSOUND: abstract lo {} excludes concrete value 0 ({v:?})", av.lo);
 }

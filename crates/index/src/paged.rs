@@ -52,7 +52,9 @@ use crate::RTreeConfig;
 use csj_geom::{Mbr, Point, RecordId};
 use csj_storage::buffer::{BufferPool, BufferStats};
 use csj_storage::disk::Disk;
-use csj_storage::{IoOp, Page, PageId, RetryPager, RetryPolicy, StorageError, PAGE_SIZE};
+use csj_storage::{
+    IoOp, Page, PageId, RetryPager, RetryPolicy, StorageError, PAGE_SIZE, RUN_PAGES,
+};
 
 /// Superblock magic: identifies a CSJ page file, version 1.
 const MAGIC: &[u8; 8] = b"CSJPAGE1";
@@ -232,13 +234,14 @@ fn put_mbr<const D: usize>(buf: &mut Vec<u8>, mbr: &Mbr<D>) {
     }
 }
 
-/// Serializes a node into page bytes (zero-padded to [`PAGE_SIZE`]).
-fn encode_node<const D: usize>(node: &PagedNode<D>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(node.encoded_len());
+/// Appends a node's page bytes to `buf` (the page's zero padding is the
+/// caller's).
+fn encode_node<const D: usize>(node: &PagedNode<D>, buf: &mut Vec<u8>) {
+    let start = buf.len();
     buf.extend_from_slice(&node.level.to_le_bytes());
     let count = if node.is_leaf() { node.entries.len() } else { node.children.len() } as u32;
     buf.extend_from_slice(&count.to_le_bytes());
-    put_mbr(&mut buf, &node.mbr);
+    put_mbr(buf, &node.mbr);
     if node.is_leaf() {
         for e in node.entries.iter() {
             buf.extend_from_slice(&e.id.to_le_bytes());
@@ -249,16 +252,15 @@ fn encode_node<const D: usize>(node: &PagedNode<D>) -> Vec<u8> {
     } else {
         for (page, mbr) in &node.children {
             buf.extend_from_slice(&page.0.to_le_bytes());
-            put_mbr(&mut buf, mbr);
+            put_mbr(buf, mbr);
         }
     }
     debug_assert!(
-        buf.len() <= PAGE_SIZE,
+        buf.len() - start <= PAGE_SIZE,
         "encoded node ({} bytes) exceeds the page — fanout validation let an oversized \
          node through",
-        buf.len(),
+        buf.len() - start,
     );
-    buf
 }
 
 /// Decodes one node page.
@@ -384,9 +386,10 @@ pub struct PrefetchStats {
 }
 
 /// In-memory page state: the pool, the decoded-node cache, dirty
-/// tracking, and the prefetch staging area. Never touches the disk —
-/// write-back work leaves as [`PoolState::detach`] results the caller
-/// performs *after* releasing the borrow.
+/// tracking, and the prefetch staging area. Never touches the disk: the
+/// store writes dirty pages back *after* releasing the borrow. The
+/// cache holds exactly the pool's resident pages, and every dirty page
+/// is resident.
 struct PoolState<const D: usize> {
     pool: BufferPool,
     cache: HashMap<PageId, Rc<PagedNode<D>>>,
@@ -415,27 +418,17 @@ impl<const D: usize> PoolState<D> {
         self.staged_bytes -= bytes.len();
         Some(bytes)
     }
-
-    /// Detaches an evicted `victim` from the cache, returning its
-    /// encoded bytes when it was dirty and must reach the disk. The
-    /// write itself is the caller's job, outside this borrow.
-    fn detach(&mut self, victim: PageId) -> Option<(PageId, Vec<u8>)> {
-        let node = self.cache.remove(&victim);
-        if self.dirty.remove(&victim) {
-            // csj-lint: allow(panic-safety) — a dirty page is by
-            // construction cached; the pool never evicts what the cache
-            // does not hold.
-            let node = node.expect("dirty page must be cached");
-            Some((victim, encode_node(node.as_ref())))
-        } else {
-            None
-        }
-    }
 }
 
 /// Node store over a [`Disk`]: decoded nodes cached under a pinned LRU
-/// [`BufferPool`], dirty pages written back on eviction, reads retried
-/// per the pager's policy.
+/// [`BufferPool`], reads retried per the pager's policy.
+///
+/// Dirty pages reach the disk one way only, `flush_dirty`: sorted by
+/// page id and coalesced into runs of at most [`RUN_PAGES`] consecutive
+/// pages, one [`Disk::write_run`] per run. It runs when an admission is
+/// about to evict a dirty page (the whole dirty set goes, victim
+/// included, before the victim leaves the pool) and at
+/// [`PagedStore::checkpoint`].
 ///
 /// Single-threaded by design (interior mutability via `RefCell`); the
 /// async prefetcher runs in `csj-core` and hands raw page bytes in
@@ -550,48 +543,88 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
             None => self.io.borrow_mut().read(page)?.data,
         };
         let node = Rc::new(decode_node::<D>(&bytes, page)?);
-
-        // Admit, pin, and collect any eviction write-back to perform
-        // after the borrow ends.
-        let writeback = {
-            let mut state = self.state.borrow_mut();
-            let adm = match state.pool.try_access(page) {
-                Ok(adm) => adm,
-                Err(e) => {
-                    if from_prefetch {
-                        // Keep the prefetched copy for a later retry.
-                        state.stage(page, bytes);
-                    }
-                    return Err(e);
-                }
-            };
-            let writeback = adm.evicted.and_then(|victim| state.detach(victim));
+        let admitted = self.admit(page);
+        let mut state = self.state.borrow_mut();
+        if let Err(e) = admitted {
             if from_prefetch {
-                state.prefetch_supplied += 1;
+                // Keep the prefetched copy for a later retry.
+                state.stage(page, bytes);
             }
-            state.nodes_decoded += 1;
-            state.cache.insert(page, node.clone());
-            state.pool.pin(page);
-            writeback
+            return Err(e);
+        }
+        if from_prefetch {
+            state.prefetch_supplied += 1;
+        }
+        state.nodes_decoded += 1;
+        state.cache.insert(page, node.clone());
+        state.pool.pin(page);
+        Ok(NodeGuard { store: self, page, node })
+    }
+
+    /// Admits `page` to the pool. When that would evict a dirty page,
+    /// the whole dirty set is written back first, so no page leaves the
+    /// pool unwritten; the (then clean) victim's node leaves the cache.
+    /// On error the pool, cache and dirty set hold what they held.
+    fn admit(&self, page: PageId) -> Result<(), StorageError> {
+        let victim_dirty = {
+            let state = self.state.borrow();
+            !state.dirty.is_empty()
+                && state.pool.next_victim().is_some_and(|v| state.dirty.contains(&v))
         };
-        if let Some((victim, data)) = writeback {
-            // Bound `let` so the io borrow ends before the error path
-            // re-borrows state (an `if let` scrutinee temporary would
-            // outlive the whole branch) — state before io, always.
-            let written = self.io.borrow_mut().write(&Page::with_data(victim, data));
-            if let Err(e) = written {
-                // Keep the pin count balanced on the error path; the
-                // page itself stays resident and cached.
-                self.state.borrow_mut().pool.unpin(page);
-                return Err(e);
+        if victim_dirty {
+            self.flush_dirty()?;
+        }
+        let mut state = self.state.borrow_mut();
+        if let Some(victim) = state.pool.try_access(page)?.evicted {
+            state.cache.remove(&victim);
+        }
+        Ok(())
+    }
+
+    /// Writes every dirty page back in ascending page order, as runs of
+    /// at most [`RUN_PAGES`] consecutive pages encoded one run at a time
+    /// into one buffer. A run is marked clean only once its write has
+    /// succeeded, so after a failure the unwritten pages stay dirty for
+    /// a retry.
+    fn flush_dirty(&self) -> Result<(), StorageError> {
+        let mut dirty: Vec<PageId> = self.state.borrow().dirty.iter().copied().collect();
+        dirty.sort_unstable();
+        let mut buf = Vec::with_capacity(dirty.len().min(RUN_PAGES) * PAGE_SIZE);
+        let mut rest = dirty.as_slice();
+        while let Some(&first) = rest.first() {
+            let len = rest
+                .iter()
+                .zip(first.0..)
+                .take(RUN_PAGES)
+                .take_while(|&(page, want)| page.0 == want)
+                .count();
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            buf.clear();
+            {
+                let state = self.state.borrow();
+                for page in run {
+                    // csj-lint: allow(panic-safety) — every dirty page is
+                    // resident, hence cached (see PoolState); absence is a
+                    // logic bug.
+                    let node = state.cache.get(page).expect("dirty page must be cached");
+                    encode_node(node.as_ref(), &mut buf);
+                    buf.resize(buf.len().next_multiple_of(PAGE_SIZE), 0);
+                }
+            }
+            self.io.borrow_mut().write_run(first, &buf)?;
+            let mut state = self.state.borrow_mut();
+            for page in run {
+                state.dirty.remove(page);
             }
         }
-        Ok(NodeGuard { store: self, page, node })
+        Ok(())
     }
 
     /// Writes `node` to a freshly allocated page through the pool
     /// (page 0 is reserved for the superblock on first use). The page
-    /// is cached dirty; it reaches the disk on eviction or at
+    /// is cached dirty; it reaches the disk with the next write-back of
+    /// the dirty set: when a dirty page is about to be evicted, or at
     /// [`PagedStore::checkpoint`].
     ///
     /// # Errors
@@ -618,17 +651,10 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
             }
             io.disk_mut().alloc()?
         };
-        let writeback = {
-            let mut state = self.state.borrow_mut();
-            let adm = state.pool.try_access(page)?;
-            let writeback = adm.evicted.and_then(|victim| state.detach(victim));
-            state.cache.insert(page, Rc::new(node));
-            state.dirty.insert(page);
-            writeback
-        };
-        if let Some((victim, data)) = writeback {
-            self.io.borrow_mut().write(&Page::with_data(victim, data))?;
-        }
+        self.admit(page)?;
+        let mut state = self.state.borrow_mut();
+        state.cache.insert(page, Rc::new(node));
+        state.dirty.insert(page);
         Ok(page)
     }
 
@@ -659,40 +685,16 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
         Ok(meta)
     }
 
-    /// Flushes every dirty page and fsyncs the disk, making the tree
-    /// durable.
+    /// Writes every dirty page back and fsyncs the disk, making the
+    /// tree durable. A failed checkpoint leaves the pages it did not
+    /// write dirty, so it can simply be retried.
     ///
     /// # Errors
     /// Returns [`StorageError::Io`] (or an exhausted-retries error) when
     /// a write-back or the final sync fails.
     pub fn checkpoint(&self) -> Result<(), StorageError> {
-        // Snapshot the dirty set (sorted: deterministic write order)
-        // and encode under the state borrow; write with only the pager
-        // borrowed. The dirty set is cleared only after a successful
-        // sync, so a failed checkpoint can be retried.
-        let batch: Vec<(PageId, Vec<u8>)> = {
-            let state = self.state.borrow();
-            let mut dirty: Vec<PageId> = state.dirty.iter().copied().collect();
-            dirty.sort_unstable();
-            dirty
-                .into_iter()
-                .map(|page| {
-                    // csj-lint: allow(panic-safety) — dirty pages are cached
-                    // by construction (see detach); absence is a logic bug.
-                    let node = state.cache.get(&page).expect("dirty page must be cached");
-                    (page, encode_node(node.as_ref()))
-                })
-                .collect()
-        };
-        {
-            let mut io = self.io.borrow_mut();
-            for (page, data) in batch {
-                io.write(&Page::with_data(page, data))?;
-            }
-            io.sync()?;
-        }
-        self.state.borrow_mut().dirty.clear();
-        Ok(())
+        self.flush_dirty()?;
+        self.io.borrow_mut().sync()
     }
 
     /// Offers raw prefetched page bytes. Accepted (and later consumed by
@@ -1034,10 +1036,16 @@ mod tests {
         LeafEntry::new(id, Point::new([x, y]))
     }
 
+    fn encoded(node: &PagedNode<2>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_node(node, &mut buf);
+        buf
+    }
+
     #[test]
     fn node_codec_roundtrip_leaf_and_internal() {
         let leaf = PagedNode::leaf(vec![entry(7, 0.25, -1.5), entry(9, 3.0, 4.0)]);
-        let bytes = encode_node(&leaf);
+        let bytes = encoded(&leaf);
         let back = decode_node::<2>(&bytes, PageId(1)).unwrap();
         assert_eq!(back.level, 0);
         assert_eq!(back.mbr, leaf.mbr);
@@ -1051,7 +1059,7 @@ mod tests {
                 (PageId(4), Mbr::from_corners(&Point::new([2.0, 2.0]), &Point::new([3.0, 5.0]))),
             ],
         );
-        let bytes = encode_node(&internal);
+        let bytes = encoded(&internal);
         let back = decode_node::<2>(&bytes, PageId(2)).unwrap();
         assert_eq!(back.level, 2);
         assert_eq!(back.children, internal.children);
@@ -1061,7 +1069,7 @@ mod tests {
     #[test]
     fn decode_rejects_corruption() {
         let leaf = PagedNode::<2>::leaf(vec![entry(1, 0.0, 0.0)]);
-        let bytes = encode_node(&leaf);
+        let bytes = encoded(&leaf);
         assert!(decode_node::<2>(&bytes[..bytes.len() - 1], PageId(3)).is_err(), "truncated");
         let mut huge = bytes.clone();
         huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1229,7 +1237,7 @@ mod tests {
         // page's bytes as a prefetcher would.
         let raw = {
             let guard = tree.node(root).unwrap();
-            encode_node(guard.deref())
+            encoded(guard.deref())
         };
         let before = tree.stats();
         // Fill the 2-frame pool with other pages so the root is evicted.
@@ -1250,13 +1258,30 @@ mod tests {
         assert_eq!(after.prefetch_supplied, before.prefetch_supplied + 1);
     }
 
-    /// Delegates to a populated [`SimulatedDisk`] but fails the next
-    /// `fail_reads` read attempts — fault injection for a disk that
-    /// already holds pages (the built-in policy only wraps new disks).
+    /// Delegates to a [`SimulatedDisk`] but fails the next `fail_reads`
+    /// read attempts and the `fail_write`-th page write attempt — fault
+    /// injection for a disk that already holds pages (the built-in
+    /// policy only wraps new disks) or at one chosen write. Counts the
+    /// `write` and `write_run` calls that reach it.
+    #[derive(Default)]
     struct FlakyDisk {
         inner: SimulatedDisk,
         fail_reads: u64,
+        fail_write: Option<u64>,
         injected: u64,
+        write_calls: u64,
+    }
+
+    impl FlakyDisk {
+        fn write_page(&mut self, page: &Page) -> Result<(), StorageError> {
+            let seq = self.inner.writes + 1;
+            if self.fail_write == Some(seq) {
+                self.inner.writes += 1;
+                self.injected += 1;
+                return Err(StorageError::FaultInjected { op: IoOp::Write, seq });
+            }
+            self.inner.write(page)
+        }
     }
 
     impl Disk for FlakyDisk {
@@ -1279,7 +1304,15 @@ mod tests {
             self.inner.read(id)
         }
         fn write(&mut self, page: &Page) -> Result<(), StorageError> {
-            self.inner.write(page)
+            self.write_calls += 1;
+            self.write_page(page)
+        }
+        fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+            self.write_calls += 1;
+            for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
+                self.write_page(&Page::with_data(PageId(first.0 + i as u64), chunk.to_vec()))?;
+            }
+            Ok(())
         }
         fn sync(&mut self) -> Result<(), StorageError> {
             Ok(())
@@ -1306,7 +1339,7 @@ mod tests {
         store.checkpoint().unwrap();
         let disk = store.into_disk();
 
-        let flaky = FlakyDisk { inner: disk, fail_reads: 1, injected: 0 };
+        let flaky = FlakyDisk { inner: disk, fail_reads: 1, ..FlakyDisk::default() };
         let store = PagedStore::<2, _>::new(flaky, RetryPolicy::none(), 4);
         assert!(store.node(page).is_err(), "the injected read fault must surface");
         assert!(!store.is_resident(page), "a failed read must not admit the page");
@@ -1314,6 +1347,28 @@ mod tests {
         let guard = store.node(page).expect("the retry reads the intact page");
         assert_eq!(guard.entries.entries().len(), 1);
         assert_eq!(store.stats().nodes_decoded, 1, "only the successful read decodes");
+    }
+
+    fn dirty_pages<Dk: Disk>(store: &PagedStore<2, Dk>) -> Vec<PageId> {
+        let mut dirty: Vec<PageId> = store.state.borrow().dirty.iter().copied().collect();
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// Puts one single-entry leaf per id, whose entry carries the id.
+    fn put_leaves<Dk: Disk>(store: &PagedStore<2, Dk>, ids: std::ops::Range<u32>) -> Vec<PageId> {
+        ids.map(|i| store.put_node(PagedNode::leaf(vec![entry(i, f64::from(i), 0.0)])).unwrap())
+            .collect()
+    }
+
+    /// Reads every page back through a fresh store over `disk`,
+    /// checking each leaf's entry id.
+    fn assert_leaves_on_disk(disk: FlakyDisk, pages: &[PageId]) {
+        let store = PagedStore::<2, _>::new(disk, RetryPolicy::none(), 4);
+        for (i, &page) in pages.iter().enumerate() {
+            let guard = store.node(page).expect("the page reached the disk");
+            assert_eq!(guard.entries.entries()[0].id, i as u32, "{page}");
+        }
     }
 
     /// A checkpoint that faults keeps its dirty set, so the caller can
@@ -1329,5 +1384,152 @@ mod tests {
         let store = PagedStore::<2, _>::new(store.into_disk(), RetryPolicy::none(), 4);
         let guard = store.node(page).expect("the page reached the disk");
         assert_eq!(guard.entries.entries().len(), 1);
+
+        // Three runs (64, 64 and 2 pages); a failure the pager does not
+        // absorb hits the sixth page of the second run. The first run
+        // is clean; the second, partly written, and the third, never
+        // attempted, stay dirty, and the retried checkpoint writes them.
+        let run = RUN_PAGES as u32;
+        let disk = FlakyDisk { fail_write: Some(u64::from(run) + 6), ..FlakyDisk::default() };
+        let store = PagedStore::<2, _>::new(disk, RetryPolicy::none(), 4 * RUN_PAGES);
+        let pages = put_leaves(&store, 0..2 * run + 2);
+        assert!(store.checkpoint().is_err(), "write #{} fails", run + 6);
+        assert_eq!(dirty_pages(&store), pages[RUN_PAGES..]);
+        store.checkpoint().expect("the retry writes the still-dirty runs");
+        assert!(dirty_pages(&store).is_empty());
+        assert_leaves_on_disk(store.into_disk(), &pages);
+    }
+
+    /// An admission that would evict a dirty page writes the dirty set
+    /// back first; when that write fails, the victim stays resident and
+    /// dirty instead of leaving the pool unwritten.
+    #[test]
+    fn failed_eviction_write_back_keeps_the_victim_resident() {
+        let disk = FlakyDisk { fail_write: Some(2), ..FlakyDisk::default() };
+        let store = PagedStore::<2, _>::new(disk, RetryPolicy::none(), 4);
+        let pages = put_leaves(&store, 0..4);
+        let err = store.put_node(PagedNode::leaf(vec![entry(4, 4.0, 0.0)]));
+        assert!(err.is_err(), "evicting page 1 writes pages 1-4 back; write #2 fails");
+        assert_eq!(dirty_pages(&store), pages);
+        for (i, &page) in pages.iter().enumerate() {
+            assert!(store.is_resident(page), "{page}");
+            assert_eq!(store.node(page).unwrap().entries.entries()[0].id, i as u32);
+        }
+        assert_eq!(store.stats().disk_reads, 0, "served from the pool");
+        store.checkpoint().expect("the retry writes the dirty set");
+        assert_leaves_on_disk(store.into_disk(), &pages);
+    }
+
+    /// A gap in the dirty set ends a run: each run starts at its own
+    /// first page, and the clean page in the gap is not written.
+    #[test]
+    fn write_back_splits_runs_at_gaps_in_the_dirty_set() {
+        let store = PagedStore::<2, _>::new(FlakyDisk::default(), RetryPolicy::none(), 8);
+        let pages = put_leaves(&store, 0..4);
+        store.state.borrow_mut().dirty.remove(&pages[1]);
+        store.checkpoint().unwrap();
+        let disk = store.into_disk();
+        assert_eq!((disk.write_calls, Disk::writes(&disk)), (2, 3), "runs {{1}} and {{3, 4}}");
+        let mut disk = disk.inner;
+        assert_eq!(disk.read(pages[1]).unwrap().data, vec![0; PAGE_SIZE], "page 2 stays clean");
+        for i in [0, 2, 3] {
+            let leaf = decode_node::<2>(&disk.read(pages[i]).unwrap().data, pages[i]).unwrap();
+            assert_eq!(leaf.entries.entries()[0].id, i as u32);
+        }
+    }
+
+    /// The bytes of every page on a disk, in page order.
+    fn disk_bytes<Dk: Disk>(mut disk: Dk) -> Vec<u8> {
+        (0..disk.num_pages()).flat_map(|p| disk.read(PageId(p)).unwrap().data).collect()
+    }
+
+    fn temp_pages(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("csj_paged_{tag}_{}.pages", std::process::id()))
+    }
+
+    /// Run write-back changes when pages reach the disk, never what they
+    /// hold: every loader at every pool size writes the same file onto a
+    /// `FileDisk` (one positioned write per run) as onto a
+    /// `SimulatedDisk` (one write per page through the trait default).
+    #[test]
+    fn page_file_is_identical_for_every_disk_loader_and_pool() {
+        use csj_storage::FileDisk;
+        fn build<Dk: Disk>(loader: &str, pts: &[Point<2>], disk: Dk, pool: usize) -> Dk {
+            let cfg = RTreeConfig::with_max_fanout(10);
+            let core = match loader {
+                "build_str" => {
+                    let tree = PagedTree::build_str(pts, cfg, disk, RetryPolicy::none(), pool);
+                    return tree.unwrap().store.into_disk();
+                }
+                "str" => str_pack(pts, cfg),
+                "hilbert" => hilbert_pack(pts, cfg),
+                _ => omt_pack(pts, cfg),
+            };
+            let tree = PagedTree::from_core(&core, disk, RetryPolicy::none(), pool);
+            tree.unwrap().store.into_disk()
+        }
+        let pts = scatter(3000);
+        let path = temp_pages("identity");
+        for loader in ["build_str", "str", "hilbert", "omt"] {
+            let reference = disk_bytes(build(loader, &pts, SimulatedDisk::new(), 4096));
+            assert!(reference.len() > 300 * PAGE_SIZE, "{loader}: several runs of pages");
+            for pool in [2, 7, 4096] {
+                let sim = disk_bytes(build(loader, &pts, SimulatedDisk::new(), pool));
+                assert!(sim == reference, "{loader}: simulated file differs at pool {pool}");
+                drop(build(loader, &pts, FileDisk::create(&path).unwrap(), pool));
+                let file = std::fs::read(&path).unwrap();
+                assert!(file == reference, "{loader}: page file differs at pool {pool}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// With the whole tree in the pool, the build reaches the disk in
+    /// runs of up to `RUN_PAGES` pages: one `write_run` per run plus the
+    /// superblock, not one write per page.
+    #[test]
+    fn build_writes_pages_in_runs() {
+        let pts = scatter(20_000);
+        let tree = PagedTree::build_str(
+            &pts,
+            RTreeConfig::default(),
+            FlakyDisk::default(),
+            RetryPolicy::none(),
+            4096,
+        )
+        .unwrap();
+        let pages = tree.meta().node_pages;
+        let disk = tree.store.into_disk();
+        assert_eq!(Disk::writes(&disk), pages + 1, "every page is written once");
+        assert!(
+            disk.write_calls <= pages.div_ceil(RUN_PAGES as u64) + 2,
+            "{} write calls for {pages} node pages",
+            disk.write_calls
+        );
+    }
+
+    /// Periodic write faults on a real page file are absorbed by
+    /// retrying whole runs: the build succeeds and writes the fault-free
+    /// file. The 4-page pool keeps every run shorter than the fault
+    /// period; a run of `n` or more pages would meet a fault on every
+    /// attempt under `fail_every(n)`.
+    #[test]
+    fn build_on_a_faulty_file_disk_matches_the_fault_free_file() {
+        use csj_storage::FileDisk;
+        let pts = scatter(2000);
+        let cfg = RTreeConfig::with_max_fanout(10);
+        let clean_path = temp_pages("fault_free");
+        let faulty_path = temp_pages("faulty");
+        let clean = FileDisk::create(&clean_path).unwrap();
+        drop(PagedTree::build_str(&pts, cfg, clean, RetryPolicy::none(), 4).unwrap());
+        let faulty = FileDisk::with_faults(&faulty_path, FaultPolicy::fail_every(5)).unwrap();
+        let tree = PagedTree::build_str(&pts, cfg, faulty, RetryPolicy::no_backoff(3), 4).unwrap();
+        let stats = tree.stats();
+        assert!(stats.faults_injected > 0 && stats.io_retries > 0, "{stats:?}");
+        drop(tree);
+        let (clean, faulty) = (std::fs::read(&clean_path), std::fs::read(&faulty_path));
+        assert!(faulty.unwrap() == clean.unwrap(), "the faulty build wrote a different file");
+        std::fs::remove_file(&clean_path).ok();
+        std::fs::remove_file(&faulty_path).ok();
     }
 }

@@ -26,22 +26,11 @@ use crate::rect::{RNode, RectCore};
 use crate::traits::LeafEntry;
 use crate::{RTreeConfig, SplitStrategy};
 use csj_geom::{Mbr, Point};
+use csj_storage::fnv1a64;
 
 const MAGIC: &[u8; 8] = b"CSJRTREE";
 const VERSION: u32 = 1;
 const NO_NODE: u32 = u32::MAX;
-
-/// FNV-1a over the payload: structural validation cannot notice a
-/// corrupted *interior* point (leaf MBRs are determined by extreme
-/// points only), so the format carries an integrity checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
 
 /// Errors surfaced while decoding a persisted tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +180,10 @@ pub fn serialize_rect<const D: usize>(core: &RectCore<D>) -> Vec<u8> {
             }
         }
     }
-    let checksum = fnv1a(&w.buf);
+    // Structural validation cannot notice a corrupted *interior* point
+    // (leaf MBRs are determined by extreme points only), so the format
+    // carries an integrity checksum over the payload.
+    let checksum = fnv1a64(&w.buf);
     w.u64(checksum);
     w.buf
 }
@@ -215,7 +207,7 @@ pub fn deserialize_rect<const D: usize>(bytes: &[u8]) -> Result<RectCore<D>, Per
     // csj-lint: allow(panic-safety) — split_at(len - 8) makes the tail
     // exactly 8 bytes (the length was bounds-checked above).
     let stored_sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(payload) != stored_sum {
+    if fnv1a64(payload) != stored_sum {
         // Distinguish truncation (prefix of a valid file) heuristically:
         // a wrong-magic buffer reports BadMagic below either way.
         if &payload[..8.min(payload.len())] != MAGIC {
@@ -548,7 +540,7 @@ mod tests {
         let bytes = tree.to_bytes();
         let mut payload = bytes[..bytes.len() - 8].to_vec();
         payload[8] = 99;
-        let sum = super::fnv1a(&payload);
+        let sum = fnv1a64(&payload);
         payload.extend_from_slice(&sum.to_le_bytes());
         assert!(matches!(
             RStarTree::<2>::from_bytes(&payload).unwrap_err(),

@@ -21,6 +21,7 @@
 use std::io::{Read, Write};
 
 use csj_core::{JoinStats, OutputItem, ShardError};
+use csj_storage::fnv1a64;
 
 /// First two bytes of every frame; resynchronization is not attempted —
 /// a bad magic poisons the stream and the worker is declared lost.
@@ -38,17 +39,6 @@ pub const FRAME_FAIL: u8 = 4;
 /// Payloads larger than this are rejected as protocol violations
 /// (a corrupted length field must not trigger a huge allocation).
 pub const MAX_PAYLOAD: u32 = 256 << 20;
-
-/// FNV-1a over `bytes`: tiny, dependency-free, and plenty to catch the
-/// torn/garbled frames the fault plan injects.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Encodes one frame (header, payload, trailing checksum).
 pub fn encode_frame(frame_type: u8, payload: &[u8]) -> Vec<u8> {
@@ -685,12 +675,5 @@ mod tests {
         let mut extended = payload;
         extended.push(0);
         assert!(TaskFrame::decode(&extended).is_err(), "trailing bytes are rejected");
-    }
-
-    #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Reference values of the 64-bit FNV-1a test suite.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

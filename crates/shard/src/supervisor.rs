@@ -33,12 +33,12 @@ use std::time::{Duration, Instant};
 use csj_core::parallel::ParallelAlgo;
 use csj_core::{CancelToken, Completion, CsjError, JoinOutput, JoinStats, ShardError, StopReason};
 use csj_geom::{Metric, Point};
-use csj_storage::RetryPolicy;
+use csj_storage::{fnv1a64, RetryPolicy};
 
 use crate::fault::ShardFaultPlan;
 use crate::frame::{
-    encode_frame, fnv1a64, HeartbeatFrame, ResultFrame, TaskFrame, WirePoint, FRAME_FAIL,
-    FRAME_HEARTBEAT, FRAME_RESULT, FRAME_TASK,
+    encode_frame, HeartbeatFrame, ResultFrame, TaskFrame, WirePoint, FRAME_FAIL, FRAME_HEARTBEAT,
+    FRAME_RESULT, FRAME_TASK,
 };
 use crate::plan::{key_string, plan_shards, shard_membership, split_point, ShardSpec};
 use crate::transport::{Envelope, WorkerEvent, WorkerHandle, WorkerTransport};

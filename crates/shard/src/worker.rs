@@ -36,11 +36,11 @@ use csj_core::parallel::ParallelAlgo;
 use csj_core::{CsjError, JoinConfig, JoinOutput, OutputItem, ResilientJoin, ShardError};
 use csj_geom::{Metric, Point};
 use csj_index::{rstar::RStarTree, RTreeConfig};
-use csj_storage::{FaultPolicy, RetryPolicy};
+use csj_storage::{fnv1a64, FaultPolicy, RetryPolicy};
 
 use crate::frame::{
-    fault_code, fnv1a64, read_frame, write_frame, FailFrame, HeartbeatFrame, ReadFrame,
-    ResultFrame, TaskFrame, FRAME_RESULT, FRAME_TASK,
+    fault_code, read_frame, write_frame, FailFrame, HeartbeatFrame, ReadFrame, ResultFrame,
+    TaskFrame, FRAME_RESULT, FRAME_TASK,
 };
 
 /// Fanout of the worker-local R*-tree.

@@ -9,9 +9,10 @@
 //!
 //! The out-of-core engine uses the same pool *live*: every node read is
 //! admitted through [`BufferPool::try_access`], pages the traversal
-//! currently holds are **pinned** (eviction skips them), and the page id
-//! reported as evicted tells the paged store which frame to write back
-//! if dirty. When every frame is pinned the pool reports
+//! currently holds are **pinned** (eviction skips them), and
+//! [`BufferPool::next_victim`] names the frame the next miss evicts, so
+//! the paged store can write it back, if dirty, before admitting the
+//! page that evicts it. When every frame is pinned the pool reports
 //! [`StorageError::AllPagesPinned`] instead of silently growing — the
 //! invariant that resident data never exceeds `capacity` pages is what
 //! makes "memory bounded by the buffer pool" true rather than aspirational.
@@ -54,8 +55,9 @@ impl BufferStats {
 pub struct Admission {
     /// `true` when the page was already resident.
     pub hit: bool,
-    /// The page evicted to make room, if any — the caller's cue to
-    /// write that frame back if it is dirty.
+    /// The page evicted to make room, if any. A caller holding dirty
+    /// frames writes the victim back *before* admitting; see
+    /// [`BufferPool::next_victim`].
     pub evicted: Option<PageId>,
 }
 
@@ -133,6 +135,16 @@ impl BufferPool {
         self.stats
     }
 
+    /// The page the next miss would evict: `None` while the pool has a
+    /// free frame or when every frame is pinned. Lets a caller write a
+    /// dirty victim back *before* admitting the page that evicts it.
+    pub fn next_victim(&self) -> Option<PageId> {
+        if self.index.len() < self.capacity {
+            return None;
+        }
+        self.evictable_victim().map(|slot| self.slots[slot].page)
+    }
+
     /// Records an access to `page`, returning `true` on a hit. On a miss
     /// the page is brought in, evicting the least-recently-used page if
     /// the pool is full.
@@ -150,8 +162,8 @@ impl BufferPool {
 
     /// Records an access to `page`. On a miss the page is admitted,
     /// evicting the least-recently-used *unpinned* page if the pool is
-    /// full; the evicted id is reported so the caller can write the
-    /// frame back.
+    /// full; the evicted id is reported so the caller can drop what it
+    /// kept for that frame.
     ///
     /// # Errors
     /// Returns [`StorageError::AllPagesPinned`] when the pool is full
@@ -313,6 +325,22 @@ mod tests {
         assert!(!pool.access(p(1)));
         assert!(pool.access(p(1)));
         assert_eq!(pool.stats(), BufferStats { hits: 1, misses: 1, evictions: 0 });
+    }
+
+    #[test]
+    fn next_victim_names_the_page_a_miss_evicts() {
+        let mut pool = BufferPool::new(2);
+        pool.access(p(1));
+        assert_eq!(pool.next_victim(), None, "a free frame evicts nothing");
+        pool.access(p(2));
+        assert_eq!(pool.next_victim(), Some(p(1)));
+        pool.pin(p(1));
+        assert_eq!(pool.next_victim(), Some(p(2)), "pinned pages are skipped");
+        pool.pin(p(2));
+        assert_eq!(pool.next_victim(), None, "a fully pinned pool evicts nothing");
+        pool.unpin(p(1));
+        let adm = pool.try_access(p(3)).unwrap();
+        assert_eq!(adm.evicted, Some(p(1)));
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! * [`crate::SimulatedDisk`] — the in-memory page store used by the
 //!   Experiment-3 replay harness and by deterministic tests;
-//! * [`FileDisk`] — a real page file: page-aligned positional reads and
-//!   writes through a page-aligned buffer (`O_DIRECT` where the
-//!   platform and filesystem accept it, buffered I/O otherwise), with
-//!   `fsync` on [`Disk::sync`] so a checkpoint survives a crash.
+//! * [`FileDisk`] — a real page file: page-aligned positional reads of
+//!   one page and writes of whole runs of pages through page-aligned
+//!   buffers (`O_DIRECT` where the platform and filesystem accept it,
+//!   buffered I/O otherwise), with `fsync` on [`Disk::sync`] so a
+//!   checkpoint survives a crash.
 //!
 //! Both run every operation through the same [`FaultInjector`] gates as
 //! the simulation, so the PR-1/PR-5 resilience story — deterministic
@@ -23,6 +24,12 @@ use std::path::{Path, PathBuf};
 use crate::error::{IoOp, StorageError};
 use crate::fault::{FaultInjector, FaultPolicy};
 use crate::page::{Page, PageId, PAGE_SIZE};
+
+/// The longest run of consecutive pages written with one positioned
+/// write: 64 pages, 512 KiB. A paged store coalesces its dirty pages
+/// into runs of at most this many, and [`FileDisk`] sizes its write
+/// buffer to it.
+pub const RUN_PAGES: usize = 64;
 
 /// A device storing fixed-size pages addressed by [`PageId`].
 ///
@@ -65,6 +72,23 @@ pub trait Disk {
     /// [`StorageError::Io`] for OS failures.
     fn write(&mut self, page: &Page) -> Result<(), StorageError>;
 
+    /// Physically writes `bytes` to the consecutive pages from `first`
+    /// on, zero-padding the last one. Counted and fault-checked per
+    /// page, like that many [`Disk::write`]s. A failed call may have
+    /// written any part of the run; writing the whole run again is
+    /// always safe, since every page goes to a fixed position.
+    ///
+    /// The default writes one page at a time with [`Disk::write`].
+    ///
+    /// # Errors
+    /// As [`Disk::write`], for the first page that fails.
+    fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        for (i, chunk) in bytes.chunks(PAGE_SIZE).enumerate() {
+            self.write(&Page::with_data(PageId(first.0 + i as u64), chunk.to_vec()))?;
+        }
+        Ok(())
+    }
+
     /// Forces previous writes to durable storage (fsync on real files;
     /// a no-op on the simulation).
     ///
@@ -86,11 +110,12 @@ pub trait Disk {
 /// 4096 covers every common device and matches the page size evenly.
 const DIRECT_IO_ALIGN: usize = 4096;
 
-/// A heap buffer of one page, aligned for direct I/O.
+/// A zeroed heap buffer of whole pages, aligned for direct I/O.
 ///
 /// `Vec<u8>` guarantees only byte alignment, which `O_DIRECT` rejects;
 /// this buffer is allocated at [`DIRECT_IO_ALIGN`] so the same read and
-/// write paths serve both buffered and direct file handles.
+/// write paths serve both buffered and direct file handles. Its length
+/// is fixed at allocation: `layout.size()`.
 struct AlignedBuf {
     ptr: std::ptr::NonNull<u8>,
     layout: std::alloc::Layout,
@@ -101,13 +126,15 @@ struct AlignedBuf {
 unsafe impl Send for AlignedBuf {}
 
 impl AlignedBuf {
-    fn new_zeroed() -> Self {
-        let layout = std::alloc::Layout::from_size_align(PAGE_SIZE, DIRECT_IO_ALIGN)
-            // csj-lint: allow(panic-safety) — PAGE_SIZE and DIRECT_IO_ALIGN
-            // are in-crate constants; a bad layout is a compile-time-shaped
-            // bug, not a runtime condition to recover from.
+    /// A buffer of `pages` pages (at least one).
+    fn new_zeroed(pages: usize) -> Self {
+        let layout = std::alloc::Layout::from_size_align(pages.max(1) * PAGE_SIZE, DIRECT_IO_ALIGN)
+            // csj-lint: allow(panic-safety) — callers pass 1 or RUN_PAGES
+            // pages and DIRECT_IO_ALIGN is an in-crate constant; a bad
+            // layout is a compile-time-shaped bug, not a runtime
+            // condition to recover from.
             .expect("page layout is valid");
-        // SAFETY: `layout` has non-zero size (PAGE_SIZE > 0).
+        // SAFETY: `layout` has non-zero size (at least one PAGE_SIZE page).
         let raw = unsafe { std::alloc::alloc_zeroed(layout) };
         let Some(ptr) = std::ptr::NonNull::new(raw) else {
             std::alloc::handle_alloc_error(layout);
@@ -116,22 +143,24 @@ impl AlignedBuf {
     }
 
     fn as_slice(&self) -> &[u8] {
-        // SAFETY: `ptr` points to a live allocation of PAGE_SIZE bytes,
-        // initialized at construction and only ever written as bytes.
+        // SAFETY: `ptr` points to a live allocation of `layout.size()`
+        // bytes, initialized at construction and only ever written as
+        // bytes.
         // csj-lint: allow(unsafe-bounds) — struct invariant: `ptr` is a
-        // live `alloc_zeroed(PAGE_SIZE)` allocation owned by this buffer
-        // (freed only in Drop); the length is not derivable from any
-        // dominating guard the value-range analysis can see.
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), PAGE_SIZE) }
+        // live `alloc_zeroed(layout)` allocation owned by this buffer
+        // (freed only in Drop), and `layout` is never changed after it;
+        // the length is not derivable from any dominating guard the
+        // value-range analysis can see.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.layout.size()) }
     }
 
     fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: as in `as_slice`, plus `&mut self` guarantees
         // exclusive access for the lifetime of the returned slice.
         // csj-lint: allow(unsafe-bounds) — struct invariant, as in
-        // `as_slice`: the PAGE_SIZE length is an allocation fact, not a
-        // guard-provable one.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), PAGE_SIZE) }
+        // `as_slice`: the `layout.size()` length is a fact of this
+        // allocation, not a guard-provable one.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.layout.size()) }
     }
 }
 
@@ -145,7 +174,7 @@ impl Drop for AlignedBuf {
 
 impl std::fmt::Debug for AlignedBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AlignedBuf({} bytes @ {:?})", PAGE_SIZE, self.ptr)
+        write!(f, "AlignedBuf({} bytes @ {:?})", self.layout.size(), self.ptr)
     }
 }
 
@@ -160,8 +189,11 @@ const O_DIRECT: i32 = 0o200000;
 /// Pages live at offset `id · PAGE_SIZE`; the file length is always a
 /// whole number of pages. Opening first attempts an `O_DIRECT` handle
 /// (Linux; falls back silently where the filesystem refuses, e.g.
-/// tmpfs), and all transfers go through an aligned one-page buffer so
-/// the direct path and the buffered path share the same code.
+/// tmpfs), and all transfers go through aligned buffers so the direct
+/// path and the buffered path share the same code: reads through a
+/// one-page buffer, writes through a [`RUN_PAGES`]-page buffer that is
+/// allocated on the first write, so a handle that only reads never
+/// holds one.
 #[derive(Debug)]
 pub struct FileDisk {
     file: File,
@@ -170,6 +202,7 @@ pub struct FileDisk {
     direct: bool,
     faults: FaultInjector,
     scratch: AlignedBuf,
+    run_buf: Option<AlignedBuf>,
     reads: u64,
     writes: u64,
 }
@@ -203,7 +236,8 @@ impl FileDisk {
             pages: 0,
             direct,
             faults: FaultInjector::new(policy),
-            scratch: AlignedBuf::new_zeroed(),
+            scratch: AlignedBuf::new_zeroed(1),
+            run_buf: None,
             reads: 0,
             writes: 0,
         })
@@ -235,7 +269,8 @@ impl FileDisk {
             pages: len / PAGE_SIZE as u64,
             direct,
             faults: FaultInjector::none(),
-            scratch: AlignedBuf::new_zeroed(),
+            scratch: AlignedBuf::new_zeroed(1),
+            run_buf: None,
             reads: 0,
             writes: 0,
         })
@@ -288,29 +323,59 @@ impl FileDisk {
         Ok(())
     }
 
-    /// Writes `self.scratch` to the file at `offset`, restarting on
-    /// `EINTR` and resuming after partial writes.
-    fn write_page_at(&mut self, offset: u64) -> Result<(), StorageError> {
-        let mut written = 0usize;
-        while written < PAGE_SIZE {
-            match write_at(
-                &mut self.file,
-                &self.scratch.as_slice()[written..],
-                offset + written as u64,
-            ) {
-                Ok(0) => {
-                    return Err(StorageError::Io {
-                        op: IoOp::Write,
-                        detail: format!("{}: write returned 0 bytes", self.path.display()),
-                    })
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(StorageError::io_at(IoOp::Write, &self.path, &e)),
-            }
+    /// Writes `pages` consecutive pages from `first` on: `bytes`, then
+    /// zeros to the end of the last page. Each page passes the fault
+    /// gate and is counted before anything is written; the data then
+    /// goes out in one positioned write per [`RUN_PAGES`] pages.
+    fn write_pages(
+        &mut self,
+        first: PageId,
+        bytes: &[u8],
+        pages: usize,
+    ) -> Result<(), StorageError> {
+        for _ in 0..pages {
+            self.writes += 1;
+            self.faults.before_write()?;
+        }
+        if pages == 0 {
+            return Ok(());
+        }
+        let offset = self.check_bounds(first)?;
+        self.check_bounds(PageId(first.0.saturating_add(pages as u64 - 1)))?;
+        let buf = self.run_buf.get_or_insert_with(|| AlignedBuf::new_zeroed(RUN_PAGES));
+        let mut done = 0usize;
+        while done < pages {
+            let len = (pages - done).min(RUN_PAGES) * PAGE_SIZE;
+            let start = (done * PAGE_SIZE).min(bytes.len());
+            let src = &bytes[start..bytes.len().min(start + len)];
+            let out = &mut buf.as_mut_slice()[..len];
+            out[..src.len()].copy_from_slice(src);
+            out[src.len()..].fill(0);
+            write_all_at(&mut self.file, &self.path, out, offset + (done * PAGE_SIZE) as u64)?;
+            done += len / PAGE_SIZE;
         }
         Ok(())
     }
+}
+
+/// Writes all of `buf` to `file` at `offset`, restarting on `EINTR` and
+/// resuming after partial writes.
+fn write_all_at(file: &mut File, path: &Path, buf: &[u8], offset: u64) -> Result<(), StorageError> {
+    let mut written = 0usize;
+    while written < buf.len() {
+        match write_at(file, &buf[written..], offset + written as u64) {
+            Ok(0) => {
+                return Err(StorageError::Io {
+                    op: IoOp::Write,
+                    detail: format!("{}: write returned 0 bytes", path.display()),
+                })
+            }
+            Ok(n) => written += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(StorageError::io_at(IoOp::Write, path, &e)),
+        }
+    }
+    Ok(())
 }
 
 impl Disk for FileDisk {
@@ -345,14 +410,12 @@ impl Disk for FileDisk {
     }
 
     fn write(&mut self, page: &Page) -> Result<(), StorageError> {
-        self.writes += 1;
-        self.faults.before_write()?;
-        let offset = self.check_bounds(page.id)?;
         let n = page.data.len().min(PAGE_SIZE);
-        let scratch = self.scratch.as_mut_slice();
-        scratch[..n].copy_from_slice(&page.data[..n]);
-        scratch[n..].fill(0);
-        self.write_page_at(offset)
+        self.write_pages(page.id, &page.data[..n], 1)
+    }
+
+    fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        self.write_pages(first, bytes, bytes.len().div_ceil(PAGE_SIZE))
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
@@ -497,6 +560,38 @@ mod tests {
     }
 
     #[test]
+    fn write_run_spans_buffers_and_gates_every_page() {
+        let path = temp_path("run");
+        let pages = RUN_PAGES + 3;
+        let period = pages as u64 + 2;
+        let mut disk = FileDisk::with_faults(&path, FaultPolicy::fail_every_write(period)).unwrap();
+        disk.alloc_through(PageId(pages as u64)).unwrap();
+        // Page i of the run holds byte i; the last page is half full.
+        let mut bytes: Vec<u8> = (0..pages).flat_map(|i| fill(i as u8)).collect();
+        bytes.truncate(bytes.len() - PAGE_SIZE / 2);
+        disk.write_run(PageId(1), &bytes).unwrap();
+        assert_eq!(disk.writes(), pages as u64, "a run counts one write per page");
+        for i in 0..pages {
+            let mut want = fill(i as u8);
+            if i + 1 == pages {
+                want[PAGE_SIZE / 2..].fill(0);
+            }
+            assert_eq!(disk.read(PageId(i as u64 + 1)).unwrap().data, want, "page {}", i + 1);
+        }
+        // The next run meets the fault on its second page's gate.
+        let err = disk.write_run(PageId(1), &bytes[..3 * PAGE_SIZE]).unwrap_err();
+        assert_eq!(err, StorageError::FaultInjected { op: IoOp::Write, seq: period });
+        assert_eq!((disk.writes(), disk.faults_injected()), (period, 1));
+        // A run past the last allocated page is rejected whole.
+        let err = disk.write_run(PageId(pages as u64), &bytes[..2 * PAGE_SIZE]).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::PageOutOfBounds { page: pages as u64 + 1, pages: disk.pages }
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn truncated_file_reports_short_read() {
         let path = temp_path("short");
         let mut disk = FileDisk::create(&path).unwrap();
@@ -533,11 +628,14 @@ mod tests {
         fn exercise<D: Disk>(disk: &mut D) -> Vec<Vec<u8>> {
             let a = disk.alloc().unwrap();
             let b = disk.alloc().unwrap();
+            disk.alloc_through(PageId(b.0 + 2)).unwrap();
             disk.write(&Page::with_data(a, fill(1))).unwrap();
             disk.write(&Page::with_data(b, fill(2))).unwrap();
             disk.write(&Page::with_data(a, fill(3))).unwrap(); // overwrite
+                                                               // A run over b and the two pages after it, the last one short.
+            disk.write_run(b, &[fill(4), fill(5), vec![6; 10]].concat()).unwrap();
             disk.sync().unwrap();
-            vec![disk.read(a).unwrap().data, disk.read(b).unwrap().data]
+            (0..disk.num_pages()).map(|p| disk.read(PageId(p)).unwrap().data).collect()
         }
         let mut sim = crate::SimulatedDisk::new();
         let path = temp_path("agree");

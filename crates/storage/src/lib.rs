@@ -21,7 +21,8 @@
 //! counting [`SimulatedDisk`] and by [`disk::FileDisk`], a real page
 //! file using direct I/O where the platform permits it. The same
 //! [`BufferPool`] then runs *live* — pin counts keep in-use pages
-//! resident, eviction reports which frame to write back, and a fully
+//! resident, the pool names its next victim so a dirty frame is
+//! written back before it is evicted, and a fully
 //! pinned pool refuses admission ([`StorageError::AllPagesPinned`])
 //! rather than exceed its memory budget.
 //!
@@ -35,6 +36,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod buffer;
+pub mod checksum;
 pub mod costmodel;
 pub mod disk;
 pub mod error;
@@ -44,8 +46,9 @@ pub mod pager;
 pub mod writer;
 
 pub use buffer::{Admission, BufferPool, BufferStats};
+pub use checksum::fnv1a64;
 pub use costmodel::CostModel;
-pub use disk::{Disk, FileDisk};
+pub use disk::{Disk, FileDisk, RUN_PAGES};
 pub use error::{IoOp, StorageError};
 pub use fault::{FaultInjector, FaultPolicy};
 pub use page::{Page, PageId, PAGE_SIZE};

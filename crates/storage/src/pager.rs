@@ -314,6 +314,19 @@ impl<D: Disk> RetryPager<D> {
         self.with_retries(IoOp::Write, |disk| disk.write(page))
     }
 
+    /// Writes a run of consecutive pages ([`Disk::write_run`]),
+    /// retrying a failed run whole: each page goes to a fixed position,
+    /// so pages an earlier attempt already wrote are simply written
+    /// again.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::RetriesExhausted`] once transient faults
+    /// outlast the retry policy, or the underlying error for
+    /// non-retryable failures.
+    pub fn write_run(&mut self, first: PageId, bytes: &[u8]) -> Result<(), StorageError> {
+        self.with_retries(IoOp::Write, |disk| disk.write_run(first, bytes))
+    }
+
     /// Flushes the disk to durable storage, retrying transient faults.
     ///
     /// # Errors
@@ -483,6 +496,19 @@ mod tests {
         assert!(pager.retries() > 0, "faults were hit and retried");
         assert!(pager.disk().faults_injected() > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn pager_retries_a_failed_run_whole() {
+        let disk = SimulatedDisk::with_faults(FaultPolicy::fail_every_write(3));
+        let mut pager = RetryPager::new(disk, RetryPolicy::no_backoff(2));
+        pager.disk_mut().alloc_through(PageId(1));
+        pager.write_run(PageId(0), &[vec![1; PAGE_SIZE], vec![2; PAGE_SIZE]].concat()).unwrap();
+        // Write #3, this run's first page, faults; the retry rewrites both.
+        pager.write_run(PageId(0), &[vec![3; PAGE_SIZE], vec![4; PAGE_SIZE]].concat()).unwrap();
+        assert_eq!((pager.retries(), pager.disk().writes), (1, 5));
+        assert_eq!(pager.read(PageId(0)).unwrap().data, vec![3; PAGE_SIZE]);
+        assert_eq!(pager.read(PageId(1)).unwrap().data, vec![4; PAGE_SIZE]);
     }
 
     #[test]
