@@ -8,7 +8,9 @@
 //! frontier read-ahead on. For each pool size the run reports throughput
 //! (encoded links/sec) and the page-fault curve (pool misses,
 //! evictions, physical reads), plus the in-memory engine's run as the
-//! identity/throughput reference.
+//! identity/throughput reference. Every leg runs `REPS` times,
+//! interleaved round-robin with the others, and reports the min, median
+//! and max of its wall times; throughput is taken at the median.
 //!
 //! Every out-of-core leg must report byte-for-byte the same join stats
 //! as the in-memory engine (links, groups, distance computations) —
@@ -23,8 +25,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use csj_core::outofcore::{JoinVariant, OutOfCoreJoin};
+use csj_bench::harness::TimeStats;
+use csj_core::outofcore::OutOfCoreJoin;
+use csj_core::parallel::ParallelAlgo;
 use csj_core::{JoinConfig, JoinStats};
+use csj_geom::KernelPath;
 use csj_index::{PagedStats, PagedTree, RTreeConfig};
 use csj_storage::{FileDisk, FileSink, OutputSink, OutputWriter, RetryPolicy, PAGE_SIZE};
 
@@ -87,22 +92,64 @@ fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// Interleaved repetitions of every leg; each leg reports the min,
+/// median and max of its wall times (one repetition under `--smoke`).
+const REPS: usize = 3;
+
 /// Total links the output encodes: individual rows plus the pairs
 /// implied by group rows.
 fn encoded_links(stats: &JoinStats) -> u64 {
     stats.links_emitted + stats.links_in_groups
 }
 
+/// The two benchmarked joins, by row label.
+const ALGOS: [(&str, ParallelAlgo); 2] =
+    [("ncsj", ParallelAlgo::Ncsj), ("csj10", ParallelAlgo::Csj(10))];
+
+/// One in-memory reference leg per entry of [`ALGOS`]: its counters are
+/// the identity baseline every out-of-core leg must match.
+#[derive(Default)]
+struct Reference {
+    stats: JoinStats,
+    bytes: u64,
+    samples_ms: Vec<f64>,
+}
+
+/// One out-of-core leg; the counters are those of its last repetition.
+#[derive(Default)]
 struct Leg {
-    variant_name: &'static str,
+    /// Index into [`ALGOS`].
+    algo: usize,
     pool_pages: usize,
     pool_fraction: f64,
-    wall_ms: f64,
-    links_per_sec: f64,
+    samples_ms: Vec<f64>,
     output_bytes: u64,
     stats: JoinStats,
     paged: PagedStats,
     prefetch_budget_pages: usize,
+}
+
+/// Runs `algo` over the in-memory tree into `out_path`: wall ms, stats
+/// and output bytes.
+fn in_memory_run(
+    rtree: &csj_index::rstar::RStarTree<2>,
+    algo: ParallelAlgo,
+    eps: f64,
+    out_path: &std::path::Path,
+    width: usize,
+) -> (f64, JoinStats, u64) {
+    let mut writer = OutputWriter::new(FileSink::create(out_path).expect("output file"), width);
+    let t = Instant::now();
+    let stats = match algo {
+        ParallelAlgo::Ncsj => csj_core::NcsjJoin::new(eps).run_streaming(rtree, &mut writer),
+        ParallelAlgo::Csj(g) => {
+            csj_core::CsjJoin::new(eps).with_window(g).run_streaming(rtree, &mut writer)
+        }
+        ParallelAlgo::Ssj => unreachable!("ssj is not benchmarked"),
+    }
+    .expect("in-memory join");
+    let wall = t.elapsed().as_secs_f64() * 1e3;
+    (wall, stats, writer.finish().expect("flush").bytes_written())
 }
 
 #[allow(clippy::too_many_lines)]
@@ -118,6 +165,7 @@ fn main() {
     let pts = csj_data::roads::pacific_nw(args.n);
     let eps = args.eps;
     let cfg_tree = RTreeConfig::default();
+    let width = OutputWriter::<FileSink>::id_width_for(pts.len());
 
     // Build the page file once; every leg reopens it read-only with its
     // own pool size. The build pool is generous — building is not what
@@ -142,36 +190,9 @@ fn main() {
     );
     drop(built);
 
-    // In-memory reference: same traversal, arena-resident nodes. Its
-    // stats are the identity baseline every out-of-core leg must match.
+    // In-memory reference: same traversal, arena-resident nodes.
     let rtree = csj_index::rstar::RStarTree::bulk_load_str(&pts, cfg_tree);
-    let mut reference: Vec<(&'static str, JoinStats, f64, u64)> = Vec::new();
-    for (name, variant) in [("ncsj", JoinVariant::Ncsj), ("csj10", JoinVariant::Csj { window: 10 })]
-    {
-        let out_path = dir.join(format!("mem_{name}.txt"));
-        let width = OutputWriter::<FileSink>::id_width_for(pts.len());
-        let mut writer =
-            OutputWriter::new(FileSink::create(&out_path).expect("output file"), width);
-        let t = Instant::now();
-        let stats = match variant {
-            JoinVariant::Ncsj => csj_core::NcsjJoin::new(eps)
-                .run_streaming(&rtree, &mut writer)
-                .expect("in-memory ncsj"),
-            JoinVariant::Csj { window } => csj_core::CsjJoin::new(eps)
-                .with_window(window)
-                .run_streaming(&rtree, &mut writer)
-                .expect("in-memory csj"),
-            JoinVariant::Ssj => unreachable!("ssj is not benchmarked"),
-        };
-        let wall = t.elapsed().as_secs_f64() * 1e3;
-        let bytes = writer.finish().expect("flush").bytes_written();
-        eprintln!(
-            "in-memory {name}: {wall:.0} ms, {} encoded links, {} bytes",
-            encoded_links(&stats),
-            bytes
-        );
-        reference.push((name, stats, wall, bytes));
-    }
+    let mut reference: Vec<Reference> = ALGOS.iter().map(|_| Reference::default()).collect();
 
     // Pool curve: 1/64 .. 1/8 of the index footprint (the acceptance
     // ceiling), smallest first so the hardest configuration runs first.
@@ -179,21 +200,45 @@ fn main() {
     let mut legs: Vec<Leg> = Vec::new();
     for &frac in fractions {
         let pool = ((node_pages / frac).max(4)) as usize;
-        for (name, variant) in
-            [("ncsj", JoinVariant::Ncsj), ("csj10", JoinVariant::Csj { window: 10 })]
-        {
+        for algo in 0..ALGOS.len() {
+            legs.push(Leg {
+                algo,
+                pool_pages: pool,
+                pool_fraction: 1.0 / frac as f64,
+                prefetch_budget_pages: (pool / 4).max(8),
+                ..Leg::default()
+            });
+        }
+    }
+
+    // Every repetition runs every leg once, in the same order, so host
+    // drift hits all legs alike.
+    let reps = if args.smoke { 1 } else { REPS };
+    for rep in 0..reps {
+        for (r, &(name, algo)) in reference.iter_mut().zip(&ALGOS) {
+            let out_path = dir.join(format!("mem_{name}.txt"));
+            let (wall, stats, bytes) = in_memory_run(&rtree, algo, eps, &out_path, width);
+            eprintln!(
+                "rep {rep} in-memory {name}: {wall:.0} ms, {} encoded links, {bytes} bytes",
+                encoded_links(&stats)
+            );
+            r.samples_ms.push(wall);
+            r.stats = stats;
+            r.bytes = bytes;
+        }
+        for leg in &mut legs {
+            let (name, algo) = ALGOS[leg.algo];
+            let pool = leg.pool_pages;
             let tree = PagedTree::<2, _>::open(
                 FileDisk::open(&pages_path).expect("open page file"),
                 RetryPolicy::default(),
                 pool,
             )
             .expect("open paged tree");
-            let prefetch_pages = (pool / 4).max(8);
-            let join = OutOfCoreJoin::new(variant, eps)
+            let join = OutOfCoreJoin::new(algo, eps)
                 .with_config(JoinConfig::new(eps))
-                .with_prefetch_budget(prefetch_pages * PAGE_SIZE);
-            let out_path = dir.join(format!("ooc_{name}_{frac}.txt"));
-            let width = OutputWriter::<FileSink>::id_width_for(pts.len());
+                .with_prefetch_budget(leg.prefetch_budget_pages * PAGE_SIZE);
+            let out_path = dir.join(format!("ooc_{name}_{pool}.txt"));
             let mut writer =
                 OutputWriter::new(FileSink::create(&out_path).expect("output file"), width);
             let t = Instant::now();
@@ -204,30 +249,28 @@ fn main() {
             let output_bytes = writer.finish().expect("flush").bytes_written();
             let paged = tree.stats();
 
-            // Identity gate: the out-of-core engine must reproduce the
+            // Identity gate: the out-of-core run must reproduce the
             // in-memory run exactly.
-            let (_, ref_stats, _, ref_bytes) =
-                reference.iter().find(|(n, ..)| *n == name).expect("reference leg");
-            assert_eq!(stats.links_emitted, ref_stats.links_emitted, "{name} links diverged");
-            assert_eq!(stats.groups_emitted, ref_stats.groups_emitted, "{name} groups diverged");
+            let r = &reference[leg.algo];
+            assert_eq!(stats.links_emitted, r.stats.links_emitted, "{name} links diverged");
+            assert_eq!(stats.groups_emitted, r.stats.groups_emitted, "{name} groups diverged");
             assert_eq!(
-                stats.distance_computations, ref_stats.distance_computations,
+                stats.distance_computations, r.stats.distance_computations,
                 "{name} comparisons diverged"
             );
-            assert_eq!(output_bytes, *ref_bytes, "{name} output bytes diverged");
+            assert_eq!(output_bytes, r.bytes, "{name} output bytes diverged");
             if args.smoke {
                 let mem = std::fs::read(dir.join(format!("mem_{name}.txt"))).expect("read");
                 let ooc = std::fs::read(&out_path).expect("read");
-                assert!(mem == ooc, "{name} output files diverged at pool=1/{frac}");
+                assert!(mem == ooc, "{name} output files diverged at {pool} pages");
             }
             let _ = std::fs::remove_file(&out_path);
 
-            let secs = wall_ms / 1e3;
             eprintln!(
-                "pool 1/{frac} ({pool} pages) {name}: {wall_ms:.0} ms, {:.0} links/s, \
+                "rep {rep} pool {pool} pages {name}: {wall_ms:.0} ms, {:.0} links/s, \
                  {} misses / {} hits ({:.1}% hit rate), {} evictions, {} prefetched \
                  ({} issued, {} late, {} wasted)",
-                encoded_links(&stats) as f64 / secs,
+                encoded_links(&stats) as f64 / (wall_ms / 1e3),
                 paged.pool.misses,
                 paged.pool.hits,
                 paged.pool.hit_rate() * 100.0,
@@ -237,17 +280,10 @@ fn main() {
                 paged.prefetch.late,
                 paged.prefetch.wasted
             );
-            legs.push(Leg {
-                variant_name: name,
-                pool_pages: pool,
-                pool_fraction: 1.0 / frac as f64,
-                wall_ms,
-                links_per_sec: encoded_links(&stats) as f64 / secs,
-                output_bytes,
-                stats,
-                paged,
-                prefetch_budget_pages: prefetch_pages,
-            });
+            leg.samples_ms.push(wall_ms);
+            leg.output_bytes = output_bytes;
+            leg.stats = stats;
+            leg.paged = paged;
         }
     }
 
@@ -255,7 +291,10 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"benchmark\": \"outofcore\",");
     let _ = writeln!(json, "  \"rustc\": \"{}\",", rustc_version());
+    let _ = writeln!(json, "  \"host_parallelism\": {},", csj_core::parallel::default_threads());
+    let _ = writeln!(json, "  \"kernel_path\": \"{}\",", KernelPath::detect().name());
     let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
+    let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"dataset\": \"pacific-nw\",");
     let _ = writeln!(json, "  \"n\": {},", args.n);
     let _ = writeln!(json, "  \"eps\": {},", eps);
@@ -264,35 +303,46 @@ fn main() {
     let _ = writeln!(json, "  \"footprint_bytes\": {},", footprint_bytes);
     let _ = writeln!(json, "  \"build_ms\": {:.1},", build_ms);
     let _ = writeln!(json, "  \"in_memory\": [");
-    for (i, (name, stats, wall, bytes)) in reference.iter().enumerate() {
+    for (i, (r, (name, _))) in reference.iter().zip(ALGOS).enumerate() {
         let comma = if i + 1 == reference.len() { "" } else { "," };
+        let wall = TimeStats::from_samples_ms(r.samples_ms.clone());
         let _ = writeln!(
             json,
-            "    {{\"algo\": \"{name}\", \"wall_ms\": {wall:.1}, \"links\": {}, \
-             \"groups\": {}, \"output_bytes\": {bytes}, \"links_per_sec\": {:.0}}}{comma}",
-            encoded_links(stats),
-            stats.groups_emitted,
-            encoded_links(stats) as f64 / (wall / 1e3)
+            "    {{\"algo\": \"{}\", \"wall_ms_min\": {:.1}, \"wall_ms_median\": {:.1}, \
+             \"wall_ms_max\": {:.1}, \"links\": {}, \"groups\": {}, \"output_bytes\": {}, \
+             \"links_per_sec\": {:.0}}}{comma}",
+            name,
+            wall.min_ms,
+            wall.median_ms,
+            wall.max_ms,
+            encoded_links(&r.stats),
+            r.stats.groups_emitted,
+            r.bytes,
+            encoded_links(&r.stats) as f64 / (wall.median_ms / 1e3)
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"pool_curve\": [");
     for (i, leg) in legs.iter().enumerate() {
         let comma = if i + 1 == legs.len() { "" } else { "," };
+        let wall = TimeStats::from_samples_ms(leg.samples_ms.clone());
         let _ = writeln!(
             json,
             "    {{\"algo\": \"{}\", \"pool_pages\": {}, \"pool_fraction\": {:.5}, \
-             \"prefetch_budget_pages\": {}, \"wall_ms\": {:.1}, \"links_per_sec\": {:.0}, \
+             \"prefetch_budget_pages\": {}, \"wall_ms_min\": {:.1}, \"wall_ms_median\": {:.1}, \
+             \"wall_ms_max\": {:.1}, \"links_per_sec\": {:.0}, \
              \"output_bytes\": {}, \"links\": {}, \"groups\": {}, \"pool_hits\": {}, \
              \"pool_misses\": {}, \"hit_rate\": {:.4}, \"evictions\": {}, \"disk_reads\": {}, \
              \"io_retries\": {}, \"prefetch_supplied\": {}, \"prefetch_issued\": {}, \
              \"prefetch_late\": {}, \"prefetch_late_wait_ms\": {:.1}, \"prefetch_wasted\": {}}}{comma}",
-            leg.variant_name,
+            ALGOS[leg.algo].0,
             leg.pool_pages,
             leg.pool_fraction,
             leg.prefetch_budget_pages,
-            leg.wall_ms,
-            leg.links_per_sec,
+            wall.min_ms,
+            wall.median_ms,
+            wall.max_ms,
+            encoded_links(&leg.stats) as f64 / (wall.median_ms / 1e3),
             leg.output_bytes,
             encoded_links(&leg.stats),
             leg.stats.groups_emitted,
@@ -316,7 +366,7 @@ fn main() {
 
     // Temp-dir hygiene: remove everything this run created unless the
     // caller chose the directory.
-    for (name, ..) in &reference {
+    for (name, _) in ALGOS {
         let _ = std::fs::remove_file(dir.join(format!("mem_{name}.txt")));
     }
     if args.data_dir.is_none() {

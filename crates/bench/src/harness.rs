@@ -4,8 +4,9 @@
 use std::time::Instant;
 
 use csj_core::csj::CsjJoin;
-use csj_core::estimate::BudgetedSsj;
 use csj_core::ncsj::NcsjJoin;
+use csj_core::parallel::ParallelAlgo;
+use csj_core::{ResilientJoin, RunBudget};
 use csj_geom::Point;
 use csj_index::JoinIndex;
 use csj_storage::{CostModel, CountingSink, OutputWriter};
@@ -126,23 +127,31 @@ pub fn measure<T: JoinIndex<D>, const D: usize>(
 ) -> Measurement {
     match algo {
         Algo::Ssj => {
-            let runner = BudgetedSsj::new(eps, ssj_budget);
+            // The budget is checked before each root task, so a tripped
+            // run's totals are extrapolated from the completed fraction.
+            let runner = ResilientJoin::new(eps, ParallelAlgo::Ssj)
+                .with_budget(RunBudget::unlimited().with_max_links(ssj_budget));
+            let run = |writer: &mut OutputWriter<CountingSink>| {
+                runner.run_streaming(tree, writer).expect("counting sink cannot fail")
+            };
             // One instrumented run for sizes, then timing runs.
-            let est = runner.run(tree, id_width);
+            let mut writer = OutputWriter::new(CountingSink::new(), id_width);
+            let report = run(&mut writer);
             let time_ms = median_time_ms(iters, || {
-                let _ = runner.run(tree, id_width);
+                run(&mut OutputWriter::new(CountingSink::new(), id_width));
             });
-            let scale = 1.0 / est.fraction_done;
+            let scale = 1.0 / report.completion.completed_fraction();
+            let links = report.stats.links_emitted as f64 * scale;
             Measurement {
                 algo: algo.name(),
                 eps,
                 time_ms: time_ms * scale,
-                bytes: est.measured_bytes as f64 * scale,
-                rows: est.measured_links as f64 * scale,
-                links: est.measured_links as f64 * scale,
+                bytes: writer.bytes_written() as f64 * scale,
+                rows: links,
+                links,
                 groups: 0.0,
-                distance_computations: est.stats.distance_computations as f64 * scale,
-                estimated: !est.completed,
+                distance_computations: report.stats.distance_computations as f64 * scale,
+                estimated: !report.completion.is_complete(),
             }
         }
         Algo::Ncsj => {
@@ -301,7 +310,10 @@ mod tests {
         let ncsj = measure(&tree, Algo::Ncsj, eps, 1, 3, u64::MAX);
         let csj = measure(&tree, Algo::Csj(10), eps, 1, 3, u64::MAX);
         assert!(!ssj.estimated);
-        assert!(ssj.links > 0.0);
+        // Within budget the SSJ figures are exact.
+        let exact = csj_core::SsjJoin::new(eps).run(&tree);
+        assert_eq!(ssj.links, exact.num_links() as f64);
+        assert_eq!(ssj.bytes, exact.total_bytes(3) as f64);
         assert!(csj.bytes <= ncsj.bytes);
         assert!(ncsj.bytes <= ssj.bytes);
     }
@@ -315,6 +327,10 @@ mod tests {
         let m = measure(&tree, Algo::Ssj, 0.5, 1, 3, 100);
         assert!(m.estimated);
         assert!(m.links >= 100.0);
+        // The extrapolation is crude but must be the right order of
+        // magnitude on this near-uniform grid.
+        let ratio = m.links / csj_core::SsjJoin::new(0.5).run(&tree).num_links() as f64;
+        assert!((0.1..10.0).contains(&ratio), "estimate / exact = {ratio}");
     }
 
     #[test]

@@ -327,7 +327,7 @@ fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
 /// nodes resident (plus 32 pages of frontier read-ahead). Output
 /// rows are bit-identical to the in-memory sequential join.
 fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliError> {
-    use csj_core::outofcore::{JoinVariant, OutOfCoreJoin};
+    use csj_core::outofcore::OutOfCoreJoin;
     use csj_index::PagedTree;
     use csj_storage::{FileDisk, RetryPolicy, PAGE_SIZE};
 
@@ -347,10 +347,10 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
             "--buffer-pages must be at least 2 (a leaf-pair probe pins two pages)".to_string(),
         ));
     }
-    let variant = match opts.get("algo").unwrap_or("csj") {
-        "ssj" => JoinVariant::Ssj,
-        "ncsj" => JoinVariant::Ncsj,
-        "csj" => JoinVariant::Csj { window: opts.get_or("window", 10usize).usage()? },
+    let algo = match opts.get("algo").unwrap_or("csj") {
+        "ssj" => ParallelAlgo::Ssj,
+        "ncsj" => ParallelAlgo::Ncsj,
+        "csj" => ParallelAlgo::Csj(opts.get_or("window", 10usize).usage()?),
         other => {
             return Err(CliError::usage(format!("unknown --algo {other:?} (ssj, ncsj or csj)")))
         }
@@ -409,7 +409,7 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
     );
 
     let width = OutputWriter::<csj_storage::CountingSink>::id_width_for(points.len());
-    let join = OutOfCoreJoin::new(variant, eps)
+    let join = OutOfCoreJoin::new(algo, eps)
         .with_config(JoinConfig::new(eps).with_metric(metric))
         .with_prefetch_budget(32 * PAGE_SIZE);
     let start = Instant::now();

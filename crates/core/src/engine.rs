@@ -21,9 +21,10 @@
 //! what a step does once visited: stop early, probe a leaf (pair), or run
 //! its surviving child steps — in stored order, or in plane-sweep order
 //! when configured. The recursion runs those children; the parallel
-//! runner's task splitter and the root splits of the resilient and
-//! budgeted runners take them from [`Engine::split`] and run them as
-//! separate tasks, so every path counts the same visits and pruned pairs.
+//! runner's task splitter and the resilient runner's root split (the one
+//! sequential task loop, over any source) take them from
+//! [`Engine::split`] and run them as separate tasks, so every path counts
+//! the same visits and pruned pairs.
 //!
 //! Output rows go to a [`RowSink`] — collected in memory or streamed
 //! straight into a `csj-storage` writer — so the same engine serves both
@@ -400,6 +401,11 @@ pub trait NodeSource<const D: usize> {
 
     /// The frame of the matching [`NodeSource::push`] has returned.
     fn pop(&mut self) {}
+
+    /// The run is over, finished or failed: release what the source
+    /// holds and add what it counted to `stats` (storage retries
+    /// absorbed during the run).
+    fn end_run(&mut self, _stats: &mut JoinStats) {}
 }
 
 /// A leaf of an in-memory [`JoinIndex`], read on demand.

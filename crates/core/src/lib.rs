@@ -17,9 +17,9 @@
 //! | [`brute`] | `O(n²)` reference join |
 //! | [`verify`] | machine checks of the paper's Theorems 1 & 2 |
 //! | [`outlier`] | small-group outlier mining (§I application) |
-//! | [`estimate`] | budgeted SSJ runs with extrapolated estimates |
+//! | [`resilient`] | the sequential task loop: budgets, cancel, SSJ estimates |
 //! | [`parallel`] | multi-threaded task-parallel variants (extension) |
-//! | [`paged`] | run any join through a live buffer pool (Exp. 3) |
+//! | [`outofcore`] | joins over page-resident trees through a buffer pool (Exp. 3) |
 //! | [`group`] | group shapes (MBR per the paper; ball as §V-A ablation) |
 //! | [`output`] | join output, expansion, byte accounting |
 //! | [`stats`] | operation counters and access logs |
@@ -58,13 +58,11 @@ pub mod csj;
 pub mod egrid;
 pub mod engine;
 pub mod error;
-pub mod estimate;
 pub mod group;
 pub mod ncsj;
 pub mod outlier;
 pub mod outofcore;
 pub mod output;
-pub mod paged;
 pub mod parallel;
 pub mod resilient;
 pub mod spatial;

@@ -1,12 +1,13 @@
-//! The fault-tolerant join runner.
+//! The fault-tolerant join runner: the one sequential task loop.
 //!
-//! [`ResilientJoin`] wraps the Figure-3 engine with the full robustness
-//! stack: a [`RunBudget`] checked at root-level task boundaries (the
-//! engine's own root split, [`Engine::split_root`]), a
-//! cooperative [`CancelToken`], and a [`StorageProbe`] that escalates
-//! unrecoverable page-I/O errors (transient faults are absorbed by the
-//! storage layer's retries and only *counted*, in
-//! [`JoinStats::io_retries`]).
+//! [`ResilientJoin`] runs the Figure-3 engine over any [`NodeSource`] —
+//! an in-memory tree (`&tree`) or a page-resident one
+//! ([`crate::outofcore::PagedSource`]) — with the full robustness stack:
+//! a [`RunBudget`] checked at root-level task boundaries (the engine's
+//! own root split, [`Engine::split_root`]) and a cooperative
+//! [`CancelToken`]. A page read that fails beyond the storage layer's
+//! retries is an `Err` from the source; the retries it did absorb are
+//! only *counted*, in [`JoinStats::io_retries`].
 //!
 //! The degradation contract mirrors §VI of the paper, where SSJ runs
 //! that outgrew free disk were *crashed* and their totals extrapolated
@@ -38,17 +39,15 @@
 
 use std::time::Instant;
 
-use csj_index::JoinIndex;
 use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 use crate::engine::{
-    CollectSink, DirectEmit, Engine, LinkHandler, RowSink, StreamSink, WindowedEmit,
+    CollectSink, DirectEmit, Engine, LinkHandler, NodeSource, RowSink, StreamSink, WindowedEmit,
 };
 use crate::error::CsjError;
 use crate::group::MbrShape;
 use crate::output::JoinOutput;
-use crate::paged::{NoProbe, StorageProbe};
 use crate::parallel::ParallelAlgo;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
@@ -113,162 +112,116 @@ impl ResilientJoin {
         self
     }
 
-    /// Runs the join over a plain in-memory tree, collecting rows.
+    /// Runs the join over `source` (`&tree` for an in-memory tree),
+    /// collecting rows.
     ///
-    /// Storage cannot fail here, so the only early exits are the budget
-    /// and the cancel token — both reported through
+    /// The budget and the cancel token stop the run early through
     /// [`JoinOutput::completion`], never as `Err`.
     ///
     /// # Errors
-    /// Returns [`CsjError::InvalidConfig`] for an invalid configuration;
-    /// storage errors cannot occur on the in-memory path.
-    pub fn run<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Result<JoinOutput, CsjError> {
-        self.run_probed(tree, &NoProbe)
+    /// Returns [`CsjError::Storage`] when a node read fails beyond the
+    /// storage layer's retries (never on an in-memory tree).
+    pub fn run<S: NodeSource<D>, const D: usize>(&self, source: S) -> Result<JoinOutput, CsjError> {
+        let (sink, stats, completion) = self.run_into(source, CollectSink::default())?;
+        Ok(JoinOutput { items: sink.items, stats, completion })
     }
 
-    /// Runs the join over a tree whose storage health is observable
-    /// through `probe` (e.g. a [`crate::paged::FaultPagedTree`], passed
-    /// as both arguments).
-    ///
-    /// Transient faults absorbed by the storage layer's retries are added
-    /// to [`JoinStats::io_retries`]; an *unrecoverable* storage error is
-    /// escalated as `Err` at the next task boundary.
-    ///
-    /// # Errors
-    /// Returns [`CsjError::Storage`] when the probe reports an
-    /// unrecoverable storage failure, or [`CsjError::InvalidConfig`] for
-    /// an invalid configuration.
-    pub fn run_probed<T: JoinIndex<D>, P: StorageProbe, const D: usize>(
-        &self,
-        tree: &T,
-        probe: &P,
-    ) -> Result<JoinOutput, CsjError> {
-        match self.algo {
-            ParallelAlgo::Ssj => self.collect_with(tree, probe, false, DirectEmit),
-            ParallelAlgo::Ncsj => self.collect_with(tree, probe, true, DirectEmit),
-            ParallelAlgo::Csj(g) => self.collect_with(
-                tree,
-                probe,
-                true,
-                WindowedEmit::<MbrShape<D>, D>::new(g, self.cfg.epsilon, self.cfg.metric),
-            ),
-        }
-    }
-
-    /// Runs the join streaming rows into `writer` (constant memory).
+    /// Runs the join over `source` streaming rows into `writer` (constant
+    /// memory).
     ///
     /// Sink failures (full disk, injected faults) surface as `Err`; rows
     /// already written remain valid output over the processed region.
     ///
     /// # Errors
-    /// Returns [`CsjError::Storage`] when the sink rejects a write.
-    pub fn run_streaming<T: JoinIndex<D>, S: OutputSink, const D: usize>(
+    /// Returns [`CsjError::Storage`] when the sink rejects a write or a
+    /// node read fails beyond retry.
+    pub fn run_streaming<S, W, const D: usize>(
         &self,
-        tree: &T,
-        writer: &mut OutputWriter<S>,
-    ) -> Result<ResilientReport, CsjError> {
-        self.run_streaming_probed(tree, &NoProbe, writer)
-    }
-
-    /// [`ResilientJoin::run_streaming`] with a storage probe on the tree
-    /// side as well.
-    ///
-    /// # Errors
-    /// Returns [`CsjError::Storage`] when the sink rejects a write or the
-    /// probe reports an unrecoverable storage failure.
-    pub fn run_streaming_probed<T, P, S, const D: usize>(
-        &self,
-        tree: &T,
-        probe: &P,
-        writer: &mut OutputWriter<S>,
+        source: S,
+        writer: &mut OutputWriter<W>,
     ) -> Result<ResilientReport, CsjError>
     where
-        T: JoinIndex<D>,
-        P: StorageProbe,
-        S: OutputSink,
+        S: NodeSource<D>,
+        W: OutputSink,
     {
-        match self.algo {
-            ParallelAlgo::Ssj => self.stream_with(tree, probe, false, DirectEmit, writer),
-            ParallelAlgo::Ncsj => self.stream_with(tree, probe, true, DirectEmit, writer),
-            ParallelAlgo::Csj(g) => self.stream_with(
-                tree,
-                probe,
-                true,
-                WindowedEmit::<MbrShape<D>, D>::new(g, self.cfg.epsilon, self.cfg.metric),
-                writer,
-            ),
-        }
-    }
-
-    fn collect_with<T, P, H, const D: usize>(
-        &self,
-        tree: &T,
-        probe: &P,
-        early_stop: bool,
-        handler: H,
-    ) -> Result<JoinOutput, CsjError>
-    where
-        T: JoinIndex<D>,
-        P: StorageProbe,
-        H: LinkHandler<D>,
-    {
-        let (sink, stats, completion) =
-            self.run_tasks(tree, probe, early_stop, handler, CollectSink::default())?;
-        Ok(JoinOutput { items: sink.items, stats, completion })
-    }
-
-    fn stream_with<T, P, H, S, const D: usize>(
-        &self,
-        tree: &T,
-        probe: &P,
-        early_stop: bool,
-        handler: H,
-        writer: &mut OutputWriter<S>,
-    ) -> Result<ResilientReport, CsjError>
-    where
-        T: JoinIndex<D>,
-        P: StorageProbe,
-        H: LinkHandler<D>,
-        S: OutputSink,
-    {
-        let (_, stats, completion) =
-            self.run_tasks(tree, probe, early_stop, handler, StreamSink::new(writer))?;
+        let (_, stats, completion) = self.run_into(source, StreamSink::new(writer))?;
         Ok(ResilientReport { stats, completion })
     }
 
-    /// The shared task loop: split the root into tasks, run them through
-    /// one engine, check cancel / storage / budget before the split and
-    /// between tasks, drain the window on any stop.
-    fn run_tasks<T, P, H, R, const D: usize>(
+    /// Runs the configured algorithm's link handling (CSJ(g) with MBR
+    /// groups, as in the paper) through the task loop into `sink`.
+    fn run_into<S, R, const D: usize>(
         &self,
-        tree: &T,
-        probe: &P,
+        source: S,
+        sink: R,
+    ) -> Result<(R, JoinStats, Completion), CsjError>
+    where
+        S: NodeSource<D>,
+        R: RowSink,
+    {
+        match self.algo {
+            ParallelAlgo::Ssj => self.run_tasks(source, false, DirectEmit, sink),
+            ParallelAlgo::Ncsj => self.run_tasks(source, true, DirectEmit, sink),
+            ParallelAlgo::Csj(g) => {
+                let window =
+                    WindowedEmit::<MbrShape<D>, D>::new(g, self.cfg.epsilon, self.cfg.metric);
+                self.run_tasks(source, true, window, sink)
+            }
+        }
+    }
+
+    /// The shared task loop: one engine over `source`, then the source's
+    /// end of run — also after a failure, so it can release what it
+    /// holds.
+    fn run_tasks<S, H, R, const D: usize>(
+        &self,
+        source: S,
         early_stop: bool,
         handler: H,
         sink: R,
     ) -> Result<(R, JoinStats, Completion), CsjError>
     where
-        T: JoinIndex<D>,
-        P: StorageProbe,
+        S: NodeSource<D>,
+        H: LinkHandler<D>,
+        R: RowSink,
+    {
+        let mut engine = Engine::new(source, self.cfg, early_stop, handler, sink);
+        if let Some(token) = &self.cancel {
+            engine.set_cancel(token.clone());
+        }
+        let completion = self.drive(&mut engine);
+        engine.source.end_run(&mut engine.stats);
+        let completion = completion?;
+        let Engine { sink, stats, .. } = engine;
+        Ok((sink, stats, completion))
+    }
+
+    /// Splits the root into tasks and runs them in order, checking
+    /// cancel and budget before the split and between tasks, and drains
+    /// the window on any stop.
+    fn drive<S, H, R, const D: usize>(
+        &self,
+        engine: &mut Engine<S, H, R, D>,
+    ) -> Result<Completion, CsjError>
+    where
+        S: NodeSource<D>,
         H: LinkHandler<D>,
         R: RowSink,
     {
         let start = Instant::now();
-        let mut engine = Engine::new(tree, self.cfg, early_stop, handler, sink);
-        if let Some(token) = &self.cancel {
-            engine.set_cancel(token.clone());
-        }
-
         // A cancel or a budget trip before any work stops the run without
         // splitting the root (a pre-canceled token costs zero node
         // visits). The split credits the root's visit and pruned pairs.
-        let mut reason = self.boundary_check(&engine.stats, probe, start)?;
+        let mut reason = self.boundary_check(&engine.stats, start);
         let tasks = if reason.is_none() { engine.split_root()? } else { Vec::new() };
+        // The tasks are the root frame's steps: on the source frontier
+        // while they run, as in `Engine::run`, so read-ahead sees them.
+        engine.source.push(&tasks);
         let mut done = 0usize;
         for &task in &tasks {
             // Pre-task boundary: a cancel or a budget trip stops the run
             // before more work starts.
-            if let Some(r) = self.boundary_check(&engine.stats, probe, start)? {
+            if let Some(r) = self.boundary_check(&engine.stats, start) {
                 reason = Some(r);
                 break;
             }
@@ -280,48 +233,29 @@ impl ResilientJoin {
             }
             done += 1;
         }
+        engine.source.pop();
         // Always drain buffered groups: the output must be lossless over
         // the region the traversal actually covered.
         engine.finish_only()?;
-        if let Some(e) = probe.storage_error() {
-            return Err(e.into());
-        }
-
-        let mut stats = std::mem::take(&mut engine.stats);
-        stats.io_retries += probe.io_retries();
-        let usage = self.usage_of(&stats);
-        let completion = match reason {
+        Ok(match reason {
             None => Completion::Complete,
-            Some(r) => Completion::partial(
-                r,
-                done as f64 / tasks.len().max(1) as f64,
-                usage.links,
-                usage.bytes,
-            ),
-        };
-        Ok((engine.sink, stats, completion))
+            Some(r) => {
+                let usage = self.usage_of(&engine.stats);
+                let fraction = done as f64 / tasks.len().max(1) as f64;
+                Completion::partial(r, fraction, usage.links, usage.bytes)
+            }
+        })
     }
 
-    /// Cancel, storage and budget checks at a task boundary.
-    fn boundary_check<P: StorageProbe>(
-        &self,
-        stats: &JoinStats,
-        probe: &P,
-        start: Instant,
-    ) -> Result<Option<StopReason>, CsjError> {
+    /// Cancel and budget checks at a task boundary.
+    fn boundary_check(&self, stats: &JoinStats, start: Instant) -> Option<StopReason> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_canceled) {
-            return Ok(Some(StopReason::Canceled));
+            return Some(StopReason::Canceled);
         }
-        if let Some(e) = probe.storage_error() {
-            return Err(e.into());
+        if self.budget.is_unlimited() {
+            return None;
         }
-        if !self.budget.is_unlimited() {
-            let usage = self.usage_of(stats);
-            if let Some(r) = self.budget.exceeded_by(&usage, start.elapsed()) {
-                return Ok(Some(r));
-            }
-        }
-        Ok(None)
+        self.budget.exceeded_by(&self.usage_of(stats), start.elapsed())
     }
 
     /// Resource usage derived from the counters alone: links emitted plus
@@ -342,11 +276,11 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_links;
     use crate::csj::CsjJoin;
-    use crate::paged::FaultPagedTree;
+    use crate::outofcore::PagedSource;
     use crate::ssj::SsjJoin;
     use csj_geom::Point;
-    use csj_index::{rstar::RStarTree, RTreeConfig};
-    use csj_storage::{FaultPolicy, RetryPolicy, VecSink};
+    use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
+    use csj_storage::{FaultPolicy, RetryPolicy, SimulatedDisk, VecSink};
 
     fn stripe(n: usize) -> Vec<Point<2>> {
         (0..n)
@@ -466,18 +400,32 @@ mod tests {
         assert_eq!(out.completion.stop_reason(), Some(StopReason::Deadline));
     }
 
+    /// `tree` on a simulated disk failing per `faults`, behind a pool of
+    /// four pages: small enough that the join misses and reads.
+    fn faulty_pages(
+        tree: &RStarTree<2>,
+        faults: FaultPolicy,
+        retry: RetryPolicy,
+    ) -> PagedTree<2, SimulatedDisk> {
+        PagedTree::from_core(tree.core(), SimulatedDisk::with_faults(faults), retry, 4)
+            .expect("fail_every_read faults no write")
+    }
+
     #[test]
     fn absorbed_faults_surface_as_retry_counts() {
         let pts = stripe(1000);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
         let eps = 0.04;
-        let faulty =
-            FaultPagedTree::new(&tree, FaultPolicy::fail_every_read(3), RetryPolicy::no_backoff(4));
+        let paged =
+            faulty_pages(&tree, FaultPolicy::fail_every_read(3), RetryPolicy::no_backoff(4));
         let out = ResilientJoin::new(eps, ParallelAlgo::Csj(10))
-            .run_probed(&faulty, &faulty)
+            .run(PagedSource::new(&paged, None))
             .expect("retries absorb every 3rd-read fault");
         assert!(out.completion.is_complete());
         assert!(out.stats.io_retries > 0, "retries must be counted");
+        assert_eq!(out.stats.io_retries, paged.stats().io_retries);
+        let plain = CsjJoin::new(eps).with_window(10).run(&tree);
+        assert_eq!(out.items, plain.items, "absorbed faults change no row");
         assert_eq!(out.expanded_link_set(), brute_force_links(&pts, eps));
     }
 
@@ -485,10 +433,9 @@ mod tests {
     fn unrecoverable_fault_is_a_typed_error_not_a_panic() {
         let pts = stripe(500);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
-        let faulty =
-            FaultPagedTree::new(&tree, FaultPolicy::fail_every_read(1), RetryPolicy::none());
+        let paged = faulty_pages(&tree, FaultPolicy::fail_every_read(1), RetryPolicy::none());
         let err = ResilientJoin::new(0.04, ParallelAlgo::Ssj)
-            .run_probed(&faulty, &faulty)
+            .run(PagedSource::new(&paged, None))
             .expect_err("every read fails and there are no retries");
         assert!(matches!(err, CsjError::Storage(_)), "{err}");
     }

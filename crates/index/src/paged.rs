@@ -943,6 +943,12 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
         self.store.stats()
     }
 
+    /// Consumes the tree, returning the backing disk (to reopen it cold
+    /// with [`PagedTree::open`]).
+    pub fn into_disk(self) -> Dk {
+        self.store.into_disk()
+    }
+
     /// Appends every record id below `page` to `out`, in **exactly** the
     /// order of [`crate::JoinIndex::collect_record_ids`]'s default
     /// implementation (stack-based, children revisited last-first) — the

@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use csj_core::paged::FaultPagedTree;
+use csj_core::outofcore::PagedSource;
 use csj_core::parallel::ParallelAlgo;
 use csj_core::{CsjError, JoinConfig, JoinOutput, OutputItem, ResilientJoin, ShardError};
 use csj_geom::{Metric, Point};
-use csj_index::{rstar::RStarTree, RTreeConfig};
-use csj_storage::{fnv1a64, FaultPolicy, RetryPolicy};
+use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
+use csj_storage::{fnv1a64, FaultPolicy, RetryPolicy, SimulatedDisk};
 
 use crate::frame::{
     fault_code, read_frame, write_frame, FailFrame, HeartbeatFrame, ReadFrame, ResultFrame,
@@ -45,6 +45,9 @@ use crate::frame::{
 
 /// Fanout of the worker-local R*-tree.
 const WORKER_FANOUT: usize = 8;
+
+/// Buffer pool of a pager fault drill: small enough that the join reads.
+const DRILL_POOL_PAGES: usize = 4;
 
 /// Granularity of interruptible sleeps (kill-flag polling).
 const SLEEP_SLICE: Duration = Duration::from_millis(5);
@@ -285,12 +288,10 @@ fn run_local_join<const D: usize>(
                 .with_jitter_seed(fnv1a64(
                     &task.key.iter().flat_map(|k| k.to_le_bytes()).collect::<Vec<u8>>(),
                 ));
-        let faulty = FaultPagedTree::new(
-            &tree,
-            FaultPolicy::fail_every_read(task.pager_fail_every_read),
-            retry,
-        );
-        join.run_probed(&faulty, &faulty)
+        let disk =
+            SimulatedDisk::with_faults(FaultPolicy::fail_every_read(task.pager_fail_every_read));
+        let paged = PagedTree::from_core(tree.core(), disk, retry, DRILL_POOL_PAGES)?;
+        join.run(PagedSource::new(&paged, None))
     } else {
         join.run(&tree)
     }

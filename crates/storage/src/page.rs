@@ -34,13 +34,12 @@ impl Page {
 
     /// A page with the given contents, zero-padded to [`PAGE_SIZE`].
     ///
+    /// # Panics
     /// Contents longer than a page are a logic error in the caller's
-    /// encoder: silently truncating them would corrupt the tail of the
-    /// record on disk, so debug builds panic instead. (Release builds
-    /// still clamp — a torn page is strictly better than an
-    /// out-of-contract page length downstream.)
+    /// encoder: truncating them would silently corrupt the tail of the
+    /// record on disk, so every build panics instead.
     pub fn with_data(id: PageId, mut data: Vec<u8>) -> Self {
-        debug_assert!(
+        assert!(
             data.len() <= PAGE_SIZE,
             "page payload ({} bytes) exceeds PAGE_SIZE ({PAGE_SIZE}) — encoder must split \
              or reject before reaching the page layer",

@@ -5,12 +5,12 @@
 //! lossless over the processed region.
 
 use csj_core::brute::brute_force_links;
-use csj_core::paged::FaultPagedTree;
+use csj_core::outofcore::PagedSource;
 use csj_core::parallel::ParallelAlgo;
 use csj_core::{Completion, ResilientJoin, RunBudget, StopReason};
 use csj_geom::Point;
-use csj_index::{rstar::RStarTree, RTreeConfig};
-use csj_storage::{FaultPolicy, RetryPolicy};
+use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
+use csj_storage::{FaultPolicy, RetryPolicy, SimulatedDisk};
 
 /// Seven tight, well-separated clusters: ~285 points each, so the true
 /// link set (~285k links at eps = 0.05) dwarfs the 10k budget.
@@ -31,17 +31,19 @@ fn faulty_budgeted_join_survives_and_degrades_gracefully() {
     assert!(truth.len() > 10_000, "need more true links than budget, got {}", truth.len());
 
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
-    let faulty =
-        FaultPagedTree::new(&tree, FaultPolicy::fail_every_read(3), RetryPolicy::no_backoff(4));
+    // The tree on pages behind a four-page pool, so the join reads pages.
+    let disk = SimulatedDisk::with_faults(FaultPolicy::fail_every_read(3));
+    let paged = PagedTree::from_core(tree.core(), disk, RetryPolicy::no_backoff(4), 4)
+        .expect("read faults do not affect writes");
     let out = ResilientJoin::new(eps, ParallelAlgo::Csj(10))
         .with_budget(RunBudget::unlimited().with_max_links(10_000))
-        .run_probed(&faulty, &faulty)
+        .run(PagedSource::new(&paged, None))
         .expect("transient faults are retried away; a budget stop is not an error");
 
     // Every 3rd page read failed once; the pager's retries absorbed them
     // and the count surfaces in the run's stats.
     assert!(out.stats.io_retries > 0, "io_retries must be reported in JoinStats");
-    assert!(faulty.faults_injected() > 0);
+    assert!(paged.stats().faults_injected > 0);
 
     match out.completion {
         Completion::Partial { reason, completed_fraction, estimated_links, estimated_bytes } => {

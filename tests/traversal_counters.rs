@@ -1,14 +1,16 @@
 //! Every runner of the Figure-3 recursion does the same traversal work.
 //!
-//! The resilient runner, the budgeted SSJ and the parallel runner split
-//! the traversal into tasks; a split parent's own visit and the pairs it
+//! The resilient runner (over an in-memory tree, under a link budget
+//! that never trips, and over pages) and the parallel runner split the
+//! traversal into tasks; a split parent's own visit and the pairs it
 //! pruned still belong to the run. Their traversal counters must equal
 //! the sequential engine's, at any thread count and on every run.
 
-use csj_core::estimate::BudgetedSsj;
+use csj_core::outofcore::PagedSource;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
-use csj_core::{CsjJoin, JoinStats, NcsjJoin, ResilientJoin, SsjJoin};
-use csj_index::{rstar::RStarTree, RTreeConfig};
+use csj_core::{CsjJoin, JoinStats, NcsjJoin, ResilientJoin, RunBudget, SsjJoin};
+use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
+use csj_storage::{CountingSink, OutputWriter, RetryPolicy, SimulatedDisk};
 
 const EPS: f64 = 0.01;
 
@@ -50,13 +52,31 @@ fn resilient_runner_counts_the_sequential_traversal() {
     }
 }
 
+/// The figure harness's SSJ estimate run: a link budget, rows counted.
 #[test]
 fn budgeted_ssj_counts_the_sequential_traversal() {
     let tree = tree();
     let seq = sequential(ParallelAlgo::Ssj, &tree);
-    let est = BudgetedSsj::new(EPS, u64::MAX).run(&tree, 6);
-    assert!(est.completed);
-    assert_eq!(traversal(&est.stats), traversal(&seq));
+    let mut writer = OutputWriter::new(CountingSink::new(), 6);
+    let report = ResilientJoin::new(EPS, ParallelAlgo::Ssj)
+        .with_budget(RunBudget::unlimited().with_max_links(u64::MAX))
+        .run_streaming(&tree, &mut writer)
+        .expect("a counting sink cannot fail");
+    assert!(report.completion.is_complete());
+    assert_eq!(traversal(&report.stats), traversal(&seq));
+}
+
+#[test]
+fn resilient_runner_over_pages_counts_the_sequential_traversal() {
+    let tree = tree();
+    let paged =
+        PagedTree::from_core(tree.core(), SimulatedDisk::new(), RetryPolicy::none(), 16).unwrap();
+    for algo in ALGOS {
+        let seq = sequential(algo, &tree);
+        let out = ResilientJoin::new(EPS, algo).run(PagedSource::new(&paged, None)).unwrap();
+        assert!(out.completion.is_complete());
+        assert_eq!(traversal(&out.stats), traversal(&seq), "{algo:?}");
+    }
 }
 
 #[test]
