@@ -198,6 +198,7 @@ pub fn drop_named(state: &mut BTreeSet<Held>, name: &str) {
 /// attributed at the call site (receiver shape), never propagated.
 const GENERIC_NAMES: &[&str] = &[
     "read",
+    "read_into",
     "write",
     "write_run",
     "sync",

@@ -8,9 +8,14 @@
 //! frontier read-ahead on. For each pool size the run reports throughput
 //! (encoded links/sec) and the page-fault curve (pool misses,
 //! evictions, physical reads), plus the in-memory engine's run as the
-//! identity/throughput reference. Every leg runs `REPS` times,
-//! interleaved round-robin with the others, and reports the min, median
-//! and max of its wall times; throughput is taken at the median.
+//! identity/throughput reference. A last pair of legs runs the 1/64
+//! pool over a `SimulatedDisk` copy of the page file with no read-ahead:
+//! no disk and no reader threads, so it measures the CPU the page path
+//! adds to the join. Every leg runs `REPS` times, interleaved
+//! round-robin with the others, and reports the min, median and max of
+//! its wall times; throughput is taken at the median, and
+//! `vs_in_memory` is the leg's median over the in-memory median of the
+//! same join.
 //!
 //! Every out-of-core leg must report byte-for-byte the same join stats
 //! as the in-memory engine (links, groups, distance computations) —
@@ -31,7 +36,10 @@ use csj_core::parallel::ParallelAlgo;
 use csj_core::{JoinConfig, JoinStats};
 use csj_geom::KernelPath;
 use csj_index::{PagedStats, PagedTree, RTreeConfig};
-use csj_storage::{FileDisk, FileSink, OutputSink, OutputWriter, RetryPolicy, PAGE_SIZE};
+use csj_storage::disk::Disk;
+use csj_storage::{
+    FileDisk, FileSink, OutputSink, OutputWriter, RetryPolicy, SimulatedDisk, PAGE_SIZE,
+};
 
 struct Args {
     smoke: bool,
@@ -120,6 +128,8 @@ struct Reference {
 struct Leg {
     /// Index into [`ALGOS`].
     algo: usize,
+    /// Over a `SimulatedDisk` copy of the page file, without read-ahead.
+    simulated: bool,
     pool_pages: usize,
     pool_fraction: f64,
     samples_ms: Vec<f64>,
@@ -127,6 +137,27 @@ struct Leg {
     stats: JoinStats,
     paged: PagedStats,
     prefetch_budget_pages: usize,
+}
+
+/// Runs one out-of-core leg over `tree` into `out_path`, with
+/// read-ahead from `prefetch_path` when given: wall ms, stats and output
+/// bytes.
+fn paged_run<Dk: Disk>(
+    tree: &PagedTree<2, Dk>,
+    leg: &Leg,
+    eps: f64,
+    out_path: &std::path::Path,
+    width: usize,
+    prefetch_path: Option<&std::path::Path>,
+) -> (f64, JoinStats, u64) {
+    let join = OutOfCoreJoin::new(ALGOS[leg.algo].1, eps)
+        .with_config(JoinConfig::new(eps))
+        .with_prefetch_budget(leg.prefetch_budget_pages * PAGE_SIZE);
+    let mut writer = OutputWriter::new(FileSink::create(out_path).expect("output file"), width);
+    let t = Instant::now();
+    let stats = join.run_streaming(tree, &mut writer, prefetch_path).expect("out-of-core join");
+    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+    (wall_ms, stats, writer.finish().expect("flush").bytes_written())
 }
 
 /// Runs `algo` over the in-memory tree into `out_path`: wall ms, stats
@@ -210,6 +241,28 @@ fn main() {
             });
         }
     }
+    // The page path's CPU alone: the smallest pool over a simulated
+    // disk, with no read-ahead.
+    let sim_pool = ((node_pages / fractions[0]).max(4)) as usize;
+    for algo in 0..ALGOS.len() {
+        legs.push(Leg {
+            algo,
+            simulated: true,
+            pool_pages: sim_pool,
+            pool_fraction: 1.0 / fractions[0] as f64,
+            ..Leg::default()
+        });
+    }
+    let mut sim_disk = Some({
+        let mut file = FileDisk::open(&pages_path).expect("open page file");
+        let mut sim = SimulatedDisk::new();
+        for page in 0..file.num_pages() {
+            let page = file.read(csj_storage::PageId(page)).expect("read page file");
+            sim.alloc();
+            sim.write(&page).expect("copy page");
+        }
+        sim
+    });
 
     // Every repetition runs every leg once, in the same order, so host
     // drift hits all legs alike.
@@ -227,27 +280,26 @@ fn main() {
             r.bytes = bytes;
         }
         for leg in &mut legs {
-            let (name, algo) = ALGOS[leg.algo];
+            let name = ALGOS[leg.algo].0;
             let pool = leg.pool_pages;
-            let tree = PagedTree::<2, _>::open(
-                FileDisk::open(&pages_path).expect("open page file"),
-                RetryPolicy::default(),
-                pool,
-            )
-            .expect("open paged tree");
-            let join = OutOfCoreJoin::new(algo, eps)
-                .with_config(JoinConfig::new(eps))
-                .with_prefetch_budget(leg.prefetch_budget_pages * PAGE_SIZE);
             let out_path = dir.join(format!("ooc_{name}_{pool}.txt"));
-            let mut writer =
-                OutputWriter::new(FileSink::create(&out_path).expect("output file"), width);
-            let t = Instant::now();
-            let stats = join
-                .run_streaming(&tree, &mut writer, Some(&pages_path))
-                .expect("out-of-core join");
-            let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-            let output_bytes = writer.finish().expect("flush").bytes_written();
-            let paged = tree.stats();
+            let (wall_ms, stats, output_bytes, paged) = if leg.simulated {
+                let mut disk = sim_disk.take().expect("the simulated page file");
+                disk.reads = 0;
+                let tree = PagedTree::<2, _>::open(disk, RetryPolicy::default(), pool)
+                    .expect("open paged tree");
+                let (wall_ms, stats, bytes) = paged_run(&tree, leg, eps, &out_path, width, None);
+                let paged = tree.stats();
+                sim_disk = Some(tree.into_disk());
+                (wall_ms, stats, bytes, paged)
+            } else {
+                let disk = FileDisk::open(&pages_path).expect("open page file");
+                let tree = PagedTree::<2, _>::open(disk, RetryPolicy::default(), pool)
+                    .expect("open paged tree");
+                let (wall_ms, stats, bytes) =
+                    paged_run(&tree, leg, eps, &out_path, width, Some(&pages_path));
+                (wall_ms, stats, bytes, tree.stats())
+            };
 
             // Identity gate: the out-of-core run must reproduce the
             // in-memory run exactly.
@@ -267,9 +319,10 @@ fn main() {
             let _ = std::fs::remove_file(&out_path);
 
             eprintln!(
-                "rep {rep} pool {pool} pages {name}: {wall_ms:.0} ms, {:.0} links/s, \
+                "rep {rep} pool {pool} pages {name}{}: {wall_ms:.0} ms, {:.0} links/s, \
                  {} misses / {} hits ({:.1}% hit rate), {} evictions, {} prefetched \
                  ({} issued, {} late, {} wasted)",
+                if leg.simulated { " (simulated disk)" } else { "" },
                 encoded_links(&stats) as f64 / (wall_ms / 1e3),
                 paged.pool.misses,
                 paged.pool.hits,
@@ -326,22 +379,26 @@ fn main() {
     for (i, leg) in legs.iter().enumerate() {
         let comma = if i + 1 == legs.len() { "" } else { "," };
         let wall = TimeStats::from_samples_ms(leg.samples_ms.clone());
+        let in_memory = TimeStats::from_samples_ms(reference[leg.algo].samples_ms.clone());
         let _ = writeln!(
             json,
-            "    {{\"algo\": \"{}\", \"pool_pages\": {}, \"pool_fraction\": {:.5}, \
-             \"prefetch_budget_pages\": {}, \"wall_ms_min\": {:.1}, \"wall_ms_median\": {:.1}, \
-             \"wall_ms_max\": {:.1}, \"links_per_sec\": {:.0}, \
+            "    {{\"algo\": \"{}\", \"disk\": \"{}\", \"pool_pages\": {}, \
+             \"pool_fraction\": {:.5}, \"prefetch_budget_pages\": {}, \"wall_ms_min\": {:.1}, \
+             \"wall_ms_median\": {:.1}, \"wall_ms_max\": {:.1}, \"vs_in_memory\": {:.2}, \
+             \"links_per_sec\": {:.0}, \
              \"output_bytes\": {}, \"links\": {}, \"groups\": {}, \"pool_hits\": {}, \
              \"pool_misses\": {}, \"hit_rate\": {:.4}, \"evictions\": {}, \"disk_reads\": {}, \
              \"io_retries\": {}, \"prefetch_supplied\": {}, \"prefetch_issued\": {}, \
              \"prefetch_late\": {}, \"prefetch_late_wait_ms\": {:.1}, \"prefetch_wasted\": {}}}{comma}",
             ALGOS[leg.algo].0,
+            if leg.simulated { "simulated" } else { "file" },
             leg.pool_pages,
             leg.pool_fraction,
             leg.prefetch_budget_pages,
             wall.min_ms,
             wall.median_ms,
             wall.max_ms,
+            wall.median_ms / in_memory.median_ms,
             encoded_links(&leg.stats) as f64 / (wall.median_ms / 1e3),
             leg.output_bytes,
             encoded_links(&leg.stats),

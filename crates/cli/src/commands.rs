@@ -440,7 +440,7 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
     eprintln!(
         "buffer pool: {} hits / {} misses ({:.1}% hit rate), {} evictions; disk: {} page reads, \
          {} page writes, {} retries; prefetch supplied {} pages ({} issued, {} late waiting \
-         {:.1} ms, {} wasted)",
+         {:.1} ms, {} wasted; {} accesses the frontier did not list)",
         pg.pool.hits,
         pg.pool.misses,
         pg.pool.hit_rate() * 100.0,
@@ -453,6 +453,7 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
         pg.prefetch.late,
         pg.prefetch.late_wait_ns as f64 / 1e6,
         pg.prefetch.wasted,
+        pg.prefetch.unlisted,
     );
     Ok(())
 }

@@ -396,6 +396,11 @@ pub trait NodeSource<const D: usize> {
         out: &mut Vec<LeafEntry<D>>,
     ) -> Result<(), CsjError>;
 
+    /// The rules the engine expands steps by, given before the run: a
+    /// source that reads ahead can apply them to children it already
+    /// holds.
+    fn expand_with(&mut self, _expander: Expander) {}
+
     /// A frame is about to run `steps`, in order.
     fn push(&mut self, _steps: &[Step<Self::Node>]) {}
 
@@ -475,14 +480,178 @@ impl<'t, T: JoinIndex<D>, const D: usize> NodeSource<D> for &'t T {
 }
 
 /// What a step does once visited.
-enum Expansion {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Expansion {
     /// Its subtree (pair) fits within ε: one group.
     EarlyStop,
     /// A leaf (pair): probe the records.
     Leaf,
-    /// Its surviving child steps, in execution order, now end the
-    /// engine's step stack.
+    /// It expands into child steps.
     Children,
+}
+
+/// The rules that decide a step's fate, none of which reads a node: the
+/// early-stop and leaf tests, then child pairing with the MINDIST prune,
+/// in stored order or, with plane sweep, in order of the children's
+/// lower bound on the widest axis, where a pair is skipped once the axis
+/// gap alone exceeds ε.
+///
+/// The engine applies them to the children it reads. A source that
+/// reads ahead gets them from [`NodeSource::expand_with`] and applies
+/// them to children it already holds, to learn a frame's page reads
+/// before the frame runs.
+#[derive(Clone, Copy, Debug)]
+pub struct Expander {
+    cfg: JoinConfig,
+    early_stop: bool,
+}
+
+impl Expander {
+    /// The rules of a join with `cfg`; `early_stop` enables the compact
+    /// joins' group rules.
+    pub fn new(cfg: JoinConfig, early_stop: bool) -> Self {
+        Expander { cfg, early_stop }
+    }
+
+    /// How `step` expands.
+    pub fn classify<S: NodeSource<D>, const D: usize>(
+        &self,
+        src: &S,
+        step: Step<S::Node>,
+    ) -> Expansion {
+        let (eps, metric) = (self.cfg.epsilon, self.cfg.metric);
+        match step {
+            Step::Node(n) => {
+                if self.early_stop && src.max_diameter(n, metric) <= eps {
+                    Expansion::EarlyStop
+                } else if src.is_leaf(n) {
+                    Expansion::Leaf
+                } else {
+                    Expansion::Children
+                }
+            }
+            Step::Pair(a, b) => {
+                if self.early_stop && src.pair_diameter(a, b, metric) <= eps {
+                    Expansion::EarlyStop
+                } else if src.is_leaf(a) && src.is_leaf(b) {
+                    Expansion::Leaf
+                } else {
+                    Expansion::Children
+                }
+            }
+        }
+    }
+
+    /// Pairs the children of a `step` classified [`Expansion::Children`]:
+    /// `ca` holds the children of `n` for `Node(n)`, or of `a` for
+    /// `Pair(a, b)` (empty if `a` is a leaf); `cb` those of `b` (empty
+    /// if `b` is a leaf). Hands `emit` each child step in execution
+    /// order and `None` for each pair the MINDIST prune drops, until
+    /// `emit` returns `false`.
+    pub fn pair<S: NodeSource<D>, const D: usize>(
+        &self,
+        src: &S,
+        step: Step<S::Node>,
+        ca: Vec<S::Node>,
+        cb: Vec<S::Node>,
+        mut emit: impl FnMut(Option<Step<S::Node>>) -> bool,
+    ) {
+        // A pair step, or `None` when the MINDIST prune drops it.
+        let pair = |x: S::Node, y: S::Node| {
+            (src.min_dist(x, y, self.cfg.metric) <= self.cfg.epsilon).then_some(Step::Pair(x, y))
+        };
+        match step {
+            Step::Node(n) => {
+                let axis = self.sweep_axis(src, &[n]);
+                let children = self.sweep_sorted(src, ca, axis);
+                for (i, &a) in children.iter().enumerate() {
+                    if !emit(Some(Step::Node(a))) {
+                        return;
+                    }
+                    for &b in &children[(i + 1)..] {
+                        if self.swept_past(src, axis, a, b) {
+                            break;
+                        }
+                        if !emit(pair(a, b)) {
+                            return;
+                        }
+                    }
+                }
+            }
+            Step::Pair(a, b) => match (src.is_leaf(a), src.is_leaf(b)) {
+                (true, true) => {}
+                (true, false) => {
+                    for c in cb {
+                        if !emit(pair(a, c)) {
+                            return;
+                        }
+                    }
+                }
+                (false, true) => {
+                    for c in ca {
+                        if !emit(pair(c, b)) {
+                            return;
+                        }
+                    }
+                }
+                (false, false) => {
+                    let axis = self.sweep_axis(src, &[a, b]);
+                    let (ca, cb) =
+                        (self.sweep_sorted(src, ca, axis), self.sweep_sorted(src, cb, axis));
+                    for &x in &ca {
+                        for &y in &cb {
+                            if self.swept_past(src, axis, x, y) {
+                                break;
+                            }
+                            if !emit(pair(x, y)) {
+                                return;
+                            }
+                        }
+                    }
+                }
+            },
+        }
+    }
+
+    /// The plane-sweep axis over `nodes`' combined box, or `None` when
+    /// plane sweep is off.
+    fn sweep_axis<S: NodeSource<D>, const D: usize>(
+        &self,
+        src: &S,
+        nodes: &[S::Node],
+    ) -> Option<usize> {
+        self.cfg.plane_sweep.then(|| {
+            let union = nodes.iter().map(|&n| src.mbr(n)).reduce(|x, y| x.union(&y));
+            union.map_or(0, |m| widest_axis(&m))
+        })
+    }
+
+    /// `nodes` in sweep order: by lower bound on `axis` (stable), or as
+    /// stored without plane sweep.
+    fn sweep_sorted<S: NodeSource<D>, const D: usize>(
+        &self,
+        src: &S,
+        mut nodes: Vec<S::Node>,
+        axis: Option<usize>,
+    ) -> Vec<S::Node> {
+        if let Some(axis) = axis {
+            let lo = |n: S::Node| src.mbr(n).lo[axis];
+            nodes.sort_by(|&x, &y| lo(x).total_cmp(&lo(y)));
+        }
+        nodes
+    }
+
+    /// `true` when `b` starts more than ε past the end of `a` on the
+    /// sweep axis; in sweep order, so does every node after `b`.
+    fn swept_past<S: NodeSource<D>, const D: usize>(
+        &self,
+        src: &S,
+        axis: Option<usize>,
+        a: S::Node,
+        b: S::Node,
+    ) -> bool {
+        axis.is_some_and(|axis| src.mbr(b).lo[axis] - src.mbr(a).hi[axis] > self.cfg.epsilon)
+    }
 }
 
 /// The widest side of `mbr`: the plane-sweep axis, where axis
@@ -585,7 +754,8 @@ where
 {
     /// Builds an engine; `early_stop` enables the compact-join group
     /// rules (italic lines of Figure 3).
-    pub fn new(source: S, cfg: JoinConfig, early_stop: bool, handler: H, sink: R) -> Self {
+    pub fn new(mut source: S, cfg: JoinConfig, early_stop: bool, handler: H, sink: R) -> Self {
+        source.expand_with(Expander::new(cfg, early_stop));
         // One engine is one thread of execution; the parallel runner
         // overwrites this with the real worker count after merging.
         let stats = JoinStats { threads_used: 1, ..JoinStats::new(cfg.record_access_log) };
@@ -720,106 +890,41 @@ where
         }
     }
 
-    /// The one place a step's fate is decided: the early-stop test, then
-    /// the leaf test, then child pairing with the MINDIST prune (pruned
-    /// pairs are counted here). The surviving child steps are pushed on
-    /// the step stack: in stored order, or with plane sweep in order of
-    /// their lower bound on the widest axis, where a pair is skipped once
-    /// the axis gap alone exceeds ε.
+    /// The one place a step's fate is decided, by the [`Expander`]
+    /// rules: the children the step expands into are read here, and the
+    /// surviving child steps pushed on the step stack (pruned pairs are
+    /// counted here).
     fn expand(&mut self, step: Step<S::Node>) -> Result<Expansion, CsjError> {
-        let eps = self.cfg.epsilon;
-        let metric = self.cfg.metric;
-        match step {
-            Step::Node(n) => {
-                if self.early_stop && self.source.max_diameter(n, metric) <= eps {
-                    return Ok(Expansion::EarlyStop);
-                }
-                if self.source.is_leaf(n) {
-                    return Ok(Expansion::Leaf);
-                }
-                let axis = self.sweep_axis(&[n]);
-                let children = self.source.children(n)?;
-                let children = self.sweep_sorted(children, axis);
-                for (i, &a) in children.iter().enumerate() {
-                    self.steps.push(Step::Node(a));
-                    for &b in &children[(i + 1)..] {
-                        if self.swept_past(axis, a, b) {
-                            break;
-                        }
-                        self.pair_step(a, b);
-                    }
-                }
-            }
+        let expander = Expander::new(self.cfg, self.early_stop);
+        let fate = expander.classify(&self.source, step);
+        if fate != Expansion::Children {
+            return Ok(fate);
+        }
+        let (ca, cb) = match step {
+            Step::Node(n) => (self.source.children(n)?, Vec::new()),
             Step::Pair(a, b) => {
-                if self.early_stop && self.source.pair_diameter(a, b, metric) <= eps {
-                    return Ok(Expansion::EarlyStop);
-                }
-                match (self.source.is_leaf(a), self.source.is_leaf(b)) {
-                    (true, true) => return Ok(Expansion::Leaf),
-                    (true, false) => {
-                        for c in self.source.children(b)? {
-                            self.pair_step(a, c);
-                        }
-                    }
-                    (false, true) => {
-                        for c in self.source.children(a)? {
-                            self.pair_step(c, b);
-                        }
-                    }
-                    (false, false) => {
-                        let axis = self.sweep_axis(&[a, b]);
-                        let ca = self.source.children(a)?;
-                        let cb = self.source.children(b)?;
-                        let (ca, cb) = (self.sweep_sorted(ca, axis), self.sweep_sorted(cb, axis));
-                        for &x in &ca {
-                            for &y in &cb {
-                                if self.swept_past(axis, x, y) {
-                                    break;
-                                }
-                                self.pair_step(x, y);
-                            }
-                        }
-                    }
-                }
+                let ca =
+                    if self.source.is_leaf(a) { Vec::new() } else { self.source.children(a)? };
+                let cb =
+                    if self.source.is_leaf(b) { Vec::new() } else { self.source.children(b)? };
+                (ca, cb)
             }
-        }
+        };
+        let (steps, stats) = (&mut self.steps, &mut self.stats);
+        expander.pair(&self.source, step, ca, cb, |child| {
+            match child {
+                Some(child) => steps.push(child),
+                None => stats.pairs_pruned += 1,
+            }
+            true
+        });
         Ok(Expansion::Children)
-    }
-
-    /// Keeps `Pair(a, b)` if it survives the MINDIST prune.
-    fn pair_step(&mut self, a: S::Node, b: S::Node) {
-        if self.source.min_dist(a, b, self.cfg.metric) <= self.cfg.epsilon {
-            self.steps.push(Step::Pair(a, b));
-        } else {
-            self.stats.pairs_pruned += 1;
-        }
     }
 
     /// The plane-sweep axis over `nodes`' combined box, or `None` when
     /// plane sweep is off.
     fn sweep_axis(&self, nodes: &[S::Node]) -> Option<usize> {
-        self.cfg.plane_sweep.then(|| {
-            let union = nodes.iter().map(|&n| self.source.mbr(n)).reduce(|x, y| x.union(&y));
-            union.map_or(0, |m| widest_axis(&m))
-        })
-    }
-
-    /// `nodes` in sweep order: by lower bound on `axis` (stable), or as
-    /// stored without plane sweep.
-    fn sweep_sorted(&self, mut nodes: Vec<S::Node>, axis: Option<usize>) -> Vec<S::Node> {
-        if let Some(axis) = axis {
-            let lo = |n: S::Node| self.source.mbr(n).lo[axis];
-            nodes.sort_by(|&x, &y| lo(x).total_cmp(&lo(y)));
-        }
-        nodes
-    }
-
-    /// `true` when `b` starts more than ε past the end of `a` on the
-    /// sweep axis; in sweep order, so does every node after `b`.
-    fn swept_past(&self, axis: Option<usize>, a: S::Node, b: S::Node) -> bool {
-        axis.is_some_and(|axis| {
-            self.source.mbr(b).lo[axis] - self.source.mbr(a).hi[axis] > self.cfg.epsilon
-        })
+        Expander::new(self.cfg, self.early_stop).sweep_axis(&self.source, nodes)
     }
 
     /// Emits an early-stopped subtree (pair) as one group.

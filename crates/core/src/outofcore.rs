@@ -23,23 +23,28 @@
 //! The same MBR-only decisions let the engine know its next page reads
 //! before it makes them. Each frame computes its surviving child steps
 //! once and runs them in order (the root frame's steps are the loop's
-//! tasks); [`PagedSource`] pushes their pages onto
-//! the prefetcher's frontier meanwhile, and a few reader threads keep
-//! the first `budget / PAGE_SIZE` unread pages of that frontier in
-//! flight. Staging only changes *who reads the bytes*, never what the
-//! traversal does — a failed read-ahead is dropped and the page is read
-//! synchronously, with retries, when the traversal gets there.
+//! tasks); [`PagedSource`] pushes every page read of those steps onto
+//! the prefetcher's frontier meanwhile — repeats included, since by the
+//! time a page is read again the pool may have evicted it. A step that
+//! expands into a frame of its own is planned ahead too: once its pages
+//! are read ahead, the engine's own expansion rules ([`Expander`]),
+//! applied to the children on them, list the reads of that frame before
+//! it runs. A few reader threads keep the first `budget / PAGE_SIZE`
+//! non-resident pages of that frontier in flight. Staging only changes
+//! *who reads the bytes*, never what the traversal does — a failed
+//! read-ahead is dropped and the page is read synchronously, with
+//! retries, when the traversal gets there.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use csj_geom::{Mbr, Metric, RecordId, SoaView};
-use csj_index::paged::{NodeGuard, PagedStore, PagedTree, PrefetchStats};
+use csj_index::paged::{decode_node, NodeGuard, PagedStore, PagedTree, PrefetchStats};
 use csj_index::LeafEntry;
 use csj_storage::disk::Disk;
 use csj_storage::{FileDisk, OutputSink, OutputWriter, PageId, PAGE_SIZE};
 
-use crate::engine::{LeafView, NodeSource, Step};
+use crate::engine::{Expander, Expansion, LeafView, NodeSource, Step};
 use crate::error::CsjError;
 use crate::output::JoinOutput;
 use crate::parallel::ParallelAlgo;
@@ -53,9 +58,12 @@ use crate::JoinConfig;
 /// DESIGN.md §11.
 const READERS: usize = 4;
 
-/// How far past a batch's cursor [`Prefetcher::fetch`] looks for the
-/// pages being accessed (a step reads at most two).
-const CURSOR_HORIZON: usize = 4;
+/// Marks a frontier entry that is not a read but a hint: the page reads
+/// of the frame that the step listed before it expands into. `HINT | k`
+/// refers to [`Prefetcher::hints`]`[k - 1]`; `HINT` alone is a hint not
+/// known yet, and within a hint it marks where the frame's listed reads
+/// end and a frame of its own, not known yet, begins.
+const HINT: u64 = 1 << 63;
 
 /// Locks a facade mutex, recovering from poisoning (the state is plain
 /// page lists, consistent at every unlock).
@@ -74,6 +82,14 @@ fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     }
 }
 
+/// A finished read-ahead.
+struct Landed {
+    page: u64,
+    /// The page's bytes when `ok`; a buffer to recycle either way.
+    bytes: Vec<u8>,
+    ok: bool,
+}
+
 /// What the engine and the reader threads share.
 #[derive(Default)]
 struct ReadState {
@@ -81,9 +97,10 @@ struct ReadState {
     queue: VecDeque<u64>,
     /// Pages a reader is reading now.
     in_flight: Vec<u64>,
-    /// Finished reads not yet handed to the store (`None`: the read
-    /// failed).
-    done: Vec<(u64, Option<Vec<u8>>)>,
+    /// Finished reads not yet handed to the engine.
+    done: Vec<Landed>,
+    /// Page buffers for the next reads, recycled by the engine.
+    free: Vec<Vec<u8>>,
     /// Reads started.
     issued: u64,
     shutdown: bool,
@@ -97,47 +114,111 @@ struct Shared {
     landed: Condvar,
 }
 
-/// The pages of one internal frame's child steps, in first-access order.
+/// Where a page stands with the read-ahead. Whether a requested page
+/// is still queued, in flight or landed is the readers' side of the
+/// story ([`ReadState`]); the engine learns which under the lock.
+#[derive(Default)]
+enum PageState {
+    /// Not requested.
+    #[default]
+    Idle,
+    /// Requested: queued, in flight, or landed and not yet collected.
+    Requested,
+    /// Read ahead; its bytes wait for the access that pins the page.
+    Staged(Vec<u8>),
+}
+
+/// One page's entry in the prefetcher's dense table.
+#[derive(Default)]
+struct PageSlot {
+    state: PageState,
+    /// The refill walk that last visited the page.
+    walk: u32,
+}
+
+/// `page`'s entry in `slots`, growing the table to reach it.
+fn slot_mut(slots: &mut Vec<PageSlot>, page: u64) -> &mut PageSlot {
+    let i = usize::try_from(page).unwrap_or(usize::MAX);
+    if i >= slots.len() {
+        slots.resize_with(i + 1, PageSlot::default);
+    }
+    &mut slots[i]
+}
+
+/// The page reads of one internal frame's child steps, in access order,
+/// as a range of [`Prefetcher::pages`].
 struct Batch {
-    pages: Vec<PageId>,
-    /// Entries before this index have been accessed.
+    start: usize,
+    /// Entries before this index have been accessed (or are hints
+    /// passed over).
     cursor: usize,
 }
 
 /// Frontier-ordered page read-ahead on a small pool of reader threads.
 ///
-/// The engine [`push`](Prefetcher::push)es each internal frame's child
-/// pages as a batch and [`pop`](Prefetcher::pop)s it when the frame
-/// returns, so the batches form a stack whose walk from the newest
-/// batch down is the traversal's upcoming page order. The read-ahead
-/// window is the first `budget / PAGE_SIZE` pages of that walk that
-/// are not resident; readers fetch the window's pages soonest first,
-/// queued requests that fall out of the window are dropped, and pages
-/// staged or in flight never exceed the window. Every page access goes
-/// through [`fetch`](Prefetcher::fetch) before its pin.
+/// The engine [`push`](Prefetcher::push)es a batch for each internal
+/// frame, [`list`](Prefetcher::list)s the frame's page reads into it and
+/// [`pop`](Prefetcher::pop)s it when the frame returns, so the batches
+/// form a stack whose walk from the newest batch down is the traversal's
+/// upcoming page order; each access through
+/// [`fetch`](Prefetcher::fetch) consumes the newest batch's next entry.
+/// A step that expands into a frame of its own carries a
+/// [`hint`](Prefetcher::hint) after its entries: that frame's page reads,
+/// up to its first step that expands in turn, given once the step's own
+/// pages are at hand, so they are read while the frames before it run.
+/// Until a hint is given, its frame's reads are unknown, and the walk
+/// ends there: everything after waits for that whole frame.
+///
+/// The read-ahead window is the first `budget / PAGE_SIZE` pages of the
+/// walk that are not resident; readers fetch the window's pages soonest
+/// first, queued requests that fall out of the window are dropped, and
+/// pages staged or in flight never exceed the window. Every page access
+/// goes through [`fetch`](Prefetcher::fetch) before its pin, and the pin
+/// takes the page's staged bytes with
+/// [`take_staged`](Prefetcher::take_staged).
+///
+/// The bookkeeping is one dense table indexed by page id, so an access
+/// costs O(1) besides the refill walks, which run only when the frontier
+/// gains entries or once a few window slots are free.
 pub struct Prefetcher {
     shared: Arc<Shared>,
     readers: Vec<std::thread::JoinHandle<()>>,
     /// Pages of read-ahead allowed staged or in flight at once.
     window: usize,
-    frontier: Vec<Batch>,
-    /// Pages queued, in flight, or landed and not yet handed over.
-    requested: HashSet<u64>,
-    /// Pages handed to the store and not yet consumed.
-    staged: HashSet<u64>,
-    /// Staged pages the last fetch readied for a pin: consumed unless
-    /// the store still holds them at the next fetch.
-    pending: Vec<u64>,
-    /// The frontier changed since the last refill.
+    /// Every batch's entries, oldest batch first.
+    pages: Vec<u64>,
+    batches: Vec<Batch>,
+    slots: Vec<PageSlot>,
+    /// The current refill walk's stamp.
+    walk: u32,
+    /// Pages in [`PageState::Requested`] / [`PageState::Staged`].
+    requested: usize,
+    staged: usize,
+    /// Pages the last fetch staged.
+    just_staged: Vec<u64>,
+    /// The page lists of given hints, and the free ones among them.
+    hints: Vec<Vec<u64>>,
+    free_hints: Vec<usize>,
+    /// Staged pages in staging order, with stale entries for pages since
+    /// consumed (compacted on refill): the order staged pages outside
+    /// the window are dropped in.
+    staged_order: Vec<u64>,
+    /// Buffers to hand back to the readers.
+    spare: Vec<Vec<u8>>,
+    /// The frontier gained entries (a batch or a hint) since the last
+    /// refill.
     shifted: bool,
     /// Window slots freed since the last refill.
     freed: usize,
-    /// Refill scratch: pages walked, and the window in order.
-    seen: HashSet<u64>,
+    /// Refill scratch: the window pages to request, in order; and the
+    /// reads collected by a fetch.
     wanted: Vec<u64>,
+    landed: Vec<Landed>,
     late: u64,
     late_wait_ns: u64,
     wasted: u64,
+    unlisted: u64,
+    held_peak: usize,
 }
 
 impl std::fmt::Debug for Prefetcher {
@@ -145,17 +226,18 @@ impl std::fmt::Debug for Prefetcher {
         f.debug_struct("Prefetcher")
             .field("window_pages", &self.window)
             .field("readers", &self.readers.len())
-            .field("staged", &self.staged.len())
-            .field("requested", &self.requested.len())
+            .field("staged", &self.staged)
+            .field("requested", &self.requested)
             .finish()
     }
 }
 
-/// A reader thread: take the soonest queued page, read it outside the
-/// lock, publish the result, and sleep while there is nothing to do.
+/// A reader thread: take the soonest queued page and a free buffer, read
+/// the page outside the lock, publish the result, and sleep while there
+/// is nothing to do.
 fn serve_reads<R: Disk>(mut disk: R, shared: &Shared) {
     loop {
-        let page = {
+        let (page, mut bytes) = {
             let mut st = lock(&shared.state);
             loop {
                 if st.shutdown {
@@ -164,18 +246,19 @@ fn serve_reads<R: Disk>(mut disk: R, shared: &Shared) {
                 if let Some(page) = st.queue.pop_front() {
                     st.in_flight.push(page);
                     st.issued += 1;
-                    break page;
+                    break (page, st.free.pop().unwrap_or_default());
                 }
                 st = wait(&shared.work, st);
             }
         };
+        bytes.resize(PAGE_SIZE, 0);
         // A failed read-ahead is not an error: the engine reads the
         // page synchronously, with retries, and surfaces any failure.
-        let bytes = disk.read(PageId(page)).ok().map(|p| p.data);
+        let ok = disk.read_into(PageId(page), &mut bytes).is_ok();
         {
             let mut st = lock(&shared.state);
             st.in_flight.retain(|&p| p != page);
-            st.done.push((page, bytes));
+            st.done.push(Landed { page, bytes, ok });
         }
         shared.landed.notify_all();
     }
@@ -212,97 +295,206 @@ impl Prefetcher {
             shared,
             readers,
             window: (budget_bytes / PAGE_SIZE).max(1),
-            frontier: Vec::new(),
-            requested: HashSet::new(),
-            staged: HashSet::new(),
-            pending: Vec::new(),
+            pages: Vec::new(),
+            batches: Vec::new(),
+            slots: Vec::new(),
+            walk: 0,
+            requested: 0,
+            staged: 0,
+            just_staged: Vec::new(),
+            hints: Vec::new(),
+            free_hints: Vec::new(),
+            staged_order: Vec::new(),
+            spare: Vec::new(),
             shifted: false,
             freed: 0,
-            seen: HashSet::new(),
             wanted: Vec::new(),
+            landed: Vec::new(),
             late: 0,
             late_wait_ns: 0,
             wasted: 0,
+            unlisted: 0,
+            held_peak: 0,
         }
     }
 
-    /// Pushes a frame's child-step pages, in the order the steps will
-    /// first read them; they go to the front of the read-ahead order.
-    pub fn push(&mut self, pages: impl IntoIterator<Item = PageId>) {
-        // First accesses only: a repeat is resident or was read ahead.
-        self.seen.clear();
-        let pages = pages.into_iter().filter(|p| self.seen.insert(p.0)).collect();
-        self.frontier.push(Batch { pages, cursor: 0 });
+    /// Sizes the page table for page ids below `pages` (the superblock's
+    /// node pages plus one); larger ids still work, growing the table.
+    fn reserve_pages(&mut self, pages: u64) {
+        let pages = usize::try_from(pages).unwrap_or(0);
+        if self.slots.len() < pages {
+            self.slots.resize_with(pages, PageSlot::default);
+        }
+    }
+
+    /// Opens a batch for a frame's page reads; it goes to the front of
+    /// the read-ahead order.
+    fn push(&mut self) {
+        let start = self.pages.len();
+        self.batches.push(Batch { start, cursor: start });
         self.shifted = true;
     }
 
-    /// Pops the newest batch when its frame returns.
-    pub fn pop(&mut self) {
-        self.frontier.pop();
+    /// Lists the newest batch's next page read. Every read is listed,
+    /// repeats included: by the time a page is read again the pool may
+    /// have evicted it.
+    fn list(&mut self, page: PageId) {
+        self.pages.push(page.0);
+    }
+
+    /// Reserves a hint after the entries listed so far, for the reads
+    /// of the frame the last listed step expands into; returns its
+    /// position for [`Prefetcher::hint`]. Until it is given, the window
+    /// ends there: everything after it waits for that frame.
+    fn reserve_hint(&mut self) -> usize {
+        self.pages.push(HINT);
+        self.pages.len() - 1
+    }
+
+    /// Gives the hint reserved at `at`: the frame's page reads, in order,
+    /// up to and including those of its first step that expands into a
+    /// frame of its own (`open`), where the window again ends.
+    fn hint(&mut self, at: usize, pages: impl IntoIterator<Item = PageId>, open: bool) {
+        if self.pages.get(at) != Some(&HINT) {
+            return;
+        }
+        let k = self.free_hints.pop().unwrap_or_else(|| {
+            self.hints.push(Vec::new());
+            self.hints.len() - 1
+        });
+        let list = &mut self.hints[k];
+        list.extend(pages.into_iter().map(|p| p.0));
+        if open {
+            list.push(HINT);
+        }
+        self.pages[at] = HINT | (k as u64 + 1);
         self.shifted = true;
     }
 
-    /// Gets `pages` ready to pin: moves the newest batch's cursor past
-    /// them, waits for any of them still in flight, hands finished
-    /// reads to `store`, and refills the window. Pin nothing before
-    /// this returns: it may block.
-    pub fn fetch<const D: usize, Dk: Disk>(&mut self, store: &PagedStore<D, Dk>, pages: &[PageId]) {
-        for p in self.pending.drain(..) {
-            if store.is_staged(PageId(p)) {
-                self.staged.insert(p);
-            } else {
-                self.freed += 1;
+    /// `true` once the entry at `at` lies behind its batch's cursor (or
+    /// its batch is gone): a hint there can no longer help.
+    fn is_behind(&self, at: usize) -> bool {
+        let b = self.batches.partition_point(|b| b.start <= at);
+        b == 0 || at >= self.pages.len() || at < self.batches[b - 1].cursor
+    }
+
+    /// Pops the newest batch when its frame returns, returning where it
+    /// began. What comes next is what the window already holds, so
+    /// this triggers no refill.
+    fn pop(&mut self) -> usize {
+        let start = self.batches.pop().map_or(self.pages.len(), |b| b.start);
+        for e in self.pages.drain(start..) {
+            if e & HINT != 0 && e != HINT {
+                // A given hint: recycle its list.
+                let k = (e & !HINT) as usize - 1;
+                self.hints[k].clear();
+                self.free_hints.push(k);
             }
         }
-        if let Some(top) = self.frontier.last_mut() {
+        start
+    }
+
+    /// The pages the last [`fetch`](Prefetcher::fetch) staged: a source
+    /// planning ahead from staged bytes learns what arrived.
+    fn just_staged(&self) -> &[u64] {
+        &self.just_staged
+    }
+
+    /// The read-ahead bytes of `page`, if staged.
+    fn staged_bytes(&self, page: PageId) -> Option<&[u8]> {
+        match &self.slots.get(usize::try_from(page.0).ok()?)?.state {
+            PageState::Staged(bytes) => Some(bytes),
+            _ => None,
+        }
+    }
+
+    /// Gets `pages` ready to pin: consumes the newest batch's entries for
+    /// them, waits for any of them still in flight, collects finished
+    /// reads, and refills the window. Pin nothing before this returns:
+    /// it may block.
+    fn fetch<const D: usize, Dk: Disk>(&mut self, store: &PagedStore<D, Dk>, pages: &[PageId]) {
+        if let Some(top) = self.batches.last_mut() {
             for p in pages {
-                let end = (top.cursor + CURSOR_HORIZON).min(top.pages.len());
-                if let Some(i) = top.pages[top.cursor..end].iter().position(|q| q == p) {
-                    top.cursor += i + 1;
+                if self.pages.get(top.cursor) == Some(&p.0) {
+                    top.cursor += 1;
+                    while self.pages.get(top.cursor).is_some_and(|e| e & HINT != 0) {
+                        top.cursor += 1;
+                    }
+                } else {
+                    self.unlisted += 1;
                 }
             }
         }
-        let landed = {
+        let awaited = pages
+            .iter()
+            .any(|p| matches!(slot_mut(&mut self.slots, p.0).state, PageState::Requested));
+        let mut landed = std::mem::take(&mut self.landed);
+        self.just_staged.clear();
+        {
             let mut st = lock(&self.shared.state);
-            for p in pages {
-                // Queued but not started: the engine reads it itself.
-                if let Some(i) = st.queue.iter().position(|&q| q == p.0) {
-                    st.queue.remove(i);
-                    self.requested.remove(&p.0);
-                    self.freed += 1;
+            if awaited {
+                for p in pages {
+                    // Queued but not started: the engine reads it itself.
+                    if let Some(i) = st.queue.iter().position(|&q| q == p.0) {
+                        st.queue.remove(i);
+                        slot_mut(&mut self.slots, p.0).state = PageState::Idle;
+                        self.requested -= 1;
+                        self.freed += 1;
+                    }
+                }
+                if pages.iter().any(|p| st.in_flight.contains(&p.0)) {
+                    let start = Instant::now();
+                    while pages.iter().any(|p| st.in_flight.contains(&p.0)) {
+                        st = wait(&self.shared.landed, st);
+                    }
+                    self.late += 1;
+                    self.late_wait_ns += start.elapsed().as_nanos() as u64;
                 }
             }
-            if pages.iter().any(|p| st.in_flight.contains(&p.0)) {
-                let start = Instant::now();
-                while pages.iter().any(|p| st.in_flight.contains(&p.0)) {
-                    st = wait(&self.shared.landed, st);
-                }
-                self.late += 1;
-                self.late_wait_ns += start.elapsed().as_nanos() as u64;
-            }
-            std::mem::take(&mut st.done)
-        };
-        for (page, bytes) in landed {
-            self.requested.remove(&page);
-            if bytes.is_some_and(|b| store.stage_raw(PageId(page), b)) {
-                self.staged.insert(page);
+            std::mem::swap(&mut st.done, &mut landed);
+            st.free.append(&mut self.spare);
+        }
+        for Landed { page, bytes, ok } in landed.drain(..) {
+            self.requested -= 1;
+            if ok && !store.is_resident(PageId(page)) {
+                slot_mut(&mut self.slots, page).state = PageState::Staged(bytes);
+                self.staged += 1;
+                self.just_staged.push(page);
+                self.staged_order.push(page);
             } else {
                 // Failed, or the page is resident already.
+                slot_mut(&mut self.slots, page).state = PageState::Idle;
+                self.spare.push(bytes);
                 self.wasted += 1;
                 self.freed += 1;
             }
         }
-        for p in pages {
-            // The pin right after this consumes the staged bytes.
-            if self.staged.remove(&p.0) {
-                self.pending.push(p.0);
-            }
-        }
+        self.landed = landed;
         // Slots are refilled a few at a time: a refill walks the
         // frontier, and the readers need only stay busy.
         if self.shifted || self.freed >= (self.window / 8).clamp(1, READERS) {
             self.refill(store, pages);
         }
+    }
+
+    /// The read-ahead bytes of `page`, if staged, for the pin that reads
+    /// it; hand the buffer back with [`Prefetcher::give_back`].
+    fn take_staged(&mut self, page: PageId) -> Option<Vec<u8>> {
+        let slot = slot_mut(&mut self.slots, page.0);
+        if !matches!(slot.state, PageState::Staged(_)) {
+            return None;
+        }
+        let PageState::Staged(bytes) = std::mem::take(&mut slot.state) else { return None };
+        self.staged -= 1;
+        self.freed += 1;
+        Some(bytes)
+    }
+
+    /// Returns a buffer from [`Prefetcher::take_staged`]; `used` says
+    /// whether the pin decoded it (a page found resident did not).
+    fn give_back(&mut self, bytes: Vec<u8>, used: bool) {
+        self.wasted += u64::from(!used);
+        self.spare.push(bytes);
     }
 
     /// Recomputes the window and re-queues its unrequested pages,
@@ -311,52 +503,94 @@ impl Prefetcher {
     fn refill<const D: usize, Dk: Disk>(&mut self, store: &PagedStore<D, Dk>, current: &[PageId]) {
         self.shifted = false;
         self.freed = 0;
-        self.seen.clear();
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            // The stamps wrapped: forget every old walk.
+            self.slots.iter_mut().for_each(|s| s.walk = 0);
+            self.walk = 1;
+        }
+        let walk = self.walk;
+        for p in current {
+            slot_mut(&mut self.slots, p.0).walk = walk;
+        }
         self.wanted.clear();
-        self.seen.extend(current.iter().map(|p| p.0));
-        'walk: for batch in self.frontier.iter().rev() {
-            for p in &batch.pages[batch.cursor..] {
-                if self.seen.insert(p.0) && !store.is_resident(*p) {
-                    self.wanted.push(p.0);
-                    if self.wanted.len() == self.window {
+        let mut end = self.pages.len();
+        // The walk ends at a frame whose reads are not known yet: every
+        // entry after it waits for that whole frame, and reading it now
+        // would only be dropped again once the frame's reads are listed.
+        'walk: for b in (0..self.batches.len()).rev() {
+            let cursor = self.batches[b].cursor;
+            for i in cursor..end {
+                let e = self.pages[i];
+                let hinted: &[u64] = if e & HINT == 0 {
+                    std::slice::from_ref(&self.pages[i])
+                } else {
+                    match self.hints.get(((e & !HINT) as usize).wrapping_sub(1)) {
+                        Some(list) => list,
+                        None => break 'walk,
+                    }
+                };
+                for &p in hinted {
+                    if p == HINT {
                         break 'walk;
+                    }
+                    let slot = slot_mut(&mut self.slots, p);
+                    if slot.walk == walk {
+                        continue;
+                    }
+                    slot.walk = walk;
+                    if !store.is_resident(PageId(p)) {
+                        self.wanted.push(p);
+                        if self.wanted.len() == self.window {
+                            break 'walk;
+                        }
                     }
                 }
             }
+            end = self.batches[b].start;
         }
-        let mut dropped = Vec::new();
-        {
-            let mut st = lock(&self.shared.state);
-            // Queued requests are re-decided from the new window; those
-            // that fell out of it are dropped here.
-            for p in st.queue.drain(..) {
-                self.requested.remove(&p);
-            }
-            self.wanted.retain(|p| !self.staged.contains(p) && !self.requested.contains(p));
-            let held = self.staged.len() + self.pending.len() + self.requested.len();
-            let mut free = self.window.saturating_sub(held);
-            if self.wanted.len() > free {
-                // Staged pages the walk never reached are needed after
-                // every window page: drop them for the sooner ones.
-                let deficit = self.wanted.len() - free;
-                let seen = &self.seen;
-                dropped.extend(self.staged.iter().filter(|p| !seen.contains(p)).take(deficit));
-                for p in &dropped {
-                    self.staged.remove(p);
-                }
-                free += dropped.len();
-            }
-            for &p in self.wanted.iter().take(free) {
-                st.queue.push_back(p);
-                self.requested.insert(p);
-            }
-            if !st.queue.is_empty() {
-                self.shared.work.notify_all();
-            }
+        let mut st = lock(&self.shared.state);
+        // Queued requests are re-decided from the new window; those
+        // that fell out of it are dropped here.
+        while let Some(p) = st.queue.pop_front() {
+            slot_mut(&mut self.slots, p).state = PageState::Idle;
+            self.requested -= 1;
         }
-        for p in dropped {
-            store.unstage(PageId(p));
+        let mut wanted = std::mem::take(&mut self.wanted);
+        wanted.retain(|&p| matches!(slot_mut(&mut self.slots, p).state, PageState::Idle));
+        let mut free = self.window.saturating_sub(self.requested + self.staged);
+        // Staged pages the walk never reached are needed after every
+        // window page: drop them, oldest first, for the sooner ones.
+        let mut deficit = wanted.len().saturating_sub(free);
+        let mut order = std::mem::take(&mut self.staged_order);
+        order.retain(|&p| {
+            let slot = slot_mut(&mut self.slots, p);
+            if !matches!(slot.state, PageState::Staged(_)) {
+                return false;
+            }
+            if deficit == 0 || slot.walk == walk {
+                return true;
+            }
+            if let PageState::Staged(bytes) = std::mem::take(&mut slot.state) {
+                self.spare.push(bytes);
+            }
+            self.staged -= 1;
             self.wasted += 1;
+            deficit -= 1;
+            free += 1;
+            false
+        });
+        self.staged_order = order;
+        for &p in wanted.iter().take(free) {
+            st.queue.push_back(p);
+            slot_mut(&mut self.slots, p).state = PageState::Requested;
+            self.requested += 1;
+        }
+        self.wanted = wanted;
+        st.free.append(&mut self.spare);
+        self.held_peak = self.held_peak.max(self.requested + self.staged);
+        if !st.queue.is_empty() {
+            self.shared.work.notify_all();
         }
     }
 
@@ -382,12 +616,13 @@ impl Prefetcher {
     /// traversal did not consume, and records the counters in `store`.
     fn finish_run<const D: usize, Dk: Disk>(mut self, store: &PagedStore<D, Dk>) {
         let (issued, landed) = self.stop_readers();
-        let unclaimed = landed + store.clear_staged();
         store.record_prefetch(PrefetchStats {
             issued,
             late: self.late,
             late_wait_ns: self.late_wait_ns,
-            wasted: self.wasted + unclaimed as u64,
+            wasted: self.wasted + (landed + self.staged) as u64,
+            unlisted: self.unlisted,
+            held_peak: self.held_peak as u64,
         });
     }
 }
@@ -433,25 +668,126 @@ pub struct PagedSource<'t, const D: usize, Dk: Disk> {
     prefetch: Option<Prefetcher>,
     /// The tree's retry count when the run began.
     retries_before: u64,
+    /// The engine's expansion rules, to plan frames ahead.
+    expander: Option<Expander>,
+    /// Frontier steps that expand into frames whose reads are not hinted
+    /// yet: the hint's position and the step.
+    unplanned: Vec<(usize, Step<NodeRef<D>>)>,
 }
 
 impl<'t, const D: usize, Dk: Disk> PagedSource<'t, D, Dk> {
     /// Reads `tree`, with read-ahead by `prefetch` if given.
-    pub fn new(tree: &'t PagedTree<D, Dk>, prefetch: Option<Prefetcher>) -> Self {
-        PagedSource { tree, prefetch, retries_before: tree.stats().io_retries }
-    }
-
-    /// Readies `pages` for pinning through the prefetcher, if any.
-    fn await_pages(&mut self, pages: &[PageId]) {
-        if let Some(pf) = self.prefetch.as_mut() {
-            pf.fetch(self.tree.store(), pages);
+    pub fn new(tree: &'t PagedTree<D, Dk>, mut prefetch: Option<Prefetcher>) -> Self {
+        if let Some(pf) = prefetch.as_mut() {
+            pf.reserve_pages(tree.meta().node_pages + 1);
+        }
+        PagedSource {
+            tree,
+            prefetch,
+            retries_before: tree.stats().io_retries,
+            expander: None,
+            unplanned: Vec::new(),
         }
     }
 
-    /// Pins `page`; every single-page access goes through here.
+    /// Readies `pages` for pinning through the prefetcher, if any, and
+    /// plans ahead with whatever read-ahead landed.
+    fn await_pages(&mut self, pages: &[PageId]) {
+        if let Some(pf) = self.prefetch.as_mut() {
+            pf.fetch(self.tree.store(), pages);
+            if !pf.just_staged().is_empty() && !self.unplanned.is_empty() {
+                self.plan_ahead(0, true);
+            }
+        }
+    }
+
+    /// Hints the reads of the unplanned frames from `from` on whose
+    /// step's pages are at hand, resident or staged (with `landed`, only
+    /// those the last fetch staged a page of): the engine's own rules,
+    /// applied to the children on those pages, give each frame's child
+    /// steps.
+    fn plan_ahead(&mut self, from: usize, landed: bool) {
+        let (Some(expander), Some(mut pf)) = (self.expander, self.prefetch.take()) else {
+            return;
+        };
+        let mut i = from;
+        while let Some(&(at, step)) = self.unplanned.get(i) {
+            let reads = |n: NodeRef<D>| n.level > 0 && pf.just_staged().contains(&n.page.0);
+            let touched = match step {
+                Step::Node(n) => reads(n),
+                Step::Pair(a, b) => reads(a) || reads(b),
+            };
+            if landed && !touched {
+                i += 1;
+                continue;
+            }
+            if pf.is_behind(at) {
+                self.unplanned.swap_remove(i);
+                continue;
+            }
+            let Some([ca, cb]) = self.children_at_hand(&pf, step) else {
+                i += 1;
+                continue;
+            };
+            // The frame's reads, up to its first step that expands.
+            let mut reads = Vec::new();
+            let mut open = false;
+            expander.pair(&*self, step, ca, cb, |child| {
+                let Some(child) = child else { return true };
+                reads.extend(step_pages(&child));
+                open = expander.classify(&*self, child) == Expansion::Children;
+                !open
+            });
+            pf.hint(at, reads, open);
+            self.unplanned.swap_remove(i);
+        }
+        self.prefetch = Some(pf);
+    }
+
+    /// The children `step` expands over (see [`Expander::pair`]) when
+    /// every page they are on is resident or staged in `pf`.
+    fn children_at_hand(
+        &self,
+        pf: &Prefetcher,
+        step: Step<NodeRef<D>>,
+    ) -> Option<[Vec<NodeRef<D>>; 2]> {
+        let side = |n: NodeRef<D>| -> Option<Vec<NodeRef<D>>> {
+            if n.level == 0 {
+                return Some(Vec::new());
+            }
+            let refs = |children: &[(PageId, Mbr<D>)]| {
+                let level = n.level - 1;
+                children.iter().map(|&(page, mbr)| NodeRef { page, mbr, level }).collect()
+            };
+            if let Some(children) =
+                self.tree.store().with_resident(n.page, |node| refs(&node.children))
+            {
+                return Some(children);
+            }
+            let node = decode_node::<D>(pf.staged_bytes(n.page)?, n.page).ok()?;
+            Some(refs(&node.children))
+        };
+        match step {
+            Step::Node(n) => Some([side(n)?, Vec::new()]),
+            Step::Pair(a, b) => Some([side(a)?, side(b)?]),
+        }
+    }
+
+    /// Pins a readied `page`, decoding its read-ahead bytes on a miss.
+    fn pin(&mut self, page: PageId) -> Result<NodeGuard<'t, D, Dk>, CsjError> {
+        let staged = self.prefetch.as_mut().and_then(|pf| pf.take_staged(page));
+        let pinned = self.tree.store().node_with(page, staged.as_deref());
+        if let (Some(pf), Some(bytes)) = (self.prefetch.as_mut(), staged) {
+            pf.give_back(bytes, matches!(pinned, Ok((_, true))));
+        }
+        Ok(pinned?.0)
+    }
+
+    /// Readies and pins `page`; every single-page access goes through
+    /// here.
     fn fetch_node(&mut self, page: PageId) -> Result<NodeGuard<'t, D, Dk>, CsjError> {
         self.await_pages(&[page]);
-        Ok(self.tree.node(page)?)
+        self.pin(page)
     }
 }
 
@@ -518,8 +854,8 @@ impl<'t, const D: usize, Dk: Disk> NodeSource<D> for PagedSource<'t, D, Dk> {
         // held across a wait; both stay pinned for the probe (the pool's
         // two-pin high-water mark).
         self.await_pages(&[a.page, b.page]);
-        let ga = self.tree.node(a.page)?;
-        let gb = self.tree.node(b.page)?;
+        let ga = self.pin(a.page)?;
+        let gb = self.pin(b.page)?;
         Ok((ga, gb))
     }
     fn collect_record_ids(
@@ -527,25 +863,43 @@ impl<'t, const D: usize, Dk: Disk> NodeSource<D> for PagedSource<'t, D, Dk> {
         n: NodeRef<D>,
         out: &mut Vec<RecordId>,
     ) -> Result<(), CsjError> {
-        self.await_pages(&[n.page]);
-        Ok(self.tree.collect_record_ids(n.page, out)?)
+        let top = self.fetch_node(n.page)?;
+        Ok(self
+            .tree
+            .for_each_leaf_below(top, |leaf| out.extend(leaf.entries.iter().map(|e| e.id)))?)
     }
     fn collect_entries(
         &mut self,
         n: NodeRef<D>,
         out: &mut Vec<LeafEntry<D>>,
     ) -> Result<(), CsjError> {
-        self.await_pages(&[n.page]);
-        Ok(self.tree.collect_entries(n.page, out)?)
+        let top = self.fetch_node(n.page)?;
+        Ok(self.tree.for_each_leaf_below(top, |leaf| out.extend_from_slice(&leaf.entries))?)
+    }
+    fn expand_with(&mut self, expander: Expander) {
+        self.expander = Some(expander);
     }
     fn push(&mut self, steps: &[Step<NodeRef<D>>]) {
-        if let Some(pf) = self.prefetch.as_mut() {
-            pf.push(steps.iter().flat_map(step_pages));
+        let Some(mut pf) = self.prefetch.take() else { return };
+        let from = self.unplanned.len();
+        pf.push();
+        for &step in steps {
+            for page in step_pages(&step) {
+                pf.list(page);
+            }
+            let expands = self.expander.map(|e| e.classify(&*self, step));
+            if expands == Some(Expansion::Children) {
+                self.unplanned.push((pf.reserve_hint(), step));
+            }
         }
+        self.prefetch = Some(pf);
+        // Steps whose pages are resident already can be planned now.
+        self.plan_ahead(from, false);
     }
     fn pop(&mut self) {
         if let Some(pf) = self.prefetch.as_mut() {
-            pf.pop();
+            let start = pf.pop();
+            self.unplanned.retain(|&(at, _)| at < start);
         }
     }
     fn end_run(&mut self, stats: &mut JoinStats) {
@@ -683,8 +1037,8 @@ mod tests {
     }
 
     /// Checks a prefetched run's read-ahead accounting on `tree`: every
-    /// issued read ended useful or wasted, nothing stays staged, and
-    /// staging never held more than `budget_pages`.
+    /// issued read ended useful or wasted, and staging and reads in
+    /// flight never held more than `budget_pages`.
     fn assert_prefetch_accounting<Dk: Disk>(tree: &PagedTree<2, Dk>, budget_pages: usize) {
         let pg = tree.stats();
         assert_eq!(
@@ -692,11 +1046,10 @@ mod tests {
             pg.prefetch.issued,
             "useful + wasted == issued: {pg:?}"
         );
-        assert_eq!(tree.store().staged_bytes(), 0, "no read-ahead outlives the run");
         assert!(
-            tree.store().staged_peak_bytes() <= budget_pages * PAGE_SIZE,
-            "staged {} bytes on a {budget_pages}-page budget",
-            tree.store().staged_peak_bytes()
+            pg.prefetch.held_peak <= budget_pages as u64,
+            "held {} pages on a {budget_pages}-page budget",
+            pg.prefetch.held_peak
         );
     }
 
@@ -1002,6 +1355,93 @@ mod tests {
         for algo in [ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
             let m = misses(algo);
             assert!(m as f64 <= ssj as f64 * 1.25, "{algo:?}: {m} vs ssj {ssj}");
+        }
+    }
+
+    /// The pages the window has queued for the readers, soonest first.
+    fn queued(pf: &Prefetcher) -> Vec<u64> {
+        lock(&pf.shared.state).queue.iter().copied().collect()
+    }
+
+    /// The window walks a step's hint — the reads of the frame it expands
+    /// into — and ends at a hint not given yet, or at a hinted frame's
+    /// own unknown frame: pages past those wait for a whole frame.
+    /// Deterministic: no reader threads, so requests stay queued.
+    #[test]
+    fn the_window_reads_hinted_frames_and_ends_at_unknown_ones() {
+        let rtree = RStarTree::bulk_load_str(&scatter(200, 1), RTreeConfig::with_max_fanout(8));
+        let built =
+            PagedTree::from_core(rtree.core(), SimulatedDisk::new(), RetryPolicy::none(), 64)
+                .unwrap();
+        let tree = PagedTree::<2, _>::open(built.into_disk(), RetryPolicy::none(), 4).unwrap();
+        let store = tree.store();
+        let mut pf = Prefetcher::with_readers(Vec::<SimulatedDisk>::new(), 8 * PAGE_SIZE);
+        let pages = |ids: &[u64]| ids.iter().map(|&p| PageId(p)).collect::<Vec<_>>();
+        pf.push();
+        pf.list(PageId(10));
+        let first = pf.reserve_hint();
+        pf.list(PageId(11));
+        let second = pf.reserve_hint();
+        pf.list(PageId(12));
+        pf.fetch(store, &[]);
+        assert_eq!(queued(&pf), [10], "an unknown frame ends the window");
+        pf.hint(first, pages(&[20, 21]), false);
+        pf.fetch(store, &[]);
+        assert_eq!(queued(&pf), [10, 20, 21, 11], "a closed hint is read through");
+        pf.hint(second, pages(&[30, 31]), true);
+        pf.fetch(store, &[]);
+        assert_eq!(queued(&pf), [10, 20, 21, 11, 30, 31], "an open hint ends the window");
+        // Reading page 10 consumes it and passes over its hint: the
+        // frame it expands into lists the same reads as a batch of its own.
+        pf.fetch(store, &pages(&[10]));
+        assert_eq!(queued(&pf), [11, 30, 31]);
+        pf.push();
+        pf.list(PageId(20));
+        pf.list(PageId(21));
+        pf.fetch(store, &[]);
+        assert_eq!(queued(&pf), [20, 21, 11, 30, 31]);
+        assert_eq!(pf.unlisted, 0);
+        assert_eq!(pf.pop(), 5);
+        assert_eq!(pf.pop(), 0);
+        assert!(pf.pages.is_empty() && pf.free_hints.len() == 2, "both hint lists recycled");
+    }
+
+    /// Every page the engine pins through the prefetcher, the root's
+    /// reads aside (no frame lists them), is the next entry of the newest
+    /// batch: the read-ahead window, which starts there, listed it before
+    /// its pin. Repeats included — a page read again after the pool
+    /// evicted it is as much a read as its first. Deterministic: with no
+    /// reader threads every request stays queued and the engine reads
+    /// each page itself, so no timing enters the check.
+    #[test]
+    fn frontier_lists_every_page_the_traversal_pins() {
+        let rtree = roads();
+        let eps = 0.02;
+        for (variant, name) in variants() {
+            for pool in [4usize, 64] {
+                let built = PagedTree::from_core(
+                    rtree.core(),
+                    SimulatedDisk::new(),
+                    RetryPolicy::none(),
+                    4096,
+                )
+                .unwrap();
+                let tree =
+                    PagedTree::<2, _>::open(built.into_disk(), RetryPolicy::none(), pool).unwrap();
+                let prefetcher =
+                    Prefetcher::with_readers(Vec::<SimulatedDisk>::new(), 32 * PAGE_SIZE);
+                let ooc = ResilientJoin::new(eps, variant)
+                    .run(PagedSource::new(&tree, Some(prefetcher)))
+                    .unwrap();
+                assert_same_run(&in_memory(variant, eps, &rtree), &ooc, name);
+                let pg = tree.stats();
+                assert!(pg.pool.misses > 2 * rtree.core().node_count() as u64 || pool == 64);
+                assert_eq!(pg.prefetch.issued, 0, "{name} pool={pool}: no reader ran");
+                assert_eq!(
+                    pg.prefetch.unlisted, 0,
+                    "{name} pool={pool}: pins the frontier did not list ({pg:?})"
+                );
+            }
         }
     }
 

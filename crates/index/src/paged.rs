@@ -32,6 +32,18 @@
 //! survives pruning — and the out-of-core traversal makes bit-identical
 //! decisions to the in-memory one.
 //!
+//! # The frame table
+//!
+//! [`PagedStore`] keeps resident nodes in one table: the frames of a
+//! pinned LRU [`BufferPool`], each owning the decoded node of its page
+//! and the page's dirty flag. A hit is one lookup. A miss reads the
+//! page into one reusable buffer (or takes the bytes a read-ahead
+//! fetched), decodes it into a spare node and only then admits the
+//! page, so a failed read or a corrupt page changes nothing; the evicted
+//! frame's node becomes the next spare, so once the pool is full a miss
+//! allocates nothing. Frames are created as pages arrive, up to the
+//! pool's capacity.
+//!
 //! Trees reach disk two ways: [`PagedTree::from_core`] serializes any
 //! built [`RectCore`] (so all three bulk loaders — STR, Hilbert, OMT —
 //! write to pages), and [`PagedTree::build_str`] streams an STR build
@@ -40,7 +52,6 @@
 //! node arena for a multi-million-point tree never materializes.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -105,6 +116,13 @@ pub struct PagedNode<const D: usize> {
     /// Data records (leaves only), with the struct-of-arrays mirror the
     /// batched distance kernels probe.
     pub entries: LeafStore<D>,
+}
+
+/// An empty leaf.
+impl<const D: usize> Default for PagedNode<D> {
+    fn default() -> Self {
+        PagedNode::leaf(Vec::new())
+    }
 }
 
 impl<const D: usize> PagedNode<D> {
@@ -272,38 +290,56 @@ pub fn decode_node<const D: usize>(
     bytes: &[u8],
     page: PageId,
 ) -> Result<PagedNode<D>, StorageError> {
+    let mut node = PagedNode::default();
+    decode_into(bytes, page, &mut node)?;
+    Ok(node)
+}
+
+/// Decodes one node page into `node`, reusing its buffers: once they
+/// have grown to the tree's fanout, decoding allocates nothing. On error
+/// `node` holds an unspecified mix of old and new contents.
+fn decode_into<const D: usize>(
+    bytes: &[u8],
+    page: PageId,
+    node: &mut PagedNode<D>,
+) -> Result<(), StorageError> {
     let mut c = Cursor { buf: bytes, pos: 0, page };
-    let level = c.u32()?;
+    node.level = c.u32()?;
     let count = c.u32()? as usize;
-    let mbr = c.mbr::<D>()?;
-    if level == 0 {
+    node.mbr = c.mbr::<D>()?;
+    node.children.clear();
+    if node.level == 0 {
         if count > (PAGE_SIZE - node_header_len(D)) / leaf_entry_len(D) {
             return Err(corrupt(page, format!("leaf count {count} exceeds page capacity")));
         }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let id = c.u32()? as RecordId;
-            let mut coords = [0.0f64; D];
-            for slot in &mut coords {
-                *slot = c.f64()?;
+        node.entries.edit(|entries| {
+            entries.clear();
+            entries.reserve(count);
+            for _ in 0..count {
+                let id = c.u32()? as RecordId;
+                let mut coords = [0.0f64; D];
+                for slot in &mut coords {
+                    *slot = c.f64()?;
+                }
+                entries.push(LeafEntry::new(id, Point::new(coords)));
             }
-            entries.push(LeafEntry::new(id, Point::new(coords)));
-        }
-        Ok(PagedNode { level, mbr, children: Vec::new(), entries: entries.into() })
+            Ok(())
+        })
     } else {
         if count > (PAGE_SIZE - node_header_len(D)) / child_slot_len(D) {
             return Err(corrupt(page, format!("child count {count} exceeds page capacity")));
         }
-        let mut children = Vec::with_capacity(count);
+        node.entries.edit(Vec::clear);
+        node.children.reserve(count);
         for _ in 0..count {
             let child = PageId(c.u64()?);
             if child.0 == 0 {
                 return Err(corrupt(page, "child pointer into the superblock"));
             }
             let child_mbr = c.mbr::<D>()?;
-            children.push((child, child_mbr));
+            node.children.push((child, child_mbr));
         }
-        Ok(PagedNode { level, mbr, children, entries: LeafStore::new() })
+        Ok(())
     }
 }
 
@@ -359,7 +395,7 @@ pub struct PagedStats {
     pub io_retries: u64,
     /// Faults the disk's injector produced.
     pub faults_injected: u64,
-    /// Page misses served from prefetch-staged bytes instead of a
+    /// Page misses served from prefetched bytes instead of a
     /// synchronous disk read: the read-aheads that proved useful.
     pub prefetch_supplied: u64,
     /// Node pages decoded (equals pool misses for a read-only join).
@@ -383,84 +419,104 @@ pub struct PrefetchStats {
     /// Read-aheads that supplied nothing: failed, landed on a page
     /// already resident, dropped from staging, or never consumed.
     pub wasted: u64,
+    /// Page accesses made while the read-ahead frontier was not listing
+    /// them next: a read-ahead can only serve pages the frontier lists.
+    pub unlisted: u64,
+    /// The most pages held staged or in flight at once (a maximum,
+    /// not a sum, across runs).
+    pub held_peak: u64,
 }
 
-/// In-memory page state: the pool, the decoded-node cache, dirty
-/// tracking, and the prefetch staging area. Never touches the disk: the
-/// store writes dirty pages back *after* releasing the borrow. The
-/// cache holds exactly the pool's resident pages, and every dirty page
-/// is resident.
+/// One frame of the pool: the decoded node of a resident page, and
+/// whether the node still has to be written back.
+struct Frame<const D: usize> {
+    node: Rc<PagedNode<D>>,
+    dirty: bool,
+}
+
+/// In-memory page state: the frame table and its counters. Never
+/// touches the disk: the store writes dirty pages back *after* releasing
+/// the borrow.
 struct PoolState<const D: usize> {
-    pool: BufferPool,
-    cache: HashMap<PageId, Rc<PagedNode<D>>>,
-    dirty: HashSet<PageId>,
-    staged: HashMap<PageId, Vec<u8>>,
-    /// Bytes held in `staged`, kept in step with it.
-    staged_bytes: usize,
-    /// High-water mark of `staged_bytes`.
-    staged_peak: usize,
+    /// The frame table: one pinned LRU pool whose frames own the decoded
+    /// nodes, so an access is one lookup.
+    frames: BufferPool<Frame<D>>,
+    /// A node in no frame. A miss decodes into it and then trades it for
+    /// the evicted frame's node, so a full pool misses without
+    /// allocating; `None` until an eviction supplies one.
+    spare: Option<Rc<PagedNode<D>>>,
+    /// Frames with `dirty` set.
+    dirty: usize,
     prefetch_supplied: u64,
     nodes_decoded: u64,
     prefetch: PrefetchStats,
 }
 
 impl<const D: usize> PoolState<D> {
-    fn stage(&mut self, page: PageId, bytes: Vec<u8>) {
-        self.staged_bytes += bytes.len();
-        self.staged_peak = self.staged_peak.max(self.staged_bytes);
-        if let Some(old) = self.staged.insert(page, bytes) {
-            self.staged_bytes -= old.len();
-        }
+    /// The decoded node of a dirty resident `page`.
+    fn dirty_node(&self, page: PageId) -> Option<&PagedNode<D>> {
+        let frame = self.frames.value(self.frames.frame_of(page)?);
+        frame.dirty.then_some(frame.node.as_ref())
     }
 
-    fn unstage(&mut self, page: PageId) -> Option<Vec<u8>> {
-        let bytes = self.staged.remove(&page)?;
-        self.staged_bytes -= bytes.len();
-        Some(bytes)
+    /// Clears a resident page's dirty flag.
+    fn mark_clean(&mut self, page: PageId) {
+        if let Some(f) = self.frames.frame_of(page) {
+            let frame = self.frames.value_mut(f);
+            if std::mem::replace(&mut frame.dirty, false) {
+                self.dirty -= 1;
+            }
+        }
     }
 }
 
-/// Node store over a [`Disk`]: decoded nodes cached under a pinned LRU
-/// [`BufferPool`], reads retried per the pager's policy.
+/// Node store over a [`Disk`]: a frame table of decoded nodes under a
+/// pinned LRU [`BufferPool`], reads retried per the pager's policy.
+///
+/// A hit is one pool lookup. A miss reads the page into one reusable
+/// buffer (or takes bytes a prefetcher read, [`PagedStore::node_with`]),
+/// decodes it into a spare node, and only then admits the page: the
+/// victim's frame takes the new node and its old node becomes the
+/// spare, so once the pool is full a miss allocates nothing.
 ///
 /// Dirty pages reach the disk one way only, `flush_dirty`: sorted by
 /// page id and coalesced into runs of at most [`RUN_PAGES`] consecutive
 /// pages, one [`Disk::write_run`] per run. It runs when an admission is
-/// about to evict a dirty page (the whole dirty set goes, victim
-/// included, before the victim leaves the pool) and at
+/// about to evict a dirty page (every dirty page goes, victim included,
+/// before the victim leaves the pool) and at
 /// [`PagedStore::checkpoint`].
 ///
 /// Single-threaded by design (interior mutability via `RefCell`); the
-/// async prefetcher runs in `csj-core` and hands raw page bytes in
-/// through [`PagedStore::stage_raw`].
+/// async prefetcher runs in `csj-core` and hands its page bytes to the
+/// miss that needs them.
 ///
 /// Pool state and the pager live in *separate* cells so that no disk
 /// access ever happens while the state borrow is held: each operation
 /// runs as short state-only critical sections with the I/O between
-/// them. Beyond keeping the borrow windows tiny, this fixes a failure
-/// -atomicity bug the single-cell layout had: a page used to be
-/// admitted to the pool *before* its disk read, so a failed read left
-/// the pool claiming a residency the cache never got.
+/// them. A page is admitted only after its bytes have been read and
+/// decoded, so a failed read or a corrupt page leaves the pool as it
+/// was.
 pub struct PagedStore<const D: usize, Dk: Disk> {
     state: RefCell<PoolState<D>>,
     io: RefCell<RetryPager<Dk>>,
+    /// The one page buffer synchronous reads land in.
+    read_buf: RefCell<Vec<u8>>,
 }
 
 impl<const D: usize, Dk: Disk> std::fmt::Debug for PagedStore<D, Dk> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.borrow();
         f.debug_struct("PagedStore")
-            .field("pool_capacity", &state.pool.capacity())
-            .field("cached", &state.cache.len())
-            .field("dirty", &state.dirty.len())
-            .field("staged", &state.staged.len())
+            .field("pool_capacity", &state.frames.capacity())
+            .field("resident", &state.frames.len())
+            .field("dirty", &state.dirty)
             .finish()
     }
 }
 
-/// A pinned, decoded node. The underlying page stays resident (and the
-/// pool slot pinned) until the guard drops, so the node data a caller
-/// holds can never be evicted underneath it.
+/// A pinned, decoded node. The underlying page stays resident (and its
+/// frame pinned) until the guard drops, so the node data a caller holds
+/// can never be evicted underneath it.
 pub struct NodeGuard<'s, const D: usize, Dk: Disk> {
     store: &'s PagedStore<D, Dk>,
     page: PageId,
@@ -483,7 +539,7 @@ impl<const D: usize, Dk: Disk> NodeGuard<'_, D, Dk> {
 
 impl<const D: usize, Dk: Disk> Drop for NodeGuard<'_, D, Dk> {
     fn drop(&mut self) {
-        self.store.state.borrow_mut().pool.unpin(self.page);
+        self.store.state.borrow_mut().frames.unpin(self.page);
     }
 }
 
@@ -492,93 +548,111 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
     pub fn new(disk: Dk, policy: RetryPolicy, pool_pages: usize) -> Self {
         PagedStore {
             state: RefCell::new(PoolState {
-                pool: BufferPool::new(pool_pages),
-                cache: HashMap::new(),
-                dirty: HashSet::new(),
-                staged: HashMap::new(),
-                staged_bytes: 0,
-                staged_peak: 0,
+                frames: BufferPool::with_frames(pool_pages),
+                spare: None,
+                dirty: 0,
                 prefetch_supplied: 0,
                 nodes_decoded: 0,
                 prefetch: PrefetchStats::default(),
             }),
             io: RefCell::new(RetryPager::new(disk, policy)),
+            read_buf: RefCell::new(vec![0; PAGE_SIZE]),
         }
     }
 
-    /// Reads (or finds cached) the node on `page`, pinning it for the
+    /// Reads (or finds resident) the node on `page`, pinning it for the
     /// lifetime of the returned guard.
     ///
-    /// The page is admitted to the pool only *after* its bytes have
-    /// been read and decoded: a failed read leaves the pool, cache and
-    /// staging exactly as they were, so the call can simply be retried.
+    /// # Errors
+    /// As [`PagedStore::node_with`].
+    pub fn node(&self, page: PageId) -> Result<NodeGuard<'_, D, Dk>, StorageError> {
+        Ok(self.node_with(page, None)?.0)
+    }
+
+    /// Reads (or finds resident) the node on `page`, pinning it for the
+    /// lifetime of the returned guard. On a miss, `prefetched` (the
+    /// page's bytes, read ahead) stands in for the disk read; the flag
+    /// says whether they were used. A hit leaves them unused.
+    ///
+    /// The page is admitted to the pool only *after* its bytes have been
+    /// read and decoded: a failed read or a corrupt page leaves the
+    /// pool's frames, counters and dirty flags exactly as they were, so
+    /// the call can simply be retried.
     ///
     /// # Errors
     /// Returns [`StorageError::AllPagesPinned`] when the pool cannot
     /// admit the page, [`StorageError::Io`] for disk failures or a
     /// corrupt page, and whatever the retry pager could not absorb.
-    pub fn node(&self, page: PageId) -> Result<NodeGuard<'_, D, Dk>, StorageError> {
-        // Fast path: resident. One short state borrow, no I/O.
-        let staged = {
+    pub fn node_with(
+        &self,
+        page: PageId,
+        prefetched: Option<&[u8]>,
+    ) -> Result<(NodeGuard<'_, D, Dk>, bool), StorageError> {
+        // Hit: one short state borrow, one lookup, no I/O.
+        if let Some(guard) = self.pin_resident(page) {
+            return Ok((guard, false));
+        }
+        // Miss: read into the page buffer unless the bytes came with the
+        // call, then decode into the spare node; no frame changes yet.
+        {
+            let mut buf = self.read_buf.borrow_mut();
+            let bytes = match prefetched {
+                Some(bytes) => bytes,
+                None => {
+                    self.io.borrow_mut().read_into(page, &mut buf)?;
+                    buf.as_slice()
+                }
+            };
             let mut state = self.state.borrow_mut();
-            if state.pool.contains(page) {
-                let adm = state.pool.try_access(page)?;
-                debug_assert!(adm.hit && adm.evicted.is_none());
-                let node = match state.cache.get(&page) {
-                    Some(n) => n.clone(),
-                    None => {
-                        return Err(corrupt(page, "pool/cache desync (resident but not cached)"))
-                    }
-                };
-                state.pool.pin(page);
-                return Ok(NodeGuard { store: self, page, node });
-            }
-            state.unstage(page)
-        };
-
-        // Miss: fetch and decode with no borrow across the I/O.
-        let from_prefetch = staged.is_some();
-        let bytes = match staged {
-            Some(b) => b,
-            None => self.io.borrow_mut().read(page)?.data,
-        };
-        let node = Rc::new(decode_node::<D>(&bytes, page)?);
-        let admitted = self.admit(page);
+            let spare = state.spare.get_or_insert_with(Rc::default);
+            decode_into(bytes, page, Rc::make_mut(spare))?;
+        }
+        let node = self.state.borrow_mut().spare.take().unwrap_or_default();
+        let frame = self.admit(page, node, false)?;
         let mut state = self.state.borrow_mut();
-        if let Err(e) = admitted {
-            if from_prefetch {
-                // Keep the prefetched copy for a later retry.
-                state.stage(page, bytes);
-            }
-            return Err(e);
-        }
-        if from_prefetch {
-            state.prefetch_supplied += 1;
-        }
         state.nodes_decoded += 1;
-        state.cache.insert(page, node.clone());
-        state.pool.pin(page);
-        Ok(NodeGuard { store: self, page, node })
+        state.prefetch_supplied += u64::from(prefetched.is_some());
+        state.frames.pin(page);
+        let node = Rc::clone(&state.frames.value(frame).node);
+        Ok((NodeGuard { store: self, page, node }, prefetched.is_some()))
     }
 
-    /// Admits `page` to the pool. When that would evict a dirty page,
-    /// the whole dirty set is written back first, so no page leaves the
-    /// pool unwritten; the (then clean) victim's node leaves the cache.
-    /// On error the pool, cache and dirty set hold what they held.
-    fn admit(&self, page: PageId) -> Result<(), StorageError> {
+    /// Pins `page` if it is resident, counting a hit.
+    fn pin_resident(&self, page: PageId) -> Option<NodeGuard<'_, D, Dk>> {
+        let mut state = self.state.borrow_mut();
+        let frame = state.frames.lookup(page)?;
+        state.frames.pin(page);
+        let node = Rc::clone(&state.frames.value(frame).node);
+        Some(NodeGuard { store: self, page, node })
+    }
+
+    /// Admits `page` with `node`, returning its frame. When that would
+    /// evict a dirty page, every dirty page is written back first, so no
+    /// page leaves the pool unwritten; the (then clean) victim's node
+    /// becomes the spare. On error the pool and the dirty flags hold
+    /// what they held, and `node` is dropped.
+    fn admit(
+        &self,
+        page: PageId,
+        node: Rc<PagedNode<D>>,
+        dirty: bool,
+    ) -> Result<usize, StorageError> {
         let victim_dirty = {
             let state = self.state.borrow();
-            !state.dirty.is_empty()
-                && state.pool.next_victim().is_some_and(|v| state.dirty.contains(&v))
+            state.dirty > 0
+                && state.frames.next_victim().is_some_and(|v| state.dirty_node(v).is_some())
         };
         if victim_dirty {
             self.flush_dirty()?;
         }
         let mut state = self.state.borrow_mut();
-        if let Some(victim) = state.pool.try_access(page)?.evicted {
-            state.cache.remove(&victim);
+        let (frame, evicted) = state.frames.admit(page, Frame { node, dirty })?;
+        state.dirty += usize::from(dirty);
+        if let Some((_, victim)) = evicted {
+            debug_assert!(!victim.dirty, "a dirty page left the pool unwritten");
+            state.spare = Some(victim.node);
         }
-        Ok(())
+        Ok(frame)
     }
 
     /// Writes every dirty page back in ascending page order, as runs of
@@ -587,7 +661,10 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
     /// succeeded, so after a failure the unwritten pages stay dirty for
     /// a retry.
     fn flush_dirty(&self) -> Result<(), StorageError> {
-        let mut dirty: Vec<PageId> = self.state.borrow().dirty.iter().copied().collect();
+        let mut dirty: Vec<PageId> = {
+            let state = self.state.borrow();
+            state.frames.frames().filter(|(_, f)| f.dirty).map(|(page, _)| page).collect()
+        };
         dirty.sort_unstable();
         let mut buf = Vec::with_capacity(dirty.len().min(RUN_PAGES) * PAGE_SIZE);
         let mut rest = dirty.as_slice();
@@ -603,19 +680,19 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
             buf.clear();
             {
                 let state = self.state.borrow();
-                for page in run {
-                    // csj-lint: allow(panic-safety) — every dirty page is
-                    // resident, hence cached (see PoolState); absence is a
-                    // logic bug.
-                    let node = state.cache.get(page).expect("dirty page must be cached");
-                    encode_node(node.as_ref(), &mut buf);
+                for &page in run {
+                    // Every page listed is resident and dirty: nothing in
+                    // between evicts or cleans one.
+                    if let Some(node) = state.dirty_node(page) {
+                        encode_node(node, &mut buf);
+                    }
                     buf.resize(buf.len().next_multiple_of(PAGE_SIZE), 0);
                 }
             }
             self.io.borrow_mut().write_run(first, &buf)?;
             let mut state = self.state.borrow_mut();
-            for page in run {
-                state.dirty.remove(page);
+            for &page in run {
+                state.mark_clean(page);
             }
         }
         Ok(())
@@ -623,9 +700,9 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
 
     /// Writes `node` to a freshly allocated page through the pool
     /// (page 0 is reserved for the superblock on first use). The page
-    /// is cached dirty; it reaches the disk with the next write-back of
-    /// the dirty set: when a dirty page is about to be evicted, or at
-    /// [`PagedStore::checkpoint`].
+    /// is resident and dirty; it reaches the disk with the next
+    /// write-back of the dirty pages: when a dirty page is about to be
+    /// evicted, or at [`PagedStore::checkpoint`].
     ///
     /// # Errors
     /// Returns [`StorageError::Io`] when the node does not fit a page
@@ -651,10 +728,9 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
             }
             io.disk_mut().alloc()?
         };
-        self.admit(page)?;
-        let mut state = self.state.borrow_mut();
-        state.cache.insert(page, Rc::new(node));
-        state.dirty.insert(page);
+        let mut slot = self.state.borrow_mut().spare.take().unwrap_or_default();
+        *Rc::make_mut(&mut slot) = node;
+        self.admit(page, slot, true)?;
         Ok(page)
     }
 
@@ -697,40 +773,6 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
         self.io.borrow_mut().sync()
     }
 
-    /// Offers raw prefetched page bytes. Accepted (and later consumed by
-    /// the next miss on that page) unless the page is already resident
-    /// or already staged; returns whether the bytes were kept. The
-    /// store does not bound staging: the prefetcher that feeds it
-    /// counts what it staged against its budget and
-    /// [`unstage`](PagedStore::unstage)s what it no longer wants.
-    pub fn stage_raw(&self, page: PageId, bytes: Vec<u8>) -> bool {
-        let mut state = self.state.borrow_mut();
-        if state.pool.contains(page) || state.staged.contains_key(&page) {
-            return false;
-        }
-        state.stage(page, bytes);
-        true
-    }
-
-    /// `true` when prefetched bytes for `page` are staged.
-    pub fn is_staged(&self, page: PageId) -> bool {
-        self.state.borrow().staged.contains_key(&page)
-    }
-
-    /// Drops `page`'s staged bytes; returns whether any were held.
-    pub fn unstage(&self, page: PageId) -> bool {
-        self.state.borrow_mut().unstage(page).is_some()
-    }
-
-    /// Drops every staged page, returning how many there were.
-    pub fn clear_staged(&self) -> usize {
-        let mut state = self.state.borrow_mut();
-        state.staged_bytes = 0;
-        let n = state.staged.len();
-        state.staged.clear();
-        n
-    }
-
     /// Adds a prefetcher's read-ahead counters to [`PagedStats::prefetch`].
     pub fn record_prefetch(&self, run: PrefetchStats) {
         let p = &mut self.state.borrow_mut().prefetch;
@@ -738,26 +780,26 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
         p.late += run.late;
         p.late_wait_ns += run.late_wait_ns;
         p.wasted += run.wasted;
+        p.unlisted += run.unlisted;
+        p.held_peak = p.held_peak.max(run.held_peak);
     }
 
-    /// `true` when `page` is resident in the pool (its node is cached).
+    /// `true` when `page` is resident in the pool.
     pub fn is_resident(&self, page: PageId) -> bool {
-        self.state.borrow().pool.contains(page)
+        self.state.borrow().frames.contains(page)
     }
 
-    /// Bytes currently held in the prefetch staging area (O(1)).
-    pub fn staged_bytes(&self) -> usize {
-        self.state.borrow().staged_bytes
-    }
-
-    /// The most bytes the staging area has held at once.
-    pub fn staged_peak_bytes(&self) -> usize {
-        self.state.borrow().staged_peak
+    /// Applies `f` to the node of a resident `page`, without recording
+    /// an access or pinning; `None` when the page is not resident.
+    pub fn with_resident<R>(&self, page: PageId, f: impl FnOnce(&PagedNode<D>) -> R) -> Option<R> {
+        let state = self.state.borrow();
+        let frame = state.frames.frame_of(page)?;
+        Some(f(&state.frames.value(frame).node))
     }
 
     /// Pool capacity in pages.
     pub fn pool_capacity(&self) -> usize {
-        self.state.borrow().pool.capacity()
+        self.state.borrow().frames.capacity()
     }
 
     /// Cumulative counters (pool, disk, retries, prefetch).
@@ -765,7 +807,7 @@ impl<const D: usize, Dk: Disk> PagedStore<D, Dk> {
         let state = self.state.borrow();
         let io = self.io.borrow();
         PagedStats {
-            pool: state.pool.stats(),
+            pool: state.frames.stats(),
             disk_reads: io.disk().reads(),
             disk_writes: io.disk().writes(),
             io_retries: io.retries(),
@@ -961,16 +1003,9 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
         page: PageId,
         out: &mut Vec<RecordId>,
     ) -> Result<(), StorageError> {
-        let mut stack = vec![page];
-        while let Some(cur) = stack.pop() {
-            let node = self.node(cur)?;
-            if node.is_leaf() {
-                out.extend(node.entries.iter().map(|e| e.id));
-            } else {
-                stack.extend(node.children.iter().map(|&(p, _)| p));
-            }
-        }
-        Ok(())
+        self.for_each_leaf_below(self.node(page)?, |leaf| {
+            out.extend(leaf.entries.iter().map(|e| e.id))
+        })
     }
 
     /// Appends every `(id, point)` below `page` to `out`, in the order
@@ -983,16 +1018,33 @@ impl<const D: usize, Dk: Disk> PagedTree<D, Dk> {
         page: PageId,
         out: &mut Vec<LeafEntry<D>>,
     ) -> Result<(), StorageError> {
-        let mut stack = vec![page];
-        while let Some(cur) = stack.pop() {
-            let node = self.node(cur)?;
+        self.for_each_leaf_below(self.node(page)?, |leaf| out.extend_from_slice(&leaf.entries))
+    }
+
+    /// Calls `leaf` on every leaf below the pinned node `top` (itself
+    /// included), in the order of [`PagedTree::collect_record_ids`].
+    /// `top` is released once its children are listed; at most one page
+    /// is pinned at a time.
+    ///
+    /// # Errors
+    /// As [`PagedStore::node`].
+    pub fn for_each_leaf_below<'s>(
+        &'s self,
+        top: NodeGuard<'s, D, Dk>,
+        mut leaf: impl FnMut(&PagedNode<D>),
+    ) -> Result<(), StorageError> {
+        let mut stack = Vec::new();
+        let mut node = top;
+        loop {
             if node.is_leaf() {
-                out.extend_from_slice(&node.entries);
+                leaf(&node);
             } else {
                 stack.extend(node.children.iter().map(|&(p, _)| p));
             }
+            drop(node);
+            let Some(next) = stack.pop() else { return Ok(()) };
+            node = self.node(next)?;
         }
-        Ok(())
     }
 }
 
@@ -1233,35 +1285,35 @@ mod tests {
     }
 
     #[test]
-    fn staged_bytes_satisfy_misses_without_disk_reads() {
+    fn prefetched_bytes_satisfy_misses_without_disk_reads() {
         let pts = scatter(120);
         let cfg = RTreeConfig::with_max_fanout(8);
         let tree =
             PagedTree::build_str(&pts, cfg, SimulatedDisk::new(), RetryPolicy::none(), 2).unwrap();
         let root = tree.root().unwrap();
-        // Evict everything by touching other pages, then stage the root
-        // page's bytes as a prefetcher would.
-        let raw = {
+        // The root page's bytes, as a prefetcher would have read them.
+        let (raw, child_pages) = {
             let guard = tree.node(root).unwrap();
-            encoded(guard.deref())
+            let children: Vec<PageId> = guard.children.iter().map(|&(p, _)| p).collect();
+            (encoded(guard.deref()), children)
         };
-        let before = tree.stats();
         // Fill the 2-frame pool with other pages so the root is evicted.
-        let child_pages: Vec<PageId> = {
-            let g = tree.node(root).unwrap();
-            g.children.iter().map(|&(p, _)| p).collect()
-        };
         for &p in &child_pages {
             let _ = tree.node(p).unwrap();
         }
         assert!(!tree.store().is_resident(root));
-        assert!(tree.store().stage_raw(root, raw));
-        let reads_before = tree.stats().disk_reads;
-        let g = tree.node(root).unwrap();
+        let before = tree.stats();
+        let (g, used) = tree.store().node_with(root, Some(&raw)).unwrap();
+        assert!(used, "a miss decodes the prefetched bytes");
         assert_eq!(g.level as usize + 1, tree.height());
+        drop(g);
         let after = tree.stats();
-        assert_eq!(after.disk_reads, reads_before, "miss served from staged bytes");
+        assert_eq!(after.disk_reads, before.disk_reads, "miss served from prefetched bytes");
         assert_eq!(after.prefetch_supplied, before.prefetch_supplied + 1);
+        // A hit leaves the bytes unused.
+        let (_g, used) = tree.store().node_with(root, Some(&raw)).unwrap();
+        assert!(!used);
+        assert_eq!(tree.stats().prefetch_supplied, after.prefetch_supplied);
     }
 
     /// Delegates to a [`SimulatedDisk`] but fails the next `fail_reads`
@@ -1273,6 +1325,8 @@ mod tests {
     struct FlakyDisk {
         inner: SimulatedDisk,
         fail_reads: u64,
+        /// Reads after the failed ones that return a corrupt page.
+        corrupt_reads: u64,
         fail_write: Option<u64>,
         injected: u64,
         write_calls: u64,
@@ -1307,7 +1361,12 @@ mod tests {
                 self.injected += 1;
                 return Err(StorageError::FaultInjected { op: IoOp::Read, seq: self.injected });
             }
-            self.inner.read(id)
+            let mut page = self.inner.read(id)?;
+            if self.corrupt_reads > 0 {
+                self.corrupt_reads -= 1;
+                page.data[4..8].copy_from_slice(&u32::MAX.to_le_bytes()); // absurd count
+            }
+            Ok(page)
         }
         fn write(&mut self, page: &Page) -> Result<(), StorageError> {
             self.write_calls += 1;
@@ -1355,8 +1414,85 @@ mod tests {
         assert_eq!(store.stats().nodes_decoded, 1, "only the successful read decodes");
     }
 
+    /// A miss that fails — a read fault on every attempt, a corrupt
+    /// page — must leave the pool as it was: the would-be victim
+    /// resident with its node intact, the pool counters and the dirty
+    /// flags unchanged. A transient fault is absorbed, the retried
+    /// access succeeds, and a full traversal over a disk that faults
+    /// every third read returns the records of the in-memory tree.
+    #[test]
+    fn failed_miss_leaves_the_victim_and_the_counters_untouched() {
+        let pts = scatter(400);
+        let cfg = RTreeConfig::with_max_fanout(8);
+        // Every third read faults: the pager's two attempts absorb one.
+        let faulty = SimulatedDisk::with_faults(FaultPolicy::fail_every_read(3));
+        let built = PagedTree::build_str(&pts, cfg, faulty, RetryPolicy::none(), 4096).unwrap();
+        let root = built.root().unwrap();
+        let flaky = FlakyDisk { inner: built.into_disk(), ..FlakyDisk::default() };
+        let store = PagedStore::<2, _>::new(flaky, RetryPolicy::no_backoff(2), 3);
+        let clean = store.put_node(PagedNode::leaf(vec![entry(9, 9.0, 9.0)])).unwrap();
+        let victim = PageId(1);
+        let resident_node = store.node(victim).unwrap().deref().clone();
+        let _root_guard = store.node(root).unwrap();
+        // Pool of 3: `clean` (dirty, pinned below), `victim`, the pinned
+        // root. A miss now has exactly one frame to take: `victim`'s.
+        let _dirty_guard = store.node(clean).unwrap();
+        let target = PageId(2);
+        let set_faults = |fail_reads: u64, corrupt_reads: u64| {
+            let mut io = store.io.borrow_mut();
+            let disk = io.disk_mut();
+            disk.fail_reads = fail_reads;
+            disk.corrupt_reads = corrupt_reads;
+        };
+        let before = store.stats();
+        for (fail_reads, corrupt_reads, what) in
+            [(2, 0, "a fault the retries cannot absorb"), (0, 1, "a corrupt page")]
+        {
+            set_faults(fail_reads, corrupt_reads);
+            assert!(store.node(target).is_err(), "{what} must surface");
+            let after = store.stats();
+            assert_eq!(after.pool, before.pool, "{what}: pool counters");
+            assert_eq!(after.nodes_decoded, before.nodes_decoded, "{what}: decodes");
+            assert!(!store.is_resident(target), "{what}: the page was admitted");
+            assert!(store.is_resident(victim), "{what}: the victim was evicted");
+            assert_eq!(dirty_pages(&store), [clean], "{what}: dirty flags");
+        }
+        // One transient fault, absorbed by the retry: the miss succeeds
+        // and takes the victim's frame.
+        set_faults(1, 0);
+        let got = store.node(target).expect("the retry absorbs one fault");
+        assert_eq!(got.entries.entries().len(), got.entries.soa().len());
+        drop(got);
+        assert!(store.stats().io_retries > before.io_retries);
+        assert!(!store.is_resident(victim), "the victim made room at last");
+        assert_eq!(dirty_pages(&store), [clean], "the clean victim needed no write-back");
+        // The victim reads back as it was, and so does the whole tree.
+        assert_eq!(store.node(victim).unwrap().entries.entries(), resident_node.entries.entries());
+        let mut got = Vec::new();
+        let mut stack = vec![root];
+        while let Some(page) = stack.pop() {
+            let node = store.node(page).unwrap();
+            if node.is_leaf() {
+                got.extend_from_slice(node.entries.entries());
+            } else {
+                stack.extend(node.children.iter().map(|&(p, _)| p));
+            }
+        }
+        let reference = {
+            let core = str_pack(&pts, cfg);
+            let rtree = crate::rstar::RStarTree { core };
+            let mut out = Vec::new();
+            crate::traits::JoinIndex::collect_entries(&rtree, rtree.core.root.unwrap(), &mut out);
+            out
+        };
+        assert_eq!(got, reference, "the traversal reads a fault-free store's records");
+    }
+
     fn dirty_pages<Dk: Disk>(store: &PagedStore<2, Dk>) -> Vec<PageId> {
-        let mut dirty: Vec<PageId> = store.state.borrow().dirty.iter().copied().collect();
+        let state = store.state.borrow();
+        let mut dirty: Vec<PageId> =
+            state.frames.frames().filter(|(_, f)| f.dirty).map(|(page, _)| page).collect();
+        assert_eq!(dirty.len(), state.dirty, "the dirty count matches the flags");
         dirty.sort_unstable();
         dirty
     }
@@ -1432,7 +1568,7 @@ mod tests {
     fn write_back_splits_runs_at_gaps_in_the_dirty_set() {
         let store = PagedStore::<2, _>::new(FlakyDisk::default(), RetryPolicy::none(), 8);
         let pages = put_leaves(&store, 0..4);
-        store.state.borrow_mut().dirty.remove(&pages[1]);
+        store.state.borrow_mut().mark_clean(pages[1]);
         store.checkpoint().unwrap();
         let disk = store.into_disk();
         assert_eq!((disk.write_calls, Disk::writes(&disk)), (2, 3), "runs {{1}} and {{3, 4}}");

@@ -530,15 +530,18 @@ pub fn shard_retry_quiesce_scenario(second_attempt_dies: bool) {
 /// finished reads, plus two condvars:
 ///
 /// * a reader sleeps on `work` until the queue has a page or shutdown
-///   begins, moves the page to `in_flight` (counting it issued), reads
-///   it *outside* the lock, then moves it to `done` — `None` for a
-///   failed read — and signals `landed`;
+///   begins, moves the page to `in_flight` (counting it issued) and
+///   takes a page buffer from the recycled `free` set (making one only
+///   when the set is empty), reads it *outside* the lock, then moves it
+///   to `done` with its buffer — flagged for a failed read — and
+///   signals `landed`;
 /// * the engine's fetch takes its page back out of the queue if no
 ///   reader has started it (it reads it itself), waits on `landed`
 ///   while the page is in flight, and stages what landed: successful
 ///   reads of non-resident pages, each counted against the window; the
 ///   refill then re-decides the whole queue from the window, dropping
-///   queued requests that fell out of it, and wakes the readers;
+///   queued requests that fell out of it, hands the buffers of consumed
+///   and failed reads back to `free`, and wakes the readers;
 /// * `finish` sets `shutdown`, clears the queue, wakes and joins every
 ///   reader, and counts the reads that never got consumed as wasted.
 ///
@@ -546,7 +549,9 @@ pub fn shard_retry_quiesce_scenario(second_attempt_dies: bool) {
 /// never over-committed (staged + requested ≤ budget), every page is
 /// decoded exactly once from exactly one source, a failed read never
 /// stages, and after the join every issued read was either useful or
-/// wasted (`supplied + wasted == issued`). The checker itself refutes
+/// wasted (`supplied + wasted == issued`), and no page buffer is lost:
+/// every buffer a reader made is back in `free` or still holds staged
+/// bytes. The checker itself refutes
 /// a lost wake-up: the condvars have no spurious wake-ups, so an
 /// engine left waiting on a page nobody will signal is a deadlock.
 ///
@@ -561,11 +566,18 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
     /// genuinely re-queues as the engine advances.
     const BUDGET: usize = 2;
 
+    /// A finished read: page, buffer id, success.
+    type Landed = (u64, usize, bool);
+
     #[derive(Default)]
     struct ReadState {
         queue: VecDeque<u64>,
         in_flight: Vec<u64>,
-        done: Vec<(u64, Option<u64>)>,
+        done: Vec<Landed>,
+        /// Recycled page buffers, by id.
+        free: Vec<usize>,
+        /// Buffers the readers had to make.
+        made: usize,
         issued: usize,
         shutdown: bool,
     }
@@ -591,7 +603,7 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
         .map(|_| {
             let shared = Arc::clone(&shared);
             thread::spawn(move || loop {
-                let page = {
+                let (page, buf) = {
                     let mut st = lock(&shared.state);
                     loop {
                         if st.shutdown {
@@ -600,17 +612,21 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
                         if let Some(page) = st.queue.pop_front() {
                             st.in_flight.push(page);
                             st.issued += 1;
-                            break page;
+                            let buf = st.free.pop().unwrap_or_else(|| {
+                                st.made += 1;
+                                st.made - 1
+                            });
+                            break (page, buf);
                         }
                         st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                 };
                 // The read itself, outside the lock.
-                let bytes = (!(read_ahead_fails && page == FAIL_PAGE)).then_some(page);
+                let ok = !(read_ahead_fails && page == FAIL_PAGE);
                 {
                     let mut st = lock(&shared.state);
                     st.in_flight.retain(|&p| p != page);
-                    st.done.push((page, bytes));
+                    st.done.push((page, buf, ok));
                 }
                 shared.landed.notify_all();
             })
@@ -620,7 +636,8 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
     // The engine: `fetch` page by page along a one-batch frontier, then
     // `finish`.
     let mut requested: Vec<u64> = Vec::new(); // queued, in flight or landed
-    let mut staged: Vec<u64> = Vec::new();
+    let mut staged: Vec<(u64, usize)> = Vec::new(); // page, buffer
+    let mut spare: Vec<usize> = Vec::new(); // buffers to hand back
     let mut resident: Vec<u64> = Vec::new();
     let (mut supplied, mut sync_reads, mut wasted) = (0usize, 0usize, 0usize);
     for page in 1..=PAGES {
@@ -635,13 +652,14 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
             }
             std::mem::take(&mut st.done)
         };
-        for (p, bytes) in landed {
+        for (p, buf, ok) in landed {
             requested.retain(|&q| q != p);
-            // stage_raw: refused for a failed read or a resident page.
-            if bytes.is_some() && !resident.contains(&p) {
-                staged.push(p);
+            // Staged unless the read failed or the page is resident.
+            if ok && !resident.contains(&p) {
+                staged.push((p, buf));
             } else {
-                assert!(bytes.is_some() || p == FAIL_PAGE, "only the injected read fails");
+                assert!(ok || p == FAIL_PAGE, "only the injected read fails");
+                spare.push(buf);
                 wasted += 1;
             }
         }
@@ -656,7 +674,7 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
             let free = BUDGET.saturating_sub(held);
             let wanted: Vec<u64> = ((page + 1)..=PAGES)
                 .take(BUDGET)
-                .filter(|p| !staged.contains(p) && !requested.contains(p))
+                .filter(|p| !staged.iter().any(|&(q, _)| q == *p) && !requested.contains(p))
                 .take(free)
                 .collect();
             for p in wanted {
@@ -664,13 +682,14 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
                 requested.push(p);
             }
             assert!(held + st.queue.len() <= BUDGET, "the window was over-committed");
+            st.free.append(&mut spare);
             if !st.queue.is_empty() {
                 shared.work.notify_all();
             }
         }
         // The pin: staged bytes win; otherwise the synchronous read.
-        if let Some(i) = staged.iter().position(|&q| q == page) {
-            staged.remove(i);
+        if let Some(i) = staged.iter().position(|&(q, _)| q == page) {
+            spare.push(staged.remove(i).1);
             supplied += 1;
             assert!(!(read_ahead_fails && page == FAIL_PAGE), "a failed read-ahead staged");
         } else {
@@ -693,7 +712,10 @@ pub fn prefetch_scenario(read_ahead_fails: bool) {
     let (issued, leftover) = {
         let mut st = lock(&shared.state);
         assert!(st.in_flight.is_empty(), "a joined reader left a read in flight");
-        (st.issued, std::mem::take(&mut st.done).len())
+        let leftover = std::mem::take(&mut st.done).len();
+        let held = st.free.len() + spare.len() + staged.len() + leftover;
+        assert_eq!(held, st.made, "a page buffer was lost");
+        (st.issued, leftover)
     };
     wasted += leftover + staged.len();
 

@@ -1,5 +1,5 @@
-//! An LRU buffer pool over page ids, with pinning and hit/miss
-//! accounting.
+//! An LRU buffer pool over page ids, with pinning, hit/miss accounting
+//! and one payload per frame.
 //!
 //! Experiment 3 of the paper reports that "there is no significant
 //! difference in the number of disk page and cache accesses between the
@@ -7,17 +7,19 @@
 //! claim we replay each join's node-access log (one tree node ≈ one page)
 //! through this pool at several capacities and compare miss counts.
 //!
-//! The out-of-core engine uses the same pool *live*: every node read is
-//! admitted through [`BufferPool::try_access`], pages the traversal
-//! currently holds are **pinned** (eviction skips them), and
-//! [`BufferPool::next_victim`] names the frame the next miss evicts, so
-//! the paged store can write it back, if dirty, before admitting the
-//! page that evicts it. When every frame is pinned the pool reports
-//! [`StorageError::AllPagesPinned`] instead of silently growing — the
-//! invariant that resident data never exceeds `capacity` pages is what
-//! makes "memory bounded by the buffer pool" true rather than aspirational.
-
-use std::collections::HashMap;
+//! The out-of-core engine uses the same pool *live*, as its frame table:
+//! each frame owns a payload `T` (the paged store keeps the decoded node
+//! and its dirty flag there), so one lookup finds both a page's
+//! residency and its contents. Pages the traversal currently holds are
+//! **pinned** (eviction skips them), and [`BufferPool::next_victim`]
+//! names the frame the next miss evicts, so the paged store can write it
+//! back, if dirty, before admitting the page that evicts it. A miss
+//! reuses the victim's frame in place and hands its payload back to the
+//! caller, so a full pool admits pages without allocating. When every
+//! frame is pinned the pool reports [`StorageError::AllPagesPinned`]
+//! instead of silently growing — the invariant that resident data never
+//! exceeds `capacity` pages is what makes "memory bounded by the buffer
+//! pool" true rather than aspirational.
 
 use crate::error::StorageError;
 use crate::page::PageId;
@@ -62,43 +64,58 @@ pub struct Admission {
 }
 
 /// One frame of the slab LRU list.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
+#[derive(Debug)]
+struct Slot<T> {
     page: PageId,
     prev: usize,
     next: usize,
     pins: u32,
+    value: T,
 }
 
-/// A fixed-capacity LRU cache of page ids, with pin counts.
+/// A fixed-capacity LRU cache of page ids, with pin counts and one
+/// payload per frame.
 ///
-/// Constant-time access via an intrusive doubly-linked list over a slab,
-/// so multi-million-access replay logs are cheap to process. Pinned
-/// pages are skipped by eviction (the traversal is holding a reference
-/// into them); a fully pinned pool refuses admission instead of
-/// evicting.
+/// Constant-time access via an intrusive doubly-linked list over a slab
+/// of frames, found through a dense table indexed by page id (4 bytes
+/// per id up to the largest seen), so multi-million-access replay logs
+/// are cheap to process. Frames are allocated lazily, up to capacity, and
+/// a frame keeps its index while its page is resident. Pinned pages are
+/// skipped by eviction (the traversal is holding a reference into them);
+/// a fully pinned pool refuses admission instead of evicting.
 #[derive(Debug)]
-pub struct BufferPool {
+pub struct BufferPool<T = ()> {
     capacity: usize,
     stats: BufferStats,
-    slots: Vec<Slot>,
-    index: HashMap<PageId, usize>,
+    slots: Vec<Slot<T>>,
+    /// Frame of each resident page id; [`NO_FRAME`] for the others.
+    index: Vec<u32>,
     head: usize, // most recently used
     tail: usize, // least recently used
     pinned: usize,
 }
 
 const NIL: usize = usize::MAX;
+const NO_FRAME: u32 = u32::MAX;
 
 impl BufferPool {
-    /// A pool holding at most `capacity` pages. Panics if zero.
+    /// A pool holding at most `capacity` pages, with no payload: the
+    /// replay pool. Panics if zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_frames(capacity)
+    }
+}
+
+impl<T> BufferPool<T> {
+    /// A pool holding at most `capacity` pages, each frame with a `T`.
+    /// Panics if zero.
+    pub fn with_frames(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool capacity must be positive");
         BufferPool {
             capacity,
             stats: BufferStats::default(),
-            slots: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity(capacity),
+            slots: Vec::new(),
+            index: Vec::new(),
             head: NIL,
             tail: NIL,
             pinned: 0,
@@ -112,12 +129,12 @@ impl BufferPool {
 
     /// Current number of cached pages.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len()
     }
 
     /// `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of currently pinned pages (pages with pin count > 0).
@@ -125,9 +142,20 @@ impl BufferPool {
         self.pinned
     }
 
+    /// The frame holding `page`, if resident. Records no access.
+    #[inline]
+    pub fn frame_of(&self, page: PageId) -> Option<usize> {
+        let i = usize::try_from(page.0).ok()?;
+        match self.index.get(i) {
+            Some(&f) if f != NO_FRAME => Some(f as usize),
+            _ => None,
+        }
+    }
+
     /// `true` if `page` is resident.
+    #[inline]
     pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
+        self.frame_of(page).is_some()
     }
 
     /// Accumulated statistics.
@@ -135,14 +163,98 @@ impl BufferPool {
         self.stats
     }
 
+    /// The payload of frame `frame` (from [`BufferPool::lookup`],
+    /// [`BufferPool::admit`] or [`BufferPool::frame_of`]).
+    ///
+    /// # Panics
+    /// Panics if `frame` is not a frame of this pool.
+    #[inline]
+    pub fn value(&self, frame: usize) -> &T {
+        &self.slots[frame].value
+    }
+
+    /// The payload of frame `frame`, mutably.
+    ///
+    /// # Panics
+    /// Panics if `frame` is not a frame of this pool.
+    #[inline]
+    pub fn value_mut(&mut self, frame: usize) -> &mut T {
+        &mut self.slots[frame].value
+    }
+
+    /// Every resident page with its payload, in frame order.
+    pub fn frames(&self) -> impl Iterator<Item = (PageId, &T)> {
+        self.slots.iter().map(|s| (s.page, &s.value))
+    }
+
     /// The page the next miss would evict: `None` while the pool has a
     /// free frame or when every frame is pinned. Lets a caller write a
     /// dirty victim back *before* admitting the page that evicts it.
     pub fn next_victim(&self) -> Option<PageId> {
-        if self.index.len() < self.capacity {
+        if self.slots.len() < self.capacity {
             return None;
         }
         self.evictable_victim().map(|slot| self.slots[slot].page)
+    }
+
+    /// Records an access to a resident `page`: counts a hit, marks it
+    /// most recently used, and returns its frame. `None` (nothing
+    /// recorded) when the page is not resident.
+    #[inline]
+    pub fn lookup(&mut self, page: PageId) -> Option<usize> {
+        let frame = self.frame_of(page)?;
+        self.stats.hits += 1;
+        self.move_to_front(frame);
+        Some(frame)
+    }
+
+    /// Admits a page that is not resident with payload `value`, counting
+    /// a miss. In a full pool the least-recently-used *unpinned* frame is
+    /// reused in place: its page and payload are returned, so the caller
+    /// can recycle the payload. The new page is most recently used.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::AllPagesPinned`] when the pool is full
+    /// and no frame is evictable; nothing is recorded, the pool is
+    /// unchanged, and `value` is dropped.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if `page` is already resident.
+    pub fn admit(
+        &mut self,
+        page: PageId,
+        value: T,
+    ) -> Result<(usize, Option<(PageId, T)>), StorageError> {
+        debug_assert!(!self.contains(page), "admitting a resident page");
+        let page_index = usize::try_from(page.0).unwrap_or(usize::MAX);
+        let (frame, evicted) = if self.slots.len() < self.capacity {
+            let frame = self.slots.len();
+            self.slots.push(Slot { page, prev: NIL, next: NIL, pins: 0, value });
+            (frame, None)
+        } else {
+            let frame = self
+                .evictable_victim()
+                .ok_or(StorageError::AllPagesPinned { capacity: self.capacity })?;
+            self.unlink(frame);
+            let slot = &mut self.slots[frame];
+            debug_assert_eq!(slot.pins, 0, "evicting a pinned page");
+            let old_page = std::mem::replace(&mut slot.page, page);
+            let old_value = std::mem::replace(&mut slot.value, value);
+            if let Some(entry) =
+                usize::try_from(old_page.0).ok().and_then(|i| self.index.get_mut(i))
+            {
+                *entry = NO_FRAME;
+            }
+            self.stats.evictions += 1;
+            (frame, Some((old_page, old_value)))
+        };
+        if self.index.len() <= page_index {
+            self.index.resize(page_index + 1, NO_FRAME);
+        }
+        self.index[page_index] = frame as u32;
+        self.link_front(frame);
+        self.stats.misses += 1;
+        Ok((frame, evicted))
     }
 
     /// Records an access to `page`, returning `true` on a hit. On a miss
@@ -153,47 +265,34 @@ impl BufferPool {
     /// Panics when the pool is full and every page is pinned. Pin-aware
     /// callers use [`BufferPool::try_access`]; this convenience wrapper
     /// exists for replay workloads that never pin.
-    pub fn access(&mut self, page: PageId) -> bool {
+    pub fn access(&mut self, page: PageId) -> bool
+    where
+        T: Default,
+    {
         match self.try_access(page) {
             Ok(adm) => adm.hit,
             Err(_) => unreachable!("access() on a fully pinned pool; use try_access()"),
         }
     }
 
-    /// Records an access to `page`. On a miss the page is admitted,
-    /// evicting the least-recently-used *unpinned* page if the pool is
-    /// full; the evicted id is reported so the caller can drop what it
-    /// kept for that frame.
+    /// Records an access to `page`. On a miss the page is admitted with
+    /// a default payload, evicting the least-recently-used *unpinned*
+    /// page if the pool is full; the evicted id is reported so the
+    /// caller can drop what it kept for that frame.
     ///
     /// # Errors
     /// Returns [`StorageError::AllPagesPinned`] when the pool is full
     /// and no frame is evictable; the access is not recorded and the
     /// pool is unchanged.
-    pub fn try_access(&mut self, page: PageId) -> Result<Admission, StorageError> {
-        if let Some(&slot) = self.index.get(&page) {
-            self.stats.hits += 1;
-            self.move_to_front(slot);
+    pub fn try_access(&mut self, page: PageId) -> Result<Admission, StorageError>
+    where
+        T: Default,
+    {
+        if self.lookup(page).is_some() {
             return Ok(Admission { hit: true, evicted: None });
         }
-        let mut evicted = None;
-        if self.index.len() == self.capacity {
-            let victim = self
-                .evictable_victim()
-                .ok_or(StorageError::AllPagesPinned { capacity: self.capacity })?;
-            evicted = Some(self.evict_slot(victim));
-        }
-        self.stats.misses += 1;
-        let slot = self.slots.len();
-        self.slots.push(Slot { page, prev: NIL, next: self.head, pins: 0 });
-        if self.head != NIL {
-            self.slots[self.head].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-        self.index.insert(page, slot);
-        Ok(Admission { hit: false, evicted })
+        let (_, evicted) = self.admit(page, T::default())?;
+        Ok(Admission { hit: false, evicted: evicted.map(|(p, _)| p) })
     }
 
     /// Pins a resident page (incrementing its pin count), returning
@@ -201,23 +300,25 @@ impl BufferPool {
     /// evicted; every `pin` must be paired with an
     /// [`BufferPool::unpin`].
     pub fn pin(&mut self, page: PageId) -> bool {
-        let Some(&slot) = self.index.get(&page) else { return false };
-        if self.slots[slot].pins == 0 {
+        let Some(frame) = self.frame_of(page) else { return false };
+        let slot = &mut self.slots[frame];
+        if slot.pins == 0 {
             self.pinned += 1;
         }
-        self.slots[slot].pins += 1;
+        slot.pins += 1;
         true
     }
 
     /// Releases one pin on `page`, returning `false` if the page is not
     /// resident or not pinned.
     pub fn unpin(&mut self, page: PageId) -> bool {
-        let Some(&slot) = self.index.get(&page) else { return false };
-        if self.slots[slot].pins == 0 {
+        let Some(frame) = self.frame_of(page) else { return false };
+        let slot = &mut self.slots[frame];
+        if slot.pins == 0 {
             return false;
         }
-        self.slots[slot].pins -= 1;
-        if self.slots[slot].pins == 0 {
+        slot.pins -= 1;
+        if slot.pins == 0 {
             self.pinned -= 1;
         }
         true
@@ -226,7 +327,7 @@ impl BufferPool {
     /// The least-recently-used unpinned slot, or `None` if every
     /// resident page is pinned.
     fn evictable_victim(&self) -> Option<usize> {
-        if self.pinned == self.index.len() {
+        if self.pinned == self.slots.len() {
             return None;
         }
         let mut cur = self.tail;
@@ -240,34 +341,15 @@ impl BufferPool {
     }
 
     fn move_to_front(&mut self, slot: usize) {
-        if self.head == slot {
-            return;
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
         }
-        let Slot { prev, next, .. } = self.slots[slot];
-        // Unlink.
-        if prev != NIL {
-            self.slots[prev].next = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        }
-        if self.tail == slot {
-            self.tail = prev;
-        }
-        // Relink at head.
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = slot;
-        }
-        self.head = slot;
     }
 
-    /// Removes `victim` (any position in the list), returning its page.
-    fn evict_slot(&mut self, victim: usize) -> PageId {
-        let Slot { page, prev, next, pins } = self.slots[victim];
-        debug_assert_eq!(pins, 0, "evicting a pinned page");
-        self.index.remove(&page);
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
         if prev != NIL {
             self.slots[prev].next = next;
         } else {
@@ -278,32 +360,26 @@ impl BufferPool {
         } else {
             self.tail = prev;
         }
-        self.stats.evictions += 1;
-        // Recycle the slot by swapping with the last slab entry.
-        let last = self.slots.len() - 1;
-        if victim != last {
-            self.slots.swap(victim, last);
-            let Slot { page: moved_page, prev: mprev, next: mnext, .. } = self.slots[victim];
-            self.index.insert(moved_page, victim);
-            if mprev != NIL {
-                self.slots[mprev].next = victim;
-            }
-            if mnext != NIL {
-                self.slots[mnext].prev = victim;
-            }
-            if self.head == last {
-                self.head = victim;
-            }
-            if self.tail == last {
-                self.tail = victim;
-            }
+    }
+
+    /// Puts an unlinked `slot` at the most-recently-used end.
+    fn link_front(&mut self, slot: usize) {
+        self.slots[slot].prev = NIL;
+        self.slots[slot].next = self.head;
+        if self.head != NIL {
+            self.slots[self.head].prev = slot;
         }
-        self.slots.pop();
-        page
+        self.head = slot;
+        if self.tail == NIL {
+            self.tail = slot;
+        }
     }
 
     /// Replays a sequence of page accesses, returning the final stats.
-    pub fn replay(&mut self, accesses: impl IntoIterator<Item = PageId>) -> BufferStats {
+    pub fn replay(&mut self, accesses: impl IntoIterator<Item = PageId>) -> BufferStats
+    where
+        T: Default,
+    {
         for p in accesses {
             self.access(p);
         }
@@ -454,6 +530,36 @@ mod tests {
         assert!(pool.unpin(p(7)));
         assert!(!pool.unpin(p(7)), "pin count exhausted");
         assert!(pool.try_access(p(8)).is_ok(), "fully unpinned page is evictable");
+    }
+
+    #[test]
+    fn frames_keep_their_payload_and_a_miss_recycles_the_victim() {
+        let mut pool: BufferPool<Vec<u32>> = BufferPool::with_frames(2);
+        let (fa, _) = pool.admit(p(1), vec![1]).unwrap();
+        let (fb, _) = pool.admit(p(2), vec![2]).unwrap();
+        assert_eq!(pool.lookup(p(1)), Some(fa), "a hit returns the page's frame");
+        assert_eq!(pool.value(fb), &[2]);
+        pool.value_mut(fb).push(20);
+        // Page 2 is now the LRU: page 3 reuses its frame and hands back
+        // its payload.
+        let (fc, evicted) = pool.admit(p(3), vec![3]).unwrap();
+        assert_eq!((fc, evicted), (fb, Some((p(2), vec![2, 20]))));
+        assert_eq!(pool.frame_of(p(2)), None);
+        assert_eq!(pool.stats(), BufferStats { hits: 1, misses: 3, evictions: 1 });
+        // A failed admission drops nothing the pool holds.
+        assert!(pool.pin(p(1)) && pool.pin(p(3)));
+        assert!(pool.admit(p(4), vec![4]).is_err());
+        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.value(fa), &[1]);
+        assert!(pool.unpin(p(3)) && !pool.unpin(p(3)));
+        assert_eq!(pool.frame_of(p(3)), Some(fc));
+        // Page 1, unpinned, is now the LRU.
+        assert!(pool.unpin(p(1)));
+        let (_, evicted) = pool.admit(p(5), Vec::new()).unwrap();
+        assert_eq!(evicted.map(|(page, _)| page), Some(p(1)));
+        let mut resident: Vec<PageId> = pool.frames().map(|(page, _)| page).collect();
+        resident.sort_unstable();
+        assert_eq!(resident, [p(3), p(5)]);
     }
 
     #[test]

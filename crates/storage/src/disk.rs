@@ -64,6 +64,23 @@ pub trait Disk {
     /// and [`StorageError::Io`] for OS failures.
     fn read(&mut self, id: PageId) -> Result<Page, StorageError>;
 
+    /// Physically reads a page into `buf`, which is [`PAGE_SIZE`] bytes
+    /// long: [`Disk::read`] without allocating the page. Counted and
+    /// fault-checked like a `read`; on error `buf` holds unspecified
+    /// bytes.
+    ///
+    /// The default copies the result of [`Disk::read`].
+    ///
+    /// # Errors
+    /// As [`Disk::read`].
+    fn read_into(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        let page = self.read(id)?;
+        let n = page.data.len().min(buf.len());
+        buf[..n].copy_from_slice(&page.data[..n]);
+        buf[n..].fill(0);
+        Ok(())
+    }
+
     /// Physically writes a page (counted, fault-checked).
     ///
     /// # Errors
@@ -402,11 +419,19 @@ impl Disk for FileDisk {
     }
 
     fn read(&mut self, id: PageId) -> Result<Page, StorageError> {
+        let mut data = vec![0; PAGE_SIZE];
+        self.read_into(id, &mut data)?;
+        Ok(Page::with_data(id, data))
+    }
+
+    fn read_into(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
         self.reads += 1;
         self.faults.before_read()?;
         let offset = self.check_bounds(id)?;
         self.read_page_at(offset, id)?;
-        Ok(Page::with_data(id, self.scratch.as_slice().to_vec()))
+        let n = buf.len().min(PAGE_SIZE);
+        buf[..n].copy_from_slice(&self.scratch.as_slice()[..n]);
+        Ok(())
     }
 
     fn write(&mut self, page: &Page) -> Result<(), StorageError> {
@@ -635,13 +660,66 @@ mod tests {
                                                                // A run over b and the two pages after it, the last one short.
             disk.write_run(b, &[fill(4), fill(5), vec![6; 10]].concat()).unwrap();
             disk.sync().unwrap();
-            (0..disk.num_pages()).map(|p| disk.read(PageId(p)).unwrap().data).collect()
+            let mut buf = vec![0xEE; PAGE_SIZE];
+            (0..disk.num_pages())
+                .map(|p| {
+                    disk.read_into(PageId(p), &mut buf).unwrap();
+                    assert_eq!(disk.read(PageId(p)).unwrap().data, buf, "read_into == read");
+                    buf.clone()
+                })
+                .collect()
         }
         let mut sim = crate::SimulatedDisk::new();
         let path = temp_path("agree");
         let mut file = FileDisk::create(&path).unwrap();
         assert_eq!(exercise(&mut sim), exercise(&mut file));
         assert_eq!(Disk::num_pages(&sim), file.num_pages());
+        assert_eq!((Disk::reads(&sim), file.reads()), (8, 8), "read_into counts as a read");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A disk that implements only `read` gets a counting, fault-gated
+    /// `read_into` from the trait default.
+    #[test]
+    fn default_read_into_goes_through_read() {
+        struct ReadOnly(crate::SimulatedDisk);
+        impl Disk for ReadOnly {
+            fn num_pages(&self) -> u64 {
+                Disk::num_pages(&self.0)
+            }
+            fn alloc(&mut self) -> Result<PageId, StorageError> {
+                Disk::alloc(&mut self.0)
+            }
+            fn alloc_through(&mut self, id: PageId) -> Result<(), StorageError> {
+                Disk::alloc_through(&mut self.0, id)
+            }
+            fn read(&mut self, id: PageId) -> Result<Page, StorageError> {
+                self.0.read(id)
+            }
+            fn write(&mut self, page: &Page) -> Result<(), StorageError> {
+                self.0.write(page)
+            }
+            fn sync(&mut self) -> Result<(), StorageError> {
+                Ok(())
+            }
+            fn reads(&self) -> u64 {
+                self.0.reads
+            }
+            fn writes(&self) -> u64 {
+                self.0.writes
+            }
+            fn faults_injected(&self) -> u64 {
+                self.0.faults_injected()
+            }
+        }
+        let policy = FaultPolicy::fail_every_read(2);
+        let mut disk = ReadOnly(crate::SimulatedDisk::with_faults(policy));
+        let id = Disk::alloc(&mut disk).unwrap();
+        disk.write(&Page::with_data(id, fill(9))).unwrap();
+        let mut buf = vec![0; PAGE_SIZE];
+        disk.read_into(id, &mut buf).unwrap();
+        assert_eq!(buf, fill(9));
+        assert!(disk.read_into(id, &mut buf).is_err(), "the second read faults");
+        assert_eq!((disk.reads(), disk.faults_injected()), (2, 1));
     }
 }

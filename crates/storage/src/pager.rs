@@ -78,6 +78,23 @@ impl SimulatedDisk {
         Ok(Page { id, data: data.clone() })
     }
 
+    /// Physically reads a page into `buf` ([`PAGE_SIZE`] bytes), without
+    /// allocating (counted, fault-checked).
+    ///
+    /// # Errors
+    /// As [`SimulatedDisk::read`].
+    pub fn read_into(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.reads += 1;
+        self.faults.before_read()?;
+        let data = self
+            .pages
+            .get(id.0 as usize)
+            .ok_or(StorageError::PageOutOfBounds { page: id.0, pages: self.pages.len() as u64 })?;
+        let n = buf.len().min(data.len());
+        buf[..n].copy_from_slice(&data[..n]);
+        Ok(())
+    }
+
     /// Physically writes a page (counted, fault-checked).
     ///
     /// # Errors
@@ -118,6 +135,10 @@ impl Disk for SimulatedDisk {
 
     fn read(&mut self, id: PageId) -> Result<Page, StorageError> {
         SimulatedDisk::read(self, id)
+    }
+
+    fn read_into(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        SimulatedDisk::read_into(self, id, buf)
     }
 
     fn write(&mut self, page: &Page) -> Result<(), StorageError> {
@@ -302,6 +323,15 @@ impl<D: Disk> RetryPager<D> {
     /// non-retryable failures.
     pub fn read(&mut self, id: PageId) -> Result<Page, StorageError> {
         self.with_retries(IoOp::Read, |disk| disk.read(id))
+    }
+
+    /// Reads a page into `buf` ([`Disk::read_into`]), retrying transient
+    /// faults per the policy.
+    ///
+    /// # Errors
+    /// As [`RetryPager::read`].
+    pub fn read_into(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.with_retries(IoOp::Read, |disk| disk.read_into(id, buf))
     }
 
     /// Writes a page, retrying transient faults per the policy.
