@@ -20,6 +20,14 @@
 //!    counting-sink methodology, `BENCH_parallel.json`) are embedded
 //!    for the before/after comparison — the *ratio* is the comparable
 //!    figure across the methodology change.
+//! 3. Row emission on a Pacific-NW road network at ε = 2⁻⁹: collected
+//!    N-CSJ rows written by `JoinOutput::write_to` into a `FileSink`
+//!    (the write alone is timed), and the streamed CSJ(10) file path
+//!    (join and write together). The two legs are interleaved and
+//!    reported as rows/s, min/median/max. The same legs' medians from
+//!    the per-byte encoder and per-row heap rows that preceded the
+//!    fixed-width encoder and flat row store are embedded for the
+//!    before/after comparison.
 //!
 //! ```text
 //! perf_kernels [--smoke] [--out <file>] [--n <points>] [--iters <n>]
@@ -34,7 +42,7 @@ use csj_core::ncsj::NcsjJoin;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
 use csj_geom::{DistKernel, KernelPath, Metric, Point, RecordId, SoaBuffer};
 use csj_index::{rstar::RStarTree, LeafEntry, RTreeConfig};
-use csj_storage::{FileSink, OutputWriter};
+use csj_storage::{FileSink, OutputSink, OutputWriter};
 
 struct Args {
     smoke: bool,
@@ -301,6 +309,68 @@ fn merge_gap(w: &Workload, iters: usize) -> GapRow {
     }
 }
 
+/// Rows/s of the emit legs before the fixed-width encoder and the flat
+/// row store, medians of 25 interleaved repetitions of this bin's legs
+/// on the host and with the settings of the committed
+/// `BENCH_kernels.json`: (collected N-CSJ write, streamed CSJ(10) join
+/// and write).
+const EMIT_BEFORE_ROWS_PER_S: (f64, f64) = (23_062_100.0, 2_029_482.0);
+
+/// One emit leg's output size and timings.
+struct EmitLeg {
+    rows: u64,
+    bytes: u64,
+    time: TimeStats,
+}
+
+impl EmitLeg {
+    /// Rows/s at the leg's slowest, median and fastest repetition.
+    fn rows_per_s(&self) -> [f64; 3] {
+        let rate = |ms: f64| self.rows as f64 / (ms / 1e3);
+        [rate(self.time.max_ms), rate(self.time.median_ms), rate(self.time.min_ms)]
+    }
+}
+
+/// The row-emission legs on `n` road points: a collected N-CSJ output
+/// written with `JoinOutput::write_to` (the write is timed), and the
+/// streamed CSJ(10) join into a file (join and write timed together),
+/// interleaved `iters` times.
+fn row_emit(n: usize, iters: usize) -> (usize, f64, [EmitLeg; 2]) {
+    let points = csj_data::roads::pacific_nw(n);
+    let eps = 1.0 / 512.0;
+    let tree = RStarTree::bulk_load_str(&points, RTreeConfig::default());
+    let width = OutputWriter::<FileSink>::id_width_for(points.len());
+    let collected = ParallelJoin::new(eps, ParallelAlgo::Ncsj).with_threads(1).run(&tree);
+
+    let out_path = "target/perf_kernels_out.txt";
+    std::fs::create_dir_all("target").expect("create target dir");
+    let mut samples: [Vec<f64>; 2] = [Vec::with_capacity(iters), Vec::with_capacity(iters)];
+    let mut rows = [0u64; 2];
+    let mut bytes = [0u64; 2];
+    for _ in 0..iters {
+        for (leg, leg_samples) in samples.iter_mut().enumerate() {
+            let mut wtr = OutputWriter::new(FileSink::create(out_path).expect("create"), width);
+            let start = Instant::now();
+            if leg == 0 {
+                collected.write_to(&mut wtr).expect("file sink write");
+            } else {
+                let stats = CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut wtr);
+                std::hint::black_box(stats.expect("file sink write"));
+            }
+            rows[leg] = wtr.links_written() + wtr.groups_written();
+            bytes[leg] = wtr.finish().expect("flush bench output").bytes_written();
+            leg_samples.push(start.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    assert_eq!(rows[0], collected.items.len() as u64, "every collected row written");
+    let [write, stream] = samples;
+    let legs = [
+        EmitLeg { rows: rows[0], bytes: bytes[0], time: TimeStats::from_samples_ms(write) },
+        EmitLeg { rows: rows[1], bytes: bytes[1], time: TimeStats::from_samples_ms(stream) },
+    ];
+    (points.len(), eps, legs)
+}
+
 fn main() {
     let args = parse_args();
     let path = KernelPath::detect();
@@ -402,6 +472,39 @@ fn main() {
         eprintln!(
             "# {:<15} N-CSJ {:.1} ms vs CSJ(10) {:.1} ms: {ratio:.2}x (was {before_ratio:.2}x)",
             w.name, row.ncsj.median_ms, row.csj.median_ms,
+        );
+    }
+    json.push_str("  ],\n");
+
+    let (emit_n, emit_eps, legs) = row_emit(args.n * 25, args.iters);
+    json.push_str("  \"row_emit\": [\n");
+    let before = [EMIT_BEFORE_ROWS_PER_S.0, EMIT_BEFORE_ROWS_PER_S.1];
+    let names = ["ncsj-collected-write", "csj10-streamed-join"];
+    for (i, leg) in legs.iter().enumerate() {
+        let [min, median, max] = leg.rows_per_s();
+        let _ = writeln!(
+            json,
+            "    {{\"leg\": \"{}\", \"dataset\": \"pacific_nw\", \"n\": {emit_n}, \
+             \"eps\": {emit_eps}, \"rows\": {}, \"bytes\": {}, \
+             \"ms_min\": {:.3}, \"ms_median\": {:.3}, \"ms_max\": {:.3}, \
+             \"rows_per_s_min\": {min:.0}, \"rows_per_s_median\": {median:.0}, \
+             \"rows_per_s_max\": {max:.0}, \"before_rows_per_s_median\": {:.0}}}{}",
+            names[i],
+            leg.rows,
+            leg.bytes,
+            leg.time.min_ms,
+            leg.time.median_ms,
+            leg.time.max_ms,
+            before[i],
+            if i + 1 == legs.len() { "" } else { "," },
+        );
+        eprintln!(
+            "# emit {:<21} {} rows, {:.1} ms median: {:.1} M rows/s (before {:.1} M rows/s)",
+            names[i],
+            leg.rows,
+            leg.time.median_ms,
+            median / 1e6,
+            before[i] / 1e6,
         );
     }
     json.push_str("  ]\n}\n");

@@ -38,7 +38,7 @@ use csj_storage::{OutputSink, OutputWriter};
 use crate::budget::{CancelToken, StopReason};
 use crate::error::CsjError;
 use crate::group::{GroupShape, GroupWindow, LinkProbe, OpenGroup};
-use crate::output::{JoinOutput, OutputItem};
+use crate::output::{JoinOutput, Rows};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -50,35 +50,23 @@ pub trait RowSink {
     fn link_row(&mut self, a: RecordId, b: RecordId) -> Result<(), CsjError>;
     /// A group row (at least two members).
     fn group_row(&mut self, ids: &[RecordId]) -> Result<(), CsjError>;
-    /// A group row, by value. Sinks that retain rows take ownership and
-    /// return `None`; serializing sinks return the vector so the caller
-    /// can recycle its allocation. The default delegates to
-    /// [`RowSink::group_row`].
-    fn group_row_vec(&mut self, ids: Vec<RecordId>) -> Result<Option<Vec<RecordId>>, CsjError> {
-        self.group_row(&ids)?;
-        Ok(Some(ids))
-    }
 }
 
-/// Collects rows into a [`JoinOutput`].
+/// Collects rows into a flat [`Rows`] store.
 #[derive(Debug, Default)]
 pub struct CollectSink {
     /// Rows collected so far.
-    pub items: Vec<OutputItem>,
+    pub items: Rows,
 }
 
 impl RowSink for CollectSink {
     fn link_row(&mut self, a: RecordId, b: RecordId) -> Result<(), CsjError> {
-        self.items.push(OutputItem::Link(a, b));
+        self.items.push_link(a, b);
         Ok(())
     }
     fn group_row(&mut self, ids: &[RecordId]) -> Result<(), CsjError> {
-        self.items.push(OutputItem::Group(ids.to_vec()));
+        self.items.push_group(ids);
         Ok(())
-    }
-    fn group_row_vec(&mut self, ids: Vec<RecordId>) -> Result<Option<Vec<RecordId>>, CsjError> {
-        self.items.push(OutputItem::Group(ids));
-        Ok(None)
     }
 }
 
@@ -130,31 +118,10 @@ pub trait LinkHandler<const D: usize> {
     fn finish<R: RowSink>(&mut self, sink: &mut R, stats: &mut JoinStats) -> Result<(), CsjError>;
 }
 
-/// Emits a finalized group row, taking the member vector by value:
-/// retaining sinks keep it without a copy, and any returned (unretained)
-/// vector comes back to the caller for recycling.
-fn emit_group_row_vec<R: RowSink>(
-    sink: &mut R,
-    stats: &mut JoinStats,
-    members: Vec<RecordId>,
-) -> Result<Option<Vec<RecordId>>, CsjError> {
-    // Single-member groups encode no links; suppress them.
-    if members.len() < 2 {
-        return Ok(Some(members));
-    }
-    let k = members.len() as u64;
-    let returned = sink.group_row_vec(members)?;
-    stats.groups_emitted += 1;
-    stats.group_members_emitted += k;
-    stats.links_in_groups += k * (k - 1) / 2;
-    Ok(returned)
-}
-
-/// [`emit_group_row_vec`] for a member slice that stays owned by the
-/// group window's ring (the steady-state CSJ open path): same
-/// suppression of single-member rows, same tallies, no vector handoff.
+/// Emits a finalized group row: suppresses single-member rows (they
+/// encode no links) and tallies the rest.
 #[inline]
-fn emit_group_row_slice<R: RowSink>(
+fn emit_group_row<R: RowSink>(
     sink: &mut R,
     stats: &mut JoinStats,
     ids: &[RecordId],
@@ -197,7 +164,7 @@ impl<const D: usize> LinkHandler<D> for DirectEmit {
         sink: &mut R,
         stats: &mut JoinStats,
     ) -> Result<(), CsjError> {
-        emit_group_row_vec(sink, stats, ids).map(drop)
+        emit_group_row(sink, stats, &ids)
     }
 
     fn finish<R: RowSink>(
@@ -217,37 +184,12 @@ pub struct WindowedEmit<S, const D: usize> {
     window: GroupWindow<S, D>,
     eps: f64,
     metric: Metric,
-    /// Member vectors recovered from emitted groups, recycled into
-    /// freshly opened groups so the steady state allocates nothing.
-    spare: Vec<Vec<RecordId>>,
 }
-
-/// Cap on the [`WindowedEmit`] recycling pool; beyond this, emitted
-/// member vectors are simply dropped.
-const SPARE_POOL_CAP: usize = 32;
 
 impl<S: GroupShape<D>, const D: usize> WindowedEmit<S, D> {
     /// A window of `g` recent groups under the join parameters.
     pub fn new(g: usize, eps: f64, metric: Metric) -> Self {
-        WindowedEmit { window: GroupWindow::new(g), eps, metric, spare: Vec::new() }
-    }
-
-    /// Emits an evicted group and reclaims its member vector when the
-    /// sink hands it back.
-    fn emit_recycling<R: RowSink>(
-        &mut self,
-        evicted: OpenGroup<S, D>,
-        sink: &mut R,
-        stats: &mut JoinStats,
-    ) -> Result<(), CsjError> {
-        let members = evicted.into_sorted_members();
-        if let Some(mut v) = emit_group_row_vec(sink, stats, members)? {
-            if self.spare.len() < SPARE_POOL_CAP {
-                v.clear();
-                self.spare.push(v);
-            }
-        }
-        Ok(())
+        WindowedEmit { window: GroupWindow::new(g), eps, metric }
     }
 }
 
@@ -268,7 +210,7 @@ impl<S: GroupShape<D>, const D: usize> LinkHandler<D> for WindowedEmit<S, D> {
         }
         // Probe missed: open a group for the link in place; the displaced
         // oldest group (if any) is emitted straight from its ring slot.
-        self.window.open_link(&link, self.metric, |ids| emit_group_row_slice(sink, stats, ids))
+        self.window.open_link(&link, self.metric, |ids| emit_group_row(sink, stats, ids))
     }
 
     fn on_subtree<R: RowSink>(
@@ -280,14 +222,14 @@ impl<S: GroupShape<D>, const D: usize> LinkHandler<D> for WindowedEmit<S, D> {
     ) -> Result<(), CsjError> {
         let group = OpenGroup::from_subtree(ids, mbr, self.metric);
         if let Some(evicted) = self.window.push(group) {
-            self.emit_recycling(evicted, sink, stats)?;
+            emit_group_row(sink, stats, &evicted.into_sorted_members())?;
         }
         Ok(())
     }
 
     fn finish<R: RowSink>(&mut self, sink: &mut R, stats: &mut JoinStats) -> Result<(), CsjError> {
         for group in self.window.drain() {
-            emit_group_row_vec(sink, stats, group.into_sorted_members())?;
+            emit_group_row(sink, stats, &group.into_sorted_members())?;
         }
         Ok(())
     }

@@ -75,7 +75,7 @@ pub use budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 pub use csj::CsjJoin;
 pub use error::{CsjError, ShardError};
 pub use ncsj::NcsjJoin;
-pub use output::{JoinOutput, OutputItem};
+pub use output::{JoinOutput, OutputItem, Rows};
 pub use resilient::ResilientJoin;
 pub use ssj::SsjJoin;
 pub use stats::JoinStats;

@@ -136,8 +136,8 @@ mod tests {
         assert_eq!(out.num_links(), 0);
         assert_eq!(out.stats.early_stops_node, 1);
         assert_eq!(out.stats.distance_computations, 0, "no distances needed");
-        match &out.items[0] {
-            crate::output::OutputItem::Group(ids) => assert_eq!(ids.len(), 100),
+        match out.items.get(0) {
+            Some(crate::output::OutputItem::Group(ids)) => assert_eq!(ids.len(), 100),
             other => panic!("expected group, got {other:?}"),
         }
     }

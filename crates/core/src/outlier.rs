@@ -36,8 +36,8 @@ impl CohesionScores {
         for item in &output.items {
             match item {
                 OutputItem::Link(a, b) => {
-                    bump(*a, 2);
-                    bump(*b, 2);
+                    bump(a, 2);
+                    bump(b, 2);
                 }
                 OutputItem::Group(ids) => {
                     for &id in ids {
@@ -69,14 +69,10 @@ impl CohesionScores {
 
 /// The §IV-D pre-sort: output rows of size at most `max_size`, smallest
 /// first — the rows an outlier hunt should inspect first.
-pub fn small_rows(output: &JoinOutput, max_size: usize) -> Vec<&OutputItem> {
-    let size_of = |item: &OutputItem| match item {
-        OutputItem::Link(..) => 2,
-        OutputItem::Group(ids) => ids.len(),
-    };
-    let mut rows: Vec<&OutputItem> =
-        output.items.iter().filter(|i| size_of(i) <= max_size).collect();
-    rows.sort_by_key(|i| size_of(i));
+pub fn small_rows(output: &JoinOutput, max_size: usize) -> Vec<OutputItem<'_>> {
+    let mut rows: Vec<OutputItem<'_>> =
+        output.items.iter().filter(|i| i.len() <= max_size).collect();
+    rows.sort_by_key(OutputItem::len);
     rows
 }
 
@@ -84,17 +80,18 @@ pub fn small_rows(output: &JoinOutput, max_size: usize) -> Vec<&OutputItem> {
 mod tests {
     use super::*;
     use crate::csj::CsjJoin;
+    use crate::output::Rows;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, RTreeConfig};
 
     #[test]
     fn scores_from_mixed_output() {
         let out = JoinOutput {
-            items: vec![
-                OutputItem::Group(vec![0, 1, 2, 3]),
+            items: Rows::from_iter([
+                OutputItem::Group(&[0, 1, 2, 3]),
                 OutputItem::Link(3, 4),
                 OutputItem::Link(5, 6),
-            ],
+            ]),
             stats: Default::default(),
             completion: crate::Completion::Complete,
         };
@@ -108,7 +105,7 @@ mod tests {
     #[test]
     fn outliers_sorted_most_isolated_first() {
         let out = JoinOutput {
-            items: vec![OutputItem::Group(vec![0, 1, 2]), OutputItem::Link(3, 4)],
+            items: Rows::from_iter([OutputItem::Group(&[0, 1, 2]), OutputItem::Link(3, 4)]),
             stats: Default::default(),
             completion: crate::Completion::Complete,
         };
@@ -121,11 +118,11 @@ mod tests {
     #[test]
     fn small_rows_filter_and_order() {
         let out = JoinOutput {
-            items: vec![
-                OutputItem::Group(vec![0, 1, 2, 3, 4]),
+            items: Rows::from_iter([
+                OutputItem::Group(&[0, 1, 2, 3, 4]),
                 OutputItem::Link(8, 9),
-                OutputItem::Group(vec![5, 6, 7]),
-            ],
+                OutputItem::Group(&[5, 6, 7]),
+            ]),
             stats: Default::default(),
             completion: crate::Completion::Complete,
         };

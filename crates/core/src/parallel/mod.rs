@@ -44,7 +44,7 @@ use csj_index::{JoinIndex, NodeId};
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 use crate::engine::{infallible, CollectSink, DirectEmit, Engine, LinkHandler, Step, WindowedEmit};
 use crate::group::MbrShape;
-use crate::output::{JoinOutput, OutputItem};
+use crate::output::{JoinOutput, Rows};
 use crate::stats::JoinStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Mutex;
@@ -105,7 +105,7 @@ struct TaskItem {
 /// A task's key, rows, counters, and whether it ran to completion. A
 /// split parent leaves a record too: no rows, the counters of its
 /// split, and never counted as a completed task.
-type TaskResult = (TaskKey, Vec<OutputItem>, JoinStats, bool);
+type TaskResult = (TaskKey, Rows, JoinStats, bool);
 
 /// Scheduler state shared by all workers. The `pool` mutex is the only
 /// lock, and it is only taken when donating, stealing, or parking — the
@@ -281,11 +281,19 @@ impl ParallelJoin {
             worker_results.into_iter().flatten().chain(splits).collect();
         results.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let mut output =
-            JoinOutput { stats: JoinStats::new(self.cfg.record_access_log), ..Default::default() };
+        // Key order is output order: append each task's rows into one
+        // store reserved to its exact size.
+        let (rows, ids) = results.iter().fold((0, 0), |(rows, ids), (_, items, ..)| {
+            (rows + items.len(), ids + items.num_ids())
+        });
+        let mut output = JoinOutput {
+            items: Rows::with_capacity(rows, ids),
+            stats: JoinStats::new(self.cfg.record_access_log),
+            ..Default::default()
+        };
         let mut done = 0u64;
         for (_, items, stats, completed) in results {
-            output.items.extend(items);
+            output.items.append(&items);
             output.stats.absorb(&stats);
             if completed {
                 done += 1;
@@ -417,7 +425,7 @@ impl ParallelJoin {
                                                                                                     // `pending` never dips to zero in between; SeqCst
                                                                                                     // because `pending` gates termination.
                         shared.pending.fetch_add(children.len() - 1, Ordering::SeqCst);
-                        out.push((item.key, Vec::new(), split, false));
+                        out.push((item.key, Rows::new(), split, false));
                         // csj-lint: allow(panic-safety) — see the acquire
                         // path: a poisoned pool lock is a peer's panic.
                         let mut pool = shared.pool.lock().expect("pool lock poisoned");
@@ -468,8 +476,7 @@ impl ParallelJoin {
             // orders them (see the Shared docs).
             shared.links.fetch_add(stats.links_emitted + stats.links_in_groups, Ordering::Relaxed);
             shared.groups.fetch_add(stats.groups_emitted, Ordering::Relaxed); // ORDERING: as `links`
-            let task_bytes: u64 = items.iter().map(|i| i.format_bytes(self.id_width)).sum();
-            shared.bytes.fetch_add(task_bytes, Ordering::Relaxed); // ORDERING: as `links`
+            shared.bytes.fetch_add(items.total_bytes(self.id_width), Ordering::Relaxed); // ORDERING: as `links`
             out.push((item.key, items, stats, completed));
         }
         out
@@ -484,7 +491,7 @@ impl ParallelJoin {
         &self,
         tree: &T,
         task: Step<NodeId>,
-    ) -> (Vec<OutputItem>, JoinStats, bool) {
+    ) -> (Rows, JoinStats, bool) {
         match self.algo {
             ParallelAlgo::Ssj | ParallelAlgo::Ncsj => self.run_task_with(tree, task, DirectEmit),
             ParallelAlgo::Csj(g) => self.run_task_with(
@@ -500,7 +507,7 @@ impl ParallelJoin {
         tree: &T,
         task: Step<NodeId>,
         handler: H,
-    ) -> (Vec<OutputItem>, JoinStats, bool) {
+    ) -> (Rows, JoinStats, bool) {
         let mut engine =
             Engine::new(tree, self.cfg, self.early_stop(), handler, CollectSink::default());
         if let Some(token) = &self.cancel {
@@ -567,7 +574,7 @@ impl ParallelJoin {
                 // record.
                 Some((children, split)) => {
                     queue.extend(children);
-                    splits.push((item.key, Vec::new(), split, false));
+                    splits.push((item.key, Rows::new(), split, false));
                 }
                 None => done.push(item),
             }

@@ -12,6 +12,7 @@ use std::collections::{BTreeSet, HashSet};
 
 use csj_geom::{Mbr, Metric, Point, RecordId};
 use csj_index::{JoinIndex, NodeId};
+use csj_storage::RowEncoder;
 
 use crate::stats::JoinStats;
 use crate::JoinConfig;
@@ -99,7 +100,8 @@ impl SpatialOutput {
     }
 
     /// Streams the rows into `sink` in the text format
-    /// `<left ids> | <right ids>\n` with `width`-digit zero-padded ids.
+    /// `<left ids> | <right ids>\n` with `width`-digit zero-padded ids
+    /// (`1..=20`, as [`RowEncoder`] takes).
     /// A sink failure surfaces as `Err`; rows already written remain
     /// valid output.
     ///
@@ -111,36 +113,18 @@ impl SpatialOutput {
         sink: &mut S,
         width: usize,
     ) -> Result<(), csj_storage::StorageError> {
+        let mut encoder = RowEncoder::new(width);
         let mut line = Vec::with_capacity(256);
-        let push_id = |line: &mut Vec<u8>, id: RecordId| {
-            let s = format!("{id:0width$}");
-            line.extend_from_slice(s.as_bytes());
-        };
         for item in &self.items {
+            let (left, right) = match item {
+                SpatialItem::Link(l, r) => (std::slice::from_ref(l), std::slice::from_ref(r)),
+                SpatialItem::Group { left, right } => (&left[..], &right[..]),
+            };
+            // `<left ids> ` + `| ` + `<right ids>\n`.
             line.clear();
-            match item {
-                SpatialItem::Link(l, r) => {
-                    push_id(&mut line, *l);
-                    line.extend_from_slice(b" | ");
-                    push_id(&mut line, *r);
-                }
-                SpatialItem::Group { left, right } => {
-                    for (i, &id) in left.iter().enumerate() {
-                        if i > 0 {
-                            line.push(b' ');
-                        }
-                        push_id(&mut line, id);
-                    }
-                    line.extend_from_slice(b" | ");
-                    for (i, &id) in right.iter().enumerate() {
-                        if i > 0 {
-                            line.push(b' ');
-                        }
-                        push_id(&mut line, id);
-                    }
-                }
-            }
-            line.push(b'\n');
+            line.extend_from_slice(encoder.encode(left, b' '));
+            line.extend_from_slice(b"| ");
+            line.extend_from_slice(encoder.encode(right, b'\n'));
             sink.write_bytes(&line)?;
         }
         Ok(())

@@ -101,9 +101,9 @@ pub fn verify_lossless<const D: usize>(
     for (idx, item) in output.items.iter().enumerate() {
         match item {
             OutputItem::Link(a, b) => {
-                let d = metric.distance(fetch(*a)?, fetch(*b)?);
+                let d = metric.distance(fetch(a)?, fetch(b)?);
                 if d > eps {
-                    return Err(VerifyError::ExtraLink { a: *a, b: *b, distance: d });
+                    return Err(VerifyError::ExtraLink { a, b, distance: d });
                 }
             }
             OutputItem::Group(ids) => {
@@ -151,7 +151,7 @@ mod tests {
     use super::*;
     use crate::csj::CsjJoin;
     use crate::ncsj::NcsjJoin;
-    use crate::output::JoinOutput;
+    use crate::output::{JoinOutput, Rows};
     use crate::ssj::SsjJoin;
     use crate::stats::JoinStats;
     use csj_index::{rstar::RStarTree, RTreeConfig};
@@ -185,7 +185,8 @@ mod tests {
     #[test]
     fn detects_missing_link() {
         let pts = vec![Point::new([0.0, 0.0]), Point::new([0.05, 0.0])];
-        let empty = JoinOutput { items: vec![], stats: JoinStats::default(), ..Default::default() };
+        let empty =
+            JoinOutput { items: Rows::new(), stats: JoinStats::default(), ..Default::default() };
         match verify_lossless(&empty, &pts, 0.1, Metric::Euclidean) {
             Err(VerifyError::MissingLink { a: 0, b: 1, .. }) => {}
             other => panic!("expected MissingLink, got {other:?}"),
@@ -196,7 +197,7 @@ mod tests {
     fn detects_extra_link() {
         let pts = vec![Point::new([0.0, 0.0]), Point::new([5.0, 0.0])];
         let bad = JoinOutput {
-            items: vec![OutputItem::Link(0, 1)],
+            items: Rows::from_iter([OutputItem::Link(0, 1)]),
             stats: JoinStats::default(),
             ..Default::default()
         };
@@ -212,7 +213,7 @@ mod tests {
     fn detects_overwide_group() {
         let pts = vec![Point::new([0.0, 0.0]), Point::new([0.05, 0.0]), Point::new([0.2, 0.0])];
         let bad = JoinOutput {
-            items: vec![OutputItem::Group(vec![0, 1, 2])],
+            items: Rows::from_iter([OutputItem::Group(&[0, 1, 2])]),
             stats: JoinStats::default(),
             ..Default::default()
         };
@@ -227,7 +228,7 @@ mod tests {
     fn detects_unknown_record() {
         let pts = vec![Point::new([0.0, 0.0])];
         let bad = JoinOutput {
-            items: vec![OutputItem::Link(0, 9)],
+            items: Rows::from_iter([OutputItem::Link(0, 9)]),
             stats: JoinStats::default(),
             ..Default::default()
         };

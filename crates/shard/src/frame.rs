@@ -20,7 +20,7 @@
 
 use std::io::{Read, Write};
 
-use csj_core::{JoinStats, OutputItem, ShardError};
+use csj_core::{JoinStats, OutputItem, Rows, ShardError};
 use csj_storage::fnv1a64;
 
 /// First two bytes of every frame; resynchronization is not attempted —
@@ -466,7 +466,7 @@ pub struct ResultFrame {
     /// Attempt that produced this result.
     pub attempt: u32,
     /// Output rows in the worker's deterministic emission order.
-    pub items: Vec<OutputItem>,
+    pub items: Rows,
     /// Counters of the worker-local join run.
     pub stats: JoinStats,
 }
@@ -485,8 +485,8 @@ impl ResultFrame {
             match item {
                 OutputItem::Link(a, b) => {
                     buf.push(0);
-                    put_u32(&mut buf, *a);
-                    put_u32(&mut buf, *b);
+                    put_u32(&mut buf, a);
+                    put_u32(&mut buf, b);
                 }
                 OutputItem::Group(ids) => {
                     buf.push(1);
@@ -515,18 +515,21 @@ impl ResultFrame {
         }
         let stats = stats_from_wire(&wire);
         let n = c.u32()? as usize;
-        let mut items = Vec::with_capacity(n.min(1 << 20));
+        // Every id takes 4 payload bytes, which bounds the id reservation.
+        let mut items = Rows::with_capacity(n.min(1 << 20), payload.len() / 4);
         for _ in 0..n {
             match c.u8()? {
                 0 => {
                     let a = c.u32()?;
                     let b = c.u32()?;
-                    items.push(OutputItem::Link(a, b));
+                    items.push_link(a, b);
                 }
                 1 => {
                     let k = c.u32()? as usize;
-                    let ids = (0..k).map(|_| c.u32()).collect::<Result<Vec<u32>, ShardError>>()?;
-                    items.push(OutputItem::Group(ids));
+                    let ids = c.take(k.saturating_mul(4))?;
+                    items.push_group_iter(
+                        ids.chunks_exact(4).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+                    );
                 }
                 tag => return Err(ShardError::Protocol(format!("unknown row tag {tag}"))),
             }
@@ -624,7 +627,7 @@ mod tests {
         let result = ResultFrame {
             key: vec![1],
             attempt: 2,
-            items: vec![OutputItem::Link(3, 9), OutputItem::Group(vec![4, 5, 6])],
+            items: Rows::from_iter([OutputItem::Link(3, 9), OutputItem::Group(&[4, 5, 6])]),
             stats,
         };
         assert_eq!(ResultFrame::decode(&result.encode()).unwrap(), result);

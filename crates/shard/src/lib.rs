@@ -60,14 +60,20 @@ pub fn canonical_link_lines(output: &JoinOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csj_core::OutputItem;
+    use csj_core::{OutputItem, Rows};
 
     #[test]
     fn canonical_form_ignores_representation_and_order() {
-        let grouped =
-            JoinOutput { items: vec![OutputItem::Group(vec![3, 1, 2])], ..Default::default() };
+        let grouped = JoinOutput {
+            items: Rows::from_iter([OutputItem::Group(&[3, 1, 2])]),
+            ..Default::default()
+        };
         let linked = JoinOutput {
-            items: vec![OutputItem::Link(2, 3), OutputItem::Link(1, 3), OutputItem::Link(1, 2)],
+            items: Rows::from_iter([
+                OutputItem::Link(2, 3),
+                OutputItem::Link(1, 3),
+                OutputItem::Link(1, 2),
+            ]),
             ..Default::default()
         };
         assert_eq!(canonical_link_lines(&grouped), canonical_link_lines(&linked));

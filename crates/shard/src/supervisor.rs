@@ -31,9 +31,11 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use csj_core::parallel::ParallelAlgo;
-use csj_core::{CancelToken, Completion, CsjError, JoinOutput, JoinStats, ShardError, StopReason};
+use csj_core::{
+    CancelToken, Completion, CsjError, JoinOutput, JoinStats, Rows, ShardError, StopReason,
+};
 use csj_geom::{Metric, Point};
-use csj_storage::{fnv1a64, RetryPolicy};
+use csj_storage::{fnv1a64, CountingSink, OutputWriter, RetryPolicy};
 
 use crate::fault::ShardFaultPlan;
 use crate::frame::{
@@ -325,7 +327,7 @@ impl<const D: usize, T: WorkerTransport> Run<'_, D, T> {
         let result = members.is_empty().then(|| ResultFrame {
             key: spec.key.clone(),
             attempt: 0,
-            items: Vec::new(),
+            items: Rows::new(),
             stats: JoinStats::default(),
         });
         let key = spec.key.clone();
@@ -641,7 +643,7 @@ impl<const D: usize, T: WorkerTransport> Run<'_, D, T> {
     }
 
     fn finish(self) -> ShardedOutput {
-        let mut items = Vec::new();
+        let mut items = Rows::new();
         let mut stats = self.stats;
         let mut reports = Vec::new();
         let mut total_weight = 0usize;
@@ -664,7 +666,7 @@ impl<const D: usize, T: WorkerTransport> Run<'_, D, T> {
             total_weight += task.owned_points;
             match &task.result {
                 Some(frame) => {
-                    items.extend(frame.items.iter().cloned());
+                    items.append(&frame.items);
                     stats.absorb(&frame.stats);
                     done_weight += task.owned_points;
                 }
@@ -678,8 +680,10 @@ impl<const D: usize, T: WorkerTransport> Run<'_, D, T> {
             let reason = if self.canceled { StopReason::Canceled } else { StopReason::ShardsLost };
             let fraction =
                 if total_weight == 0 { 0.0 } else { done_weight as f64 / total_weight as f64 };
-            let links: u64 = items.iter().map(csj_core::OutputItem::implied_links).sum();
-            let bytes: u64 = items.iter().map(|i| i.format_bytes(6)).sum();
+            let links: u64 = items.iter().map(|item| item.implied_links()).sum();
+            // The width the CLI writes this dataset's ids at.
+            let width = OutputWriter::<CountingSink>::id_width_for(self.points.len());
+            let bytes = items.total_bytes(width);
             Completion::partial(reason, fraction, links, bytes)
         };
         ShardedOutput { output: JoinOutput { items, stats, completion }, reports }

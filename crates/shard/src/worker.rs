@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use csj_core::outofcore::PagedSource;
 use csj_core::parallel::ParallelAlgo;
-use csj_core::{CsjError, JoinConfig, JoinOutput, OutputItem, ResilientJoin, ShardError};
+use csj_core::{CsjError, JoinConfig, JoinOutput, OutputItem, ResilientJoin, Rows, ShardError};
 use csj_geom::{Metric, Point};
 use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
 use csj_storage::{fnv1a64, FaultPolicy, RetryPolicy, SimulatedDisk};
@@ -254,7 +254,7 @@ fn run_task<const D: usize, W: Write + Send + 'static>(
         }
     }
 
-    let items = filter_owned_rows(out.items, &ids, &owned);
+    let items = filter_owned_rows(&out.items, &ids, &owned);
     let result =
         ResultFrame { key: task.key.clone(), attempt: task.attempt, items, stats: out.stats };
     let mut bytes = crate::frame::encode_frame(FRAME_RESULT, &result.encode());
@@ -301,8 +301,8 @@ fn run_local_join<const D: usize>(
 /// and keeps exactly the rows this shard must emit (module docs give
 /// the exactly-once argument). Pure and deterministic — cross links are
 /// deduplicated through a [`BTreeSet`] and appended in sorted order.
-pub fn filter_owned_rows(items: Vec<OutputItem>, ids: &[u32], owned: &[bool]) -> Vec<OutputItem> {
-    let mut rows = Vec::new();
+pub fn filter_owned_rows(items: &Rows, ids: &[u32], owned: &[bool]) -> Rows {
+    let mut rows = Rows::new();
     let mut cross: BTreeSet<(u32, u32)> = BTreeSet::new();
     let keep_pair = |a_local: usize, b_local: usize, cross: &mut BTreeSet<(u32, u32)>| {
         let (ga, gb) = (ids[a_local], ids[b_local]);
@@ -317,26 +317,22 @@ pub fn filter_owned_rows(items: Vec<OutputItem>, ids: &[u32], owned: &[bool]) ->
             OutputItem::Link(a, b) => {
                 let (a, b) = (a as usize, b as usize);
                 if owned[a] && owned[b] {
-                    rows.push(OutputItem::Link(ids[a], ids[b]));
+                    rows.push_link(ids[a], ids[b]);
                 } else {
                     keep_pair(a, b, &mut cross);
                 }
             }
             OutputItem::Group(members) => {
-                let owned_members: Vec<u32> = members
-                    .iter()
-                    .filter(|&&m| owned[m as usize])
-                    .map(|&m| ids[m as usize])
-                    .collect();
-                if owned_members.len() == members.len() {
+                let owned_count = members.iter().filter(|&&m| owned[m as usize]).count();
+                if owned_count == members.len() {
                     // Fully interior group: compact row survives as-is.
-                    rows.push(OutputItem::Group(
-                        members.iter().map(|&m| ids[m as usize]).collect(),
-                    ));
+                    rows.push_group_iter(members.iter().map(|&m| ids[m as usize]));
                     continue;
                 }
-                if owned_members.len() >= 2 {
-                    rows.push(OutputItem::Group(owned_members));
+                if owned_count >= 2 {
+                    rows.push_group_iter(
+                        members.iter().filter(|&&m| owned[m as usize]).map(|&m| ids[m as usize]),
+                    );
                 }
                 // Owned↔halo pairs go through the min-id-owned rule;
                 // halo↔halo pairs belong to other shards entirely.
@@ -351,7 +347,9 @@ pub fn filter_owned_rows(items: Vec<OutputItem>, ids: &[u32], owned: &[bool]) ->
             }
         }
     }
-    rows.extend(cross.into_iter().map(|(a, b)| OutputItem::Link(a, b)));
+    for (a, b) in cross {
+        rows.push_link(a, b);
+    }
     rows
 }
 
@@ -359,40 +357,39 @@ pub fn filter_owned_rows(items: Vec<OutputItem>, ids: &[u32], owned: &[bool]) ->
 mod tests {
     use super::*;
 
+    fn filter(items: &[OutputItem<'_>], ids: &[u32], owned: &[bool]) -> Vec<String> {
+        let rows: Rows = items.iter().copied().collect();
+        filter_owned_rows(&rows, ids, owned).iter().map(|row| format!("{row:?}")).collect()
+    }
+
     #[test]
     fn fully_owned_rows_survive_verbatim() {
         let ids = [10, 11, 12];
         let owned = [true, true, true];
-        let items = vec![OutputItem::Link(0, 2), OutputItem::Group(vec![0, 1, 2])];
-        let kept = filter_owned_rows(items, &ids, &owned);
-        assert_eq!(kept, vec![OutputItem::Link(10, 12), OutputItem::Group(vec![10, 11, 12])]);
+        let items = [OutputItem::Link(0, 2), OutputItem::Group(&[0, 1, 2])];
+        assert_eq!(filter(&items, &ids, &owned), ["Link(10, 12)", "Group([10, 11, 12])"]);
     }
 
     #[test]
     fn min_id_owned_rule_keeps_or_drops_cross_links() {
         let ids = [10, 20];
+        let link = [OutputItem::Link(0, 1)];
         // Case 1: we own the smaller id → keep.
-        let kept = filter_owned_rows(vec![OutputItem::Link(0, 1)], &ids, &[true, false]);
-        assert_eq!(kept, vec![OutputItem::Link(10, 20)]);
+        assert_eq!(filter(&link, &ids, &[true, false]), ["Link(10, 20)"]);
         // Case 2: we own only the larger id → the other shard emits it.
-        let kept = filter_owned_rows(vec![OutputItem::Link(0, 1)], &ids, &[false, true]);
-        assert!(kept.is_empty());
+        assert!(filter(&link, &ids, &[false, true]).is_empty());
         // Case 3: halo-halo → never ours.
-        let kept = filter_owned_rows(vec![OutputItem::Link(0, 1)], &ids, &[false, false]);
-        assert!(kept.is_empty());
+        assert!(filter(&link, &ids, &[false, false]).is_empty());
     }
 
     #[test]
     fn mixed_group_decomposes_into_owned_subgroup_plus_cross_links() {
         let ids = [1, 2, 9];
         let owned = [true, true, false];
-        let kept = filter_owned_rows(vec![OutputItem::Group(vec![0, 1, 2])], &ids, &owned);
+        let kept = filter(&[OutputItem::Group(&[0, 1, 2])], &ids, &owned);
         // Owned sub-group {1, 2}; cross pairs (1,9) and (2,9) are kept
         // because the min id of each is owned here.
-        assert_eq!(
-            kept,
-            vec![OutputItem::Group(vec![1, 2]), OutputItem::Link(1, 9), OutputItem::Link(2, 9)]
-        );
+        assert_eq!(kept, ["Group([1, 2])", "Link(1, 9)", "Link(2, 9)"]);
     }
 
     #[test]
@@ -400,9 +397,8 @@ mod tests {
         let ids = [1, 9];
         let owned = [true, false];
         // The same boundary pair surfaces via a link row and a group row.
-        let items =
-            vec![OutputItem::Link(0, 1), OutputItem::Group(vec![0, 1]), OutputItem::Link(1, 0)];
-        let kept = filter_owned_rows(items, &ids, &owned);
-        assert_eq!(kept, vec![OutputItem::Link(1, 9)], "emitted once despite three sightings");
+        let items = [OutputItem::Link(0, 1), OutputItem::Group(&[0, 1]), OutputItem::Link(1, 0)];
+        let kept = filter(&items, &ids, &owned);
+        assert_eq!(kept, ["Link(1, 9)"], "emitted once despite three sightings");
     }
 }

@@ -11,6 +11,7 @@ use csj_core::{Completion, JoinOutput, OutputItem, ResilientJoin, StopReason};
 use csj_geom::Point;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_shard::{canonical_link_lines, InProcessTransport, ShardFaultPlan, ShardJoin};
+use csj_storage::{CountingSink, OutputWriter};
 
 /// Deterministic scatter in the unit square (no RNG dependency).
 fn scatter(n: usize, seed: u64) -> Vec<Point<2>> {
@@ -78,7 +79,7 @@ fn boundary_links_are_emitted_exactly_once() {
     };
     for item in &run.output.items {
         match item {
-            OutputItem::Link(a, b) => push(*a, *b),
+            OutputItem::Link(a, b) => push(a, b),
             OutputItem::Group(ids) => {
                 for i in 0..ids.len() {
                     for j in i + 1..ids.len() {
@@ -201,6 +202,35 @@ fn kill_beyond_retry_budget_degrades_to_partial() {
     let got = run.output.expanded_link_set();
     assert!(!got.is_empty());
     assert!(got.is_subset(&truth), "partial output must only contain true links");
+}
+
+#[test]
+fn partial_run_estimates_bytes_at_the_dataset_id_width() {
+    // A lost shard's estimate extrapolates the measured bytes, which
+    // must be what writing the surviving rows produces at the width the
+    // CLI derives from the point count (2 and 3 digits here).
+    for n in [80usize, 800] {
+        let pts = scatter(n, 29);
+        let plan = ShardFaultPlan::none().kill(&[0], 1).kill(&[0], 2);
+        let run = ShardJoin::new(0.08, ParallelAlgo::Csj(8))
+            .with_shards(3)
+            .with_max_attempts(2)
+            .with_fault_plan(plan)
+            .run(&pts, &InProcessTransport::new())
+            .expect("losing one shard degrades, it does not error");
+        let mut writer =
+            OutputWriter::new(CountingSink::new(), OutputWriter::<CountingSink>::id_width_for(n));
+        run.output.write_to(&mut writer).expect("counting sink cannot fail");
+        assert!(writer.bytes_written() > 0, "n={n}: the surviving shards wrote rows");
+        let fraction = run.output.completion.completed_fraction();
+        let expected = Completion::partial(
+            StopReason::ShardsLost,
+            fraction,
+            run.output.implied_links(),
+            writer.bytes_written(),
+        );
+        assert_eq!(run.output.completion, expected, "n={n}");
+    }
 }
 
 #[test]

@@ -53,4 +53,6 @@ pub use error::{IoOp, StorageError};
 pub use fault::{FaultInjector, FaultPolicy};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pager::{RetryPager, RetryPolicy, SimulatedDisk};
-pub use writer::{CountingSink, FaultySink, FileSink, OutputSink, OutputWriter, VecSink};
+pub use writer::{
+    CountingSink, FaultySink, FileSink, OutputSink, OutputWriter, RowEncoder, VecSink,
+};

@@ -8,7 +8,8 @@
 //! `0001 0002 0003...`."
 //!
 //! [`OutputWriter`] reproduces exactly that: fixed-width zero-padded
-//! record ids, space-separated, newline-terminated lines. The sink is
+//! record ids, space-separated, newline-terminated lines, each row
+//! encoded at its known length by one [`RowEncoder`]. The sink is
 //! pluggable so experiments can count bytes without materializing output
 //! ([`CountingSink`]), keep it for inspection ([`VecSink`]) or write a
 //! real file ([`FileSink`]). All writes are fallible: a full disk or an
@@ -91,6 +92,10 @@ impl OutputSink for VecSink {
     }
 }
 
+/// [`FileSink`]'s buffer: output rows are a few bytes each, so a large
+/// buffer turns millions of row writes into a few hundred `write` calls.
+const FILE_SINK_BUFFER: usize = 256 << 10;
+
 /// Writes output to a real file through a buffered writer.
 #[derive(Debug)]
 pub struct FileSink {
@@ -106,7 +111,7 @@ impl FileSink {
     pub fn create(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         let path = path.as_ref();
         let file = File::create(path).map_err(|e| StorageError::io_at(IoOp::Write, path, &e))?;
-        Ok(FileSink { writer: BufWriter::new(file), bytes: 0 })
+        Ok(FileSink { writer: BufWriter::with_capacity(FILE_SINK_BUFFER, file), bytes: 0 })
     }
 }
 
@@ -163,14 +168,137 @@ impl<S: OutputSink> OutputSink for FaultySink<S> {
     }
 }
 
+/// `DIGIT_PAIRS[2 * i..2 * i + 2]` is `i` as two ASCII digits, `0..=99`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Encodes rows of fixed-width, zero-padded record ids — the one
+/// encoder behind every text row the joins write.
+///
+/// A row is its ids separated by single spaces and closed by an end
+/// byte (`\n` for a join row). An id is zero-padded to `width` digits;
+/// an id wider than `width` is written in full rather than truncated.
+/// Each row is encoded at its known length into a reused buffer: every
+/// id field is filled from the right, two digits at a time, so a row
+/// whose ids fit costs `k·(width+1)` bytes and no per-byte work beyond
+/// the digit pairs.
+#[derive(Clone, Debug)]
+pub struct RowEncoder {
+    width: usize,
+    /// The last row; it only grows, and each row overwrites its prefix.
+    row: Vec<u8>,
+}
+
+impl RowEncoder {
+    /// An encoder padding ids to `width` digits (`1..=20`).
+    pub fn new(width: usize) -> Self {
+        assert!((1..=20).contains(&width), "id width out of range");
+        RowEncoder { width, row: Vec::new() }
+    }
+
+    /// Encodes `ids` as one row ended by `end` and returns its bytes.
+    #[inline]
+    pub fn encode(&mut self, ids: &[u32], end: u8) -> &[u8] {
+        // A width known at compile time unrolls each field's digit pairs.
+        let fitted = match self.width {
+            1 => self.encode_fitting::<1>(ids, end),
+            2 => self.encode_fitting::<2>(ids, end),
+            3 => self.encode_fitting::<3>(ids, end),
+            4 => self.encode_fitting::<4>(ids, end),
+            5 => self.encode_fitting::<5>(ids, end),
+            6 => self.encode_fitting::<6>(ids, end),
+            7 => self.encode_fitting::<7>(ids, end),
+            8 => self.encode_fitting::<8>(ids, end),
+            9 => self.encode_fitting::<9>(ids, end),
+            _ => None,
+        };
+        match fitted {
+            Some(len) => &self.row[..len],
+            None => self.encode_any(ids, end),
+        }
+    }
+
+    /// Encodes a row whose ids all fit `W` digits into `k·(W+1)` bytes
+    /// and returns its length, or `None` when an id is wider than that.
+    #[inline(always)]
+    fn encode_fitting<const W: usize>(&mut self, ids: &[u32], end: u8) -> Option<usize> {
+        let len = ids.len() * (W + 1);
+        if self.row.len() < len {
+            self.row.resize(len, 0);
+        }
+        let row = &mut self.row[..len];
+        let mut wide = false;
+        for (field, &id) in row.chunks_exact_mut(W + 1).zip(ids) {
+            wide |= id >= 10u32.pow(W as u32);
+            put_digits(&mut field[..W], id);
+            field[W] = b' ';
+        }
+        if let Some(last) = row.last_mut() {
+            *last = end;
+        }
+        (!wide).then_some(len)
+    }
+
+    /// Encodes a row at any width, sizing each field to its id: ids
+    /// wider than `width`, and widths of 10 digits and up.
+    #[cold]
+    #[inline(never)]
+    fn encode_any(&mut self, ids: &[u32], end: u8) -> &[u8] {
+        let len = ids.iter().map(|&id| self.digits(id) + 1).sum();
+        if self.row.len() < len {
+            self.row.resize(len, 0);
+        }
+        let mut at = 0;
+        for &id in ids {
+            let n = self.digits(id);
+            put_digits(&mut self.row[at..at + n], id);
+            self.row[at + n] = b' ';
+            at += n + 1;
+        }
+        let row = &mut self.row[..len];
+        if let Some(last) = row.last_mut() {
+            *last = end;
+        }
+        row
+    }
+
+    /// Digits `id` takes: `width`, or more for an id wider than that.
+    fn digits(&self, id: u32) -> usize {
+        id.checked_ilog10().map_or(1, |d| d as usize + 1).max(self.width)
+    }
+}
+
+/// Writes `value` into `field` right-aligned and zero-padded, two digits
+/// at a time from the right. `value` must fit in `field.len()` digits.
+#[inline(always)]
+fn put_digits(field: &mut [u8], mut value: u32) {
+    let mut rest = field;
+    while let [head @ .., hi, lo] = rest {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        *hi = DIGIT_PAIRS[pair];
+        *lo = DIGIT_PAIRS[pair + 1];
+        rest = head;
+    }
+    if let [digit] = rest {
+        *digit = b'0' + (value % 10) as u8;
+    }
+}
+
 /// Formats links and groups in the paper's fixed-width text format.
+///
+/// Every row reaches the sink as one [`OutputSink::write_bytes`] call,
+/// so a failing sink stops the output at a row boundary.
 #[derive(Debug)]
 pub struct OutputWriter<S> {
     sink: S,
-    width: usize,
+    encoder: RowEncoder,
     links: u64,
     groups: u64,
-    scratch: Vec<u8>,
 }
 
 impl<S: OutputSink> OutputWriter<S> {
@@ -179,8 +307,7 @@ impl<S: OutputSink> OutputWriter<S> {
     /// Use [`OutputWriter::id_width_for`] to derive the width from the
     /// dataset size, as the paper does ("the same fixed number of bits").
     pub fn new(sink: S, width: usize) -> Self {
-        assert!((1..=20).contains(&width), "id width out of range");
-        OutputWriter { sink, width, links: 0, groups: 0, scratch: Vec::with_capacity(256) }
+        OutputWriter { sink, encoder: RowEncoder::new(width), links: 0, groups: 0 }
     }
 
     /// The minimal width that fits every id of a dataset with `n` records.
@@ -199,12 +326,7 @@ impl<S: OutputSink> OutputWriter<S> {
     /// # Errors
     /// Returns [`StorageError`] when the sink rejects the write.
     pub fn write_link(&mut self, a: u32, b: u32) -> Result<(), StorageError> {
-        self.scratch.clear();
-        Self::push_padded(&mut self.scratch, a, self.width);
-        self.scratch.push(b' ');
-        Self::push_padded(&mut self.scratch, b, self.width);
-        self.scratch.push(b'\n');
-        self.sink.write_bytes(&self.scratch)?;
+        self.sink.write_bytes(self.encoder.encode(&[a, b], b'\n'))?;
         self.links += 1;
         Ok(())
     }
@@ -221,38 +343,9 @@ impl<S: OutputSink> OutputWriter<S> {
         if ids.is_empty() {
             return Err(StorageError::EmptyGroupRow);
         }
-        self.scratch.clear();
-        Self::push_padded(&mut self.scratch, ids[0], self.width);
-        for &id in &ids[1..] {
-            self.scratch.push(b' ');
-            Self::push_padded(&mut self.scratch, id, self.width);
-        }
-        self.scratch.push(b'\n');
-        self.sink.write_bytes(&self.scratch)?;
+        self.sink.write_bytes(self.encoder.encode(ids, b'\n'))?;
         self.groups += 1;
         Ok(())
-    }
-
-    fn push_padded(buf: &mut Vec<u8>, value: u32, width: usize) {
-        let mut digits = [0u8; 10];
-        let mut v = value;
-        let mut n = 0;
-        loop {
-            digits[n] = b'0' + (v % 10) as u8;
-            v /= 10;
-            n += 1;
-            if v == 0 {
-                break;
-            }
-        }
-        // Pad (ids wider than `width` are written unpadded rather than
-        // truncated, preserving correctness over formatting).
-        for _ in n..width {
-            buf.push(b'0');
-        }
-        for i in (0..n).rev() {
-            buf.push(digits[i]);
-        }
     }
 
     /// Number of link lines written.
@@ -423,5 +516,38 @@ mod proptests {
                 prop_assert_eq!(&ids, g);
             }
         }
+
+        /// The encoder's bytes equal `format!("{:0w$}")` fields joined by
+        /// spaces, at every width and over the whole `u32` range: zero
+        /// padding, ids wider than the width, 0 and `u32::MAX`, for
+        /// links and groups in any order.
+        #[test]
+        fn rows_match_the_format_reference(
+            width in 1usize..=20,
+            rows in prop::collection::vec((any::<bool>(), prop::collection::vec(id(), 1..12)), 0..24),
+        ) {
+            let mut w = OutputWriter::new(VecSink::new(), width);
+            let mut expected = String::new();
+            for (as_link, ids) in &rows {
+                let ids = if *as_link && ids.len() >= 2 {
+                    w.write_link(ids[0], ids[1]).unwrap();
+                    &ids[..2]
+                } else {
+                    w.write_group(ids).unwrap();
+                    &ids[..]
+                };
+                let fields: Vec<String> = ids.iter().map(|id| format!("{id:0width$}")).collect();
+                expected.push_str(&fields.join(" "));
+                expected.push('\n');
+            }
+            prop_assert_eq!(w.sink().as_str(), expected.as_str());
+            prop_assert_eq!(w.bytes_written(), expected.len() as u64);
+        }
+    }
+
+    /// Ids from every digit count: small, mid-range, the whole `u32`
+    /// domain, and both ends of it.
+    fn id() -> BoxedStrategy<u32> {
+        prop_oneof![Just(0u32), Just(u32::MAX), 0u32..10, 0u32..100_000, any::<u32>()].boxed()
     }
 }

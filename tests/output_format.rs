@@ -6,7 +6,9 @@ use std::collections::BTreeSet;
 use csj_core::brute::brute_force_links;
 use csj_core::csj::CsjJoin;
 use csj_core::ncsj::NcsjJoin;
+use csj_core::parallel::{ParallelAlgo, ParallelJoin};
 use csj_core::ssj::SsjJoin;
+use csj_core::ResilientJoin;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{FileSink, OutputSink, OutputWriter, VecSink};
 
@@ -101,6 +103,51 @@ fn streamed_and_collected_rows_are_identical() {
         streamed.sink().as_str(),
         "stream and collect must produce byte-identical output"
     );
+}
+
+#[test]
+fn parallel_collected_rows_write_the_sequential_bytes() {
+    let pts = sample_points();
+    let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12));
+    let eps = 0.05;
+    let width = OutputWriter::<VecSink>::id_width_for(pts.len());
+    for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+        // `csj join` without --threads: the sequential runner streams.
+        let mut seq = OutputWriter::new(VecSink::new(), width);
+        let report = ResilientJoin::new(eps, algo)
+            .with_id_width(width)
+            .run_streaming(&tree, &mut seq)
+            .expect("vec sink cannot fail");
+        let threads: &[usize] = if algo == ParallelAlgo::Csj(10) { &[2] } else { &[1, 2, 8] };
+        for &threads in threads {
+            // `csj join --threads N`: rows collected, then written.
+            let out = ParallelJoin::new(eps, algo).with_threads(threads).run(&tree);
+            let mut par = OutputWriter::new(VecSink::new(), width);
+            out.write_to(&mut par).expect("vec sink cannot fail");
+            let label = format!("{algo:?} at {threads} threads");
+            if algo == ParallelAlgo::Csj(10) {
+                // Per-task windows group differently; the links agree.
+                assert_eq!(
+                    parse_link_set(par.sink().as_str()),
+                    parse_link_set(seq.sink().as_str()),
+                    "{label}"
+                );
+                continue;
+            }
+            assert_eq!(par.sink().as_str(), seq.sink().as_str(), "{label}: bytes");
+            assert_eq!(out.num_links() as u64, seq.links_written(), "{label}: links");
+            assert_eq!(out.num_groups() as u64, seq.groups_written(), "{label}: groups");
+            assert_eq!(out.total_bytes(width), seq.bytes_written(), "{label}: total bytes");
+            assert_eq!(
+                out.implied_links(),
+                report.stats.links_emitted + report.stats.links_in_groups,
+                "{label}: implied links"
+            );
+        }
+        if algo == ParallelAlgo::Ncsj {
+            assert!(seq.groups_written() > 0, "the N-CSJ run exercises group rows");
+        }
+    }
 }
 
 #[test]

@@ -52,8 +52,8 @@ fn figure1_dense_clique_collapses() {
     assert_eq!(ssj.num_links() as u32, k * (k - 1) / 2);
     let csj = CsjJoin::new(eps).run(&tree);
     assert_eq!(csj.items.len(), 1, "one group for the clique");
-    match &csj.items[0] {
-        OutputItem::Group(ids) => assert_eq!(ids.len() as u32, k),
+    match csj.items.get(0) {
+        Some(OutputItem::Group(ids)) => assert_eq!(ids.len() as u32, k),
         other => panic!("expected a group, got {other:?}"),
     }
 }
