@@ -16,24 +16,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use csj_bench::harness::{median_time_ms, time_stats_ms, TimeStats};
+use csj_bench::datasets::{skewed_cluster, Lcg};
+use csj_bench::harness::{median_time_ms, rustc_version, time_stats_ms, TimeStats};
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
 use csj_geom::{DistKernel, KernelPath, Metric, Point, RecordId, SoaBuffer};
 use csj_index::{rstar::RStarTree, LeafEntry, RTreeConfig};
-
-/// `rustc --version` of the toolchain on PATH — the one that (normally)
-/// built this binary. Perf numbers without the compiler version are not
-/// reproducible claims.
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
 
 /// Compile-time target features relevant to the distance kernels.
 fn compiled_features() -> &'static str {
@@ -97,32 +84,6 @@ fn parse_args() -> Args {
         }
     }
     out
-}
-
-/// Deterministic multiplicative-congruential stream in `[0, 1)`.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_f64(&mut self) -> f64 {
-        // Numerical Recipes LCG; top 53 bits as a unit float.
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// 80% of the points in one dense cluster, the rest uniform background —
-/// the skew shape where a static task split pins one worker.
-fn skewed_cluster(n: usize, seed: u64) -> Vec<Point<2>> {
-    let mut rng = Lcg(seed);
-    (0..n)
-        .map(|i| {
-            if i % 5 != 0 {
-                Point::new([0.5 + rng.next_f64() * 0.03, 0.5 + rng.next_f64() * 0.03])
-            } else {
-                Point::new([rng.next_f64(), rng.next_f64()])
-            }
-        })
-        .collect()
 }
 
 /// Page-sized leaves, as in the paper's disk-resident R-trees (a 4 KB

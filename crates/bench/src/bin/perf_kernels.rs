@@ -36,7 +36,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use csj_bench::harness::{time_stats_ms, TimeStats};
+use csj_bench::datasets::{skewed_cluster, Lcg};
+use csj_bench::harness::{rustc_version, time_stats_ms, TimeStats};
 use csj_core::csj::CsjJoin;
 use csj_core::ncsj::NcsjJoin;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
@@ -81,43 +82,6 @@ fn parse_args() -> Args {
         }
     }
     out
-}
-
-/// Deterministic multiplicative-congruential stream in `[0, 1)`.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next_f64(&mut self) -> f64 {
-        // Numerical Recipes LCG; top 53 bits as a unit float.
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (self.0 >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Same skew shape as `perf_baseline`: 80% of the points in one dense
-/// cluster, the rest uniform background.
-fn skewed_cluster(n: usize, seed: u64) -> Vec<Point<2>> {
-    let mut rng = Lcg(seed);
-    (0..n)
-        .map(|i| {
-            if i % 5 != 0 {
-                Point::new([0.5 + rng.next_f64() * 0.03, 0.5 + rng.next_f64() * 0.03])
-            } else {
-                Point::new([rng.next_f64(), rng.next_f64()])
-            }
-        })
-        .collect()
-}
-
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// A probe leg: fills comparison count and hit list for one pass.

@@ -30,7 +30,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use csj_bench::harness::TimeStats;
+use csj_bench::harness::{rustc_version, TimeStats};
 use csj_core::outofcore::OutOfCoreJoin;
 use csj_core::parallel::ParallelAlgo;
 use csj_core::{JoinConfig, JoinStats};
@@ -87,17 +87,6 @@ fn parse_args() -> Args {
         }
     }
     out
-}
-
-fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Interleaved repetitions of every leg; each leg reports the min,

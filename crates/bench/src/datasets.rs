@@ -107,6 +107,33 @@ impl PaperDataset {
     }
 }
 
+/// Deterministic multiplicative-congruential stream in `[0, 1)`.
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    /// The next value.
+    pub fn next_f64(&mut self) -> f64 {
+        // Numerical Recipes LCG; top 53 bits as a unit float.
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (self.0 >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// 80% of the points in one dense cluster, the rest uniform background —
+/// the skew shape where a static task split pins one worker.
+pub fn skewed_cluster(n: usize, seed: u64) -> Vec<Point<2>> {
+    let mut rng = Lcg(seed);
+    (0..n)
+        .map(|i| {
+            if i % 5 != 0 {
+                Point::new([0.5 + rng.next_f64() * 0.03, 0.5 + rng.next_f64() * 0.03])
+            } else {
+                Point::new([rng.next_f64(), rng.next_f64()])
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

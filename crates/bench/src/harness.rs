@@ -3,8 +3,6 @@
 
 use std::time::Instant;
 
-use csj_core::csj::CsjJoin;
-use csj_core::ncsj::NcsjJoin;
 use csj_core::parallel::ParallelAlgo;
 use csj_core::{ResilientJoin, RunBudget};
 use csj_geom::Point;
@@ -114,6 +112,20 @@ pub fn median_time_ms(iters: usize, f: impl FnMut()) -> f64 {
     time_stats_ms(iters, f).median_ms
 }
 
+/// `rustc --version` of the toolchain on PATH — the one that (normally)
+/// built the bench — or `"unknown"`. Perf numbers without the compiler
+/// version are not reproducible claims.
+pub fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Runs `algo` on `tree` and measures it. SSJ runs under `ssj_budget`
 /// links; when exceeded, byte/link/time values are linearly extrapolated
 /// and `estimated` is set.
@@ -125,75 +137,34 @@ pub fn measure<T: JoinIndex<D>, const D: usize>(
     id_width: usize,
     ssj_budget: u64,
 ) -> Measurement {
-    match algo {
-        Algo::Ssj => {
-            // The budget is checked before each root task, so a tripped
-            // run's totals are extrapolated from the completed fraction.
-            let runner = ResilientJoin::new(eps, ParallelAlgo::Ssj)
-                .with_budget(RunBudget::unlimited().with_max_links(ssj_budget));
-            let run = |writer: &mut OutputWriter<CountingSink>| {
-                runner.run_streaming(tree, writer).expect("counting sink cannot fail")
-            };
-            // One instrumented run for sizes, then timing runs.
-            let mut writer = OutputWriter::new(CountingSink::new(), id_width);
-            let report = run(&mut writer);
-            let time_ms = median_time_ms(iters, || {
-                run(&mut OutputWriter::new(CountingSink::new(), id_width));
-            });
-            let scale = 1.0 / report.completion.completed_fraction();
-            let links = report.stats.links_emitted as f64 * scale;
-            Measurement {
-                algo: algo.name(),
-                eps,
-                time_ms: time_ms * scale,
-                bytes: writer.bytes_written() as f64 * scale,
-                rows: links,
-                links,
-                groups: 0.0,
-                distance_computations: report.stats.distance_computations as f64 * scale,
-                estimated: !report.completion.is_complete(),
-            }
-        }
-        Algo::Ncsj => {
-            let join = NcsjJoin::new(eps);
-            let mut writer = OutputWriter::new(CountingSink::new(), id_width);
-            let stats = join.run_streaming(tree, &mut writer).expect("counting sink cannot fail");
-            let time_ms = median_time_ms(iters, || {
-                let mut w = OutputWriter::new(CountingSink::new(), id_width);
-                let _ = join.run_streaming(tree, &mut w);
-            });
-            Measurement {
-                algo: algo.name(),
-                eps,
-                time_ms,
-                bytes: writer.bytes_written() as f64,
-                rows: stats.rows_emitted() as f64,
-                links: stats.links_emitted as f64,
-                groups: stats.groups_emitted as f64,
-                distance_computations: stats.distance_computations as f64,
-                estimated: false,
-            }
-        }
-        Algo::Csj(g) => {
-            let join = CsjJoin::new(eps).with_window(g);
-            let mut writer = OutputWriter::new(CountingSink::new(), id_width);
-            let stats = join.run_streaming(tree, &mut writer).expect("counting sink cannot fail");
-            let time_ms = median_time_ms(iters, || {
-                let mut w = OutputWriter::new(CountingSink::new(), id_width);
-                let _ = join.run_streaming(tree, &mut w);
-            });
-            Measurement {
-                algo: algo.name(),
-                eps,
-                time_ms,
-                bytes: writer.bytes_written() as f64,
-                rows: stats.rows_emitted() as f64,
-                links: stats.links_emitted as f64,
-                groups: stats.groups_emitted as f64,
-                distance_computations: stats.distance_computations as f64,
-                estimated: false,
-            }
-        }
+    // The budget is checked before each root task, so a tripped run's
+    // totals are extrapolated from the completed fraction.
+    let (runner_algo, budget) = match algo {
+        Algo::Ssj => (ParallelAlgo::Ssj, RunBudget::unlimited().with_max_links(ssj_budget)),
+        Algo::Ncsj => (ParallelAlgo::Ncsj, RunBudget::unlimited()),
+        Algo::Csj(g) => (ParallelAlgo::Csj(g), RunBudget::unlimited()),
+    };
+    let runner = ResilientJoin::new(eps, runner_algo).with_budget(budget);
+    let run = |writer: &mut OutputWriter<CountingSink>| {
+        runner.run_streaming(tree, writer).expect("counting sink cannot fail")
+    };
+    // One instrumented run for sizes, then timing runs.
+    let mut writer = OutputWriter::new(CountingSink::new(), id_width);
+    let report = run(&mut writer);
+    let time_ms = median_time_ms(iters, || {
+        run(&mut OutputWriter::new(CountingSink::new(), id_width));
+    });
+    let (stats, scale) = (&report.stats, 1.0 / report.completion.completed_fraction());
+    Measurement {
+        algo: algo.name(),
+        eps,
+        time_ms: time_ms * scale,
+        bytes: writer.bytes_written() as f64 * scale,
+        rows: stats.rows_emitted() as f64 * scale,
+        links: stats.links_emitted as f64 * scale,
+        groups: stats.groups_emitted as f64 * scale,
+        distance_computations: stats.distance_computations as f64 * scale,
+        estimated: !report.completion.is_complete(),
     }
 }
 

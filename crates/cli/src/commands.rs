@@ -101,11 +101,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
 /// `csj index <points-file> --out FILE [--bulk str|hilbert|omt|none] [--dim 2|3]`
 pub fn index(args: &[String]) -> Result<(), CliError> {
     let opts = Opts::parse(args, &["out", "bulk", "dim"]).usage()?;
-    match opts.get_or("dim", 2usize).usage()? {
-        2 => index_dim::<2>(&opts),
-        3 => index_dim::<3>(&opts),
-        d => Err(CliError::usage(format!("unsupported dimension {d} (2 or 3)"))),
-    }
+    by_dim(&opts, || index_dim::<2>(&opts), || index_dim::<3>(&opts))
 }
 
 fn index_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
@@ -137,11 +133,7 @@ fn index_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
 pub fn analyze(args: &[String]) -> Result<(), CliError> {
     let opts = Opts::parse(args, &["dim"]).usage()?;
     let file = opts.positional(0, "points-file").usage()?;
-    match opts.get_or("dim", 2usize).usage()? {
-        2 => analyze_dim::<2>(file),
-        3 => analyze_dim::<3>(file),
-        d => Err(CliError::usage(format!("unsupported dimension {d} (2 or 3)"))),
-    }
+    by_dim(&opts, || analyze_dim::<2>(file), || analyze_dim::<3>(file))
 }
 
 fn analyze_dim<const D: usize>(file: &str) -> Result<(), CliError> {
@@ -187,11 +179,29 @@ pub fn join(args: &[String]) -> Result<(), CliError> {
         ],
     )
     .usage()?;
+    by_dim(&opts, || join_dim::<2>(&opts), || join_dim::<3>(&opts))
+}
+
+/// Runs a command's 2-D or 3-D body by `--dim` (default 2).
+fn by_dim(
+    opts: &Opts,
+    two: impl FnOnce() -> Result<(), CliError>,
+    three: impl FnOnce() -> Result<(), CliError>,
+) -> Result<(), CliError> {
     match opts.get_or("dim", 2usize).usage()? {
-        2 => join_dim::<2>(&opts),
-        3 => join_dim::<3>(&opts),
+        2 => two(),
+        3 => three(),
         d => Err(CliError::usage(format!("unsupported dimension {d} (2 or 3)"))),
     }
+}
+
+/// The required `--eps`, finite and non-negative.
+fn parse_eps(opts: &Opts) -> Result<f64, CliError> {
+    let eps = opts.require::<f64>("eps").usage()?;
+    if !(eps >= 0.0 && eps.is_finite()) {
+        return Err(CliError::usage("--eps must be finite and non-negative".to_string()));
+    }
+    Ok(eps)
 }
 
 /// Builds the resource budget from `--max-links`, `--max-bytes` and
@@ -242,10 +252,7 @@ fn parse_threads(opts: &Opts) -> Result<Option<usize>, CliError> {
 }
 
 fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
-    let eps = opts.require::<f64>("eps").usage()?;
-    if !(eps >= 0.0 && eps.is_finite()) {
-        return Err(CliError::usage("--eps must be finite and non-negative".to_string()));
-    }
+    let eps = parse_eps(opts)?;
     if opts.get("data-dir").is_some() {
         return join_outofcore_dim::<D>(opts, eps);
     }
@@ -258,8 +265,7 @@ fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let threads = parse_threads(opts)?;
     // Persisted-index mode: skip building entirely.
     if let Some(index_file) = opts.get("index") {
-        let algo = opts.get("algo").unwrap_or("csj").to_string();
-        let window = opts.get_or("window", 10usize).usage()?;
+        let algo = parse_algo(opts)?;
         let metric = parse_metric(opts.get("metric").unwrap_or("l2")).usage()?;
         let out = opts.get("out").map(str::to_string);
         let start = Instant::now();
@@ -274,11 +280,10 @@ fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
             start.elapsed().as_secs_f64() * 1e3
         );
         let width = OutputWriter::<csj_storage::CountingSink>::id_width_for(tree.num_records());
-        return run_join(&tree, &algo, eps, window, metric, width, out.as_deref(), budget, threads);
+        return run_join(&tree, algo, eps, metric, width, out.as_deref(), budget, threads);
     }
     let file = opts.positional(0, "points-file").usage()?;
-    let algo = opts.get("algo").unwrap_or("csj").to_string();
-    let window = opts.get_or("window", 10usize).usage()?;
+    let algo = parse_algo(opts)?;
     let metric = parse_metric(opts.get("metric").unwrap_or("l2")).usage()?;
     let tree_kind = opts.get("tree").unwrap_or("rstar").to_string();
     let bulk = opts.get("bulk").unwrap_or("str").to_string();
@@ -299,7 +304,7 @@ fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
                 tree.root().map_or(0, |r| tree.subtree_node_count(r)),
                 tree.height()
             );
-            run_join(&tree, &algo, eps, window, metric, width, out.as_deref(), budget, threads)
+            run_join(&tree, algo, eps, metric, width, out.as_deref(), budget, threads)
         }};
     }
     if points.is_empty() {
@@ -347,14 +352,7 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
             "--buffer-pages must be at least 2 (a leaf-pair probe pins two pages)".to_string(),
         ));
     }
-    let algo = match opts.get("algo").unwrap_or("csj") {
-        "ssj" => ParallelAlgo::Ssj,
-        "ncsj" => ParallelAlgo::Ncsj,
-        "csj" => ParallelAlgo::Csj(opts.get_or("window", 10usize).usage()?),
-        other => {
-            return Err(CliError::usage(format!("unknown --algo {other:?} (ssj, ncsj or csj)")))
-        }
-    };
+    let algo = parse_algo(opts)?;
     let metric = parse_metric(opts.get("metric").unwrap_or("l2")).usage()?;
     let tree_kind = opts.get("tree").unwrap_or("rstar");
     if tree_kind != "rstar" {
@@ -413,18 +411,9 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
         .with_config(JoinConfig::new(eps).with_metric(metric))
         .with_prefetch_budget(32 * PAGE_SIZE);
     let start = Instant::now();
-    let (stats, bytes) = match out.as_deref() {
-        Some(path) => {
-            let mut writer = OutputWriter::new(FileSink::create(path)?, width);
-            let stats = join.run_streaming(&tree, &mut writer, Some(&pages_path))?;
-            (stats, writer.finish()?.bytes_written())
-        }
-        None => {
-            let mut writer = OutputWriter::new(StdoutSink::new(), width);
-            let stats = join.run_streaming(&tree, &mut writer, Some(&pages_path))?;
-            (stats, writer.finish()?.bytes_written())
-        }
-    };
+    let mut writer = OutputWriter::new(Out::open(out.as_deref())?, width);
+    let stats = join.run_streaming(&tree, &mut writer, Some(&pages_path))?;
+    let bytes = writer.finish()?.bytes_written();
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     let pg = tree.stats();
     eprintln!(
@@ -458,26 +447,29 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
     Ok(())
 }
 
+/// `--algo ssj|ncsj|csj` (default csj), CSJ with the `--window` size
+/// (default 10).
+fn parse_algo(opts: &Opts) -> Result<ParallelAlgo, CliError> {
+    let window = opts.get_or("window", 10usize).usage()?;
+    match opts.get("algo").unwrap_or("csj") {
+        "ssj" => Ok(ParallelAlgo::Ssj),
+        "ncsj" => Ok(ParallelAlgo::Ncsj),
+        "csj" => Ok(ParallelAlgo::Csj(window)),
+        other => Err(CliError::usage(format!("unknown --algo {other:?} (ssj, ncsj or csj)"))),
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
     tree: &T,
-    algo: &str,
+    algo: ParallelAlgo,
     eps: f64,
-    window: usize,
     metric: Metric,
     width: usize,
     out: Option<&str>,
     budget: RunBudget,
     threads: Option<usize>,
 ) -> Result<(), CliError> {
-    let parallel_algo = match algo {
-        "ssj" => ParallelAlgo::Ssj,
-        "ncsj" => ParallelAlgo::Ncsj,
-        "csj" => ParallelAlgo::Csj(window),
-        other => {
-            return Err(CliError::usage(format!("unknown --algo {other:?} (ssj, ncsj or csj)")))
-        }
-    };
     let cfg = JoinConfig::new(eps).with_metric(metric);
 
     // With --threads, the work-stealing runner collects rows (its tasks
@@ -487,23 +479,14 @@ fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
     let start = Instant::now();
     let (report, bytes) = match threads {
         Some(n) => {
-            let join = csj_core::parallel::ParallelJoin::with_config(cfg, parallel_algo)
+            let join = csj_core::parallel::ParallelJoin::with_config(cfg, algo)
                 .with_threads(n)
                 .with_budget(budget)
                 .with_id_width(width);
             let output = join.run(tree);
-            let bytes = match out {
-                Some(path) => {
-                    let mut writer = OutputWriter::new(FileSink::create(path)?, width);
-                    output.write_to(&mut writer)?;
-                    writer.finish()?.bytes_written()
-                }
-                None => {
-                    let mut writer = OutputWriter::new(StdoutSink::new(), width);
-                    output.write_to(&mut writer)?;
-                    writer.finish()?.bytes_written()
-                }
-            };
+            let mut writer = OutputWriter::new(Out::open(out)?, width);
+            output.write_to(&mut writer)?;
+            let bytes = writer.finish()?.bytes_written();
             eprintln!(
                 "scheduler: {} threads, {} tasks ({} stolen, {} split)",
                 output.stats.threads_used,
@@ -514,28 +497,21 @@ fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
             (ResilientReport { stats: output.stats, completion: output.completion }, bytes)
         }
         None => {
-            let join = ResilientJoin::with_config(cfg, parallel_algo)
-                .with_budget(budget)
-                .with_id_width(width);
-            match out {
-                Some(path) => {
-                    let mut writer = OutputWriter::new(FileSink::create(path)?, width);
-                    let report = join.run_streaming(tree, &mut writer)?;
-                    let sink = writer.finish()?;
-                    (report, sink.bytes_written())
-                }
-                None => {
-                    let mut writer = OutputWriter::new(StdoutSink::new(), width);
-                    let report = join.run_streaming(tree, &mut writer)?;
-                    let sink = writer.finish()?;
-                    (report, sink.bytes_written())
-                }
-            }
+            let join =
+                ResilientJoin::with_config(cfg, algo).with_budget(budget).with_id_width(width);
+            let mut writer = OutputWriter::new(Out::open(out)?, width);
+            let report = join.run_streaming(tree, &mut writer)?;
+            (report, writer.finish()?.bytes_written())
         }
     };
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
+    let name = match algo {
+        ParallelAlgo::Ssj => "ssj",
+        ParallelAlgo::Ncsj => "ncsj",
+        ParallelAlgo::Csj(_) => "csj",
+    };
     eprintln!(
-        "{algo} eps={eps}: {:.1} ms, {} bytes, {} links + {} groups, {} distance computations",
+        "{name} eps={eps}: {:.1} ms, {} bytes, {} links + {} groups, {} distance computations",
         elapsed,
         bytes,
         report.stats.links_emitted,
@@ -577,11 +553,7 @@ pub fn shard_join(args: &[String]) -> Result<(), CliError> {
         ],
     )
     .usage()?;
-    match opts.get_or("dim", 2usize).usage()? {
-        2 => shard_join_dim::<2>(&opts),
-        3 => shard_join_dim::<3>(&opts),
-        d => Err(CliError::usage(format!("unsupported dimension {d} (2 or 3)"))),
-    }
+    by_dim(&opts, || shard_join_dim::<2>(&opts), || shard_join_dim::<3>(&opts))
 }
 
 /// Parses an optional `--<key> <seconds>` duration flag.
@@ -603,19 +575,8 @@ fn parse_secs_flag(opts: &Opts, key: &str) -> Result<Option<Duration>, CliError>
 
 fn shard_join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let file = opts.positional(0, "points-file").usage()?;
-    let eps = opts.require::<f64>("eps").usage()?;
-    if !(eps >= 0.0 && eps.is_finite()) {
-        return Err(CliError::usage("--eps must be finite and non-negative".to_string()));
-    }
-    let window = opts.get_or("window", 10usize).usage()?;
-    let algo = match opts.get("algo").unwrap_or("csj") {
-        "ssj" => ParallelAlgo::Ssj,
-        "ncsj" => ParallelAlgo::Ncsj,
-        "csj" => ParallelAlgo::Csj(window),
-        other => {
-            return Err(CliError::usage(format!("unknown --algo {other:?} (ssj, ncsj or csj)")))
-        }
-    };
+    let eps = parse_eps(opts)?;
+    let algo = parse_algo(opts)?;
     let metric = parse_metric(opts.get("metric").unwrap_or("l2")).usage()?;
     let fault_plan: csj_shard::ShardFaultPlan = match opts.get("fault-plan") {
         None => csj_shard::ShardFaultPlan::none(),
@@ -659,32 +620,16 @@ fn shard_join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let width = OutputWriter::<csj_storage::CountingSink>::id_width_for(points.len());
     let out = opts.get("out");
     let bytes = match opts.get("format").unwrap_or("rows") {
-        "rows" => match out {
-            Some(path) => {
-                let mut writer = OutputWriter::new(FileSink::create(path)?, width);
-                run.output.write_to(&mut writer)?;
-                writer.finish()?.bytes_written()
-            }
-            None => {
-                let mut writer = OutputWriter::new(StdoutSink::new(), width);
-                run.output.write_to(&mut writer)?;
-                writer.finish()?.bytes_written()
-            }
-        },
+        "rows" => {
+            let mut writer = OutputWriter::new(Out::open(out)?, width);
+            run.output.write_to(&mut writer)?;
+            writer.finish()?.bytes_written()
+        }
         "canonical" => {
             let text = csj_shard::canonical_link_lines(&run.output);
-            match out {
-                Some(path) => {
-                    let mut sink = FileSink::create(path)?;
-                    sink.write_bytes(text.as_bytes())?;
-                    sink.flush()?;
-                }
-                None => {
-                    let mut sink = StdoutSink::new();
-                    sink.write_bytes(text.as_bytes())?;
-                    sink.flush()?;
-                }
-            }
+            let mut sink = Out::open(out)?;
+            sink.write_bytes(text.as_bytes())?;
+            sink.flush()?;
             text.len() as u64
         }
         other => {
@@ -745,28 +690,21 @@ pub fn shard_worker(args: &[String]) -> Result<(), CliError> {
 /// `csj join2 <left> <right> --eps E [--mode ...] [--window g] [--out FILE]`
 pub fn join2(args: &[String]) -> Result<(), CliError> {
     let opts = Opts::parse(args, &["eps", "mode", "window", "metric", "dim", "out"]).usage()?;
-    match opts.get_or("dim", 2usize).usage()? {
-        2 => join2_dim::<2>(&opts),
-        3 => join2_dim::<3>(&opts),
-        d => Err(CliError::usage(format!("unsupported dimension {d} (2 or 3)"))),
-    }
+    by_dim(&opts, || join2_dim::<2>(&opts), || join2_dim::<3>(&opts))
 }
 
 fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
-    use csj_core::spatial::{SpatialJoin, SpatialMode};
+    use csj_core::spatial::SpatialJoin;
 
     let left_file = opts.positional(0, "left-file").usage()?;
     let right_file = opts.positional(1, "right-file").usage()?;
-    let eps = opts.require::<f64>("eps").usage()?;
-    if !(eps >= 0.0 && eps.is_finite()) {
-        return Err(CliError::usage("--eps must be finite and non-negative".to_string()));
-    }
+    let eps = parse_eps(opts)?;
     let window = opts.get_or("window", 10usize).usage()?;
     let metric = parse_metric(opts.get("metric").unwrap_or("l2")).usage()?;
-    let mode = match opts.get("mode").unwrap_or("windowed") {
-        "standard" => SpatialMode::Standard,
-        "compact" => SpatialMode::Compact,
-        "windowed" => SpatialMode::CompactWindowed(window),
+    let algo = match opts.get("mode").unwrap_or("windowed") {
+        "standard" => ParallelAlgo::Ssj,
+        "compact" => ParallelAlgo::Ncsj,
+        "windowed" => ParallelAlgo::Csj(window),
         other => return Err(CliError::usage(format!("unknown --mode {other:?}"))),
     };
 
@@ -777,22 +715,13 @@ fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let rt = RStarTree::bulk_load_str(&right, RTreeConfig::default());
 
     let start = Instant::now();
-    let output = SpatialJoin::new(eps, mode).with_metric(metric).run(&lt, &rt);
+    let output = SpatialJoin::new(eps, algo).with_metric(metric).run(&lt, &rt);
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     let width =
         OutputWriter::<csj_storage::CountingSink>::id_width_for(left.len().max(right.len()));
-    match opts.get("out") {
-        Some(path) => {
-            let mut sink = FileSink::create(path)?;
-            output.write_to(&mut sink, width)?;
-            sink.flush()?;
-        }
-        None => {
-            let mut sink = StdoutSink::new();
-            output.write_to(&mut sink, width)?;
-            sink.flush()?;
-        }
-    }
+    let mut sink = Out::open(opts.get("out"))?;
+    output.write_to(&mut sink, width)?;
+    sink.flush()?;
     eprintln!(
         "spatial join eps={eps}: {elapsed:.1} ms, {} rows ({} links + {} groups), {} bytes, {} cross links implied",
         output.items.len(),
@@ -808,15 +737,8 @@ fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
 pub fn verify(args: &[String]) -> Result<(), CliError> {
     let opts = Opts::parse(args, &["eps", "dim"]).usage()?;
     let file = opts.positional(0, "points-file").usage()?;
-    let eps = opts.require::<f64>("eps").usage()?;
-    if !(eps >= 0.0 && eps.is_finite()) {
-        return Err(CliError::usage("--eps must be finite and non-negative".to_string()));
-    }
-    match opts.get_or("dim", 2usize).usage()? {
-        2 => verify_dim::<2>(file, eps),
-        3 => verify_dim::<3>(file, eps),
-        d => Err(CliError::usage(format!("unsupported dimension {d} (2 or 3)"))),
-    }
+    let eps = parse_eps(&opts)?;
+    by_dim(&opts, || verify_dim::<2>(file, eps), || verify_dim::<3>(file, eps))
 }
 
 fn verify_dim<const D: usize>(file: &str, eps: f64) -> Result<(), CliError> {
@@ -880,6 +802,43 @@ pub fn expand(args: &[String]) -> Result<(), CliError> {
     }
     eprintln!("{} distinct links", seen.len());
     Ok(())
+}
+
+/// Where output goes: the `--out` file, or stdout without one.
+enum Out {
+    File(FileSink),
+    Stdout(StdoutSink),
+}
+
+impl Out {
+    /// Creates the `path` file, or takes stdout for `None`.
+    fn open(path: Option<&str>) -> Result<Out, StorageError> {
+        Ok(match path {
+            Some(path) => Out::File(FileSink::create(path)?),
+            None => Out::Stdout(StdoutSink::new()),
+        })
+    }
+}
+
+impl OutputSink for Out {
+    fn write_bytes(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        match self {
+            Out::File(sink) => sink.write_bytes(bytes),
+            Out::Stdout(sink) => sink.write_bytes(bytes),
+        }
+    }
+    fn bytes_written(&self) -> u64 {
+        match self {
+            Out::File(sink) => sink.bytes_written(),
+            Out::Stdout(sink) => sink.bytes_written(),
+        }
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        match self {
+            Out::File(sink) => sink.flush(),
+            Out::Stdout(sink) => sink.flush(),
+        }
+    }
 }
 
 /// A byte-counting sink over buffered stdout. A broken pipe (downstream

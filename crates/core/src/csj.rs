@@ -11,10 +11,12 @@
 use csj_index::JoinIndex;
 use csj_storage::{OutputSink, OutputWriter};
 
-use crate::engine::{run_collecting, run_streaming, WindowedEmit};
+use crate::engine::{infallible, CollectSink, RowSink, StreamSink, WindowedEmit};
 use crate::error::CsjError;
-use crate::group::{BallShape, MbrShape};
+use crate::group::BallShape;
 use crate::output::JoinOutput;
+use crate::parallel::ParallelAlgo;
+use crate::resilient::ResilientJoin;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -118,24 +120,8 @@ impl CsjJoin {
 
     /// Runs the join, collecting rows in memory.
     pub fn run<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> JoinOutput {
-        match self.shape {
-            GroupShapeKind::Mbr => run_collecting(
-                tree,
-                self.cfg,
-                true,
-                WindowedEmit::<MbrShape<D>, D>::new(self.window, self.cfg.epsilon, self.cfg.metric),
-            ),
-            GroupShapeKind::Ball => run_collecting(
-                tree,
-                self.cfg,
-                true,
-                WindowedEmit::<BallShape<D>, D>::new(
-                    self.window,
-                    self.cfg.epsilon,
-                    self.cfg.metric,
-                ),
-            ),
-        }
+        let (sink, stats) = infallible(self.run_into(tree, CollectSink::default()));
+        JoinOutput { items: sink.items, stats, ..Default::default() }
     }
 
     /// Runs the join, streaming rows into `writer` (memory bounded by the
@@ -150,26 +136,27 @@ impl CsjJoin {
         tree: &T,
         writer: &mut OutputWriter<S>,
     ) -> Result<JoinStats, CsjError> {
-        match self.shape {
-            GroupShapeKind::Mbr => run_streaming(
+        Ok(self.run_into(tree, StreamSink::new(writer))?.1)
+    }
+
+    /// Runs the task loop over `tree` with this join's group shape.
+    fn run_into<T: JoinIndex<D>, R: RowSink, const D: usize>(
+        &self,
+        tree: &T,
+        sink: R,
+    ) -> Result<(R, JoinStats), CsjError> {
+        let (g, eps, metric) = (self.window, self.cfg.epsilon, self.cfg.metric);
+        let join = ResilientJoin::with_config(self.cfg, ParallelAlgo::Csj(g));
+        let (sink, stats, _) = match self.shape {
+            GroupShapeKind::Mbr => join.run_into(tree, sink),
+            GroupShapeKind::Ball => join.run_tasks(
                 tree,
-                self.cfg,
                 true,
-                WindowedEmit::<MbrShape<D>, D>::new(self.window, self.cfg.epsilon, self.cfg.metric),
-                writer,
+                WindowedEmit::<BallShape<D>, D>::new(g, eps, metric),
+                sink,
             ),
-            GroupShapeKind::Ball => run_streaming(
-                tree,
-                self.cfg,
-                true,
-                WindowedEmit::<BallShape<D>, D>::new(
-                    self.window,
-                    self.cfg.epsilon,
-                    self.cfg.metric,
-                ),
-                writer,
-            ),
-        }
+        }?;
+        Ok((sink, stats))
     }
 }
 

@@ -11,11 +11,13 @@
 //!
 //! The engine reaches nodes through a [`NodeSource`]. Every [`JoinIndex`]
 //! is one, with `NodeId` handles and no I/O; `outofcore::PagedSource`
-//! is the other, reading node pages through a pinned buffer pool. Every pruning and
+//! reads node pages through a pinned buffer pool; and the spatial join's
+//! two-tree source runs `simJoin(n1, n2)` from the pair of roots of two
+//! trees (§IV-D). Every pruning and
 //! early-stopping decision is a pure function of bounding shapes a parent
-//! already holds for its children, so both sources make the same
-//! decisions in the same order and emit the same bytes; only the I/O
-//! differs.
+//! already holds for its children, so the in-memory and paged sources
+//! make the same decisions in the same order and emit the same bytes;
+//! only the I/O differs.
 //!
 //! A [`Step`] is `simJoin(n)` or `simJoin(n1, n2)`. One function decides
 //! what a step does once visited: stop early, probe a leaf (pair), or run
@@ -38,7 +40,7 @@ use csj_storage::{OutputSink, OutputWriter};
 use crate::budget::{CancelToken, StopReason};
 use crate::error::CsjError;
 use crate::group::{GroupShape, GroupWindow, LinkProbe, OpenGroup};
-use crate::output::{JoinOutput, Rows};
+use crate::output::Rows;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -105,10 +107,12 @@ pub trait LinkHandler<const D: usize> {
     ) -> Result<(), CsjError>;
 
     /// Handles a subtree (or pair of subtrees) whose bounding shape fits
-    /// within ε: `ids` are all records below, `mbr` the covering shape.
+    /// within ε: `ids` are all records below, the first `first` of them
+    /// from the step's first node, and `mbr` is the covering shape.
     fn on_subtree<R: RowSink>(
         &mut self,
         ids: Vec<RecordId>,
+        first: usize,
         mbr: &Mbr<D>,
         sink: &mut R,
         stats: &mut JoinStats,
@@ -160,6 +164,7 @@ impl<const D: usize> LinkHandler<D> for DirectEmit {
     fn on_subtree<R: RowSink>(
         &mut self,
         ids: Vec<RecordId>,
+        _first: usize,
         _mbr: &Mbr<D>,
         sink: &mut R,
         stats: &mut JoinStats,
@@ -216,6 +221,7 @@ impl<S: GroupShape<D>, const D: usize> LinkHandler<D> for WindowedEmit<S, D> {
     fn on_subtree<R: RowSink>(
         &mut self,
         ids: Vec<RecordId>,
+        _first: usize,
         mbr: &Mbr<D>,
         sink: &mut R,
         stats: &mut JoinStats,
@@ -356,12 +362,12 @@ pub trait NodeSource<const D: usize> {
 }
 
 /// A leaf of an in-memory [`JoinIndex`], read on demand.
-pub struct IndexLeaf<'t, T> {
+pub struct IndexLeaf<'t, T: ?Sized> {
     tree: &'t T,
     n: NodeId,
 }
 
-impl<T: JoinIndex<D>, const D: usize> LeafView<D> for IndexLeaf<'_, T> {
+impl<T: JoinIndex<D> + ?Sized, const D: usize> LeafView<D> for IndexLeaf<'_, T> {
     fn entries(&self) -> &[LeafEntry<D>] {
         self.tree.leaf_entries(self.n)
     }
@@ -370,7 +376,7 @@ impl<T: JoinIndex<D>, const D: usize> LeafView<D> for IndexLeaf<'_, T> {
     }
 }
 
-impl<'t, T: JoinIndex<D>, const D: usize> NodeSource<D> for &'t T {
+impl<'t, T: JoinIndex<D> + ?Sized, const D: usize> NodeSource<D> for &'t T {
     type Node = NodeId;
     type Leaf<'a>
         = IndexLeaf<'t, T>
@@ -739,7 +745,8 @@ where
         false
     }
 
-    /// Runs the full self-join.
+    /// Runs the full self-join as one unsplit recursion: the reference
+    /// the task loops, which split the root, are tested against.
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] when a node read fails beyond retry
@@ -872,20 +879,21 @@ where
     /// Emits an early-stopped subtree (pair) as one group.
     fn emit_subtree(&mut self, step: Step<S::Node>) -> Result<(), CsjError> {
         let mut ids = Vec::new();
-        let mbr = match step {
+        let (first, mbr) = match step {
             Step::Node(n) => {
                 self.stats.early_stops_node += 1;
                 self.source.collect_record_ids(n, &mut ids)?;
-                self.subtree_mbr(n)?
+                (ids.len(), self.subtree_mbr(n)?)
             }
             Step::Pair(a, b) => {
                 self.stats.early_stops_pair += 1;
                 self.source.collect_record_ids(a, &mut ids)?;
+                let first = ids.len();
                 self.source.collect_record_ids(b, &mut ids)?;
-                self.subtree_mbr(a)?.union(&self.subtree_mbr(b)?)
+                (first, self.subtree_mbr(a)?.union(&self.subtree_mbr(b)?))
             }
         };
-        self.handler.on_subtree(ids, &mbr, &mut self.sink, &mut self.stats)
+        self.handler.on_subtree(ids, first, &mbr, &mut self.sink, &mut self.stats)
     }
 
     /// The subtree group MBR: the node's bounding shape by default, or
@@ -953,51 +961,6 @@ pub(crate) fn infallible<T>(res: Result<T, CsjError>) -> T {
         Ok(v) => v,
         Err(e) => unreachable!("in-memory join cannot fail, yet got: {e}"),
     }
-}
-
-/// Runs an engine that collects rows, packaging the result.
-pub fn run_collecting<T, H, const D: usize>(
-    tree: &T,
-    cfg: JoinConfig,
-    early_stop: bool,
-    handler: H,
-) -> JoinOutput
-where
-    T: JoinIndex<D>,
-    H: LinkHandler<D>,
-{
-    let mut engine = Engine::new(tree, cfg, early_stop, handler, CollectSink::default());
-    infallible(engine.run());
-    JoinOutput {
-        items: std::mem::take(&mut engine.sink.items),
-        stats: engine.stats,
-        ..Default::default()
-    }
-}
-
-/// Runs an engine that streams rows into `writer`, returning the stats.
-/// Sink failures (full disk, injected faults) surface as `Err`; rows
-/// already written remain valid join output.
-///
-/// # Errors
-/// Returns [`CsjError::Storage`] when the sink rejects a write; a
-/// budget or cancel stop ends the run early but still returns `Ok`
-/// with the stats accumulated so far.
-pub fn run_streaming<T, H, S, const D: usize>(
-    tree: &T,
-    cfg: JoinConfig,
-    early_stop: bool,
-    handler: H,
-    writer: &mut OutputWriter<S>,
-) -> Result<JoinStats, CsjError>
-where
-    T: JoinIndex<D>,
-    H: LinkHandler<D>,
-    S: OutputSink,
-{
-    let mut engine = Engine::new(tree, cfg, early_stop, handler, StreamSink::new(writer));
-    engine.run()?;
-    Ok(engine.stats)
 }
 
 #[cfg(test)]

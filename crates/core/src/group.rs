@@ -20,8 +20,9 @@
 //!   loop, then a branch-free squared-diagonal-vs-ε² compare
 //!   ([`Metric::norm_within`]) with no shape copy and no undo;
 //! * [`GroupWindow`] is a fixed-capacity array ring (no `VecDeque`
-//!   indirection), and emitted groups hand their member vectors back to
-//!   the caller for recycling.
+//!   indirection); a link that opens a group once the ring is full emits
+//!   the displaced oldest group straight from its slot and reuses that
+//!   slot's member vector ([`GroupWindow::open_link`]).
 
 use csj_geom::{probe, KernelPath, Mbr, Metric, Point, RecordId, Sphere};
 
@@ -277,6 +278,19 @@ fn push_member(members: &mut Vec<RecordId>, id: RecordId) {
     }
 }
 
+/// The shape of a group opened for `link`. `from_link_probe` may produce
+/// a degenerate shape (e.g. a zero-radius ball at the midpoint); extend
+/// covers both endpoints exactly. Shapes that adopt the span exactly skip
+/// the step at compile time.
+#[inline]
+fn link_shape<S: GroupShape<D>, const D: usize>(link: &LinkProbe<'_, D>, metric: Metric) -> S {
+    let mut shape = S::from_link_probe(link, metric);
+    if !S::FROM_LINK_EXACT {
+        shape.extend_link(link, metric);
+    }
+    shape
+}
+
 /// An output group still open for CSJ merging.
 ///
 /// Members are kept as a raw push log (consecutive duplicates skipped);
@@ -300,27 +314,10 @@ impl<S: GroupShape<D>, const D: usize> OpenGroup<S, D> {
         pb: &Point<D>,
         metric: Metric,
     ) -> Self {
-        Self::from_link_in(&LinkProbe::new(a, pa, b, pb), metric, Vec::with_capacity(2))
-    }
-
-    /// [`OpenGroup::from_link`] with a caller-supplied (recycled) member
-    /// vector, so the merge hot path opens groups without allocating.
-    ///
-    /// `members` must be empty; its capacity is reused.
-    #[inline]
-    pub fn from_link_in(link: &LinkProbe<'_, D>, metric: Metric, members: Vec<RecordId>) -> Self {
-        debug_assert!(members.is_empty(), "recycled member vectors must be cleared");
-        let mut shape = S::from_link_probe(link, metric);
-        // from_link_probe may produce a degenerate shape (e.g. a
-        // zero-radius ball at the midpoint); extend covers both endpoints
-        // exactly. Shapes that adopt the span exactly skip the step at
-        // compile time.
-        if !S::FROM_LINK_EXACT {
-            shape.extend_link(link, metric);
-        }
-        let mut g = OpenGroup { members, shape };
-        g.add_member(link.a);
-        g.add_member(link.b);
+        let link = LinkProbe::new(a, pa, b, pb);
+        let mut g = OpenGroup { members: Vec::with_capacity(2), shape: link_shape(&link, metric) };
+        g.add_member(a);
+        g.add_member(b);
         g
     }
 
@@ -631,7 +628,7 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
     /// zero capacity the link's own (already final) pair is emitted from
     /// the stack.
     ///
-    /// Decision-equivalent to `push(OpenGroup::from_link_in(..))` plus
+    /// Decision-equivalent to `push(OpenGroup::from_link(..))` plus
     /// emitting the returned eviction: same groups, same order. `emit`
     /// is responsible for suppressing rows that encode no links (fewer
     /// than two members).
@@ -666,28 +663,8 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
             emit(m)?;
             m.clear();
         }
-        let mut shape = S::from_link_probe(link, metric);
-        if !S::FROM_LINK_EXACT {
-            shape.extend_link(link, metric);
-        }
-        if self.slab_ok {
-            match shape.slab_bounds() {
-                Some((lo, hi)) => {
-                    for d in 0..D {
-                        self.slab_lo[d][slot] = lo[d];
-                        self.slab_hi[d][slot] = hi[d];
-                    }
-                }
-                None => {
-                    // The shape opted out; sequential probing from here on.
-                    self.slab_ok = false;
-                    for d in 0..D {
-                        self.slab_lo[d].clear();
-                        self.slab_hi[d].clear();
-                    }
-                }
-            }
-        }
+        let shape = link_shape(link, metric);
+        self.set_slab(slot, &shape);
         if growing {
             let mut members = Vec::with_capacity(8);
             members.push(link.a);
@@ -705,6 +682,30 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
         Ok(())
     }
 
+    /// Writes `shape`'s bounds into slab column `slot`; a shape without
+    /// slab bounds switches the window to sequential probing for good.
+    #[inline]
+    fn set_slab(&mut self, slot: usize, shape: &S) {
+        if !self.slab_ok {
+            return;
+        }
+        match shape.slab_bounds() {
+            Some((lo, hi)) => {
+                for d in 0..D {
+                    self.slab_lo[d][slot] = lo[d];
+                    self.slab_hi[d][slot] = hi[d];
+                }
+            }
+            None => {
+                self.slab_ok = false;
+                for d in 0..D {
+                    self.slab_lo[d].clear();
+                    self.slab_hi[d].clear();
+                }
+            }
+        }
+    }
+
     /// Pushes a freshly opened group; returns the evicted (now final)
     /// group if the window overflowed. With capacity 0 the pushed group
     /// itself is returned immediately.
@@ -715,27 +716,9 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
             return Some(group);
         }
         let growing = self.shapes.len() < self.capacity;
-        if self.slab_ok {
-            // The incoming group's slot: the append position while the
-            // ring fills, the head slot (displacing the oldest) once full.
-            let slot = if growing { self.shapes.len() } else { self.head };
-            match group.shape.slab_bounds() {
-                Some((lo, hi)) => {
-                    for d in 0..D {
-                        self.slab_lo[d][slot] = lo[d];
-                        self.slab_hi[d][slot] = hi[d];
-                    }
-                }
-                None => {
-                    // The shape opted out; sequential probing from here on.
-                    self.slab_ok = false;
-                    for d in 0..D {
-                        self.slab_lo[d].clear();
-                        self.slab_hi[d].clear();
-                    }
-                }
-            }
-        }
+        // The incoming group's slot: the append position while the ring
+        // fills, the head slot (displacing the oldest) once full.
+        self.set_slab(if growing { self.shapes.len() } else { self.head }, &group.shape);
         if growing {
             self.shapes.push(group.shape);
             self.members.push(group.members);

@@ -9,10 +9,11 @@
 //!
 //! | module | contents |
 //! |---|---|
+//! | [`engine`] | the one Figure-3 recursion, over any node source |
 //! | [`ssj`] | the standard tree join (the paper's SSJ baseline) |
 //! | [`ncsj`] | N-CSJ: SSJ + the early-stopping group rule |
 //! | [`csj`] | CSJ(g): N-CSJ + merge-into-`g`-recent-groups |
-//! | [`spatial`] | dual-tree (two-dataset) variants of all three |
+//! | [`spatial`] | dual-tree (two-dataset) variants of all three, on the engine |
 //! | [`egrid`] | ε-grid-order join (index-free) + its compact extension |
 //! | [`brute`] | `O(n²)` reference join |
 //! | [`verify`] | machine checks of the paper's Theorems 1 & 2 |

@@ -9,9 +9,11 @@
 use csj_index::JoinIndex;
 use csj_storage::{OutputSink, OutputWriter};
 
-use crate::engine::{run_collecting, run_streaming, DirectEmit};
+use crate::engine::infallible;
 use crate::error::CsjError;
 use crate::output::JoinOutput;
+use crate::parallel::ParallelAlgo;
+use crate::resilient::ResilientJoin;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -75,7 +77,7 @@ impl NcsjJoin {
 
     /// Runs the join, collecting rows in memory.
     pub fn run<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> JoinOutput {
-        run_collecting(tree, self.cfg, true, DirectEmit)
+        infallible(ResilientJoin::with_config(self.cfg, ParallelAlgo::Ncsj).run(tree))
     }
 
     /// Runs the join, streaming rows into `writer` (constant memory).
@@ -89,7 +91,9 @@ impl NcsjJoin {
         tree: &T,
         writer: &mut OutputWriter<S>,
     ) -> Result<JoinStats, CsjError> {
-        run_streaming(tree, self.cfg, true, DirectEmit, writer)
+        Ok(ResilientJoin::with_config(self.cfg, ParallelAlgo::Ncsj)
+            .run_streaming(tree, writer)?
+            .stats)
     }
 }
 

@@ -996,7 +996,7 @@ impl OutOfCoreJoin {
 mod tests {
     use super::*;
     use crate::csj::CsjJoin;
-    use crate::engine::{run_collecting, DirectEmit, Engine, StreamSink};
+    use crate::engine::{DirectEmit, Engine, StreamSink};
     use crate::ncsj::NcsjJoin;
     use crate::ssj::SsjJoin;
     use csj_geom::Point;
@@ -1268,7 +1268,7 @@ mod tests {
             let pts = scatter(1500, 17);
             let eps = 0.02;
             let rtree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
-            let mem = run_collecting(&rtree, JoinConfig::new(eps), true, DirectEmit);
+            let mem = NcsjJoin::new(eps).run(&rtree);
             let path = temp_pages("stall");
             let tree = cold_file_tree(&pts, 10, &path, 4);
             let reader =

@@ -50,14 +50,18 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crate::JoinConfig;
 
-/// Which algorithm the parallel runner executes per task.
+/// Which join algorithm to run. Every runner takes it: the sequential
+/// task loop ([`crate::ResilientJoin`]), [`ParallelJoin`], the
+/// out-of-core front, the sharded join and [`crate::spatial::SpatialJoin`].
+/// (The name predates the other runners.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParallelAlgo {
     /// Standard similarity join.
     Ssj,
     /// Naive compact join.
     Ncsj,
-    /// Compact join; every task gets a fresh window of this size.
+    /// Compact join with a window of this many recent groups
+    /// ([`ParallelJoin`] gives every task a fresh window).
     Csj(usize),
 }
 

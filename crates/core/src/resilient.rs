@@ -52,11 +52,14 @@ use crate::parallel::ParallelAlgo;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
-/// A budget-, cancel- and fault-aware sequential similarity self-join.
+/// A budget-, cancel- and fault-aware sequential similarity self-join:
+/// the task loop [`crate::SsjJoin`], [`crate::NcsjJoin`] and
+/// [`crate::CsjJoin`] run through with an unlimited budget.
 ///
 /// Unlike [`crate::parallel::ParallelJoin`], this runner keeps one engine
 /// (and for CSJ one group window) across all tasks, so its output is
-/// identical to the plain sequential join when nothing trips.
+/// identical to the unsplit recursion, [`Engine::run`], when nothing
+/// trips.
 #[derive(Clone, Debug)]
 pub struct ResilientJoin {
     cfg: JoinConfig,
@@ -150,7 +153,7 @@ impl ResilientJoin {
 
     /// Runs the configured algorithm's link handling (CSJ(g) with MBR
     /// groups, as in the paper) through the task loop into `sink`.
-    fn run_into<S, R, const D: usize>(
+    pub(crate) fn run_into<S, R, const D: usize>(
         &self,
         source: S,
         sink: R,
@@ -173,7 +176,7 @@ impl ResilientJoin {
     /// The shared task loop: one engine over `source`, then the source's
     /// end of run — also after a failure, so it can release what it
     /// holds.
-    fn run_tasks<S, H, R, const D: usize>(
+    pub(crate) fn run_tasks<S, H, R, const D: usize>(
         &self,
         source: S,
         early_stop: bool,
@@ -275,8 +278,11 @@ impl ResilientJoin {
 mod tests {
     use super::*;
     use crate::brute::brute_force_links;
-    use crate::csj::CsjJoin;
+    use crate::csj::{CsjJoin, GroupShapeKind};
+    use crate::group::BallShape;
+    use crate::ncsj::NcsjJoin;
     use crate::outofcore::PagedSource;
+    use crate::output::Rows;
     use crate::ssj::SsjJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
@@ -291,35 +297,53 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn unlimited_run_matches_plain_join() {
-        let pts = stripe(400);
-        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
-        let eps = 0.04;
-        let plain = CsjJoin::new(eps).with_window(10).run(&tree);
-        let resilient =
-            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree).expect("in-memory");
-        assert!(resilient.completion.is_complete());
-        assert_eq!(resilient.expanded_link_set(), plain.expanded_link_set());
+    /// The rows and counters of `Engine::run`, the unsplit recursion:
+    /// the reference the task loop must reproduce.
+    fn unsplit<H: LinkHandler<2>>(
+        tree: &RStarTree<2>,
+        cfg: JoinConfig,
+        early_stop: bool,
+        handler: H,
+    ) -> (Rows, JoinStats) {
+        let mut engine = Engine::new(tree, cfg, early_stop, handler, CollectSink::default());
+        engine.run().expect("in-memory");
+        (engine.sink.items, engine.stats)
     }
 
     #[test]
-    fn plane_sweep_rows_match_the_sequential_sweep() {
-        // The root split follows sweep order, so the tasks run in the
-        // sequential sweep's order.
-        let pts = csj_data::uniform::uniform::<2>(3000, 11);
-        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
+    fn fronts_and_unlimited_runs_match_the_unsplit_recursion() {
+        // With plane sweep the root split follows sweep order, so the
+        // tasks run in the unsplit sweep's order.
+        let tree = RStarTree::bulk_load_str(
+            &csj_data::uniform::uniform::<2>(3000, 11),
+            RTreeConfig::with_max_fanout(8),
+        );
         let eps = 0.02;
-        let cfg = JoinConfig::new(eps).with_plane_sweep();
-        let seq = SsjJoin::new(eps).with_plane_sweep().run(&tree);
-        let out = ResilientJoin::with_config(cfg, ParallelAlgo::Ssj).run(&tree).expect("in-memory");
-        assert_eq!(out.items, seq.items);
-        assert_eq!(out.stats, seq.stats);
-        let seq = CsjJoin::new(eps).with_window(10).with_plane_sweep().run(&tree);
-        let out =
-            ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10)).run(&tree).expect("in-memory");
-        assert_eq!(out.items, seq.items);
-        assert_eq!(out.stats, seq.stats);
+        let plain = JoinConfig::new(eps);
+        let tight = JoinConfig { tighten_group_mbr: true, ..plain };
+        for cfg in [plain, plain.with_plane_sweep(), tight] {
+            let mbr = || WindowedEmit::<MbrShape<2>, 2>::new(10, eps, cfg.metric);
+            let ball = WindowedEmit::<BallShape<2>, 2>::new(10, eps, cfg.metric);
+            let (ssj, ncsj) = (SsjJoin::with_config(cfg), NcsjJoin::with_config(cfg));
+            let csj = CsjJoin::with_config(cfg).with_window(10);
+            let ball_csj = csj.with_shape(GroupShapeKind::Ball);
+            let task_loop = ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10));
+            let cases = [
+                ("SsjJoin", ssj.run(&tree), unsplit(&tree, cfg, false, DirectEmit)),
+                ("NcsjJoin", ncsj.run(&tree), unsplit(&tree, cfg, true, DirectEmit)),
+                ("CsjJoin", csj.run(&tree), unsplit(&tree, cfg, true, mbr())),
+                ("CsjJoin ball", ball_csj.run(&tree), unsplit(&tree, cfg, true, ball)),
+                (
+                    "task loop",
+                    task_loop.run(&tree).expect("in-memory"),
+                    unsplit(&tree, cfg, true, mbr()),
+                ),
+            ];
+            for (label, out, want) in cases {
+                assert!(out.completion.is_complete());
+                assert_eq!((out.items, out.stats), want, "{label}, {cfg:?}");
+            }
+        }
     }
 
     #[test]

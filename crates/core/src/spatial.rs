@@ -6,14 +6,26 @@
 //! sets `(L, R)` such that every `l ∈ L, r ∈ R` satisfies the range —
 //! "an entire sub-region from each type of tree is within the query
 //! range". A group therefore encodes `|L| · |R|` cross links.
+//!
+//! The join is the Figure-3 [`Engine`] over a two-tree [`NodeSource`]
+//! whose handles name a node of either tree: it runs the root pair
+//! `simJoin(left root, right root)` and, from there, only pair steps
+//! that join a left node with a right one. The bounds are the nodes'
+//! MBR bounds under the join metric, so any two index types join (an
+//! R-tree with an M-tree). A link handler of its own turns links and
+//! early-stopped node pairs into `(L, R)` rows.
 
-use std::collections::VecDeque;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
 use csj_geom::{Mbr, Metric, Point, RecordId};
-use csj_index::{JoinIndex, NodeId};
+use csj_index::{JoinIndex, LeafEntry, NodeId};
 use csj_storage::RowEncoder;
 
+use crate::engine::{
+    infallible, CollectSink, Engine, IndexLeaf, LinkHandler, NodeSource, RowSink, Step,
+};
+use crate::error::CsjError;
+use crate::parallel::ParallelAlgo;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -131,22 +143,17 @@ impl SpatialOutput {
     }
 }
 
-/// Algorithm variant for the spatial join.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpatialMode {
-    /// Enumerate every cross link (the SSJ analogue).
-    Standard,
-    /// Early-stop qualifying node pairs into groups (the N-CSJ analogue).
-    Compact,
-    /// Compact plus merging residual links into the `g` most recent
-    /// groups (the CSJ(g) analogue).
-    CompactWindowed(usize),
-}
-
 /// A spatial (two-dataset) similarity join.
 ///
+/// The [`ParallelAlgo`] value selects the variant: [`ParallelAlgo::Ssj`]
+/// enumerates every cross link, [`ParallelAlgo::Ncsj`] early-stops
+/// qualifying node pairs into groups, and [`ParallelAlgo::Csj`]`(g)` also
+/// merges residual links into the `g` most recent groups (`g = 0` is
+/// N-CSJ).
+///
 /// ```
-/// use csj_core::spatial::{SpatialJoin, SpatialMode};
+/// use csj_core::parallel::ParallelAlgo;
+/// use csj_core::spatial::SpatialJoin;
 /// use csj_geom::Point;
 /// use csj_index::{rstar::RStarTree, RTreeConfig};
 ///
@@ -154,16 +161,131 @@ pub enum SpatialMode {
 /// let right: Vec<Point<2>> = (0..50).map(|i| Point::new([i as f64 * 0.02, 0.01])).collect();
 /// let lt = RStarTree::from_points(&left, RTreeConfig::with_max_fanout(8));
 /// let rt = RStarTree::from_points(&right, RTreeConfig::with_max_fanout(8));
-/// let out = SpatialJoin::new(0.05, SpatialMode::CompactWindowed(10)).run(&lt, &rt);
+/// let out = SpatialJoin::new(0.05, ParallelAlgo::Csj(10)).run(&lt, &rt);
 /// assert!(!out.expanded_link_set().is_empty());
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SpatialJoin {
     cfg: JoinConfig,
-    mode: SpatialMode,
+    algo: ParallelAlgo,
 }
 
-/// An open cross-group in the windowed spatial join.
+impl SpatialJoin {
+    /// A spatial join with range `epsilon` running `algo`.
+    pub fn new(epsilon: f64, algo: ParallelAlgo) -> Self {
+        SpatialJoin { cfg: JoinConfig::new(epsilon), algo }
+    }
+
+    /// Replaces the metric.
+    pub fn with_metric(mut self, metric: Metric) -> Self {
+        self.cfg.metric = metric;
+        self
+    }
+
+    /// Runs the join of two trees (which may be of different index
+    /// types). Left record ids come from `left`, right ids from `right`.
+    pub fn run<L, R, const D: usize>(&self, left: &L, right: &R) -> SpatialOutput
+    where
+        L: JoinIndex<D>,
+        R: JoinIndex<D>,
+    {
+        let (eps, metric) = (self.cfg.epsilon, self.cfg.metric);
+        let (early_stop, g) = match self.algo {
+            ParallelAlgo::Ssj => (false, 0),
+            ParallelAlgo::Ncsj => (true, 0),
+            ParallelAlgo::Csj(g) => (true, g),
+        };
+        let mut items = Vec::new();
+        let handler = CrossRows { g, eps, metric, window: VecDeque::new(), rows: &mut items };
+        // The engine's own sink stays empty: the handler writes the rows.
+        let mut engine = Engine::new(
+            TwoTrees([left, right]),
+            self.cfg,
+            early_stop,
+            handler,
+            CollectSink::default(),
+        );
+        if let (Some(l), Some(r)) = (left.root(), right.root()) {
+            let (l, r) = ((0, l), (1, r));
+            if engine.source.min_dist(l, r, metric) <= eps {
+                infallible(engine.run_step(Step::Pair(l, r)));
+            }
+        }
+        infallible(engine.finish_only());
+        let stats = engine.stats;
+        SpatialOutput { items, stats }
+    }
+}
+
+/// A node of the left (`0`) or the right (`1`) tree.
+type Side = (usize, NodeId);
+
+/// Both trees as one node source. It has no single root: the join runs
+/// the root pair, and every pair step joins a left node with a right one.
+struct TwoTrees<'t, const D: usize>([&'t dyn JoinIndex<D>; 2]);
+
+impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
+    type Node = Side;
+    type Leaf<'a>
+        = IndexLeaf<'t, dyn JoinIndex<D> + 't>
+    where
+        Self: 'a;
+
+    fn root(&mut self) -> Result<Option<Side>, CsjError> {
+        Ok(None)
+    }
+    fn is_leaf(&self, (t, n): Side) -> bool {
+        self.0[t].is_leaf(n)
+    }
+    fn log_id(&self, (_, n): Side) -> u32 {
+        n.0
+    }
+    fn mbr(&self, (t, n): Side) -> Mbr<D> {
+        self.0[t].node_mbr(n)
+    }
+    fn max_diameter(&self, (t, n): Side, metric: Metric) -> f64 {
+        self.0[t].max_diameter(n, metric)
+    }
+    /// Every cross pair is within ε once the two MBRs' farthest points are.
+    fn pair_diameter(&self, a: Side, b: Side, metric: Metric) -> f64 {
+        metric.max_dist_mbr(&self.mbr(a), &self.mbr(b))
+    }
+    fn min_dist(&self, a: Side, b: Side, metric: Metric) -> f64 {
+        metric.min_dist_mbr(&self.mbr(a), &self.mbr(b))
+    }
+    fn children(&mut self, (t, n): Side) -> Result<Vec<Side>, CsjError> {
+        Ok(self.0[t].children(n).iter().map(|&c| (t, c)).collect())
+    }
+    fn leaf(&mut self, (t, n): Side) -> Result<Self::Leaf<'_>, CsjError> {
+        self.0[t].leaf(n)
+    }
+    fn leaf_pair(
+        &mut self,
+        a: Side,
+        b: Side,
+    ) -> Result<(Self::Leaf<'_>, Self::Leaf<'_>), CsjError> {
+        Ok((self.leaf(a)?, self.leaf(b)?))
+    }
+    fn collect_record_ids(
+        &mut self,
+        (t, n): Side,
+        out: &mut Vec<RecordId>,
+    ) -> Result<(), CsjError> {
+        self.0[t].collect_record_ids(n, out);
+        Ok(())
+    }
+    fn collect_entries(
+        &mut self,
+        (t, n): Side,
+        out: &mut Vec<LeafEntry<D>>,
+    ) -> Result<(), CsjError> {
+        self.0[t].collect_entries(n, out);
+        Ok(())
+    }
+}
+
+/// An open cross-group in the windowed spatial join: members in
+/// first-seen order, deduplicated.
 #[derive(Clone, Debug)]
 struct OpenCrossGroup<const D: usize> {
     left: Vec<RecordId>,
@@ -174,6 +296,12 @@ struct OpenCrossGroup<const D: usize> {
 }
 
 impl<const D: usize> OpenCrossGroup<D> {
+    fn new(left: Vec<RecordId>, right: Vec<RecordId>, mbr: Mbr<D>) -> Self {
+        let left_seen = left.iter().copied().collect();
+        let right_seen = right.iter().copied().collect();
+        OpenCrossGroup { left, left_seen, right, right_seen, mbr }
+    }
+
     fn try_merge(
         &mut self,
         l: RecordId,
@@ -200,192 +328,87 @@ impl<const D: usize> OpenCrossGroup<D> {
     }
 }
 
-impl SpatialJoin {
-    /// A spatial join with range `epsilon` in the given mode.
-    pub fn new(epsilon: f64, mode: SpatialMode) -> Self {
-        SpatialJoin { cfg: JoinConfig::new(epsilon), mode }
-    }
-
-    /// Replaces the metric.
-    pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.cfg.metric = metric;
-        self
-    }
-
-    /// Runs the join of two trees (which may be of different index
-    /// types). Left record ids come from `left`, right ids from `right`.
-    pub fn run<L, R, const D: usize>(&self, left: &L, right: &R) -> SpatialOutput
-    where
-        L: JoinIndex<D>,
-        R: JoinIndex<D>,
-    {
-        let mut runner = Runner {
-            left,
-            right,
-            eps: self.cfg.epsilon,
-            metric: self.cfg.metric,
-            mode: self.mode,
-            window: VecDeque::new(),
-            out: SpatialOutput::default(),
-        };
-        if let (Some(lr), Some(rr)) = (left.root(), right.root()) {
-            if runner.min_dist(lr, rr) <= runner.eps {
-                runner.join_pair(lr, rr);
-            }
-        }
-        runner.flush_window();
-        runner.out
-    }
-}
-
-struct Runner<'a, L, R, const D: usize> {
-    left: &'a L,
-    right: &'a R,
+/// The `(L, R)` rows of a spatial join. With `g = 0` links and node-pair
+/// groups go out as they come. Otherwise the `g` most recent groups stay
+/// open: a link merges into the newest one it fits (or opens its own),
+/// node-pair groups enter seeded with the covering node shapes, and
+/// groups leave oldest first.
+struct CrossRows<'o, const D: usize> {
+    g: usize,
     eps: f64,
     metric: Metric,
-    mode: SpatialMode,
     window: VecDeque<OpenCrossGroup<D>>,
-    out: SpatialOutput,
+    rows: &'o mut Vec<SpatialItem>,
 }
 
-impl<L, R, const D: usize> Runner<'_, L, R, D>
-where
-    L: JoinIndex<D>,
-    R: JoinIndex<D>,
-{
-    fn min_dist(&self, a: NodeId, b: NodeId) -> f64 {
-        self.metric.min_dist_mbr(&self.left.node_mbr(a), &self.right.node_mbr(b))
-    }
-
-    fn pair_diameter(&self, a: NodeId, b: NodeId) -> f64 {
-        self.metric.max_dist_mbr(&self.left.node_mbr(a), &self.right.node_mbr(b))
-    }
-
-    fn join_pair(&mut self, a: NodeId, b: NodeId) {
-        self.out.stats.pair_visits += 1;
-        let compact = !matches!(self.mode, SpatialMode::Standard);
-        if compact && self.pair_diameter(a, b) <= self.eps {
-            self.out.stats.early_stops_pair += 1;
-            let mut l = Vec::new();
-            let mut r = Vec::new();
-            self.left.collect_record_ids(a, &mut l);
-            self.right.collect_record_ids(b, &mut r);
-            let mbr = self.left.node_mbr(a).union(&self.right.node_mbr(b));
-            self.emit_group(l, r, mbr);
-            return;
-        }
-        match (self.left.is_leaf(a), self.right.is_leaf(b)) {
-            (true, true) => {
-                let ea = self.left.leaf_entries(a).to_vec();
-                let eb = self.right.leaf_entries(b).to_vec();
-                for x in &ea {
-                    for y in &eb {
-                        self.out.stats.distance_computations += 1;
-                        if self.metric.within(&x.point, &y.point, self.eps) {
-                            self.emit_link(x.id, &x.point, y.id, &y.point);
-                        }
-                    }
-                }
-            }
-            (true, false) => {
-                for c in self.right.children(b).to_vec() {
-                    if self.min_dist(a, c) <= self.eps {
-                        self.join_pair(a, c);
-                    } else {
-                        self.out.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-            (false, true) => {
-                for c in self.left.children(a).to_vec() {
-                    if self.min_dist(c, b) <= self.eps {
-                        self.join_pair(c, b);
-                    } else {
-                        self.out.stats.pairs_pruned += 1;
-                    }
-                }
-            }
-            (false, false) => {
-                let ca = self.left.children(a).to_vec();
-                let cb = self.right.children(b).to_vec();
-                for &x in &ca {
-                    for &y in &cb {
-                        if self.min_dist(x, y) <= self.eps {
-                            self.join_pair(x, y);
-                        } else {
-                            self.out.stats.pairs_pruned += 1;
-                        }
-                    }
-                }
+impl<const D: usize> CrossRows<'_, D> {
+    fn open(&mut self, group: OpenCrossGroup<D>, stats: &mut JoinStats) {
+        if self.window.len() == self.g {
+            if let Some(oldest) = self.window.pop_front() {
+                self.emit(oldest.left, oldest.right, stats);
             }
         }
-    }
-
-    fn emit_link(&mut self, l: RecordId, pl: &Point<D>, r: RecordId, pr: &Point<D>) {
-        let g = match self.mode {
-            SpatialMode::CompactWindowed(g) => g,
-            _ => 0,
-        };
-        if g > 0 {
-            for group in self.window.iter_mut().rev() {
-                self.out.stats.merge_attempts += 1;
-                if group.try_merge(l, pl, r, pr, self.eps, self.metric) {
-                    self.out.stats.merges_succeeded += 1;
-                    return;
-                }
-            }
-            let group = OpenCrossGroup {
-                left: vec![l],
-                left_seen: HashSet::from([l]),
-                right: vec![r],
-                right_seen: HashSet::from([r]),
-                mbr: Mbr::from_corners(pl, pr),
-            };
-            self.push_group(group, g);
-        } else {
-            self.out.stats.links_emitted += 1;
-            self.out.items.push(SpatialItem::Link(l, r));
-        }
-    }
-
-    /// Emits a node-pair group; in windowed mode it enters the window
-    /// (seeded with the covering node shapes) so later links can merge in.
-    fn emit_group(&mut self, left: Vec<RecordId>, right: Vec<RecordId>, mbr: Mbr<D>) {
-        if left.is_empty() || right.is_empty() {
-            return;
-        }
-        if let SpatialMode::CompactWindowed(g) = self.mode {
-            if g > 0 {
-                let left_seen: HashSet<RecordId> = left.iter().copied().collect();
-                let right_seen: HashSet<RecordId> = right.iter().copied().collect();
-                let group = OpenCrossGroup { left, left_seen, right, right_seen, mbr };
-                self.push_group(group, g);
-                return;
-            }
-        }
-        self.finalize_group(left, right);
-    }
-
-    fn push_group(&mut self, group: OpenCrossGroup<D>, g: usize) {
         self.window.push_back(group);
-        if self.window.len() > g {
-            // csj-lint: allow(panic-safety) — len > g ≥ 0 guarantees the
-            // window is non-empty when eviction triggers.
-            let evicted = self.window.pop_front().expect("non-empty window");
-            self.finalize_group(evicted.left, evicted.right);
-        }
     }
 
-    fn finalize_group(&mut self, left: Vec<RecordId>, right: Vec<RecordId>) {
-        self.out.stats.groups_emitted += 1;
-        self.out.stats.group_members_emitted += (left.len() + right.len()) as u64;
-        self.out.items.push(SpatialItem::Group { left, right });
+    fn emit(&mut self, left: Vec<RecordId>, right: Vec<RecordId>, stats: &mut JoinStats) {
+        stats.groups_emitted += 1;
+        stats.group_members_emitted += (left.len() + right.len()) as u64;
+        self.rows.push(SpatialItem::Group { left, right });
+    }
+}
+
+impl<const D: usize> LinkHandler<D> for CrossRows<'_, D> {
+    fn on_link<S: RowSink>(
+        &mut self,
+        l: RecordId,
+        pl: &Point<D>,
+        r: RecordId,
+        pr: &Point<D>,
+        _sink: &mut S,
+        stats: &mut JoinStats,
+    ) -> Result<(), CsjError> {
+        if self.g == 0 {
+            stats.links_emitted += 1;
+            self.rows.push(SpatialItem::Link(l, r));
+            return Ok(());
+        }
+        for group in self.window.iter_mut().rev() {
+            stats.merge_attempts += 1;
+            if group.try_merge(l, pl, r, pr, self.eps, self.metric) {
+                stats.merges_succeeded += 1;
+                return Ok(());
+            }
+        }
+        self.open(OpenCrossGroup::new(vec![l], vec![r], Mbr::from_corners(pl, pr)), stats);
+        Ok(())
     }
 
-    fn flush_window(&mut self) {
-        while let Some(g) = self.window.pop_front() {
-            self.finalize_group(g.left, g.right);
+    fn on_subtree<S: RowSink>(
+        &mut self,
+        mut ids: Vec<RecordId>,
+        first: usize,
+        mbr: &Mbr<D>,
+        _sink: &mut S,
+        stats: &mut JoinStats,
+    ) -> Result<(), CsjError> {
+        let right = ids.split_off(first);
+        if ids.is_empty() || right.is_empty() {
+            return Ok(());
         }
+        if self.g == 0 {
+            self.emit(ids, right, stats);
+        } else {
+            self.open(OpenCrossGroup::new(ids, right, *mbr), stats);
+        }
+        Ok(())
+    }
+
+    fn finish<S: RowSink>(&mut self, _sink: &mut S, stats: &mut JoinStats) -> Result<(), CsjError> {
+        while let Some(group) = self.window.pop_front() {
+            self.emit(group.left, group.right, stats);
+        }
+        Ok(())
     }
 }
 
@@ -419,17 +442,15 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_lossless() {
+    fn all_algorithms_lossless() {
         let (lp, rp) = (left_points(150), right_points(170));
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(6));
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(6));
         for eps in [0.01, 0.05, 0.2] {
             let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
-            for mode in
-                [SpatialMode::Standard, SpatialMode::Compact, SpatialMode::CompactWindowed(10)]
-            {
-                let out = SpatialJoin::new(eps, mode).run(&lt, &rt);
-                assert_eq!(out.expanded_link_set(), want, "eps={eps} mode={mode:?}");
+            for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+                let out = SpatialJoin::new(eps, algo).run(&lt, &rt);
+                assert_eq!(out.expanded_link_set(), want, "eps={eps} algo={algo:?}");
             }
         }
     }
@@ -440,9 +461,9 @@ mod tests {
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(8));
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(8));
         let eps = 0.08;
-        let std_out = SpatialJoin::new(eps, SpatialMode::Standard).run(&lt, &rt);
-        let cmp_out = SpatialJoin::new(eps, SpatialMode::Compact).run(&lt, &rt);
-        let win_out = SpatialJoin::new(eps, SpatialMode::CompactWindowed(10)).run(&lt, &rt);
+        let std_out = SpatialJoin::new(eps, ParallelAlgo::Ssj).run(&lt, &rt);
+        let cmp_out = SpatialJoin::new(eps, ParallelAlgo::Ncsj).run(&lt, &rt);
+        let win_out = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&lt, &rt);
         let w = 3;
         assert!(cmp_out.total_bytes(w) <= std_out.total_bytes(w));
         assert!(win_out.total_bytes(w) <= cmp_out.total_bytes(w));
@@ -454,7 +475,7 @@ mod tests {
         let rp = vec![Point::new([5.0, 5.0]), Point::new([5.1, 5.0])];
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(4));
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(4));
-        let out = SpatialJoin::new(0.2, SpatialMode::CompactWindowed(5)).run(&lt, &rt);
+        let out = SpatialJoin::new(0.2, ParallelAlgo::Csj(5)).run(&lt, &rt);
         assert!(out.items.is_empty());
     }
 
@@ -463,9 +484,9 @@ mod tests {
         let lp = vec![Point::new([0.0, 0.0])];
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(4));
         let empty = RStarTree::<2>::new(RTreeConfig::default());
-        let out = SpatialJoin::new(1.0, SpatialMode::Standard).run(&lt, &empty);
+        let out = SpatialJoin::new(1.0, ParallelAlgo::Ssj).run(&lt, &empty);
         assert!(out.items.is_empty());
-        let out = SpatialJoin::new(1.0, SpatialMode::Standard).run(&empty, &lt);
+        let out = SpatialJoin::new(1.0, ParallelAlgo::Ssj).run(&empty, &lt);
         assert!(out.items.is_empty());
     }
 
@@ -478,7 +499,7 @@ mod tests {
         let rt = MTree::from_points(&rp, MTreeConfig::with_max_fanout(6));
         let eps = 0.06;
         let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
-        let out = SpatialJoin::new(eps, SpatialMode::CompactWindowed(10)).run(&lt, &rt);
+        let out = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&lt, &rt);
         assert_eq!(out.expanded_link_set(), want);
     }
 
@@ -488,7 +509,7 @@ mod tests {
         // reports (i, i) pairs — distance zero qualifies.
         let lp = left_points(20);
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(4));
-        let out = SpatialJoin::new(0.001, SpatialMode::Standard).run(&lt, &lt);
+        let out = SpatialJoin::new(0.001, ParallelAlgo::Ssj).run(&lt, &lt);
         let set = out.expanded_link_set();
         for i in 0..20u32 {
             assert!(set.contains(&(i, i)), "self pair ({i},{i})");
@@ -536,7 +557,7 @@ mod tests {
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(8));
         let eps = 0.05;
         let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
-        let out = SpatialJoin::new(eps, SpatialMode::CompactWindowed(10)).run(&lt, &rt);
+        let out = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&lt, &rt);
         assert_eq!(out.expanded_link_set(), want);
     }
 }
@@ -551,24 +572,20 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The spatial join is lossless in every mode on arbitrary data.
+        /// The spatial join is lossless for every algorithm on arbitrary data.
         #[test]
         fn spatial_join_lossless(
             lp in prop::collection::vec(prop::array::uniform2(0.0f64..1.0), 0..80),
             rp in prop::collection::vec(prop::array::uniform2(0.0f64..1.0), 0..80),
             eps in 0.0f64..0.5,
-            mode in 0usize..3,
+            algo in 0usize..3,
         ) {
             let lp: Vec<Point<2>> = lp.into_iter().map(Point::new).collect();
             let rp: Vec<Point<2>> = rp.into_iter().map(Point::new).collect();
             let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(5));
             let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(5));
-            let mode = match mode {
-                0 => SpatialMode::Standard,
-                1 => SpatialMode::Compact,
-                _ => SpatialMode::CompactWindowed(7),
-            };
-            let out = SpatialJoin::new(eps, mode).run(&lt, &rt);
+            let algo = [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(7)][algo];
+            let out = SpatialJoin::new(eps, algo).run(&lt, &rt);
             prop_assert_eq!(
                 out.expanded_link_set(),
                 brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean)

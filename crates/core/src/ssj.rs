@@ -7,9 +7,11 @@
 use csj_index::JoinIndex;
 use csj_storage::{OutputSink, OutputWriter};
 
-use crate::engine::{run_collecting, run_streaming, DirectEmit};
+use crate::engine::infallible;
 use crate::error::CsjError;
 use crate::output::JoinOutput;
+use crate::parallel::ParallelAlgo;
+use crate::resilient::ResilientJoin;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -70,7 +72,7 @@ impl SsjJoin {
 
     /// Runs the join, collecting all links in memory.
     pub fn run<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> JoinOutput {
-        run_collecting(tree, self.cfg, false, DirectEmit)
+        infallible(ResilientJoin::with_config(self.cfg, ParallelAlgo::Ssj).run(tree))
     }
 
     /// Runs the join, streaming links into `writer` (constant memory).
@@ -84,7 +86,9 @@ impl SsjJoin {
         tree: &T,
         writer: &mut OutputWriter<S>,
     ) -> Result<JoinStats, CsjError> {
-        run_streaming(tree, self.cfg, false, DirectEmit, writer)
+        Ok(ResilientJoin::with_config(self.cfg, ParallelAlgo::Ssj)
+            .run_streaming(tree, writer)?
+            .stats)
     }
 }
 

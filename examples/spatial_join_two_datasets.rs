@@ -9,7 +9,8 @@
 //! ```
 
 use compact_similarity_joins::prelude::*;
-use csj_core::spatial::{SpatialJoin, SpatialMode};
+use csj_core::parallel::ParallelAlgo;
+use csj_core::spatial::SpatialJoin;
 use csj_data::roads::{road_network, RoadConfig};
 use csj_index::mtree::{MTree, MTreeConfig};
 
@@ -35,8 +36,8 @@ fn main() {
     let eps = 0.01;
     let width = 5;
 
-    let standard = SpatialJoin::new(eps, SpatialMode::Standard).run(&left, &right);
-    let compact = SpatialJoin::new(eps, SpatialMode::CompactWindowed(10)).run(&left, &right);
+    let standard = SpatialJoin::new(eps, ParallelAlgo::Ssj).run(&left, &right);
+    let compact = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&left, &right);
 
     println!("cross links: {}", standard.expanded_link_set().len());
     println!(
@@ -56,7 +57,7 @@ fn main() {
     // The trait-based design joins across index *types* too: R*-tree on
     // the left, metric tree on the right.
     let right_mtree = MTree::from_points(&right_pts, MTreeConfig::default());
-    let mixed = SpatialJoin::new(eps, SpatialMode::CompactWindowed(10)).run(&left, &right_mtree);
+    let mixed = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&left, &right_mtree);
     assert_eq!(mixed.expanded_link_set(), standard.expanded_link_set());
     println!("R*-tree ⋈ M-tree join agrees ✓");
 }

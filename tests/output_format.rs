@@ -166,3 +166,69 @@ fn dataset_export_import_roundtrip() {
     let o2 = CsjJoin::new(0.03).run(&t2);
     assert_eq!(o1.expanded_link_set(), o2.expanded_link_set());
 }
+
+#[test]
+fn spatial_join_bytes_and_counters_are_pinned() {
+    use csj_core::spatial::SpatialJoin;
+    use csj_data::clusters::{gaussian_mixture, ClusterConfig};
+    use csj_geom::Metric::{Chebyshev, Euclidean};
+    use csj_index::mtree::{MTree, MTreeConfig};
+
+    let cfg = ClusterConfig { clusters: 4, sigma: 0.01 };
+    let left = gaussian_mixture::<2>(700, cfg, 41);
+    let right = gaussian_mixture::<2>(500, cfg, 42);
+    let width = OutputWriter::<VecSink>::id_width_for(left.len().max(right.len()));
+    let lt = RStarTree::bulk_load_str(&left, RTreeConfig::with_max_fanout(8));
+    let rt = RStarTree::bulk_load_str(&right, RTreeConfig::with_max_fanout(8));
+    let rm = MTree::from_points(&right, MTreeConfig::with_max_fanout(8));
+    let eps = 0.08;
+    // (label, algorithm, metric, right side is the M-tree). The N-CSJ cases
+    // early-stop node pairs into groups; CSJ(0) is N-CSJ.
+    let cases = [
+        ("SSJ", ParallelAlgo::Ssj, Euclidean, false),
+        ("N-CSJ", ParallelAlgo::Ncsj, Euclidean, false),
+        ("CSJ(10)", ParallelAlgo::Csj(10), Euclidean, false),
+        ("CSJ(0)", ParallelAlgo::Csj(0), Euclidean, false),
+        ("CSJ(10) R*-tree x M-tree", ParallelAlgo::Csj(10), Euclidean, true),
+        ("N-CSJ L-inf", ParallelAlgo::Ncsj, Chebyshev, false),
+        ("CSJ(10) L-inf", ParallelAlgo::Csj(10), Chebyshev, false),
+    ];
+    // FNV-1a digest, rows and bytes of `write_to`, then `pair_visits`,
+    // `pairs_pruned`, `early_stops_pair`, `distance_computations`,
+    // `merge_attempts`, `merges_succeeded`, `links_emitted`,
+    // `groups_emitted` and `group_members_emitted`.
+    let pins: [(u64, usize, u64, [u64; 9]); 7] = [
+        (0x386e644a02b49065, 1638, 16380, [159, 927, 0, 8027, 0, 0, 1638, 0, 0]),
+        (0x730e0f0925f48e88, 1418, 14388, [159, 927, 4, 7803, 0, 0, 1414, 4, 60]),
+        (0xb5b633d0132ad9a6, 239, 5906, [159, 927, 4, 7803, 4487, 1179, 0, 239, 1357]),
+        (0x730e0f0925f48e88, 1418, 14388, [159, 927, 4, 7803, 0, 0, 1414, 4, 60]),
+        (0x66021a3c2843fa21, 275, 6362, [258, 1263, 1, 8363, 5314, 1336, 0, 275, 1453]),
+        (0x10b94851b5d71a85, 1729, 18070, [187, 1053, 15, 8675, 0, 0, 1714, 15, 225]),
+        (0x4afa344d7b5e8717, 80, 4760, [187, 1053, 15, 8675, 3183, 1649, 0, 80, 1150]),
+    ];
+    for ((label, algo, metric, mtree), want) in cases.into_iter().zip(pins) {
+        let join = SpatialJoin::new(eps, algo).with_metric(metric);
+        let out = if mtree { join.run(&lt, &rm) } else { join.run(&lt, &rt) };
+        let mut sink = VecSink::new();
+        out.write_to(&mut sink, width).expect("vec sink cannot fail");
+        let s = &out.stats;
+        let counters = [
+            s.pair_visits,
+            s.pairs_pruned,
+            s.early_stops_pair,
+            s.distance_computations,
+            s.merge_attempts,
+            s.merges_succeeded,
+            s.links_emitted,
+            s.groups_emitted,
+            s.group_members_emitted,
+        ];
+        let bytes = out.total_bytes(width);
+        assert_eq!(sink.bytes_written(), bytes, "{label}: written bytes");
+        assert_eq!(
+            (csj_storage::fnv1a64(sink.contents()), out.items.len(), bytes, counters),
+            want,
+            "{label}: digest, rows, bytes, counters"
+        );
+    }
+}

@@ -4,7 +4,8 @@ use csj_core::brute::{brute_force_cross_links, brute_force_links_metric};
 use csj_core::csj::{CsjJoin, GroupShapeKind};
 use csj_core::egrid::GridJoin;
 use csj_core::ncsj::NcsjJoin;
-use csj_core::spatial::{SpatialJoin, SpatialMode};
+use csj_core::parallel::ParallelAlgo;
+use csj_core::spatial::SpatialJoin;
 use csj_core::ssj::SsjJoin;
 use csj_core::verify::verify_lossless;
 use csj_geom::{Metric, Point};
@@ -78,8 +79,8 @@ proptest! {
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(5));
         let rt = MTree::from_points(&rp, MTreeConfig::with_max_fanout(5));
         let truth = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
-        for mode in [SpatialMode::Standard, SpatialMode::Compact, SpatialMode::CompactWindowed(6)] {
-            let out = SpatialJoin::new(eps, mode).run(&lt, &rt);
+        for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(6)] {
+            let out = SpatialJoin::new(eps, algo).run(&lt, &rt);
             prop_assert_eq!(out.expanded_link_set(), truth.clone());
         }
     }

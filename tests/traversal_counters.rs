@@ -4,11 +4,15 @@
 //! that never trips, and over pages) and the parallel runner split the
 //! traversal into tasks; a split parent's own visit and the pairs it
 //! pruned still belong to the run. Their traversal counters must equal
-//! the sequential engine's, at any thread count and on every run.
+//! those of the unsplit recursion, `Engine::run`, at any thread count
+//! and on every run.
 
+use csj_core::engine::{CollectSink, DirectEmit, Engine, LinkHandler, WindowedEmit};
+use csj_core::group::MbrShape;
 use csj_core::outofcore::PagedSource;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
-use csj_core::{CsjJoin, JoinStats, NcsjJoin, ResilientJoin, RunBudget, SsjJoin};
+use csj_core::{JoinConfig, JoinStats, ResilientJoin, RunBudget};
+use csj_geom::Metric;
 use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter, RetryPolicy, SimulatedDisk};
 
@@ -31,11 +35,20 @@ fn tree() -> RStarTree<2> {
     RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(16))
 }
 
+/// The counters of `Engine::run`, the unsplit recursion.
 fn sequential(algo: ParallelAlgo, tree: &RStarTree<2>) -> JoinStats {
+    fn run<H: LinkHandler<2>>(tree: &RStarTree<2>, early_stop: bool, handler: H) -> JoinStats {
+        let cfg = JoinConfig::new(EPS);
+        let mut engine = Engine::new(tree, cfg, early_stop, handler, CollectSink::default());
+        engine.run().expect("in-memory run");
+        engine.stats
+    }
     match algo {
-        ParallelAlgo::Ssj => SsjJoin::new(EPS).run(tree).stats,
-        ParallelAlgo::Ncsj => NcsjJoin::new(EPS).run(tree).stats,
-        ParallelAlgo::Csj(g) => CsjJoin::new(EPS).with_window(g).run(tree).stats,
+        ParallelAlgo::Ssj => run(tree, false, DirectEmit),
+        ParallelAlgo::Ncsj => run(tree, true, DirectEmit),
+        ParallelAlgo::Csj(g) => {
+            run(tree, true, WindowedEmit::<MbrShape<2>, 2>::new(g, EPS, Metric::Euclidean))
+        }
     }
 }
 
