@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_core::csj::{CsjJoin, GroupShapeKind};
+use csj_core::{GroupShapeKind, JoinConfig, ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
 
@@ -18,19 +18,15 @@ fn bench_shapes(c: &mut Criterion) {
     group.bench_function("mbr", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps)
-                .with_window(10)
-                .with_shape(GroupShapeKind::Mbr)
-                .run_streaming(&tree, &mut w)
+            let cfg = JoinConfig::new(eps).with_group_shape(GroupShapeKind::Mbr);
+            ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w)
         })
     });
     group.bench_function("ball", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps)
-                .with_window(10)
-                .with_shape(GroupShapeKind::Ball)
-                .run_streaming(&tree, &mut w)
+            let cfg = JoinConfig::new(eps).with_group_shape(GroupShapeKind::Ball);
+            ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w)
         })
     });
     group.finish();

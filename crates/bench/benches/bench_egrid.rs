@@ -2,8 +2,8 @@
 //! compact vs windowed grid join, against the tree-based CSJ(10).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use csj_core::csj::CsjJoin;
 use csj_core::egrid::GridJoin;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_data::sierpinski;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
@@ -23,7 +23,7 @@ fn bench_egrid(c: &mut Criterion) {
     group.bench_function("tree_csj10", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w)
         })
     });
     group.finish();

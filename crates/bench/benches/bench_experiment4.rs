@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_core::csj::CsjJoin;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_index::mtree::{MTree, MTreeConfig};
 use csj_index::{rstar::RStarTree, rtree::RTree, RTreeConfig, SplitStrategy};
 use csj_storage::{CountingSink, OutputWriter};
@@ -26,25 +26,25 @@ fn bench_experiment4(c: &mut Criterion) {
     group.bench_function("rtree_linear", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps).with_window(10).run_streaming(&rtree_lin, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&rtree_lin, &mut w)
         })
     });
     group.bench_function("rtree_quadratic", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps).with_window(10).run_streaming(&rtree_quad, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&rtree_quad, &mut w)
         })
     });
     group.bench_function("rstar", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps).with_window(10).run_streaming(&rstar, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&rstar, &mut w)
         })
     });
     group.bench_function("mtree", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps).with_window(10).run_streaming(&mtree, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&mtree, &mut w)
         })
     });
     group.finish();

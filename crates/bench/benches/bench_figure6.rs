@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_core::csj::CsjJoin;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
 
@@ -19,7 +19,7 @@ fn bench_figure6(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(g), &g, |b, &g| {
             b.iter(|| {
                 let mut w = OutputWriter::new(CountingSink::new(), 4);
-                CsjJoin::new(eps).with_window(g).run_streaming(&tree, &mut w)
+                ResilientJoin::new(eps, ParallelAlgo::Csj(g)).run_streaming(&tree, &mut w)
             })
         });
     }

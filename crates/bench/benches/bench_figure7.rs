@@ -3,7 +3,7 @@
 //! the compact joins' near-linearly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use csj_core::{csj::CsjJoin, ncsj::NcsjJoin, ssj::SsjJoin};
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_data::sierpinski;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
@@ -18,19 +18,19 @@ fn bench_figure7(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("ssj", n), &n, |b, _| {
             b.iter(|| {
                 let mut w = OutputWriter::new(CountingSink::new(), 5);
-                SsjJoin::new(eps).run_streaming(&tree, &mut w)
+                ResilientJoin::new(eps, ParallelAlgo::Ssj).run_streaming(&tree, &mut w)
             })
         });
         group.bench_with_input(BenchmarkId::new("ncsj", n), &n, |b, _| {
             b.iter(|| {
                 let mut w = OutputWriter::new(CountingSink::new(), 5);
-                NcsjJoin::new(eps).run_streaming(&tree, &mut w)
+                ResilientJoin::new(eps, ParallelAlgo::Ncsj).run_streaming(&tree, &mut w)
             })
         });
         group.bench_with_input(BenchmarkId::new("csj10", n), &n, |b, _| {
             b.iter(|| {
                 let mut w = OutputWriter::new(CountingSink::new(), 5);
-                CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut w)
+                ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w)
             })
         });
     }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_core::{csj::CsjJoin, ncsj::NcsjJoin, ssj::SsjJoin};
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, FileSink, OutputWriter};
 
@@ -21,13 +21,13 @@ fn bench_figure8(c: &mut Criterion) {
     group.bench_function("ssj_compute", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            SsjJoin::new(eps).run_streaming(&tree, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Ssj).run_streaming(&tree, &mut w)
         })
     });
     group.bench_function("ssj_with_file_write", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(FileSink::create(&path).unwrap(), 4);
-            let stats = SsjJoin::new(eps).run_streaming(&tree, &mut w);
+            let stats = ResilientJoin::new(eps, ParallelAlgo::Ssj).run_streaming(&tree, &mut w);
             let _ = w.finish();
             stats
         })
@@ -35,19 +35,19 @@ fn bench_figure8(c: &mut Criterion) {
     group.bench_function("ncsj_compute", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            NcsjJoin::new(eps).run_streaming(&tree, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Ncsj).run_streaming(&tree, &mut w)
         })
     });
     group.bench_function("csj10_compute", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(CountingSink::new(), 4);
-            CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut w)
+            ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w)
         })
     });
     group.bench_function("csj10_with_file_write", |b| {
         b.iter(|| {
             let mut w = OutputWriter::new(FileSink::create(&path).unwrap(), 4);
-            let stats = CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut w);
+            let stats = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w);
             let _ = w.finish();
             stats
         })

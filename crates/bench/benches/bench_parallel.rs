@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
-use csj_core::ssj::SsjJoin;
+use csj_core::ResilientJoin;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 
 fn bench_parallel(c: &mut Criterion) {
@@ -16,7 +16,9 @@ fn bench_parallel(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("parallel_join");
     group.sample_size(10);
-    group.bench_function("ssj_sequential", |b| b.iter(|| SsjJoin::new(eps).run(&tree)));
+    group.bench_function("ssj_sequential", |b| {
+        b.iter(|| ResilientJoin::new(eps, ParallelAlgo::Ssj).run(&tree))
+    });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("ssj_parallel", threads), &threads, |b, &t| {
             b.iter(|| ParallelJoin::new(eps, ParallelAlgo::Ssj).with_threads(t).run(&tree))

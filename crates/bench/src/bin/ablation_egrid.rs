@@ -8,8 +8,8 @@
 
 use csj_bench::args::CommonArgs;
 use csj_bench::harness::median_time_ms;
-use csj_core::csj::CsjJoin;
 use csj_core::egrid::GridJoin;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_data::sierpinski;
 use csj_data::uniform::uniform;
 use csj_geom::Point;
@@ -47,9 +47,9 @@ fn run_dataset<const D: usize>(name: &str, pts: &[Point<D>], eps: f64, args: &Co
 
     // Tree-based CSJ(10) for comparison.
     let tree = RStarTree::bulk_load_str(pts, RTreeConfig::default());
-    let join = CsjJoin::new(eps).with_window(10);
+    let join = ResilientJoin::new(eps, ParallelAlgo::Csj(10));
     let mut writer = OutputWriter::new(CountingSink::new(), width);
-    let stats = join.run_streaming(&tree, &mut writer).expect("counting sink cannot fail");
+    let stats = join.run_streaming(&tree, &mut writer).expect("counting sink cannot fail").stats;
     let time_ms = median_time_ms(args.iters, || {
         let mut w = OutputWriter::new(CountingSink::new(), width);
         let _ = join.run_streaming(&tree, &mut w);

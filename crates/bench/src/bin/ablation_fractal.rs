@@ -13,8 +13,8 @@
 //!    response curve is much flatter than SSJ's.
 
 use csj_bench::args::CommonArgs;
-use csj_bench::harness::{measure, Algo};
-use csj_core::csj::CsjJoin;
+use csj_bench::harness::measure;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_data::fractal::{box_counting_dimension, correlation_dimension, lsq_slope};
 use csj_data::{sierpinski, uniform::uniform};
 use csj_geom::Point;
@@ -70,7 +70,7 @@ fn report<T: JoinIndex<D>, const D: usize>(
     let mut ln_eps = Vec::new();
     let mut ln_links = Vec::new();
     for eps in eps_sweep() {
-        let m = measure(tree, Algo::Ssj, eps, 1, width, args.ssj_budget);
+        let m = measure(tree, ParallelAlgo::Ssj, eps, 1, width, args.ssj_budget);
         if m.links > 0.0 {
             ln_eps.push(eps.ln());
             ln_links.push(m.links.ln());
@@ -89,6 +89,6 @@ fn report<T: JoinIndex<D>, const D: usize>(
 fn time_csj<T: JoinIndex<D>, const D: usize>(tree: &T, eps: f64, args: &CommonArgs) -> f64 {
     csj_bench::harness::median_time_ms(args.iters, || {
         let mut w = OutputWriter::new(CountingSink::new(), 5);
-        let _ = CsjJoin::new(eps).with_window(10).run_streaming(tree, &mut w);
+        let _ = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(tree, &mut w);
     })
 }

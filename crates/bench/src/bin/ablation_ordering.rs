@@ -12,8 +12,8 @@
 
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_core::csj::CsjJoin;
 use csj_core::group::{GroupWindow, LinkProbe, MbrShape, OpenGroup};
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_geom::{Metric, Point};
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
@@ -74,9 +74,9 @@ fn tree_order_comparison(args: &CommonArgs) {
         ("bulk-omt", RStarTree::bulk_load_omt(&pts, RTreeConfig::default())),
     ];
     for (name, tree) in &builds {
-        let join = CsjJoin::new(eps).with_window(10);
+        let join = ResilientJoin::new(eps, ParallelAlgo::Csj(10));
         let mut writer = OutputWriter::new(CountingSink::new(), width);
-        let stats = join.run_streaming(tree, &mut writer).expect("counting sink cannot fail");
+        let stats = join.run_streaming(tree, &mut writer).expect("counting sink cannot fail").stats;
         println!(
             "{name}\t{eps:.3}\t{}\t{}\t{}",
             writer.bytes_written(),

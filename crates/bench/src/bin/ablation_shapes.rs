@@ -9,7 +9,7 @@
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
 use csj_bench::harness::median_time_ms;
-use csj_core::csj::{CsjJoin, GroupShapeKind};
+use csj_core::{GroupShapeKind, JoinConfig, ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
 
@@ -23,13 +23,16 @@ fn main() {
 
     println!("shape\teps\ttime_ms\tbytes\tgroups\tmerge_attempts\tmerges_succeeded");
     for eps in ds.eps_sweep() {
-        for (label, join) in [
-            ("mbr", CsjJoin::new(eps).with_window(10).with_shape(GroupShapeKind::Mbr)),
-            ("mbr-tight", CsjJoin::new(eps).with_window(10).with_tight_groups()),
-            ("ball", CsjJoin::new(eps).with_window(10).with_shape(GroupShapeKind::Ball)),
+        let cfg = JoinConfig::new(eps);
+        for (label, cfg) in [
+            ("mbr", cfg),
+            ("mbr-tight", cfg.with_tight_groups()),
+            ("ball", cfg.with_group_shape(GroupShapeKind::Ball)),
         ] {
+            let join = ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10));
             let mut writer = OutputWriter::new(CountingSink::new(), width);
-            let stats = join.run_streaming(&tree, &mut writer).expect("counting sink cannot fail");
+            let stats =
+                join.run_streaming(&tree, &mut writer).expect("counting sink cannot fail").stats;
             let time_ms = median_time_ms(args.iters, || {
                 let mut w = OutputWriter::new(CountingSink::new(), width);
                 let _ = join.run_streaming(&tree, &mut w);

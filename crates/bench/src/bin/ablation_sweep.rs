@@ -9,8 +9,7 @@
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
 use csj_bench::harness::median_time_ms;
-use csj_core::csj::CsjJoin;
-use csj_core::ssj::SsjJoin;
+use csj_core::{JoinConfig, ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
 
@@ -25,39 +24,23 @@ fn main() {
     println!("algo\tsweep\teps\ttime_ms\tdistance_computations\tbytes");
     for eps in ds.eps_sweep() {
         for sweep in [false, true] {
-            // SSJ.
-            let ssj = if sweep { SsjJoin::new(eps).with_plane_sweep() } else { SsjJoin::new(eps) };
-            let mut w = OutputWriter::new(CountingSink::new(), width);
-            let stats = ssj.run_streaming(&tree, &mut w).expect("counting sink cannot fail");
-            let t = median_time_ms(args.iters, || {
+            let cfg =
+                if sweep { JoinConfig::new(eps).with_plane_sweep() } else { JoinConfig::new(eps) };
+            for (name, algo) in [("SSJ", ParallelAlgo::Ssj), ("CSJ(10)", ParallelAlgo::Csj(10))] {
+                let join = ResilientJoin::with_config(cfg, algo);
                 let mut w = OutputWriter::new(CountingSink::new(), width);
-                let _ = ssj.run_streaming(&tree, &mut w);
-            });
-            println!(
-                "SSJ\t{}\t{eps:.6}\t{t:.3}\t{}\t{}",
-                sweep,
-                stats.distance_computations,
-                w.bytes_written()
-            );
-
-            // CSJ(10).
-            let csj = if sweep {
-                CsjJoin::new(eps).with_window(10).with_plane_sweep()
-            } else {
-                CsjJoin::new(eps).with_window(10)
-            };
-            let mut w = OutputWriter::new(CountingSink::new(), width);
-            let stats = csj.run_streaming(&tree, &mut w).expect("counting sink cannot fail");
-            let t = median_time_ms(args.iters, || {
-                let mut w = OutputWriter::new(CountingSink::new(), width);
-                let _ = csj.run_streaming(&tree, &mut w);
-            });
-            println!(
-                "CSJ(10)\t{}\t{eps:.6}\t{t:.3}\t{}\t{}",
-                sweep,
-                stats.distance_computations,
-                w.bytes_written()
-            );
+                let stats =
+                    join.run_streaming(&tree, &mut w).expect("counting sink cannot fail").stats;
+                let t = median_time_ms(args.iters, || {
+                    let mut w = OutputWriter::new(CountingSink::new(), width);
+                    let _ = join.run_streaming(&tree, &mut w);
+                });
+                println!(
+                    "{name}\t{sweep}\t{eps:.6}\t{t:.3}\t{}\t{}",
+                    stats.distance_computations,
+                    w.bytes_written()
+                );
+            }
         }
     }
 }

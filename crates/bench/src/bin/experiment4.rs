@@ -12,7 +12,8 @@
 
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_bench::harness::{measure, Algo};
+use csj_bench::harness::measure;
+use csj_core::ParallelAlgo;
 use csj_geom::Point;
 use csj_index::mtree::{MTree, MTreeConfig};
 use csj_index::quadtree::{QuadTree, QuadTreeConfig};
@@ -78,7 +79,7 @@ fn report<T: JoinIndex<D>, const D: usize>(
     args: &CommonArgs,
     width: usize,
 ) {
-    for algo in [Algo::Ssj, Algo::Ncsj, Algo::Csj(10)] {
+    for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
         let m = measure(tree, algo, eps, args.iters, width, args.ssj_budget);
         println!(
             "{}\t{}\t{}\t{}\t{:.6}\t{:.3}\t{:.3}\t{:.0}\t{:.0}\t{}",

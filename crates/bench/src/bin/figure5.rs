@@ -6,7 +6,8 @@
 
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_bench::harness::{measure, print_header, print_row, Algo};
+use csj_bench::harness::{measure, print_header, print_row};
+use csj_core::ParallelAlgo;
 use csj_index::{JoinIndex, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
 
@@ -40,7 +41,7 @@ fn run_sweep<T: JoinIndex<D>, const D: usize>(
     args: &CommonArgs,
 ) {
     for eps in ds.eps_sweep() {
-        for algo in [Algo::Ssj, Algo::Ncsj, Algo::Csj(10)] {
+        for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
             let m = measure(tree, algo, eps, args.iters, width, args.ssj_budget);
             print_row(ds.name(), n, &m, &[]);
         }

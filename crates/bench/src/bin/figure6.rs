@@ -6,7 +6,8 @@
 
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_bench::harness::{measure, print_header, print_row, Algo};
+use csj_bench::harness::{measure, print_header, print_row};
+use csj_core::ParallelAlgo;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
 
@@ -26,7 +27,7 @@ fn main() {
     let eps = 0.1;
     print_header(&["g"]);
     for g in WINDOWS {
-        let m = measure(&tree, Algo::Csj(g), eps, args.iters, width, args.ssj_budget);
+        let m = measure(&tree, ParallelAlgo::Csj(g), eps, args.iters, width, args.ssj_budget);
         print_row(ds.name(), n, &m, &[g.to_string()]);
     }
 }

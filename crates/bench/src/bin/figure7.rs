@@ -5,7 +5,8 @@
 //! and CSJ(10) stay near-linear.
 
 use csj_bench::args::CommonArgs;
-use csj_bench::harness::{measure, print_header, print_row, Algo};
+use csj_bench::harness::{measure, print_header, print_row};
+use csj_core::ParallelAlgo;
 use csj_data::sierpinski;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{CountingSink, OutputWriter};
@@ -22,7 +23,7 @@ fn main() {
         let pts = sierpinski::pyramid_3d(n, 0x53);
         let width = OutputWriter::<CountingSink>::id_width_for(n);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
-        for algo in [Algo::Ssj, Algo::Ncsj, Algo::Csj(10)] {
+        for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
             let m = measure(&tree, algo, EPS, args.iters, width, args.ssj_budget);
             print_row("Sierpinski3D", n, &m, &[]);
         }

@@ -13,10 +13,8 @@
 
 use csj_bench::args::CommonArgs;
 use csj_bench::datasets::{DatasetPoints, PaperDataset};
-use csj_bench::harness::median_time_ms;
-use csj_core::csj::CsjJoin;
-use csj_core::ncsj::NcsjJoin;
-use csj_core::ssj::SsjJoin;
+use csj_bench::harness::{algo_name, median_time_ms};
+use csj_core::{JoinConfig, ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, JoinIndex, RTreeConfig};
 use csj_storage::{BufferPool, CostModel, CountingSink, FileSink, OutputWriter, PageId};
 
@@ -36,7 +34,15 @@ fn main() {
         POOL_SIZES.map(|c| format!("misses@{c}")).join("\t")
     );
 
-    for algo in ["SSJ", "N-CSJ", "CSJ(1)", "CSJ(10)", "CSJ(100)"] {
+    let algos = [
+        ParallelAlgo::Ssj,
+        ParallelAlgo::Ncsj,
+        ParallelAlgo::Csj(1),
+        ParallelAlgo::Csj(10),
+        ParallelAlgo::Csj(100),
+    ];
+    for algo in algos {
+        let name = algo_name(algo);
         // 1. Computation time + byte count (counting sink).
         let mut counting = OutputWriter::new(CountingSink::new(), width);
         let stats = run(algo, &tree, &mut counting, true);
@@ -48,7 +54,7 @@ fn main() {
 
         // 2. Measured write time: same run against a real file.
         let path =
-            std::env::temp_dir().join(format!("csj_fig8_{}.txt", algo.replace(['(', ')'], "_")));
+            std::env::temp_dir().join(format!("csj_fig8_{}.txt", name.replace(['(', ')'], "_")));
         let total_ms = median_time_ms(args.iters, || {
             let mut w = OutputWriter::new(FileSink::create(&path).expect("temp file"), width);
             let _ = run(algo, &tree, &mut w, false);
@@ -73,7 +79,7 @@ fn main() {
             .collect();
 
         println!(
-            "{algo}\t{comp_ms:.3}\t{write_ms_measured:.3}\t{write_ms_model:.3}\t{bytes}\t{}\t{}",
+            "{name}\t{comp_ms:.3}\t{write_ms_measured:.3}\t{write_ms_model:.3}\t{bytes}\t{}\t{}",
             log.len(),
             misses.join("\t")
         );
@@ -81,37 +87,12 @@ fn main() {
 }
 
 fn run<T: JoinIndex<2>, S: csj_storage::OutputSink>(
-    algo: &str,
+    algo: ParallelAlgo,
     tree: &T,
     writer: &mut OutputWriter<S>,
     with_log: bool,
 ) -> csj_core::JoinStats {
-    match algo {
-        "SSJ" => {
-            let mut j = SsjJoin::new(EPS);
-            if with_log {
-                j = j.with_access_log();
-            }
-            j.run_streaming(tree, writer).expect("counting sink cannot fail")
-        }
-        "N-CSJ" => {
-            let mut j = NcsjJoin::new(EPS);
-            if with_log {
-                j = j.with_access_log();
-            }
-            j.run_streaming(tree, writer).expect("counting sink cannot fail")
-        }
-        other => {
-            let g: usize = other
-                .trim_start_matches("CSJ(")
-                .trim_end_matches(')')
-                .parse()
-                .expect("CSJ(g) label");
-            let mut j = CsjJoin::new(EPS).with_window(g);
-            if with_log {
-                j = j.with_access_log();
-            }
-            j.run_streaming(tree, writer).expect("counting sink cannot fail")
-        }
-    }
+    let cfg = if with_log { JoinConfig::new(EPS).with_access_log() } else { JoinConfig::new(EPS) };
+    let join = ResilientJoin::with_config(cfg, algo);
+    join.run_streaming(tree, writer).expect("counting sink cannot fail").stats
 }

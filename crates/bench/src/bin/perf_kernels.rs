@@ -38,9 +38,8 @@ use std::time::Instant;
 
 use csj_bench::datasets::{skewed_cluster, Lcg};
 use csj_bench::harness::{rustc_version, time_stats_ms, TimeStats};
-use csj_core::csj::CsjJoin;
-use csj_core::ncsj::NcsjJoin;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
+use csj_core::ResilientJoin;
 use csj_geom::{DistKernel, KernelPath, Metric, Point, RecordId, SoaBuffer};
 use csj_index::{rstar::RStarTree, LeafEntry, RTreeConfig};
 use csj_storage::{FileSink, OutputSink, OutputWriter};
@@ -248,11 +247,8 @@ fn merge_gap(w: &Workload, iters: usize) -> GapRow {
             let sink = FileSink::create(out_path).expect("create bench output file");
             let mut wtr = OutputWriter::new(sink, id_width);
             let start = Instant::now();
-            let stats = if leg == 0 {
-                NcsjJoin::new(w.eps).run_streaming(&tree, &mut wtr)
-            } else {
-                CsjJoin::new(w.eps).with_window(10).run_streaming(&tree, &mut wtr)
-            };
+            let algo = if leg == 0 { ParallelAlgo::Ncsj } else { ParallelAlgo::Csj(10) };
+            let stats = ResilientJoin::new(w.eps, algo).run_streaming(&tree, &mut wtr);
             wtr.finish().expect("flush bench output");
             leg_samples.push(start.elapsed().as_secs_f64() * 1e3);
             std::hint::black_box(stats.expect("file sink write"));
@@ -318,7 +314,8 @@ fn row_emit(n: usize, iters: usize) -> (usize, f64, [EmitLeg; 2]) {
             if leg == 0 {
                 collected.write_to(&mut wtr).expect("file sink write");
             } else {
-                let stats = CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut wtr);
+                let join = ResilientJoin::new(eps, ParallelAlgo::Csj(10));
+                let stats = join.run_streaming(&tree, &mut wtr);
                 std::hint::black_box(stats.expect("file sink write"));
             }
             rows[leg] = wtr.links_written() + wtr.groups_written();

@@ -33,7 +33,7 @@ use std::time::Instant;
 use csj_bench::harness::{rustc_version, TimeStats};
 use csj_core::outofcore::OutOfCoreJoin;
 use csj_core::parallel::ParallelAlgo;
-use csj_core::{JoinConfig, JoinStats};
+use csj_core::{JoinConfig, JoinStats, ResilientJoin};
 use csj_geom::KernelPath;
 use csj_index::{PagedStats, PagedTree, RTreeConfig};
 use csj_storage::disk::Disk;
@@ -160,14 +160,10 @@ fn in_memory_run(
 ) -> (f64, JoinStats, u64) {
     let mut writer = OutputWriter::new(FileSink::create(out_path).expect("output file"), width);
     let t = Instant::now();
-    let stats = match algo {
-        ParallelAlgo::Ncsj => csj_core::NcsjJoin::new(eps).run_streaming(rtree, &mut writer),
-        ParallelAlgo::Csj(g) => {
-            csj_core::CsjJoin::new(eps).with_window(g).run_streaming(rtree, &mut writer)
-        }
-        ParallelAlgo::Ssj => unreachable!("ssj is not benchmarked"),
-    }
-    .expect("in-memory join");
+    let stats = ResilientJoin::new(eps, algo)
+        .run_streaming(rtree, &mut writer)
+        .expect("in-memory join")
+        .stats;
     let wall = t.elapsed().as_secs_f64() * 1e3;
     (wall, stats, writer.finish().expect("flush").bytes_written())
 }

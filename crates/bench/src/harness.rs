@@ -9,25 +9,12 @@ use csj_geom::Point;
 use csj_index::JoinIndex;
 use csj_storage::{CostModel, CountingSink, OutputWriter};
 
-/// The algorithms compared throughout the evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    /// Standard similarity join.
-    Ssj,
-    /// Naive compact join.
-    Ncsj,
-    /// Compact join with window `g`.
-    Csj(usize),
-}
-
-impl Algo {
-    /// Display name matching the paper's legends.
-    pub fn name(&self) -> String {
-        match self {
-            Algo::Ssj => "SSJ".to_string(),
-            Algo::Ncsj => "N-CSJ".to_string(),
-            Algo::Csj(g) => format!("CSJ({g})"),
-        }
+/// The display name of `algo` in the paper's legends.
+pub fn algo_name(algo: ParallelAlgo) -> String {
+    match algo {
+        ParallelAlgo::Ssj => "SSJ".to_string(),
+        ParallelAlgo::Ncsj => "N-CSJ".to_string(),
+        ParallelAlgo::Csj(g) => format!("CSJ({g})"),
     }
 }
 
@@ -131,7 +118,7 @@ pub fn rustc_version() -> String {
 /// and `estimated` is set.
 pub fn measure<T: JoinIndex<D>, const D: usize>(
     tree: &T,
-    algo: Algo,
+    algo: ParallelAlgo,
     eps: f64,
     iters: usize,
     id_width: usize,
@@ -139,12 +126,11 @@ pub fn measure<T: JoinIndex<D>, const D: usize>(
 ) -> Measurement {
     // The budget is checked before each root task, so a tripped run's
     // totals are extrapolated from the completed fraction.
-    let (runner_algo, budget) = match algo {
-        Algo::Ssj => (ParallelAlgo::Ssj, RunBudget::unlimited().with_max_links(ssj_budget)),
-        Algo::Ncsj => (ParallelAlgo::Ncsj, RunBudget::unlimited()),
-        Algo::Csj(g) => (ParallelAlgo::Csj(g), RunBudget::unlimited()),
+    let budget = match algo {
+        ParallelAlgo::Ssj => RunBudget::unlimited().with_max_links(ssj_budget),
+        ParallelAlgo::Ncsj | ParallelAlgo::Csj(_) => RunBudget::unlimited(),
     };
-    let runner = ResilientJoin::new(eps, runner_algo).with_budget(budget);
+    let runner = ResilientJoin::new(eps, algo).with_budget(budget);
     let run = |writer: &mut OutputWriter<CountingSink>| {
         runner.run_streaming(tree, writer).expect("counting sink cannot fail")
     };
@@ -156,7 +142,7 @@ pub fn measure<T: JoinIndex<D>, const D: usize>(
     });
     let (stats, scale) = (&report.stats, 1.0 / report.completion.completed_fraction());
     Measurement {
-        algo: algo.name(),
+        algo: algo_name(algo),
         eps,
         time_ms: time_ms * scale,
         bytes: writer.bytes_written() as f64 * scale,
@@ -239,9 +225,9 @@ mod tests {
 
     #[test]
     fn algo_names() {
-        assert_eq!(Algo::Ssj.name(), "SSJ");
-        assert_eq!(Algo::Ncsj.name(), "N-CSJ");
-        assert_eq!(Algo::Csj(10).name(), "CSJ(10)");
+        assert_eq!(algo_name(ParallelAlgo::Ssj), "SSJ");
+        assert_eq!(algo_name(ParallelAlgo::Ncsj), "N-CSJ");
+        assert_eq!(algo_name(ParallelAlgo::Csj(10)), "CSJ(10)");
     }
 
     #[test]
@@ -277,12 +263,12 @@ mod tests {
             .collect();
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
         let eps = 0.08;
-        let ssj = measure(&tree, Algo::Ssj, eps, 1, 3, u64::MAX);
-        let ncsj = measure(&tree, Algo::Ncsj, eps, 1, 3, u64::MAX);
-        let csj = measure(&tree, Algo::Csj(10), eps, 1, 3, u64::MAX);
+        let ssj = measure(&tree, ParallelAlgo::Ssj, eps, 1, 3, u64::MAX);
+        let ncsj = measure(&tree, ParallelAlgo::Ncsj, eps, 1, 3, u64::MAX);
+        let csj = measure(&tree, ParallelAlgo::Csj(10), eps, 1, 3, u64::MAX);
         assert!(!ssj.estimated);
         // Within budget the SSJ figures are exact.
-        let exact = csj_core::SsjJoin::new(eps).run(&tree);
+        let exact = ResilientJoin::new(eps, ParallelAlgo::Ssj).run(&tree).expect("in memory");
         assert_eq!(ssj.links, exact.num_links() as f64);
         assert_eq!(ssj.bytes, exact.total_bytes(3) as f64);
         assert!(csj.bytes <= ncsj.bytes);
@@ -295,12 +281,13 @@ mod tests {
             .map(|i| Point::new([(i % 25) as f64 / 25.0, (i / 25) as f64 / 20.0]))
             .collect();
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
-        let m = measure(&tree, Algo::Ssj, 0.5, 1, 3, 100);
+        let m = measure(&tree, ParallelAlgo::Ssj, 0.5, 1, 3, 100);
         assert!(m.estimated);
         assert!(m.links >= 100.0);
         // The extrapolation is crude but must be the right order of
         // magnitude on this near-uniform grid.
-        let ratio = m.links / csj_core::SsjJoin::new(0.5).run(&tree).num_links() as f64;
+        let exact = ResilientJoin::new(0.5, ParallelAlgo::Ssj).run(&tree).expect("in memory");
+        let ratio = m.links / exact.num_links() as f64;
         assert!((0.1..10.0).contains(&ratio), "estimate / exact = {ratio}");
     }
 

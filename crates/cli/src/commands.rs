@@ -7,7 +7,6 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use csj_core::csj::CsjJoin;
 use csj_core::parallel::ParallelAlgo;
 use csj_core::resilient::ResilientReport;
 use csj_core::verify::verify_lossless;
@@ -694,7 +693,7 @@ pub fn join2(args: &[String]) -> Result<(), CliError> {
 }
 
 fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
-    use csj_core::spatial::SpatialJoin;
+    use csj_core::spatial::{SpatialItem, SpatialJoin};
 
     let left_file = opts.positional(0, "left-file").usage()?;
     let right_file = opts.positional(1, "right-file").usage()?;
@@ -722,13 +721,16 @@ fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let mut sink = Out::open(opts.get("out"))?;
     output.write_to(&mut sink, width)?;
     sink.flush()?;
+    // Under SSJ and N-CSJ each cross pair is implied by one row; a CSJ(g)
+    // pair can be implied by two, so the rows' sum is not a distinct count.
+    let implied: u64 = output.items.iter().map(SpatialItem::implied_links).sum();
+    let implied_by = if matches!(algo, ParallelAlgo::Csj(_)) { " (summed over rows)" } else { "" };
     eprintln!(
-        "spatial join eps={eps}: {elapsed:.1} ms, {} rows ({} links + {} groups), {} bytes, {} cross links implied",
+        "spatial join eps={eps}: {elapsed:.1} ms, {} rows ({} links + {} groups), {} bytes, {implied} cross links implied{implied_by}",
         output.items.len(),
         output.num_links(),
         output.num_groups(),
         output.total_bytes(width),
-        output.expanded_link_set().len()
     );
     Ok(())
 }
@@ -750,7 +752,7 @@ fn verify_dim<const D: usize>(file: &str, eps: f64) -> Result<(), CliError> {
         );
     }
     let tree = RStarTree::bulk_load_str(&points, RTreeConfig::default());
-    let output = CsjJoin::new(eps).with_window(10).run(&tree);
+    let output = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree)?;
     let report = verify_lossless(&output, &points, eps, Metric::Euclidean)
         .map_err(|e| CliError::Verify(e.to_string()))?;
     println!(

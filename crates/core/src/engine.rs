@@ -966,11 +966,20 @@ pub(crate) fn infallible<T>(res: Result<T, CsjError>) -> T {
 #[cfg(test)]
 mod sweep_tests {
     use crate::brute::brute_force_links;
-    use crate::csj::CsjJoin;
-    use crate::ncsj::NcsjJoin;
-    use crate::ssj::SsjJoin;
+    use crate::output::JoinOutput;
+    use crate::parallel::ParallelAlgo;
+    use crate::resilient::ResilientJoin;
+    use crate::JoinConfig;
     use csj_geom::{Metric, Point};
-    use csj_index::{rstar::RStarTree, RTreeConfig};
+    use csj_index::{rstar::RStarTree, JoinIndex, RTreeConfig};
+
+    fn join<T: JoinIndex<D>, const D: usize>(
+        cfg: JoinConfig,
+        algo: ParallelAlgo,
+        tree: &T,
+    ) -> JoinOutput {
+        ResilientJoin::with_config(cfg, algo).run(tree).expect("in memory")
+    }
 
     fn stripe(n: usize) -> Vec<Point<2>> {
         (0..n)
@@ -987,14 +996,13 @@ mod sweep_tests {
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
         for eps in [0.004, 0.02, 0.1] {
             let truth = brute_force_links(&pts, eps);
-            let plain = SsjJoin::new(eps).run(&tree);
-            let swept = SsjJoin::new(eps).with_plane_sweep().run(&tree);
-            assert_eq!(plain.expanded_link_set(), truth, "plain eps={eps}");
-            assert_eq!(swept.expanded_link_set(), truth, "swept eps={eps}");
-            let nc = NcsjJoin::new(eps).with_plane_sweep().run(&tree);
-            assert_eq!(nc.expanded_link_set(), truth, "ncsj swept eps={eps}");
-            let cs = CsjJoin::new(eps).with_window(10).with_plane_sweep().run(&tree);
-            assert_eq!(cs.expanded_link_set(), truth, "csj swept eps={eps}");
+            let (plain, swept) = (JoinConfig::new(eps), JoinConfig::new(eps).with_plane_sweep());
+            let ssj = join(plain, ParallelAlgo::Ssj, &tree);
+            assert_eq!(ssj.expanded_link_set(), truth, "plain eps={eps}");
+            for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+                let out = join(swept, algo, &tree);
+                assert_eq!(out.expanded_link_set(), truth, "{algo:?} swept eps={eps}");
+            }
         }
     }
 
@@ -1006,8 +1014,8 @@ mod sweep_tests {
         let pts = stripe(2000);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(32));
         let eps = 0.002;
-        let plain = SsjJoin::new(eps).run(&tree);
-        let swept = SsjJoin::new(eps).with_plane_sweep().run(&tree);
+        let plain = join(JoinConfig::new(eps), ParallelAlgo::Ssj, &tree);
+        let swept = join(JoinConfig::new(eps).with_plane_sweep(), ParallelAlgo::Ssj, &tree);
         assert!(
             swept.stats.distance_computations < plain.stats.distance_computations / 2,
             "sweep {} vs plain {}",
@@ -1025,8 +1033,9 @@ mod sweep_tests {
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
         for metric in [Metric::Manhattan, Metric::Chebyshev] {
             let eps = 0.01;
-            let plain = SsjJoin::new(eps).with_metric(metric).run(&tree);
-            let swept = SsjJoin::new(eps).with_metric(metric).with_plane_sweep().run(&tree);
+            let cfg = JoinConfig::new(eps).with_metric(metric);
+            let plain = join(cfg, ParallelAlgo::Ssj, &tree);
+            let swept = join(cfg.with_plane_sweep(), ParallelAlgo::Ssj, &tree);
             assert_eq!(plain.expanded_link_set(), swept.expanded_link_set(), "{metric:?}");
         }
     }
@@ -1049,7 +1058,7 @@ mod sweep_tests {
                 }
             }
         }
-        let swept = SsjJoin::new(eps).with_plane_sweep().run(&tree);
+        let swept = join(JoinConfig::new(eps).with_plane_sweep(), ParallelAlgo::Ssj, &tree);
         assert_eq!(swept.expanded_link_set(), truth);
     }
 }

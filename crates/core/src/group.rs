@@ -137,6 +137,19 @@ pub trait GroupShape<const D: usize>: Clone + std::fmt::Debug {
     }
 }
 
+/// Which bounding shape CSJ(g)'s open groups use (§V-A), selected by
+/// [`crate::JoinConfig::group_shape`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum GroupShapeKind {
+    /// Minimum bounding hyper-rectangle, diagonal ≤ ε ([`MbrShape`], the
+    /// paper's choice: constant-time updates, reuses tree node shapes).
+    #[default]
+    Mbr,
+    /// Bounding ball, diameter ≤ ε ([`BallShape`]: covers more volume
+    /// per group, but centers are updated approximately).
+    Ball,
+}
+
 /// The paper's group shape: a minimum bounding hyper-rectangle whose
 /// metric diameter (Euclidean: main diagonal) must stay within ε.
 #[derive(Clone, Copy, Debug, PartialEq)]

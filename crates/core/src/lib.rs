@@ -10,28 +10,28 @@
 //! | module | contents |
 //! |---|---|
 //! | [`engine`] | the one Figure-3 recursion, over any node source |
-//! | [`ssj`] | the standard tree join (the paper's SSJ baseline) |
-//! | [`ncsj`] | N-CSJ: SSJ + the early-stopping group rule |
-//! | [`csj`] | CSJ(g): N-CSJ + merge-into-`g`-recent-groups |
+//! | [`parallel`] | [`ParallelAlgo`] (SSJ, N-CSJ, CSJ(g)) and the work-stealing runner |
+//! | [`resilient`] | the sequential runner: budgets, cancel, SSJ estimates |
 //! | [`spatial`] | dual-tree (two-dataset) variants of all three, on the engine |
 //! | [`egrid`] | ε-grid-order join (index-free) + its compact extension |
 //! | [`brute`] | `O(n²)` reference join |
 //! | [`verify`] | machine checks of the paper's Theorems 1 & 2 |
 //! | [`outlier`] | small-group outlier mining (§I application) |
-//! | [`resilient`] | the sequential task loop: budgets, cancel, SSJ estimates |
-//! | [`parallel`] | multi-threaded task-parallel variants (extension) |
 //! | [`outofcore`] | joins over page-resident trees through a buffer pool (Exp. 3) |
 //! | [`group`] | group shapes (MBR per the paper; ball as §V-A ablation) |
 //! | [`output`] | join output, expansion, byte accounting |
 //! | [`stats`] | operation counters and access logs |
 //!
-//! The joins are generic over [`csj_index::JoinIndex`], so they run
-//! unchanged on the R-tree, R*-tree and M-tree (the paper's Experiment 4).
+//! The three self-joins are one runner with a switch: [`ResilientJoin`]
+//! (sequential) or [`parallel::ParallelJoin`] (work-stealing) running a
+//! [`ParallelAlgo`]. The joins are generic over [`csj_index::JoinIndex`],
+//! so they run unchanged on the R-tree, R*-tree and M-tree (the paper's
+//! Experiment 4).
 //!
 //! # Example
 //!
 //! ```
-//! use csj_core::{brute::brute_force_links, csj::CsjJoin, ssj::SsjJoin};
+//! use csj_core::{brute::brute_force_links, ParallelAlgo, ResilientJoin};
 //! use csj_geom::Point;
 //! use csj_index::{rstar::RStarTree, RTreeConfig};
 //!
@@ -41,8 +41,8 @@
 //! let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
 //!
 //! let eps = 0.1;
-//! let compact = CsjJoin::new(eps).with_window(10).run(&tree);
-//! let standard = SsjJoin::new(eps).run(&tree);
+//! let compact = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree).expect("in memory");
+//! let standard = ResilientJoin::new(eps, ParallelAlgo::Ssj).run(&tree).expect("in memory");
 //!
 //! // Lossless (Theorems 1 & 2) …
 //! assert_eq!(compact.expanded_link_set(), brute_force_links(&pts, eps));
@@ -55,30 +55,26 @@
 
 pub mod brute;
 pub mod budget;
-pub mod csj;
 pub mod egrid;
 pub mod engine;
 pub mod error;
 pub mod group;
-pub mod ncsj;
 pub mod outlier;
 pub mod outofcore;
 pub mod output;
 pub mod parallel;
 pub mod resilient;
 pub mod spatial;
-pub mod ssj;
 pub mod stats;
 pub mod sync;
 pub mod verify;
 
 pub use budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
-pub use csj::CsjJoin;
 pub use error::{CsjError, ShardError};
-pub use ncsj::NcsjJoin;
+pub use group::GroupShapeKind;
 pub use output::{JoinOutput, OutputItem, Rows};
+pub use parallel::ParallelAlgo;
 pub use resilient::ResilientJoin;
-pub use ssj::SsjJoin;
 pub use stats::JoinStats;
 
 use csj_geom::Metric;
@@ -98,6 +94,9 @@ pub struct JoinConfig {
     /// shape. The paper uses the node shape (`false`); tightening is an
     /// ablation knob that can admit more subsequent merges.
     pub tighten_group_mbr: bool,
+    /// The bounding shape of CSJ(g)'s open groups: the paper's MBR
+    /// (default) or the §V-A ball ablation. SSJ and N-CSJ ignore it.
+    pub group_shape: GroupShapeKind,
     /// Order children / leaf entries along an axis and sweep, so node and
     /// point pairs separated by more than ε on that axis are skipped
     /// without a distance bound computation — the access-ordering
@@ -116,6 +115,7 @@ impl JoinConfig {
             metric: Metric::Euclidean,
             record_access_log: false,
             tighten_group_mbr: false,
+            group_shape: GroupShapeKind::Mbr,
             plane_sweep: false,
         }
     }
@@ -135,6 +135,20 @@ impl JoinConfig {
     /// Enables the node-access log.
     pub fn with_access_log(mut self) -> Self {
         self.record_access_log = true;
+        self
+    }
+
+    /// Recomputes subtree-group MBRs from member points instead of
+    /// reusing the node shape (§V-A ablation: tighter groups admit more
+    /// merges at the cost of one extra subtree scan per early stop).
+    pub fn with_tight_groups(mut self) -> Self {
+        self.tighten_group_mbr = true;
+        self
+    }
+
+    /// Selects CSJ(g)'s group bounding shape.
+    pub fn with_group_shape(mut self, shape: GroupShapeKind) -> Self {
+        self.group_shape = shape;
         self
     }
 }

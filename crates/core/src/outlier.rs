@@ -79,8 +79,9 @@ pub fn small_rows(output: &JoinOutput, max_size: usize) -> Vec<OutputItem<'_>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csj::CsjJoin;
     use crate::output::Rows;
+    use crate::parallel::ParallelAlgo;
+    use crate::resilient::ResilientJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, RTreeConfig};
 
@@ -142,7 +143,7 @@ mod tests {
         pts.push(Point::new([0.9, 0.9]));
         pts.push(Point::new([0.9005, 0.9]));
         let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(8));
-        let out = CsjJoin::new(0.05).run(&tree);
+        let out = ResilientJoin::new(0.05, ParallelAlgo::Csj(10)).run(&tree).expect("in memory");
         let scores = CohesionScores::from_output(&out);
         let outliers = scores.outliers(pts.len(), 2);
         let ids: Vec<u32> = outliers.iter().map(|&(id, _)| id).collect();

@@ -995,10 +995,7 @@ impl OutOfCoreJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csj::CsjJoin;
     use crate::engine::{DirectEmit, Engine, StreamSink};
-    use crate::ncsj::NcsjJoin;
-    use crate::ssj::SsjJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, RTreeConfig};
     use csj_storage::{RetryPolicy, SimulatedDisk, VecSink};
@@ -1077,11 +1074,7 @@ mod tests {
     }
 
     fn in_memory_with(variant: ParallelAlgo, cfg: JoinConfig, tree: &RStarTree<2>) -> JoinOutput {
-        match variant {
-            ParallelAlgo::Ssj => SsjJoin::with_config(cfg).run(tree),
-            ParallelAlgo::Ncsj => NcsjJoin::with_config(cfg).run(tree),
-            ParallelAlgo::Csj(window) => CsjJoin::with_config(cfg).with_window(window).run(tree),
-        }
+        ResilientJoin::with_config(cfg, variant).run(tree).expect("in memory")
     }
 
     #[test]
@@ -1268,7 +1261,7 @@ mod tests {
             let pts = scatter(1500, 17);
             let eps = 0.02;
             let rtree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
-            let mem = NcsjJoin::new(eps).run(&rtree);
+            let mem = in_memory(ParallelAlgo::Ncsj, eps, &rtree);
             let path = temp_pages("stall");
             let tree = cold_file_tree(&pts, 10, &path, 4);
             let reader =

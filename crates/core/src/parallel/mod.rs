@@ -43,7 +43,7 @@ use csj_index::{JoinIndex, NodeId};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 use crate::engine::{infallible, CollectSink, DirectEmit, Engine, LinkHandler, Step, WindowedEmit};
-use crate::group::MbrShape;
+use crate::group::{BallShape, GroupShapeKind, MbrShape};
 use crate::output::{JoinOutput, Rows};
 use crate::stats::JoinStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -54,22 +54,96 @@ use crate::JoinConfig;
 /// task loop ([`crate::ResilientJoin`]), [`ParallelJoin`], the
 /// out-of-core front, the sharded join and [`crate::spatial::SpatialJoin`].
 /// (The name predates the other runners.)
+///
+/// The three algorithms are one Figure-3 recursion with two switches:
+/// N-CSJ is SSJ plus the early-stop rule, CSJ(g) is N-CSJ plus the merge
+/// window. A tight cluster shows the difference:
+///
+/// ```
+/// use csj_core::{ParallelAlgo, ResilientJoin};
+/// use csj_geom::Point;
+/// use csj_index::{rstar::RStarTree, RTreeConfig};
+///
+/// // N-CSJ emits one group where SSJ emits O(k²) links.
+/// let pts: Vec<Point<2>> = (0..20)
+///     .map(|i| Point::new([0.5 + (i % 5) as f64 * 1e-4, 0.5 + (i / 5) as f64 * 1e-4]))
+///     .collect();
+/// let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(25));
+/// let join = |algo| ResilientJoin::new(0.1, algo).run(&tree).expect("in memory");
+/// let (compact, standard) = (join(ParallelAlgo::Ncsj), join(ParallelAlgo::Ssj));
+/// assert_eq!(compact.num_groups(), 1);
+/// assert_eq!(standard.num_links(), 190);
+/// assert_eq!(compact.expanded_link_set(), standard.expanded_link_set());
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParallelAlgo {
-    /// Standard similarity join.
+    /// SSJ, the standard similarity join (§IV-A): the paper's baseline.
+    /// A recursive tree join that prunes node pairs by MINDIST and
+    /// enumerates every qualifying link individually. Output size does
+    /// not depend on the tree; runtime does (through the tree's shape).
     Ssj,
-    /// Naive compact join.
+    /// N-CSJ, the naive compact similarity join (§IV-B): SSJ plus the
+    /// early-stopping rule. Whenever a subtree's (or subtree pair's)
+    /// bounding shape has diameter ≤ ε, all its records are emitted as
+    /// one group: no distance computations, one subtree scan. Links that
+    /// cross node boundaries are still emitted individually.
     Ncsj,
-    /// Compact join with a window of this many recent groups
-    /// ([`ParallelJoin`] gives every task a fresh window).
+    /// CSJ(g), the compact similarity join with a window of `g` recent
+    /// groups (§IV-C): N-CSJ plus `mergeIntoPrevGroup`. Every residual
+    /// link is offered to the `g` most recently created groups; a group
+    /// accepts when its bounding shape ([`JoinConfig::group_shape`]),
+    /// extended to cover the link, still has diameter ≤ ε. Links that fit
+    /// nowhere open a new group; `g = 0` makes every link its own
+    /// 2-group. Because of the tree's spatial locality, recent groups are
+    /// near the current link, so a small window (the paper recommends
+    /// `g ≈ 10`) captures most cross-subtree links. [`ParallelJoin`]
+    /// gives every task a fresh window.
     Csj(usize),
+}
+
+/// Receives the link handler an algorithm runs with (see
+/// [`ParallelAlgo::with_handler`]).
+pub(crate) trait WithHandler<const D: usize> {
+    /// What the run returns.
+    type Out;
+    /// Runs with the engine switches `early_stop` and `handler`.
+    fn run<H: LinkHandler<D>>(self, early_stop: bool, handler: H) -> Self::Out;
+}
+
+impl ParallelAlgo {
+    /// Whether the engine applies the early-stop rule: N-CSJ and CSJ(g).
+    pub(crate) fn early_stop(self) -> bool {
+        self != ParallelAlgo::Ssj
+    }
+
+    /// Runs `f` with this algorithm's link handler under `cfg`: direct
+    /// emission for SSJ and N-CSJ, a window of `g` groups of
+    /// `cfg.group_shape` for CSJ(g). The one place the self-joins map an
+    /// algorithm to the engine's switches. The handler is a concrete
+    /// type, so the choice is made once per call, never per link.
+    pub(crate) fn with_handler<F: WithHandler<D>, const D: usize>(
+        self,
+        cfg: &JoinConfig,
+        f: F,
+    ) -> F::Out {
+        let (early_stop, eps, metric) = (self.early_stop(), cfg.epsilon, cfg.metric);
+        match (self, cfg.group_shape) {
+            (ParallelAlgo::Ssj | ParallelAlgo::Ncsj, _) => f.run(early_stop, DirectEmit),
+            (ParallelAlgo::Csj(g), GroupShapeKind::Mbr) => {
+                f.run(early_stop, WindowedEmit::<MbrShape<D>, D>::new(g, eps, metric))
+            }
+            (ParallelAlgo::Csj(g), GroupShapeKind::Ball) => {
+                f.run(early_stop, WindowedEmit::<BallShape<D>, D>::new(g, eps, metric))
+            }
+        }
+    }
 }
 
 /// A parallel similarity self-join on the work-stealing scheduler.
 ///
 /// ```
 /// use csj_core::parallel::{ParallelAlgo, ParallelJoin};
-/// use csj_core::ssj::SsjJoin;
+/// use csj_core::ResilientJoin;
 /// use csj_geom::Point;
 /// use csj_index::{rstar::RStarTree, RTreeConfig};
 ///
@@ -78,7 +152,7 @@ pub enum ParallelAlgo {
 ///     .collect();
 /// let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
 /// let par = ParallelJoin::new(0.05, ParallelAlgo::Ssj).with_threads(4).run(&tree);
-/// let seq = SsjJoin::new(0.05).run(&tree);
+/// let seq = ResilientJoin::new(0.05, ParallelAlgo::Ssj).run(&tree).expect("in memory");
 /// assert_eq!(par.expanded_link_set(), seq.expanded_link_set());
 /// ```
 #[derive(Clone, Debug)]
@@ -199,12 +273,6 @@ impl ParallelJoin {
         self
     }
 
-    /// Replaces the metric.
-    pub fn with_metric(mut self, metric: csj_geom::Metric) -> Self {
-        self.cfg.metric = metric;
-        self
-    }
-
     /// Applies a resource budget, checked at task boundaries: when a limit
     /// trips, in-flight tasks finish (lossless over the processed region)
     /// and the result comes back [`Completion::Partial`].
@@ -221,9 +289,10 @@ impl ParallelJoin {
         self
     }
 
-    /// Sets the id width used for byte-budget accounting (default 6).
+    /// Sets the id width used for byte-budget accounting (default 6,
+    /// clamped to at least 1 as in [`crate::ResilientJoin`]).
     pub fn with_id_width(mut self, width: usize) -> Self {
-        self.id_width = width;
+        self.id_width = width.max(1);
         self
     }
 
@@ -486,41 +555,12 @@ impl ParallelJoin {
         out
     }
 
-    /// SSJ runs without the early-stop rule; the compact joins with it.
-    fn early_stop(&self) -> bool {
-        self.algo != ParallelAlgo::Ssj
-    }
-
     fn run_task<T: JoinIndex<D>, const D: usize>(
         &self,
         tree: &T,
         task: Step<NodeId>,
     ) -> (Rows, JoinStats, bool) {
-        match self.algo {
-            ParallelAlgo::Ssj | ParallelAlgo::Ncsj => self.run_task_with(tree, task, DirectEmit),
-            ParallelAlgo::Csj(g) => self.run_task_with(
-                tree,
-                task,
-                WindowedEmit::<MbrShape<D>, D>::new(g, self.cfg.epsilon, self.cfg.metric),
-            ),
-        }
-    }
-
-    fn run_task_with<T: JoinIndex<D>, H: LinkHandler<D>, const D: usize>(
-        &self,
-        tree: &T,
-        task: Step<NodeId>,
-        handler: H,
-    ) -> (Rows, JoinStats, bool) {
-        let mut engine =
-            Engine::new(tree, self.cfg, self.early_stop(), handler, CollectSink::default());
-        if let Some(token) = &self.cancel {
-            engine.set_cancel(token.clone());
-        }
-        infallible(engine.run_step(task));
-        infallible(engine.finish_only());
-        let completed = engine.stop_reason().is_none();
-        (std::mem::take(&mut engine.sink.items), engine.stats, completed)
+        self.algo.with_handler(&self.cfg, TaskRun { join: self, tree, task })
     }
 
     /// Splits a task into its child tasks through the engine's own
@@ -540,7 +580,7 @@ impl ParallelJoin {
         item: &TaskItem,
     ) -> Option<(Vec<TaskItem>, JoinStats)> {
         let mut engine =
-            Engine::new(tree, self.cfg, self.early_stop(), DirectEmit, CollectSink::default());
+            Engine::new(tree, self.cfg, self.algo.early_stop(), DirectEmit, CollectSink::default());
         let steps = infallible(engine.split(item.task))?;
         let children = steps
             .into_iter()
@@ -591,12 +631,36 @@ impl ParallelJoin {
     }
 }
 
+/// One task of a [`ParallelJoin`], run with the handler its algorithm
+/// picks: a fresh engine (and, for CSJ(g), a fresh window) per task.
+struct TaskRun<'j, T> {
+    join: &'j ParallelJoin,
+    tree: &'j T,
+    task: Step<NodeId>,
+}
+
+impl<T: JoinIndex<D>, const D: usize> WithHandler<D> for TaskRun<'_, T> {
+    type Out = (Rows, JoinStats, bool);
+
+    fn run<H: LinkHandler<D>>(self, early_stop: bool, handler: H) -> Self::Out {
+        let join = self.join;
+        let mut engine =
+            Engine::new(self.tree, join.cfg, early_stop, handler, CollectSink::default());
+        if let Some(token) = &join.cancel {
+            engine.set_cancel(token.clone());
+        }
+        infallible(engine.run_step(self.task));
+        infallible(engine.finish_only());
+        let completed = engine.stop_reason().is_none();
+        (std::mem::take(&mut engine.sink.items), engine.stats, completed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::brute_force_links;
-    use crate::csj::CsjJoin;
-    use crate::ssj::SsjJoin;
+    use crate::ResilientJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, RTreeConfig};
 
@@ -631,7 +695,7 @@ mod tests {
         let pts = clustered(3_000);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
         for eps in [0.01, 0.1] {
-            let seq = SsjJoin::new(eps).run(&tree);
+            let seq = ResilientJoin::new(eps, ParallelAlgo::Ssj).run(&tree).expect("in memory");
             for threads in [1, 2, 8] {
                 let par =
                     ParallelJoin::new(eps, ParallelAlgo::Ssj).with_threads(threads).run(&tree);
@@ -685,9 +749,9 @@ mod tests {
         // land exactly where the sequential sweep puts them.
         let pts = skewed(2_000);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(8));
-        let seq = SsjJoin::new(0.03).with_plane_sweep().run(&tree);
+        let cfg = JoinConfig::new(0.03).with_plane_sweep();
+        let seq = ResilientJoin::with_config(cfg, ParallelAlgo::Ssj).run(&tree).expect("in memory");
         for threads in [1, 8] {
-            let cfg = JoinConfig::new(0.03).with_plane_sweep();
             let par =
                 ParallelJoin::with_config(cfg, ParallelAlgo::Ssj).with_threads(threads).run(&tree);
             assert_eq!(par.items, seq.items, "threads={threads}");
@@ -700,12 +764,59 @@ mod tests {
         let pts = clustered(3_000);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
         let eps = 0.05;
-        let seq = CsjJoin::new(eps).with_window(10).run(&tree);
+        let seq = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree).expect("in memory");
         let par = ParallelJoin::new(eps, ParallelAlgo::Csj(10)).with_threads(4).run(&tree);
         assert_eq!(par.expanded_link_set(), seq.expanded_link_set());
         // Per-task windows lose some merges but not catastrophically.
         let (ps, ss) = (par.total_bytes(4) as f64, seq.total_bytes(4) as f64);
         assert!(ps <= ss * 1.5, "parallel bytes {ps} vs sequential {ss}");
+    }
+
+    #[test]
+    fn ball_groups_reach_every_task() {
+        // A thin wavy stripe: cross-node links the window must merge.
+        let pts: Vec<Point<2>> = (0..2_000)
+            .map(|i| {
+                let t = i as f64 / 2_000.0;
+                Point::new([t, (t * 43.0).sin() * 0.02])
+            })
+            .collect();
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
+        let eps = 0.03;
+        let cfg = JoinConfig::new(eps);
+        let run =
+            |cfg| ParallelJoin::with_config(cfg, ParallelAlgo::Csj(10)).with_threads(3).run(&tree);
+        let (ball, mbr) = (run(cfg.with_group_shape(GroupShapeKind::Ball)), run(cfg));
+        assert_eq!(ball.expanded_link_set(), brute_force_links(&pts, eps));
+        assert_ne!(ball.items, mbr.items, "ball windows group differently from MBR ones");
+    }
+
+    #[test]
+    fn id_width_zero_is_clamped_like_the_sequential_runner() {
+        // Width 0 would price every id at one byte instead of two, so a
+        // byte budget would trip later than on `ResilientJoin`.
+        let pts = clustered(2_000);
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
+        let budget = RunBudget::unlimited().with_max_bytes(2_000);
+        let par = |width| {
+            ParallelJoin::new(0.05, ParallelAlgo::Ssj)
+                .with_threads(1)
+                .with_budget(budget)
+                .with_id_width(width)
+                .run(&tree)
+                .completion
+        };
+        let seq = |width| {
+            ResilientJoin::new(0.05, ParallelAlgo::Ssj)
+                .with_budget(budget)
+                .with_id_width(width)
+                .run(&tree)
+                .expect("in memory")
+                .completion
+        };
+        assert!(!par(1).is_complete());
+        assert_eq!(par(0), par(1));
+        assert_eq!(seq(0), seq(1));
     }
 
     #[test]

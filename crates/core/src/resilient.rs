@@ -42,19 +42,16 @@ use std::time::Instant;
 use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
-use crate::engine::{
-    CollectSink, DirectEmit, Engine, LinkHandler, NodeSource, RowSink, StreamSink, WindowedEmit,
-};
+use crate::engine::{CollectSink, Engine, LinkHandler, NodeSource, RowSink, StreamSink};
 use crate::error::CsjError;
-use crate::group::MbrShape;
 use crate::output::JoinOutput;
-use crate::parallel::ParallelAlgo;
+use crate::parallel::{ParallelAlgo, WithHandler};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
 /// A budget-, cancel- and fault-aware sequential similarity self-join:
-/// the task loop [`crate::SsjJoin`], [`crate::NcsjJoin`] and
-/// [`crate::CsjJoin`] run through with an unlimited budget.
+/// the one sequential runner for SSJ, N-CSJ and CSJ(g) (see
+/// [`ParallelAlgo`]), with an unlimited budget by default.
 ///
 /// Unlike [`crate::parallel::ParallelJoin`], this runner keeps one engine
 /// (and for CSJ one group window) across all tasks, so its output is
@@ -103,12 +100,6 @@ impl ResilientJoin {
         self
     }
 
-    /// Replaces the metric.
-    pub fn with_metric(mut self, metric: csj_geom::Metric) -> Self {
-        self.cfg.metric = metric;
-        self
-    }
-
     /// Sets the id width used for byte-budget accounting (default 6).
     pub fn with_id_width(mut self, width: usize) -> Self {
         self.id_width = width.max(1);
@@ -151,9 +142,10 @@ impl ResilientJoin {
         Ok(ResilientReport { stats, completion })
     }
 
-    /// Runs the configured algorithm's link handling (CSJ(g) with MBR
-    /// groups, as in the paper) through the task loop into `sink`.
-    pub(crate) fn run_into<S, R, const D: usize>(
+    /// Runs the configured algorithm's link handler through the task
+    /// loop into `sink`: one engine over `source`, then the source's end
+    /// of run — also after a failure, so it can release what it holds.
+    fn run_into<S, R, const D: usize>(
         &self,
         source: S,
         sink: R,
@@ -162,41 +154,7 @@ impl ResilientJoin {
         S: NodeSource<D>,
         R: RowSink,
     {
-        match self.algo {
-            ParallelAlgo::Ssj => self.run_tasks(source, false, DirectEmit, sink),
-            ParallelAlgo::Ncsj => self.run_tasks(source, true, DirectEmit, sink),
-            ParallelAlgo::Csj(g) => {
-                let window =
-                    WindowedEmit::<MbrShape<D>, D>::new(g, self.cfg.epsilon, self.cfg.metric);
-                self.run_tasks(source, true, window, sink)
-            }
-        }
-    }
-
-    /// The shared task loop: one engine over `source`, then the source's
-    /// end of run — also after a failure, so it can release what it
-    /// holds.
-    pub(crate) fn run_tasks<S, H, R, const D: usize>(
-        &self,
-        source: S,
-        early_stop: bool,
-        handler: H,
-        sink: R,
-    ) -> Result<(R, JoinStats, Completion), CsjError>
-    where
-        S: NodeSource<D>,
-        H: LinkHandler<D>,
-        R: RowSink,
-    {
-        let mut engine = Engine::new(source, self.cfg, early_stop, handler, sink);
-        if let Some(token) = &self.cancel {
-            engine.set_cancel(token.clone());
-        }
-        let completion = self.drive(&mut engine);
-        engine.source.end_run(&mut engine.stats);
-        let completion = completion?;
-        let Engine { sink, stats, .. } = engine;
-        Ok((sink, stats, completion))
+        self.algo.with_handler(&self.cfg, TaskLoop { join: self, source, sink })
     }
 
     /// Splits the root into tasks and runs them in order, checking
@@ -274,16 +232,39 @@ impl ResilientJoin {
     }
 }
 
+/// A [`ResilientJoin`] run over `source` into `sink`, given the handler
+/// its algorithm picks.
+struct TaskLoop<'j, S, R> {
+    join: &'j ResilientJoin,
+    source: S,
+    sink: R,
+}
+
+impl<S: NodeSource<D>, R: RowSink, const D: usize> WithHandler<D> for TaskLoop<'_, S, R> {
+    type Out = Result<(R, JoinStats, Completion), CsjError>;
+
+    fn run<H: LinkHandler<D>>(self, early_stop: bool, handler: H) -> Self::Out {
+        let join = self.join;
+        let mut engine = Engine::new(self.source, join.cfg, early_stop, handler, self.sink);
+        if let Some(token) = &join.cancel {
+            engine.set_cancel(token.clone());
+        }
+        let completion = join.drive(&mut engine);
+        engine.source.end_run(&mut engine.stats);
+        let completion = completion?;
+        let Engine { sink, stats, .. } = engine;
+        Ok((sink, stats, completion))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::brute_force_links;
-    use crate::csj::{CsjJoin, GroupShapeKind};
-    use crate::group::BallShape;
-    use crate::ncsj::NcsjJoin;
+    use crate::engine::{DirectEmit, WindowedEmit};
+    use crate::group::{BallShape, GroupShapeKind, MbrShape};
     use crate::outofcore::PagedSource;
     use crate::output::Rows;
-    use crate::ssj::SsjJoin;
     use csj_geom::Point;
     use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
     use csj_storage::{FaultPolicy, RetryPolicy, SimulatedDisk, VecSink};
@@ -311,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn fronts_and_unlimited_runs_match_the_unsplit_recursion() {
+    fn unlimited_runs_match_the_unsplit_recursion() {
         // With plane sweep the root split follows sweep order, so the
         // tasks run in the unsplit sweep's order.
         let tree = RStarTree::bulk_load_str(
@@ -320,24 +301,17 @@ mod tests {
         );
         let eps = 0.02;
         let plain = JoinConfig::new(eps);
-        let tight = JoinConfig { tighten_group_mbr: true, ..plain };
-        for cfg in [plain, plain.with_plane_sweep(), tight] {
-            let mbr = || WindowedEmit::<MbrShape<2>, 2>::new(10, eps, cfg.metric);
+        for cfg in [plain, plain.with_plane_sweep(), plain.with_tight_groups()] {
+            let mbr = WindowedEmit::<MbrShape<2>, 2>::new(10, eps, cfg.metric);
             let ball = WindowedEmit::<BallShape<2>, 2>::new(10, eps, cfg.metric);
-            let (ssj, ncsj) = (SsjJoin::with_config(cfg), NcsjJoin::with_config(cfg));
-            let csj = CsjJoin::with_config(cfg).with_window(10);
-            let ball_csj = csj.with_shape(GroupShapeKind::Ball);
-            let task_loop = ResilientJoin::with_config(cfg, ParallelAlgo::Csj(10));
+            let ball_cfg = cfg.with_group_shape(GroupShapeKind::Ball);
+            let run =
+                |cfg, algo| ResilientJoin::with_config(cfg, algo).run(&tree).expect("in memory");
             let cases = [
-                ("SsjJoin", ssj.run(&tree), unsplit(&tree, cfg, false, DirectEmit)),
-                ("NcsjJoin", ncsj.run(&tree), unsplit(&tree, cfg, true, DirectEmit)),
-                ("CsjJoin", csj.run(&tree), unsplit(&tree, cfg, true, mbr())),
-                ("CsjJoin ball", ball_csj.run(&tree), unsplit(&tree, cfg, true, ball)),
-                (
-                    "task loop",
-                    task_loop.run(&tree).expect("in-memory"),
-                    unsplit(&tree, cfg, true, mbr()),
-                ),
+                ("SSJ", run(cfg, ParallelAlgo::Ssj), unsplit(&tree, cfg, false, DirectEmit)),
+                ("N-CSJ", run(cfg, ParallelAlgo::Ncsj), unsplit(&tree, cfg, true, DirectEmit)),
+                ("CSJ", run(cfg, ParallelAlgo::Csj(10)), unsplit(&tree, cfg, true, mbr)),
+                ("CSJ ball", run(ball_cfg, ParallelAlgo::Csj(10)), unsplit(&tree, cfg, true, ball)),
             ];
             for (label, out, want) in cases {
                 assert!(out.completion.is_complete());
@@ -448,7 +422,7 @@ mod tests {
         assert!(out.completion.is_complete());
         assert!(out.stats.io_retries > 0, "retries must be counted");
         assert_eq!(out.stats.io_retries, paged.stats().io_retries);
-        let plain = CsjJoin::new(eps).with_window(10).run(&tree);
+        let plain = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree).expect("in memory");
         assert_eq!(out.items, plain.items, "absorbed faults change no row");
         assert_eq!(out.expanded_link_set(), brute_force_links(&pts, eps));
     }

@@ -517,6 +517,21 @@ mod tests {
     }
 
     #[test]
+    fn implied_links_sum_to_the_distinct_count_without_a_window() {
+        // SSJ and N-CSJ imply each cross pair in exactly one row, so the
+        // rows' sum is the distinct count `csj join2` reports.
+        let (lp, rp) = (left_points(300), right_points(300));
+        let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(6));
+        let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(6));
+        for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj] {
+            let out = SpatialJoin::new(0.08, algo).run(&lt, &rt);
+            let sum: u64 = out.items.iter().map(SpatialItem::implied_links).sum();
+            assert_eq!(sum, out.expanded_link_set().len() as u64, "{algo:?}");
+            assert_eq!(out.num_groups() > 0, algo == ParallelAlgo::Ncsj, "{algo:?}");
+        }
+    }
+
+    #[test]
     fn group_byte_format_accounting() {
         let link = SpatialItem::Link(1, 2);
         assert_eq!(link.format_bytes(4), 12, "two ids + separators + '| '");

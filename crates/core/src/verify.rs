@@ -149,10 +149,9 @@ pub fn verify_lossless<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csj::CsjJoin;
-    use crate::ncsj::NcsjJoin;
     use crate::output::{JoinOutput, Rows};
-    use crate::ssj::SsjJoin;
+    use crate::parallel::ParallelAlgo;
+    use crate::resilient::ResilientJoin;
     use crate::stats::JoinStats;
     use csj_index::{rstar::RStarTree, RTreeConfig};
 
@@ -170,11 +169,8 @@ mod tests {
         let pts = sample_points();
         let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(5));
         for eps in [0.05, 0.15, 0.4] {
-            for out in [
-                SsjJoin::new(eps).run(&tree),
-                NcsjJoin::new(eps).run(&tree),
-                CsjJoin::new(eps).with_window(10).run(&tree),
-            ] {
+            for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+                let out = ResilientJoin::new(eps, algo).run(&tree).expect("in memory");
                 let report = verify_lossless(&out, &pts, eps, Metric::Euclidean)
                     .unwrap_or_else(|e| panic!("eps={eps}: {e}"));
                 assert_eq!(report.rows, out.items.len());

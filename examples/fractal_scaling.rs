@@ -33,7 +33,10 @@ fn main() {
         let mut ln_links = Vec::new();
         for i in 0..5 {
             let eps = 0.01 * 2f64.powi(i);
-            let links = SsjJoin::new(eps).run(&tree).num_links();
+            let links = ResilientJoin::new(eps, ParallelAlgo::Ssj)
+                .run(&tree)
+                .expect("in-memory join")
+                .num_links();
             if links > 0 {
                 ln_eps.push(eps.ln());
                 ln_links.push((links as f64).ln());

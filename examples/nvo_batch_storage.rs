@@ -11,7 +11,6 @@
 //! ```
 
 use compact_similarity_joins::prelude::*;
-use csj_core::ncsj::NcsjJoin;
 use csj_storage::{CostModel, FileSink, OutputSink, OutputWriter};
 
 fn main() {
@@ -31,12 +30,12 @@ fn main() {
 
     // Stage the standard join result to disk.
     let mut w = OutputWriter::new(FileSink::create(&standard_path).unwrap(), width);
-    let _ = SsjJoin::new(eps).run_streaming(&tree, &mut w);
+    let _ = ResilientJoin::new(eps, ParallelAlgo::Ssj).run_streaming(&tree, &mut w);
     let standard_bytes = w.finish().expect("flush failed").bytes_written();
 
     // Stage the compact result.
     let mut w = OutputWriter::new(FileSink::create(&compact_path).unwrap(), width);
-    let _ = CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut w);
+    let _ = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run_streaming(&tree, &mut w);
     let compact_bytes = w.finish().expect("flush failed").bytes_written();
 
     println!("staged standard result : {standard_bytes:>12} bytes");
@@ -53,8 +52,8 @@ fn main() {
 
     // On retrieval the astronomer expands groups back into links — no
     // information was lost.
-    let compact = CsjJoin::new(eps).with_window(10).run(&tree);
-    let ncsj = NcsjJoin::new(eps).run(&tree);
+    let join = |algo| ResilientJoin::new(eps, algo).run(&tree).expect("in-memory join");
+    let (compact, ncsj) = (join(ParallelAlgo::Csj(10)), join(ParallelAlgo::Ncsj));
     assert_eq!(compact.expanded_link_set(), ncsj.expanded_link_set());
     println!(
         "retrieval check: {} links recovered exactly from {} compact rows ✓",

@@ -30,7 +30,7 @@ fn main() {
 
     let eps = 0.02;
     let tree = RStarTree::bulk_load_str(&points, RTreeConfig::default());
-    let output = CsjJoin::new(eps).with_window(10).run(&tree);
+    let output = ResilientJoin::new(eps, ParallelAlgo::Csj(10)).run(&tree).expect("in-memory join");
 
     println!(
         "join produced {} rows ({} groups); largest groups: {:?}",

@@ -6,7 +6,6 @@
 //! ```
 
 use compact_similarity_joins::prelude::*;
-use csj_core::ncsj::NcsjJoin;
 use csj_core::verify::verify_lossless;
 
 fn main() {
@@ -20,9 +19,12 @@ fn main() {
     let eps = 0.05;
     let width = 5; // 5-digit zero-padded ids in the output format
 
-    let ssj = SsjJoin::new(eps).run(&tree);
-    let ncsj = NcsjJoin::new(eps).run(&tree);
-    let csj = CsjJoin::new(eps).with_window(10).run(&tree);
+    // One runner, three algorithms: N-CSJ adds the early-stop rule to
+    // SSJ, CSJ(g) adds a window of the g most recent groups.
+    let join = |algo| ResilientJoin::new(eps, algo).run(&tree).expect("in-memory join");
+    let ssj = join(ParallelAlgo::Ssj);
+    let ncsj = join(ParallelAlgo::Ncsj);
+    let csj = join(ParallelAlgo::Csj(10));
 
     println!("epsilon = {eps}, n = {}", points.len());
     println!("SSJ     : {:>9} rows  {:>12} bytes", ssj.items.len(), ssj.total_bytes(width));

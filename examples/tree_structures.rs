@@ -1,7 +1,7 @@
 //! Index independence (the paper's Experiment 4, as an API tour).
 //!
 //! The join algorithms only require that node-pair distance bounds are
-//! computable — so the same `CsjJoin` value runs on a Guttman R-tree, an
+//! computable — so the same `ResilientJoin` value runs on a Guttman R-tree, an
 //! R*-tree (dynamic or bulk-loaded three ways) and an M-tree, and always
 //! represents the same link set.
 //!
@@ -26,7 +26,7 @@ fn main() {
         seed: 99,
     });
     let eps = 0.02;
-    let join = CsjJoin::new(eps).with_window(10);
+    let join = ResilientJoin::new(eps, ParallelAlgo::Csj(10));
     let truth = brute_force_links(&points, eps);
     let width = 4;
 
@@ -36,38 +36,40 @@ fn main() {
     let cfg = RTreeConfig::default();
 
     let tree = RTree::from_points(&points, cfg.with_split(SplitStrategy::Linear));
-    report("R-tree (linear)", &join.run(&tree), &truth, width);
+    report("R-tree (linear)", &join, &tree, &truth, width);
 
     let tree = RTree::from_points(&points, cfg.with_split(SplitStrategy::Quadratic));
-    report("R-tree (quadratic)", &join.run(&tree), &truth, width);
+    report("R-tree (quadratic)", &join, &tree, &truth, width);
 
     let tree = RStarTree::from_points(&points, cfg);
-    report("R*-tree (dynamic)", &join.run(&tree), &truth, width);
+    report("R*-tree (dynamic)", &join, &tree, &truth, width);
 
     let tree = RStarTree::bulk_load_str(&points, cfg);
-    report("R*-tree (STR)", &join.run(&tree), &truth, width);
+    report("R*-tree (STR)", &join, &tree, &truth, width);
 
     let tree = RStarTree::bulk_load_hilbert(&points, cfg);
-    report("R*-tree (Hilbert)", &join.run(&tree), &truth, width);
+    report("R*-tree (Hilbert)", &join, &tree, &truth, width);
 
     let tree = RStarTree::bulk_load_omt(&points, cfg);
-    report("R*-tree (OMT)", &join.run(&tree), &truth, width);
+    report("R*-tree (OMT)", &join, &tree, &truth, width);
 
     let tree = MTree::from_points(&points, MTreeConfig::default());
-    report("M-tree", &join.run(&tree), &truth, width);
+    report("M-tree", &join, &tree, &truth, width);
 
     let tree = QuadTree::build(&points, QuadTreeConfig::default());
-    report("PR-quadtree", &join.run(&tree), &truth, width);
+    report("PR-quadtree", &join, &tree, &truth, width);
 
     println!("every index produced the same link set ✓");
 }
 
-fn report(
+fn report<T: JoinIndex<2>>(
     name: &str,
-    out: &csj_core::JoinOutput,
+    join: &ResilientJoin,
+    tree: &T,
     truth: &std::collections::BTreeSet<(u32, u32)>,
     width: usize,
 ) {
+    let out = join.run(tree).expect("in-memory join");
     assert_eq!(&out.expanded_link_set(), truth, "{name} lost information");
     println!("{:<22} {:>8} {:>12}", name, out.items.len(), out.total_bytes(width));
 }

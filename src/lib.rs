@@ -20,7 +20,7 @@
 //! let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
 //!
 //! // Compact similarity join with window g = 10 and range 0.125.
-//! let out = CsjJoin::new(0.125).with_window(10).run(&tree);
+//! let out = ResilientJoin::new(0.125, ParallelAlgo::Csj(10)).run(&tree).expect("in memory");
 //! // Lossless: expanding the groups gives exactly the brute-force link set.
 //! let brute = brute_force_links(&pts, 0.125);
 //! assert_eq!(out.expanded_link_set(), brute);
@@ -34,9 +34,7 @@ pub use csj_storage as storage;
 
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
-    pub use csj_core::{
-        brute::brute_force_links, csj::CsjJoin, ncsj::NcsjJoin, ssj::SsjJoin, JoinConfig,
-    };
+    pub use csj_core::{brute::brute_force_links, JoinConfig, ParallelAlgo, ResilientJoin};
     pub use csj_data;
     pub use csj_geom::{Mbr, Metric, Point};
     pub use csj_index::{rstar::RStarTree, rtree::RTree, JoinIndex, RTreeConfig};

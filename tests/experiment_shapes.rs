@@ -2,11 +2,14 @@
 //! reduced scale: who wins, in which regime, and by how much — the same
 //! trends the full-scale binaries print.
 
-use csj_core::csj::CsjJoin;
-use csj_core::ncsj::NcsjJoin;
-use csj_core::ssj::SsjJoin;
+use csj_core::{JoinConfig, JoinOutput, ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, JoinIndex, RTreeConfig};
 use csj_storage::{BufferPool, PageId};
+
+/// Runs `algo` at range `eps` on the sequential runner.
+fn join<T: JoinIndex<D>, const D: usize>(eps: f64, algo: ParallelAlgo, tree: &T) -> JoinOutput {
+    ResilientJoin::new(eps, algo).run(tree).expect("in-memory run cannot fail")
+}
 
 fn mg_profile(n: usize) -> Vec<csj_geom::Point<2>> {
     csj_data::roads::road_network(&csj_data::roads::RoadConfig {
@@ -31,8 +34,8 @@ fn trend_ncsj_dominates_ssj() {
     let mut strictly_better_somewhere = false;
     for i in 0..9 {
         let eps = (2.0_f64).powi(-9 + i);
-        let ssj = SsjJoin::new(eps).run(&tree).total_bytes(width);
-        let ncsj = NcsjJoin::new(eps).run(&tree).total_bytes(width);
+        let ssj = join(eps, ParallelAlgo::Ssj, &tree).total_bytes(width);
+        let ncsj = join(eps, ParallelAlgo::Ncsj, &tree).total_bytes(width);
         assert!(ncsj <= ssj, "eps={eps}: N-CSJ larger than SSJ");
         if ncsj < ssj {
             strictly_better_somewhere = true;
@@ -51,14 +54,14 @@ fn trend_csj_beats_ncsj_at_large_eps() {
     let width = 4;
     for i in 0..9 {
         let eps = (2.0_f64).powi(-9 + i);
-        let ncsj = NcsjJoin::new(eps).run(&tree).total_bytes(width);
-        let csj = CsjJoin::new(eps).with_window(10).run(&tree).total_bytes(width);
+        let ncsj = join(eps, ParallelAlgo::Ncsj, &tree).total_bytes(width);
+        let csj = join(eps, ParallelAlgo::Csj(10), &tree).total_bytes(width);
         assert!(csj <= ncsj, "eps={eps}");
     }
     // At ε = 0.25 the savings must be at least 2x over SSJ.
     let eps = 0.25;
-    let ssj = SsjJoin::new(eps).run(&tree).total_bytes(width);
-    let csj = CsjJoin::new(eps).with_window(10).run(&tree).total_bytes(width);
+    let ssj = join(eps, ParallelAlgo::Ssj, &tree).total_bytes(width);
+    let csj = join(eps, ParallelAlgo::Csj(10), &tree).total_bytes(width);
     assert!(
         ssj as f64 / csj as f64 > 2.0,
         "expected >2x savings at eps=0.25, got {:.2}x",
@@ -78,8 +81,8 @@ fn trend_scalability_output_explosion() {
     for &n in &sizes {
         let pts = csj_data::sierpinski::pyramid_3d(n, 0x53);
         let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
-        ssj_bytes.push(SsjJoin::new(eps).run(&tree).total_bytes(width) as f64);
-        csj_bytes.push(CsjJoin::new(eps).with_window(10).run(&tree).total_bytes(width) as f64);
+        ssj_bytes.push(join(eps, ParallelAlgo::Ssj, &tree).total_bytes(width) as f64);
+        csj_bytes.push(join(eps, ParallelAlgo::Csj(10), &tree).total_bytes(width) as f64);
     }
     let ssj_growth = ssj_bytes[2] / ssj_bytes[0];
     let csj_growth = csj_bytes[2] / csj_bytes[0];
@@ -108,7 +111,7 @@ fn trend_window_size_sweet_spot() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
     let width = 4;
     let eps = 0.1;
-    let bytes = |g: usize| CsjJoin::new(eps).with_window(g).run(&tree).total_bytes(width) as f64;
+    let bytes = |g: usize| join(eps, ParallelAlgo::Csj(g), &tree).total_bytes(width) as f64;
     let (b1, b10, b100) = (bytes(1), bytes(10), bytes(100));
     assert!(b10 < b1, "g=10 must improve on g=1 ({b10} vs {b1})");
     let gain_1_to_10 = b1 - b10;
@@ -127,13 +130,14 @@ fn trend_page_accesses_similar_across_algorithms() {
     let pts = mg_profile(4_000);
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
     let eps = 0.1;
-    let logs: Vec<Vec<u32>> = [
-        SsjJoin::new(eps).with_access_log().run(&tree).stats.access_log.unwrap(),
-        NcsjJoin::new(eps).with_access_log().run(&tree).stats.access_log.unwrap(),
-        CsjJoin::new(eps).with_window(10).with_access_log().run(&tree).stats.access_log.unwrap(),
-    ]
-    .into_iter()
-    .collect();
+    let cfg = JoinConfig::new(eps).with_access_log();
+    let logs: Vec<Vec<u32>> = [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)]
+        .into_iter()
+        .map(|algo| {
+            let out = ResilientJoin::with_config(cfg, algo).run(&tree).expect("in memory");
+            out.stats.access_log.unwrap()
+        })
+        .collect();
 
     for cap in [16usize, 128] {
         let misses: Vec<u64> = logs
@@ -169,18 +173,18 @@ fn trend_index_independence() {
 
     let t = RTree::from_points(&pts, RTreeConfig::default().with_split(SplitStrategy::Linear));
     ratios.push(ratio(
-        SsjJoin::new(eps).run(&t).total_bytes(width),
-        CsjJoin::new(eps).with_window(10).run(&t).total_bytes(width),
+        join(eps, ParallelAlgo::Ssj, &t).total_bytes(width),
+        join(eps, ParallelAlgo::Csj(10), &t).total_bytes(width),
     ));
     let t = RStarTree::from_points(&pts, RTreeConfig::default());
     ratios.push(ratio(
-        SsjJoin::new(eps).run(&t).total_bytes(width),
-        CsjJoin::new(eps).with_window(10).run(&t).total_bytes(width),
+        join(eps, ParallelAlgo::Ssj, &t).total_bytes(width),
+        join(eps, ParallelAlgo::Csj(10), &t).total_bytes(width),
     ));
     let t = MTree::from_points(&pts, MTreeConfig::default());
     ratios.push(ratio(
-        SsjJoin::new(eps).run(&t).total_bytes(width),
-        CsjJoin::new(eps).with_window(10).run(&t).total_bytes(width),
+        join(eps, ParallelAlgo::Ssj, &t).total_bytes(width),
+        join(eps, ParallelAlgo::Csj(10), &t).total_bytes(width),
     ));
 
     let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -197,9 +201,9 @@ fn trend_distance_computations_ordered() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
     for i in [0, 3, 6, 8] {
         let eps = (2.0_f64).powi(-9 + i);
-        let ssj = SsjJoin::new(eps).run(&tree).stats.distance_computations;
-        let ncsj = NcsjJoin::new(eps).run(&tree).stats.distance_computations;
-        let csj = CsjJoin::new(eps).with_window(10).run(&tree).stats.distance_computations;
+        let ssj = join(eps, ParallelAlgo::Ssj, &tree).stats.distance_computations;
+        let ncsj = join(eps, ParallelAlgo::Ncsj, &tree).stats.distance_computations;
+        let csj = join(eps, ParallelAlgo::Csj(10), &tree).stats.distance_computations;
         assert!(ncsj <= ssj, "eps exponent {i}");
         assert!(csj <= ssj, "eps exponent {i}");
     }

@@ -2,15 +2,27 @@
 //! dataset profiles (scaled down) × an ε sweep must represent exactly the
 //! brute-force link set, with every group obeying the diameter bound.
 
-use csj_core::csj::{CsjJoin, GroupShapeKind};
 use csj_core::egrid::GridJoin;
-use csj_core::ncsj::NcsjJoin;
-use csj_core::ssj::SsjJoin;
 use csj_core::verify::verify_lossless;
+use csj_core::{GroupShapeKind, JoinConfig, JoinOutput, ParallelAlgo, ResilientJoin};
 use csj_geom::{Metric, Point};
 use csj_index::mtree::{MTree, MTreeConfig};
 use csj_index::quadtree::{QuadTree, QuadTreeConfig};
-use csj_index::{rstar::RStarTree, rtree::RTree, RTreeConfig, SplitStrategy};
+use csj_index::{rstar::RStarTree, rtree::RTree, JoinIndex, RTreeConfig, SplitStrategy};
+
+/// Runs `algo` under `cfg` on the sequential runner.
+fn run<T: JoinIndex<D>, const D: usize>(
+    cfg: JoinConfig,
+    algo: ParallelAlgo,
+    tree: &T,
+) -> JoinOutput {
+    ResilientJoin::with_config(cfg, algo).run(tree).expect("in-memory run cannot fail")
+}
+
+/// Runs `algo` at range `eps` with default settings.
+fn join<T: JoinIndex<D>, const D: usize>(eps: f64, algo: ParallelAlgo, tree: &T) -> JoinOutput {
+    run(JoinConfig::new(eps), algo, tree)
+}
 
 fn mg_profile(n: usize) -> Vec<Point<2>> {
     csj_data::roads::road_network(&csj_data::roads::RoadConfig {
@@ -40,10 +52,10 @@ fn all_algorithms_all_rect_indexes_2d() {
         macro_rules! check {
             ($tree:expr, $label:literal) => {
                 for out in [
-                    SsjJoin::new(eps).run($tree),
-                    NcsjJoin::new(eps).run($tree),
-                    CsjJoin::new(eps).with_window(10).run($tree),
-                    CsjJoin::new(eps).with_window(1).run($tree),
+                    join(eps, ParallelAlgo::Ssj, $tree),
+                    join(eps, ParallelAlgo::Ncsj, $tree),
+                    join(eps, ParallelAlgo::Csj(10), $tree),
+                    join(eps, ParallelAlgo::Csj(1), $tree),
                 ] {
                     verify_lossless(&out, &pts, eps, Metric::Euclidean)
                         .unwrap_or_else(|e| panic!("{} eps={eps}: {e}", $label));
@@ -65,9 +77,9 @@ fn all_algorithms_mtree_2d() {
     let tree = MTree::from_points(&pts, MTreeConfig::with_max_fanout(12));
     for eps in [0.01, 0.1] {
         for out in [
-            SsjJoin::new(eps).run(&tree),
-            NcsjJoin::new(eps).run(&tree),
-            CsjJoin::new(eps).with_window(10).run(&tree),
+            join(eps, ParallelAlgo::Ssj, &tree),
+            join(eps, ParallelAlgo::Ncsj, &tree),
+            join(eps, ParallelAlgo::Csj(10), &tree),
         ] {
             verify_lossless(&out, &pts, eps, Metric::Euclidean)
                 .unwrap_or_else(|e| panic!("m-tree eps={eps}: {e}"));
@@ -81,9 +93,9 @@ fn all_algorithms_quadtree_2d() {
     let tree = QuadTree::build(&pts, QuadTreeConfig { capacity: 12, max_depth: 16 });
     for eps in [0.01, 0.1] {
         for out in [
-            SsjJoin::new(eps).run(&tree),
-            NcsjJoin::new(eps).run(&tree),
-            CsjJoin::new(eps).with_window(10).run(&tree),
+            join(eps, ParallelAlgo::Ssj, &tree),
+            join(eps, ParallelAlgo::Ncsj, &tree),
+            join(eps, ParallelAlgo::Csj(10), &tree),
         ] {
             verify_lossless(&out, &pts, eps, Metric::Euclidean)
                 .unwrap_or_else(|e| panic!("quadtree eps={eps}: {e}"));
@@ -97,9 +109,9 @@ fn sierpinski_3d_lossless() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(16));
     for eps in [0.03125, 0.125, 0.5] {
         for out in [
-            SsjJoin::new(eps).run(&tree),
-            NcsjJoin::new(eps).run(&tree),
-            CsjJoin::new(eps).with_window(10).run(&tree),
+            join(eps, ParallelAlgo::Ssj, &tree),
+            join(eps, ParallelAlgo::Ncsj, &tree),
+            join(eps, ParallelAlgo::Csj(10), &tree),
         ] {
             verify_lossless(&out, &pts, eps, Metric::Euclidean)
                 .unwrap_or_else(|e| panic!("sierpinski eps={eps}: {e}"));
@@ -112,7 +124,7 @@ fn grid_join_and_tree_join_agree() {
     let pts = mg_profile(1_200);
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(16));
     for eps in [0.01, 0.05] {
-        let tree_out = CsjJoin::new(eps).with_window(10).run(&tree);
+        let tree_out = join(eps, ParallelAlgo::Csj(10), &tree);
         let grid_out = GridJoin::new(eps).with_window(10).run(&pts);
         assert_eq!(tree_out.expanded_link_set(), grid_out.expanded_link_set(), "eps={eps}");
     }
@@ -124,7 +136,8 @@ fn ball_groups_lossless_under_all_metrics() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12));
     for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
         let eps = 0.05;
-        let out = CsjJoin::new(eps).with_metric(metric).with_shape(GroupShapeKind::Ball).run(&tree);
+        let cfg = JoinConfig::new(eps).with_metric(metric).with_group_shape(GroupShapeKind::Ball);
+        let out = run(cfg, ParallelAlgo::Csj(10), &tree);
         verify_lossless(&out, &pts, eps, metric).unwrap_or_else(|e| panic!("{metric:?}: {e}"));
     }
 }
@@ -135,11 +148,8 @@ fn non_euclidean_metrics_lossless() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12));
     for metric in [Metric::Manhattan, Metric::Chebyshev, Metric::Minkowski(3.0)] {
         for eps in [0.02, 0.2] {
-            for out in [
-                SsjJoin::new(eps).with_metric(metric).run(&tree),
-                NcsjJoin::new(eps).with_metric(metric).run(&tree),
-                CsjJoin::new(eps).with_metric(metric).with_window(10).run(&tree),
-            ] {
+            for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+                let out = run(JoinConfig::new(eps).with_metric(metric), algo, &tree);
                 verify_lossless(&out, &pts, eps, metric)
                     .unwrap_or_else(|e| panic!("{metric:?} eps={eps}: {e}"));
             }
@@ -168,9 +178,9 @@ fn high_dimensional_join_is_lossless() {
     // In 6-D, eps must be sizable for any pairs to qualify.
     for eps in [0.4, 0.8] {
         for out in [
-            SsjJoin::new(eps).run(&tree),
-            NcsjJoin::new(eps).run(&tree),
-            CsjJoin::new(eps).with_window(10).run(&tree),
+            join(eps, ParallelAlgo::Ssj, &tree),
+            join(eps, ParallelAlgo::Ncsj, &tree),
+            join(eps, ParallelAlgo::Csj(10), &tree),
         ] {
             verify_lossless(&out, &pts, eps, Metric::Euclidean)
                 .unwrap_or_else(|e| panic!("6-d eps={eps}: {e}"));

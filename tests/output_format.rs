@@ -4,10 +4,7 @@
 use std::collections::BTreeSet;
 
 use csj_core::brute::brute_force_links;
-use csj_core::csj::CsjJoin;
-use csj_core::ncsj::NcsjJoin;
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
-use csj_core::ssj::SsjJoin;
 use csj_core::ResilientJoin;
 use csj_index::{rstar::RStarTree, RTreeConfig};
 use csj_storage::{FileSink, OutputSink, OutputWriter, VecSink};
@@ -47,17 +44,11 @@ fn text_roundtrip_all_algorithms() {
     let truth = brute_force_links(&pts, eps);
     let width = 3;
 
-    let mut w = OutputWriter::new(VecSink::new(), width);
-    SsjJoin::new(eps).run_streaming(&tree, &mut w).expect("vec sink cannot fail");
-    assert_eq!(parse_link_set(w.sink().as_str()), truth, "ssj");
-
-    let mut w = OutputWriter::new(VecSink::new(), width);
-    NcsjJoin::new(eps).run_streaming(&tree, &mut w).expect("vec sink cannot fail");
-    assert_eq!(parse_link_set(w.sink().as_str()), truth, "ncsj");
-
-    let mut w = OutputWriter::new(VecSink::new(), width);
-    CsjJoin::new(eps).with_window(10).run_streaming(&tree, &mut w).expect("vec sink cannot fail");
-    assert_eq!(parse_link_set(w.sink().as_str()), truth, "csj");
+    for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
+        let mut w = OutputWriter::new(VecSink::new(), width);
+        ResilientJoin::new(eps, algo).run_streaming(&tree, &mut w).expect("vec sink cannot fail");
+        assert_eq!(parse_link_set(w.sink().as_str()), truth, "{algo:?}");
+    }
 }
 
 #[test]
@@ -66,10 +57,10 @@ fn file_bytes_equal_counted_bytes() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12));
     let eps = 0.04;
     let width = 3;
-    let join = CsjJoin::new(eps).with_window(10);
+    let join = ResilientJoin::new(eps, ParallelAlgo::Csj(10));
 
     // Collected accounting.
-    let collected = join.run(&tree);
+    let collected = join.run(&tree).expect("in-memory run cannot fail");
     let expected_bytes = collected.total_bytes(width);
 
     // Real file.
@@ -89,9 +80,9 @@ fn streamed_and_collected_rows_are_identical() {
     let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12));
     let eps = 0.06;
     let width = 3;
-    let join = CsjJoin::new(eps).with_window(7);
+    let join = ResilientJoin::new(eps, ParallelAlgo::Csj(7));
 
-    let collected = join.run(&tree);
+    let collected = join.run(&tree).expect("in-memory run cannot fail");
     let mut from_collected = OutputWriter::new(VecSink::new(), width);
     collected.write_to(&mut from_collected).expect("vec sink cannot fail");
 
@@ -162,8 +153,9 @@ fn dataset_export_import_roundtrip() {
     // Joins over the re-imported data give identical results.
     let t1 = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
     let t2 = RStarTree::bulk_load_str(&back, RTreeConfig::default());
-    let o1 = CsjJoin::new(0.03).run(&t1);
-    let o2 = CsjJoin::new(0.03).run(&t2);
+    let join = ResilientJoin::new(0.03, ParallelAlgo::Csj(10));
+    let o1 = join.run(&t1).expect("in-memory run cannot fail");
+    let o2 = join.run(&t2).expect("in-memory run cannot fail");
     assert_eq!(o1.expanded_link_set(), o2.expanded_link_set());
 }
 

@@ -1,10 +1,14 @@
 //! The paper's worked examples, reproduced exactly.
 
-use csj_core::csj::CsjJoin;
 use csj_core::output::OutputItem;
-use csj_core::ssj::SsjJoin;
+use csj_core::{JoinOutput, ParallelAlgo, ResilientJoin};
 use csj_geom::Point;
-use csj_index::{rstar::RStarTree, RTreeConfig};
+use csj_index::{rstar::RStarTree, JoinIndex, RTreeConfig};
+
+/// Runs `algo` at range `eps` on the sequential runner.
+fn join<T: JoinIndex<D>, const D: usize>(eps: f64, algo: ParallelAlgo, tree: &T) -> JoinOutput {
+    ResilientJoin::new(eps, algo).run(tree).expect("in-memory run cannot fail")
+}
 
 /// §III, Figure 2: integers 1..5 on the real line with ε = 3. The
 /// standard join returns 9 links; an optimal compact representation has
@@ -16,10 +20,10 @@ fn figure2_integer_line() {
     let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(4));
     let eps = 3.0;
 
-    let ssj = SsjJoin::new(eps).run(&tree);
+    let ssj = join(eps, ParallelAlgo::Ssj, &tree);
     assert_eq!(ssj.num_links(), 9, "standard join returns 9 pairs");
 
-    let csj = CsjJoin::new(eps).with_window(10).run(&tree);
+    let csj = join(eps, ParallelAlgo::Csj(10), &tree);
     assert_eq!(csj.expanded_link_set(), ssj.expanded_link_set());
     assert!(
         csj.items.len() <= 5,
@@ -48,9 +52,9 @@ fn figure1_dense_clique_collapses() {
         .collect();
     let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(32));
     let eps = 0.01;
-    let ssj = SsjJoin::new(eps).run(&tree);
+    let ssj = join(eps, ParallelAlgo::Ssj, &tree);
     assert_eq!(ssj.num_links() as u32, k * (k - 1) / 2);
-    let csj = CsjJoin::new(eps).run(&tree);
+    let csj = join(eps, ParallelAlgo::Csj(10), &tree);
     assert_eq!(csj.items.len(), 1, "one group for the clique");
     match csj.items.get(0) {
         Some(OutputItem::Group(ids)) => assert_eq!(ids.len() as u32, k),
@@ -124,7 +128,7 @@ fn chain_at_exact_epsilon_boundaries() {
     let eps = 0.1;
     let pts: Vec<Point<2>> = (0..20).map(|i| Point::new([i as f64 * eps, 0.0])).collect();
     let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(4));
-    let out = CsjJoin::new(eps).with_window(10).run(&tree);
+    let out = join(eps, ParallelAlgo::Csj(10), &tree);
     let expanded = out.expanded_link_set();
     // Floating point makes some adjacent gaps land a hair above 0.1, so
     // compare against the exact fp ground truth rather than "all 19" —

@@ -1,8 +1,7 @@
 //! Persistence end-to-end: a join over a saved-and-reloaded index is
 //! byte-identical to a join over the original.
 
-use csj_core::csj::CsjJoin;
-use csj_core::ssj::SsjJoin;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, JoinIndex, RTreeConfig};
 use csj_storage::{OutputWriter, VecSink};
 
@@ -27,26 +26,18 @@ fn join_over_reloaded_index_is_byte_identical() {
     assert_eq!(loaded.num_records(), tree.num_records());
 
     for eps in [0.005, 0.05] {
-        let mut a = OutputWriter::new(VecSink::new(), 4);
-        let mut b = OutputWriter::new(VecSink::new(), 4);
-        CsjJoin::new(eps)
-            .with_window(10)
-            .run_streaming(&tree, &mut a)
-            .expect("vec sink cannot fail");
-        CsjJoin::new(eps)
-            .with_window(10)
-            .run_streaming(&loaded, &mut b)
-            .expect("vec sink cannot fail");
-        assert_eq!(
-            a.sink().as_str(),
-            b.sink().as_str(),
-            "eps={eps}: joins over original and reloaded trees must match"
-        );
-        let mut a = OutputWriter::new(VecSink::new(), 4);
-        let mut b = OutputWriter::new(VecSink::new(), 4);
-        SsjJoin::new(eps).run_streaming(&tree, &mut a).expect("vec sink cannot fail");
-        SsjJoin::new(eps).run_streaming(&loaded, &mut b).expect("vec sink cannot fail");
-        assert_eq!(a.sink().as_str(), b.sink().as_str(), "eps={eps} (ssj)");
+        for algo in [ParallelAlgo::Csj(10), ParallelAlgo::Ssj] {
+            let join = ResilientJoin::new(eps, algo);
+            let mut a = OutputWriter::new(VecSink::new(), 4);
+            let mut b = OutputWriter::new(VecSink::new(), 4);
+            join.run_streaming(&tree, &mut a).expect("vec sink cannot fail");
+            join.run_streaming(&loaded, &mut b).expect("vec sink cannot fail");
+            assert_eq!(
+                a.sink().as_str(),
+                b.sink().as_str(),
+                "eps={eps} {algo:?}: joins over original and reloaded trees must match"
+            );
+        }
     }
 }
 

@@ -1,17 +1,19 @@
 //! Cross-crate property tests: random data through the whole pipeline.
 
 use csj_core::brute::{brute_force_cross_links, brute_force_links_metric};
-use csj_core::csj::{CsjJoin, GroupShapeKind};
 use csj_core::egrid::GridJoin;
-use csj_core::ncsj::NcsjJoin;
-use csj_core::parallel::ParallelAlgo;
 use csj_core::spatial::SpatialJoin;
-use csj_core::ssj::SsjJoin;
 use csj_core::verify::verify_lossless;
+use csj_core::{GroupShapeKind, JoinConfig, JoinOutput, ParallelAlgo, ResilientJoin};
 use csj_geom::{Metric, Point};
 use csj_index::mtree::{MTree, MTreeConfig};
-use csj_index::{rstar::RStarTree, rtree::RTree, RTreeConfig, SplitStrategy};
+use csj_index::{rstar::RStarTree, rtree::RTree, JoinIndex, RTreeConfig, SplitStrategy};
 use proptest::prelude::*;
+
+/// Runs `algo` at range `eps` on the sequential runner.
+fn join<T: JoinIndex<D>, const D: usize>(eps: f64, algo: ParallelAlgo, tree: &T) -> JoinOutput {
+    ResilientJoin::new(eps, algo).run(tree).expect("in-memory run cannot fail")
+}
 
 fn arb_points_2d(max: usize) -> impl Strategy<Value = Vec<Point<2>>> {
     prop::collection::vec(prop::array::uniform2(0.0f64..1.0), 0..max)
@@ -37,15 +39,18 @@ proptest! {
         let rtree = RTree::from_points(&pts, cfg.with_split(SplitStrategy::Linear));
         let mtree = MTree::from_points(&pts, MTreeConfig::with_max_fanout(fanout).with_metric(metric));
 
+        let join_cfg = JoinConfig::new(eps).with_metric(metric);
+        let ball = join_cfg.with_group_shape(GroupShapeKind::Ball);
+        let runs = [
+            (join_cfg, ParallelAlgo::Ssj),
+            (join_cfg, ParallelAlgo::Ncsj),
+            (join_cfg, ParallelAlgo::Csj(g)),
+            (ball, ParallelAlgo::Csj(g)),
+        ];
         macro_rules! verify_all {
             ($tree:expr) => {
-                for out in [
-                    SsjJoin::new(eps).with_metric(metric).run($tree),
-                    NcsjJoin::new(eps).with_metric(metric).run($tree),
-                    CsjJoin::new(eps).with_metric(metric).with_window(g).run($tree),
-                    CsjJoin::new(eps).with_metric(metric).with_window(g)
-                        .with_shape(GroupShapeKind::Ball).run($tree),
-                ] {
+                for (cfg, algo) in runs {
+                    let out = ResilientJoin::with_config(cfg, algo).run($tree).expect("in memory");
                     prop_assert!(verify_lossless(&out, &pts, eps, metric).is_ok());
                 }
             };
@@ -65,7 +70,7 @@ proptest! {
         let grid = GridJoin::new(eps).with_window(10).run(&pts);
         prop_assert_eq!(grid.expanded_link_set(), truth.clone());
         let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(6));
-        let out = CsjJoin::new(eps).with_window(10).run(&tree);
+        let out = join(eps, ParallelAlgo::Csj(10), &tree);
         prop_assert_eq!(out.expanded_link_set(), truth);
     }
 
@@ -93,8 +98,8 @@ proptest! {
         eps in 0.01f64..0.5,
     ) {
         let tree = RStarTree::from_points(&pts, RTreeConfig::with_max_fanout(6));
-        let ssj = SsjJoin::new(eps).run(&tree);
-        let csj = CsjJoin::new(eps).with_window(10).run(&tree);
+        let ssj = join(eps, ParallelAlgo::Ssj, &tree);
+        let csj = join(eps, ParallelAlgo::Csj(10), &tree);
         let width = 3;
         let per_item: u64 = csj.items.iter().map(|i| i.format_bytes(width)).sum();
         prop_assert_eq!(csj.total_bytes(width), per_item);
