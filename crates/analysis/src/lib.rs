@@ -2,9 +2,9 @@
 //! compact-similarity-joins workspace (bin: `csj-lint`).
 //!
 //! The join engine's hardest guarantees are *conventions*: the
-//! work-stealing scheduler's atomic-ordering choices, the bit-identical
+//! parallel join's atomic-ordering choices, the bit-identical
 //! float comparisons shared by the scalar and batched distance kernels,
-//! and the task-key-ordered merge that keeps parallel output identical
+//! and the task-key-ordered commit that keeps parallel output identical
 //! at any thread count (DESIGN.md §7a, §8). This crate turns those
 //! conventions into machine-checked rules:
 //!

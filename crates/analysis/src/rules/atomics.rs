@@ -15,15 +15,14 @@ annotation: it is the conservative default, and the rule exists to
 make *departures* from it auditable. `std::cmp::Ordering` variants
 (Less/Equal/Greater) never match.
 
-The work-stealing scheduler's correctness argument (DESIGN.md §7a)
-distinguishes advisory atomics (starvation and pool-length hints,
-where staleness only delays a heuristic) from load-bearing ones
-(pending-task counts that gate termination). The annotation states
-which side of that line a use sits on:
+The parallel join's correctness argument (DESIGN.md §9) distinguishes
+atomics that carry no data (a claim cursor, an advisory stop flag,
+where staleness only costs one wasted task) from edges that publish
+data (the slot mutex). The annotation states which side of that line
+a use sits on:
 
-    // ORDERING: advisory starvation hint; a stale read only delays a
-    // re-split, termination is gated by `pending` (SeqCst)
-    let starving = shared.starving.load(Ordering::Relaxed);
+    // ORDERING: a claim counter; the RMW alone makes claims unique.
+    let i = self.next.fetch_add(1, Ordering::Relaxed);
 
 An empty justification (`// ORDERING:` with nothing after it) does not
 count.";

@@ -13,7 +13,7 @@ merged in task-key order, and nothing on the emission path may depend
 on timing or randomness. This rule machine-enforces that for the
 modules carrying the guarantee:
 
-    crates/core/src/parallel/**   (work-stealing scheduler)
+    crates/core/src/parallel/**   (ordered task stream)
     crates/core/src/group.rs      (group/window output shaping)
 
 Flagged constructs, outside test regions: `Instant::now`,

@@ -13,8 +13,8 @@ and outside test regions. Other crates are not in scope: only csj-core
 is model-checked, and only what flows through the facade is visible to
 the checker.
 
-The model checker (csj-model, DESIGN.md §9) verifies the work-stealing
-scheduler by swapping the facade's re-exports for instrumented shims
+The model checker (csj-model, DESIGN.md §9) verifies the parallel
+join's task handoff by swapping the facade's re-exports for instrumented shims
 under `--cfg csj_model`. A direct `std::sync::atomic::AtomicUsize` or
 `std::sync::Mutex` bypasses that swap: the code still compiles, still
 runs, and silently falls out of every interleaving the checker

@@ -1,9 +1,8 @@
 //! Reproducible performance baseline for the parallel join stack.
 //!
 //! Runs {uniform, skewed-cluster, sierpinski} × {SSJ, N-CSJ, CSJ(10)} ×
-//! {1, N threads} through the work-stealing [`ParallelJoin`] and
-//! microbenchmarks the batched distance kernel against a scalar probe
-//! loop. Results land in `BENCH_parallel.json` (see DESIGN.md for the
+//! {1, 2, N threads} through [`ParallelJoin`] and microbenchmarks the
+//! batched distance kernel against a scalar probe loop. Results land in `BENCH_parallel.json` (see DESIGN.md for the
 //! field reference).
 //!
 //! ```text
@@ -17,7 +16,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use csj_bench::datasets::{skewed_cluster, Lcg};
-use csj_bench::harness::{median_time_ms, rustc_version, time_stats_ms, TimeStats};
+use csj_bench::harness::{algo_name, median_time_ms, rustc_version, time_stats_ms, TimeStats};
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
 use csj_geom::{DistKernel, KernelPath, Metric, Point, RecordId, SoaBuffer};
 use csj_index::{rstar::RStarTree, LeafEntry, RTreeConfig};
@@ -120,16 +119,6 @@ struct RunRow {
     speedup_vs_sequential: f64,
     threads_used: u64,
     tasks_executed: u64,
-    tasks_stolen: u64,
-    tasks_split: u64,
-}
-
-fn algo_name(algo: ParallelAlgo) -> String {
-    match algo {
-        ParallelAlgo::Ssj => "SSJ".to_string(),
-        ParallelAlgo::Ncsj => "N-CSJ".to_string(),
-        ParallelAlgo::Csj(g) => format!("CSJ({g})"),
-    }
 }
 
 fn measure_grid(w: &Workload, iters: usize, max_threads: usize) -> Vec<RunRow> {
@@ -137,7 +126,10 @@ fn measure_grid(w: &Workload, iters: usize, max_threads: usize) -> Vec<RunRow> {
     let mut rows = Vec::new();
     for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
         let mut sequential_ms = f64::NAN;
-        for threads in [1, max_threads] {
+        let mut legs = vec![1, 2, max_threads];
+        legs.sort_unstable();
+        legs.dedup();
+        for threads in legs {
             let join = ParallelJoin::new(w.eps, algo).with_threads(threads);
             let out = join.run(&tree);
             let wall = time_stats_ms(iters, || {
@@ -156,20 +148,16 @@ fn measure_grid(w: &Workload, iters: usize, max_threads: usize) -> Vec<RunRow> {
                 speedup_vs_sequential: sequential_ms / wall.median_ms,
                 threads_used: out.stats.threads_used,
                 tasks_executed: out.stats.tasks_executed,
-                tasks_stolen: out.stats.tasks_stolen,
-                tasks_split: out.stats.tasks_split,
             });
             eprintln!(
                 "# {:<15} {:<8} threads={threads}: {:.1} ms median ({:.1}..{:.1}), {links} links, \
-                 {} tasks ({} stolen, {} split)",
+                 {} tasks",
                 w.name,
                 rows.last().expect("just pushed").algo,
                 wall.median_ms,
                 wall.min_ms,
                 wall.max_ms,
                 out.stats.tasks_executed,
-                out.stats.tasks_stolen,
-                out.stats.tasks_split,
             );
         }
     }
@@ -233,7 +221,7 @@ fn push_row(json: &mut String, row: &RunRow, last: bool) {
         "      {{\"algo\": \"{}\", \"threads\": {}, \"wall_ms_min\": {:.3}, \
          \"wall_ms_median\": {:.3}, \"wall_ms_max\": {:.3}, \"links\": {}, \
          \"links_per_sec\": {:.1}, \"speedup_vs_sequential\": {:.3}, \"threads_used\": {}, \
-         \"tasks_executed\": {}, \"tasks_stolen\": {}, \"tasks_split\": {}}}{}",
+         \"tasks_executed\": {}}}{}",
         row.algo,
         row.threads,
         row.wall.min_ms,
@@ -244,8 +232,6 @@ fn push_row(json: &mut String, row: &RunRow, last: bool) {
         row.speedup_vs_sequential,
         row.threads_used,
         row.tasks_executed,
-        row.tasks_stolen,
-        row.tasks_split,
         if last { "" } else { "," },
     );
 }

@@ -7,8 +7,7 @@
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use csj_core::parallel::ParallelAlgo;
-use csj_core::resilient::ResilientReport;
+use csj_core::parallel::{ParallelAlgo, ParallelJoin};
 use csj_core::verify::verify_lossless;
 use csj_core::{Completion, JoinConfig, ResilientJoin, RunBudget};
 use csj_data::fractal;
@@ -471,38 +470,30 @@ fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
 ) -> Result<(), CliError> {
     let cfg = JoinConfig::new(eps).with_metric(metric);
 
-    // With --threads, the work-stealing runner collects rows (its tasks
-    // complete out of order, so the deterministic merge happens in
-    // memory) and the writer drains them afterwards. Without it, the
-    // sequential resilient runner streams rows in constant memory.
+    // Both runners stream rows into the writer as they commit: the
+    // sequential task loop, or with --threads the ordered task stream,
+    // which writes the same bytes.
     let start = Instant::now();
-    let (report, bytes) = match threads {
+    let mut writer = OutputWriter::new(Out::open(out)?, width);
+    let report = match threads {
         Some(n) => {
-            let join = csj_core::parallel::ParallelJoin::with_config(cfg, algo)
+            let report = ParallelJoin::with_config(cfg, algo)
                 .with_threads(n)
                 .with_budget(budget)
-                .with_id_width(width);
-            let output = join.run(tree);
-            let mut writer = OutputWriter::new(Out::open(out)?, width);
-            output.write_to(&mut writer)?;
-            let bytes = writer.finish()?.bytes_written();
+                .with_id_width(width)
+                .run_streaming(tree, &mut writer)?;
             eprintln!(
-                "scheduler: {} threads, {} tasks ({} stolen, {} split)",
-                output.stats.threads_used,
-                output.stats.tasks_executed,
-                output.stats.tasks_stolen,
-                output.stats.tasks_split
+                "scheduler: {} threads, {} tasks",
+                report.stats.threads_used, report.stats.tasks_executed
             );
-            (ResilientReport { stats: output.stats, completion: output.completion }, bytes)
+            report
         }
-        None => {
-            let join =
-                ResilientJoin::with_config(cfg, algo).with_budget(budget).with_id_width(width);
-            let mut writer = OutputWriter::new(Out::open(out)?, width);
-            let report = join.run_streaming(tree, &mut writer)?;
-            (report, writer.finish()?.bytes_written())
-        }
+        None => ResilientJoin::with_config(cfg, algo)
+            .with_budget(budget)
+            .with_id_width(width)
+            .run_streaming(tree, &mut writer)?,
     };
+    let bytes = writer.finish()?.bytes_written();
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     let name = match algo {
         ParallelAlgo::Ssj => "ssj",
@@ -521,7 +512,7 @@ fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
         report.completion
     {
         eprintln!(
-            "partial result: {reason} after {:.1}% of root tasks; output above is lossless \
+            "partial result: {reason} after {:.1}% of its tasks; output above is lossless \
              over the processed region; extrapolated totals ≈ {estimated_links:.0} links, \
              {estimated_bytes:.0} bytes",
             completed_fraction * 100.0

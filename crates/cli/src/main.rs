@@ -91,8 +91,8 @@ commands:
       pages in <dir>/tree.pages and the join touches at most
       --buffer-pages (default 256) resident nodes plus 32 pages of
       read-ahead; rows are bit-identical to the in-memory join.
-      --threads runs the work-stealing parallel join (auto = one worker
-      per core); output rows are deterministic regardless of thread count.
+      --threads runs the parallel join (auto = one worker per core); it
+      writes the same bytes as the sequential join at any thread count.
       budget flags stop the run early at a task boundary: output stays a
       lossless join over the processed region and stderr reports the
       completed fraction plus extrapolated totals (partial results exit 0)

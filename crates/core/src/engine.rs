@@ -118,8 +118,15 @@ pub trait LinkHandler<const D: usize> {
         stats: &mut JoinStats,
     ) -> Result<(), CsjError>;
 
-    /// Flushes any buffered state at the end of the join.
-    fn finish<R: RowSink>(&mut self, sink: &mut R, stats: &mut JoinStats) -> Result<(), CsjError>;
+    /// Flushes any buffered state at the end of the join (a handler that
+    /// buffers nothing keeps this default).
+    fn finish<R: RowSink>(
+        &mut self,
+        _sink: &mut R,
+        _stats: &mut JoinStats,
+    ) -> Result<(), CsjError> {
+        Ok(())
+    }
 }
 
 /// Emits a finalized group row: suppresses single-member rows (they
@@ -170,14 +177,6 @@ impl<const D: usize> LinkHandler<D> for DirectEmit {
         stats: &mut JoinStats,
     ) -> Result<(), CsjError> {
         emit_group_row(sink, stats, &ids)
-    }
-
-    fn finish<R: RowSink>(
-        &mut self,
-        _sink: &mut R,
-        _stats: &mut JoinStats,
-    ) -> Result<(), CsjError> {
-        Ok(())
     }
 }
 
@@ -685,7 +684,7 @@ pub struct Engine<S: NodeSource<D>, H, R, const D: usize> {
     steps: Vec<Step<S::Node>>,
     cfg: JoinConfig,
     early_stop: bool,
-    handler: H,
+    pub(crate) handler: H,
     cancel: Option<CancelToken>,
     stopped: Option<StopReason>,
     /// The row sink (public so callers can recover collected rows).
@@ -705,7 +704,7 @@ where
     pub fn new(mut source: S, cfg: JoinConfig, early_stop: bool, handler: H, sink: R) -> Self {
         source.expand_with(Expander::new(cfg, early_stop));
         // One engine is one thread of execution; the parallel runner
-        // overwrites this with the real worker count after merging.
+        // overwrites this with its worker count.
         let stats = JoinStats { threads_used: 1, ..JoinStats::new(cfg.record_access_log) };
         Engine {
             source,

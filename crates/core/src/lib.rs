@@ -10,7 +10,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`engine`] | the one Figure-3 recursion, over any node source |
-//! | [`parallel`] | [`ParallelAlgo`] (SSJ, N-CSJ, CSJ(g)) and the work-stealing runner |
+//! | [`parallel`] | [`ParallelAlgo`] (SSJ, N-CSJ, CSJ(g)) and the ordered-task-stream runner |
 //! | [`resilient`] | the sequential runner: budgets, cancel, SSJ estimates |
 //! | [`spatial`] | dual-tree (two-dataset) variants of all three, on the engine |
 //! | [`egrid`] | ε-grid-order join (index-free) + its compact extension |
@@ -23,10 +23,10 @@
 //! | [`stats`] | operation counters and access logs |
 //!
 //! The three self-joins are one runner with a switch: [`ResilientJoin`]
-//! (sequential) or [`parallel::ParallelJoin`] (work-stealing) running a
-//! [`ParallelAlgo`]. The joins are generic over [`csj_index::JoinIndex`],
-//! so they run unchanged on the R-tree, R*-tree and M-tree (the paper's
-//! Experiment 4).
+//! (sequential) or [`parallel::ParallelJoin`] (the same bytes from
+//! worker threads) running a [`ParallelAlgo`]. The joins are generic
+//! over [`csj_index::JoinIndex`], so they run unchanged on the R-tree,
+//! R*-tree and M-tree (the paper's Experiment 4).
 //!
 //! # Example
 //!
@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+mod algo;
 pub mod brute;
 pub mod budget;
 pub mod egrid;
@@ -69,11 +70,11 @@ pub mod stats;
 pub mod sync;
 pub mod verify;
 
+pub use algo::ParallelAlgo;
 pub use budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 pub use error::{CsjError, ShardError};
 pub use group::GroupShapeKind;
 pub use output::{JoinOutput, OutputItem, Rows};
-pub use parallel::ParallelAlgo;
 pub use resilient::ResilientJoin;
 pub use stats::JoinStats;
 

@@ -50,7 +50,7 @@ use crate::output::JoinOutput;
 use crate::parallel::ParallelAlgo;
 use crate::resilient::ResilientJoin;
 use crate::stats::JoinStats;
-use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
+use crate::sync::{lock, wait, Arc, Condvar, Mutex};
 use crate::JoinConfig;
 
 /// Reader threads serving the read-ahead window, each with its own
@@ -64,23 +64,6 @@ const READERS: usize = 4;
 /// known yet, and within a hint it marks where the frame's listed reads
 /// end and a frame of its own, not known yet, begins.
 const HINT: u64 = 1 << 63;
-
-/// Locks a facade mutex, recovering from poisoning (the state is plain
-/// page lists, consistent at every unlock).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Blocks on `cv`, recovering from poisoning as [`lock`] does.
-fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    match cv.wait(guard) {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// A finished read-ahead.
 struct Landed {

@@ -131,6 +131,22 @@ impl Rows {
         }
     }
 
+    /// Appends every row of `other`, in order. When the store must grow,
+    /// it grows to its projected final size, taking the rows it will then
+    /// hold as the fraction `share` of the total (and at least doubles).
+    pub(crate) fn append_projected(&mut self, other: &Rows, share: f64) {
+        fn grow<T>(v: &mut Vec<T>, more: usize, share: f64) {
+            let len = v.len() + more;
+            if len > v.capacity() {
+                let want = (len as f64 / share) as usize;
+                v.reserve_exact(want.max(len).max(2 * v.capacity()) - v.len());
+            }
+        }
+        grow(&mut self.ids, other.ids.len(), share);
+        grow(&mut self.ends, other.ends.len(), share);
+        self.append(other);
+    }
+
     /// Appends every row of `other`, in order.
     pub fn append(&mut self, other: &Rows) {
         let base = self.ids.len() as u64;

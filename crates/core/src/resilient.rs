@@ -41,11 +41,11 @@ use std::time::Instant;
 
 use csj_storage::{OutputSink, OutputWriter};
 
+use crate::algo::{ParallelAlgo, WithHandler};
 use crate::budget::{BudgetUsage, CancelToken, Completion, RunBudget, StopReason};
 use crate::engine::{CollectSink, Engine, LinkHandler, NodeSource, RowSink, StreamSink};
 use crate::error::CsjError;
 use crate::output::JoinOutput;
-use crate::parallel::{ParallelAlgo, WithHandler};
 use crate::stats::JoinStats;
 use crate::JoinConfig;
 
@@ -53,16 +53,16 @@ use crate::JoinConfig;
 /// the one sequential runner for SSJ, N-CSJ and CSJ(g) (see
 /// [`ParallelAlgo`]), with an unlimited budget by default.
 ///
-/// Unlike [`crate::parallel::ParallelJoin`], this runner keeps one engine
-/// (and for CSJ one group window) across all tasks, so its output is
-/// identical to the unsplit recursion, [`Engine::run`], when nothing
-/// trips.
+/// It keeps one engine (and for CSJ one group window) across all tasks,
+/// so its output is identical to the unsplit recursion, [`Engine::run`],
+/// when nothing trips. [`crate::parallel::ParallelJoin`] writes the same
+/// bytes from worker threads.
 #[derive(Clone, Debug)]
 pub struct ResilientJoin {
-    cfg: JoinConfig,
-    algo: ParallelAlgo,
+    pub(crate) cfg: JoinConfig,
+    pub(crate) algo: ParallelAlgo,
     budget: RunBudget,
-    cancel: Option<CancelToken>,
+    pub(crate) cancel: Option<CancelToken>,
     id_width: usize,
 }
 
@@ -198,18 +198,29 @@ impl ResilientJoin {
         // Always drain buffered groups: the output must be lossless over
         // the region the traversal actually covered.
         engine.finish_only()?;
-        Ok(match reason {
+        Ok(self.completion(reason, done, tasks.len(), &engine.stats))
+    }
+
+    /// The completion of a run that stopped for `reason`, if any, after
+    /// `done` of `total` tasks, with its estimates scaled from `stats`.
+    pub(crate) fn completion(
+        &self,
+        reason: Option<StopReason>,
+        done: usize,
+        total: usize,
+        stats: &JoinStats,
+    ) -> Completion {
+        match reason {
             None => Completion::Complete,
             Some(r) => {
-                let usage = self.usage_of(&engine.stats);
-                let fraction = done as f64 / tasks.len().max(1) as f64;
-                Completion::partial(r, fraction, usage.links, usage.bytes)
+                let usage = self.usage_of(stats);
+                Completion::partial(r, done as f64 / total.max(1) as f64, usage.links, usage.bytes)
             }
-        })
+        }
     }
 
     /// Cancel and budget checks at a task boundary.
-    fn boundary_check(&self, stats: &JoinStats, start: Instant) -> Option<StopReason> {
+    pub(crate) fn boundary_check(&self, stats: &JoinStats, start: Instant) -> Option<StopReason> {
         if self.cancel.as_ref().is_some_and(CancelToken::is_canceled) {
             return Some(StopReason::Canceled);
         }

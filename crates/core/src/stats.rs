@@ -40,11 +40,16 @@ pub struct JoinStats {
     pub io_retries: u64,
     /// Worker threads the run actually used (1 for sequential joins).
     pub threads_used: u64,
-    /// Tasks executed by the parallel scheduler (0 for sequential joins).
+    /// Tasks the parallel runner committed complete (0 for sequential
+    /// joins).
     pub tasks_executed: u64,
-    /// Tasks a worker stole from another worker's share.
+    /// Always 0: the parallel runner's ordered task stream never steals.
+    /// Kept only because the frozen benchmark reads it; it goes with the
+    /// next benchmark change.
     pub tasks_stolen: u64,
-    /// Oversized tasks split into smaller ones on demand.
+    /// Always 0: the parallel runner never splits a task at run time.
+    /// Kept only because the frozen benchmark reads it; it goes with the
+    /// next benchmark change.
     pub tasks_split: u64,
     /// Sharded runs: shard attempts relaunched after a failure
     /// (worker lost, corrupt frame, timeout, typed worker error).

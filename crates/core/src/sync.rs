@@ -20,10 +20,24 @@
 
 #[cfg(csj_model)]
 pub use csj_model::sync::{atomic, Arc, Condvar, Mutex, MutexGuard};
-#[cfg(csj_model)]
-pub use csj_model::thread::yield_now;
 
 #[cfg(not(csj_model))]
 pub use std::sync::{atomic, Arc, Condvar, Mutex, MutexGuard};
-#[cfg(not(csj_model))]
-pub use std::thread::yield_now;
+
+/// Locks a facade mutex, recovering from poisoning. Every caller keeps
+/// its guarded state consistent at each unlock, so a peer's panic
+/// leaves nothing half-written to refuse.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// Blocks on `cv`, recovering from poisoning as [`lock`] does.
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    match cv.wait(guard) {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}

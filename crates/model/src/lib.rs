@@ -1,5 +1,5 @@
 //! `csj-model` — a dependency-free, loom-style concurrency model
-//! checker for the work-stealing join scheduler.
+//! checker for the parallel join's task handoff.
 //!
 //! The production scheduler (`csj-core`'s `parallel` module) accesses
 //! its shared state through the `csj_core::sync` facade. Built

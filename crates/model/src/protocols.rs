@@ -1,26 +1,29 @@
-//! Model-sized mirrors of the work-stealing scheduler's protocols.
+//! Model-sized mirrors of the join's concurrency protocols.
 //!
 //! These functions re-implement the *protocol skeleton* of
-//! `csj_core::parallel`'s `worker_loop` — the same shared state, the
-//! same operations in the same order, with the same memory orderings —
-//! on top of this crate's instrumented [`crate::sync`] primitives,
-//! with the join work abstracted to leaf-range tasks. `csj-model`
-//! cannot depend on `csj-core` (the facade points the other way), so
-//! the mirror is kept line-for-line reviewable against
+//! `csj_core::parallel`'s ordered task stream (`Stream`, the claim
+//! loop and the committer) — the same shared state, the same
+//! operations in the same order, with the same memory orderings — on
+//! top of this crate's instrumented [`crate::sync`] primitives, with
+//! the join work abstracted to a write per task. `csj-model` cannot
+//! depend on `csj-core` (the facade points the other way), so the
+//! mirror is kept line-for-line reviewable against
 //! `crates/core/src/parallel/mod.rs`; any protocol change there must
 //! be reflected here (DESIGN.md §9 pairs the two).
 //!
-//! Each scenario asserts the scheduler's contract *inside* the model
+//! Each scenario asserts the protocol's contract *inside* the model
 //! closure, so [`crate::check`] refutes it over every interleaving up
 //! to the preemption bound:
 //!
-//! * [`steal_donate_scenario`] — donation/stealing neither duplicates
-//!   nor drops a task; stats counters sum correctly.
-//! * [`quiesce_scenario`] — stop-flag and cancellation quiesce all
-//!   workers with `Partial`-consistent accounting, including cancel
-//!   arriving between a pool pop and task execution (mid-steal).
-//! * [`resplit_scenario`] — starvation-driven re-splitting covers
-//!   exactly the parent's leaves, exactly once.
+//! * [`claim_commit_scenario`] — workers claim task indices from one
+//!   cursor and the committer takes them back strictly in order: every
+//!   index runs once and is committed once, in order, and its result
+//!   reaches the committer through the slot mutex.
+//! * [`quiesce_scenario`] — a cancel racing the claims: the committer
+//!   stops at a task boundary, what it committed is an in-order prefix,
+//!   and every worker quiesces.
+//! * [`shard_retry_quiesce_scenario`] — the shard supervisor's retry
+//!   and cancel race (mirrored from `csj_shard::supervisor`).
 //! * [`prefetch_scenario`] — the out-of-core read-ahead: reader
 //!   threads, window refill, waits on in-flight pages with wake-up on
 //!   failure, and shutdown/join deliver every page's bytes exactly
@@ -37,344 +40,164 @@ use std::sync::PoisonError;
 
 use crate::cell::RaceCell;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::sync::{Arc, Condvar, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 use crate::thread;
 
-/// A task covering the leaf range `lo..=hi`; splittable when it covers
-/// more than one leaf (the stand-in for a subtree join task, whose
-/// children cover exactly the parent's work).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ModelTask {
-    /// First leaf covered.
-    pub lo: u32,
-    /// Last leaf covered (inclusive).
-    pub hi: u32,
-}
-
-impl ModelTask {
-    /// A single-leaf task.
-    pub fn leaf(i: u32) -> Self {
-        ModelTask { lo: i, hi: i }
-    }
-
-    fn splittable(self) -> bool {
-        self.hi > self.lo
-    }
-
-    fn split(self) -> (ModelTask, ModelTask) {
-        let mid = self.lo + (self.hi - self.lo) / 2;
-        (ModelTask { lo: self.lo, hi: mid }, ModelTask { lo: mid + 1, hi: self.hi })
-    }
-}
-
-/// `(owner, task)` — a pool take by a different worker is a steal,
-/// exactly as `TaskItem::owner` in the production scheduler.
-pub type PoolItem = (usize, ModelTask);
-
-/// Mirror of `csj_core::parallel`'s `Shared`: same fields, same
-/// orderings. Stats counters and the advisory `pool_len`/`starving`
-/// mirrors are `Relaxed`; `stop` and `pending` gate termination and
-/// stay `SeqCst`. The scenarios in this module are the evidence that
-/// this split is sound — see DESIGN.md §9.
-pub struct ModelShared {
-    /// Donation pool (the only lock).
-    pub pool: Mutex<VecDeque<PoolItem>>,
-    /// Lock-free mirror of `pool.len()`.
-    pub pool_len: AtomicUsize,
-    /// Workers currently out of work.
-    pub starving: AtomicUsize,
-    /// Tasks not yet executed.
-    pub pending: AtomicUsize,
-    /// Quiesce flag (mirror of `Shared::stop`).
+/// Mirror of `csj_core::parallel`'s `Stream`: same fields, same
+/// orderings. `next` hands out indices and `stop` is advisory, both
+/// `Relaxed`; results travel under the `slots` mutex. The scenarios in
+/// this module are the evidence that this split is sound — see
+/// DESIGN.md §9.
+pub struct ModelStream {
+    /// The number of tasks.
+    pub tasks: usize,
+    /// The next task index to claim.
+    pub next: AtomicUsize,
+    /// Set once the committer stops.
     pub stop: AtomicBool,
-    /// Mirror of `CancelToken`'s flag.
-    pub cancel: AtomicBool,
-    /// Tasks executed (stat).
-    pub executed: AtomicUsize,
-    /// Pool takes by a non-owner (stat).
-    pub stolen: AtomicUsize,
-    /// Split events (stat).
-    pub splits: AtomicUsize,
-    /// Total tasks ever created, splits included (stat).
-    pub total: AtomicUsize,
+    /// Finished tasks by index, and the workers still running.
+    pub slots: Mutex<ModelSlots>,
+    /// Signalled when a task lands or a worker exits.
+    pub landed: Condvar,
 }
 
-impl ModelShared {
-    /// Shared state for `initial` pending tasks and `workers` workers,
-    /// of which all but worker 0 start pre-registered as starving
-    /// (mirroring `ParallelJoin::run`).
-    pub fn new(initial: usize, workers: usize) -> Self {
-        ModelShared {
-            pool: Mutex::new(VecDeque::new()),
-            pool_len: AtomicUsize::new(0),
-            starving: AtomicUsize::new(workers.saturating_sub(1)),
-            pending: AtomicUsize::new(initial),
+/// Mirror of `Slots`.
+pub struct ModelSlots {
+    /// Finished tasks by index, until the committer takes them.
+    pub done: Vec<Option<usize>>,
+    /// Workers that have not exited yet.
+    pub running: usize,
+}
+
+impl ModelStream {
+    /// A stream over `tasks` tasks served by `workers` workers.
+    pub fn new(tasks: usize, workers: usize) -> Self {
+        ModelStream {
+            tasks,
+            next: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            cancel: AtomicBool::new(false),
-            executed: AtomicUsize::new(0),
-            stolen: AtomicUsize::new(0),
-            splits: AtomicUsize::new(0),
-            total: AtomicUsize::new(initial),
+            slots: Mutex::new(ModelSlots { done: vec![None; tasks], running: workers }),
+            landed: Condvar::new(),
         }
     }
 }
 
-/// What one worker did: the tasks it executed and what was left in its
-/// private deque when it exited (nonempty only after a stop).
-pub struct WorkerOutcome {
-    /// Tasks executed, in execution order.
-    pub ran: Vec<ModelTask>,
-    /// Private-deque leftovers at exit.
-    pub leftover: Vec<ModelTask>,
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One worker's run: the protocol skeleton of `worker_loop`, operation
-/// for operation. `may_split` mirrors the non-CSJ condition;
-/// `pre_starving` mirrors workers 1..n starting registered.
-pub fn worker(
-    wid: usize,
-    shared: &ModelShared,
-    mut local: VecDeque<ModelTask>,
-    may_split: bool,
-    pre_starving: bool,
-) -> WorkerOutcome {
+/// One worker: the claim loop of `Stream::work` and the exit of its
+/// `Exit` guard, operation for operation. A task's "work" writes its
+/// result cell outside any lock; every task here is a step to run (the
+/// production loop lands nothing for a split's record, which the
+/// committer passes without waiting). Returns the indices it ran.
+pub fn worker(stream: &ModelStream, results: &[RaceCell<usize>]) -> Vec<usize> {
     let mut ran = Vec::new();
-    let mut registered_starving = pre_starving;
+    // ORDERING: advisory stop, exactly as in `Stream::work`.
+    while !stream.stop.load(Ordering::Relaxed) {
+        // ORDERING: a claim counter; the RMW alone makes claims unique.
+        let i = stream.next.fetch_add(1, Ordering::Relaxed);
+        if i >= stream.tasks {
+            break;
+        }
+        results[i].set(i + 1);
+        ran.push(i);
+        lock(&stream.slots).done[i] = Some(i);
+        stream.landed.notify_all();
+    }
+    lock(&stream.slots).running -= 1;
+    stream.landed.notify_all();
+    ran
+}
+
+/// `Stream::take`: waits for task `i`; `None` once every worker exited
+/// without landing it.
+fn take(stream: &ModelStream, i: usize) -> Option<usize> {
+    let mut slots = lock(&stream.slots);
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
+        if let Some(out) = slots.done[i].take() {
+            return Some(out);
         }
-        // Acquire: private deque first, then the pool.
-        let acquired = match local.pop_front() {
-            Some(task) => Some((wid, task)),
-            None => {
-                let mut pool = shared.pool.lock().unwrap_or_else(PoisonError::into_inner);
-                let item = pool.pop_front();
-                // ORDERING: advisory mirror of the pool length, exactly
-                // as in worker_loop (see DESIGN.md §9).
-                shared.pool_len.store(pool.len(), Ordering::Relaxed);
-                item
-            }
-        };
-        let Some((owner, task)) = acquired else {
-            if shared.pending.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            if !registered_starving {
-                // ORDERING: advisory — steers donation/splitting only.
-                shared.starving.fetch_add(1, Ordering::Relaxed);
-                registered_starving = true;
-            }
-            thread::yield_now();
-            continue;
-        };
-        if registered_starving {
-            // ORDERING: advisory — steers donation/splitting only.
-            shared.starving.fetch_sub(1, Ordering::Relaxed);
-            registered_starving = false;
+        if slots.running == 0 {
+            return None;
         }
-        if owner != wid {
-            // ORDERING: stat counter, read only after all workers join.
-            shared.stolen.fetch_add(1, Ordering::Relaxed);
-        }
+        slots = stream.landed.wait(slots).unwrap_or_else(PoisonError::into_inner);
+    }
+}
 
-        // Task-boundary cancel check — between acquisition (possibly a
-        // pool pop) and execution: the mid-steal window.
+/// The committer of `ParallelJoin::commit`: a boundary check (the
+/// cancel flag) before each task, then the task in index order, whose
+/// result cell it reads. Stops the workers on the way out, as the run
+/// does after the commit loop. Returns the indices committed.
+fn committer(stream: &ModelStream, cancel: &AtomicBool, results: &[RaceCell<usize>]) -> Vec<usize> {
+    let mut committed = Vec::new();
+    for (i, result) in results.iter().enumerate() {
         // ORDERING: mirror of CancelToken::is_canceled (Relaxed).
-        if shared.cancel.load(Ordering::Relaxed) {
-            shared.stop.store(true, Ordering::SeqCst);
+        if cancel.load(Ordering::Relaxed) {
             break;
         }
-
-        // Adaptive splitting under starvation.
-        // ORDERING: advisory loads, as in worker_loop.
-        let starving_now = shared.starving.load(Ordering::Relaxed);
-        // ORDERING: as `starving`.
-        let pool_len_now = shared.pool_len.load(Ordering::Relaxed);
-        if may_split && task.splittable() && starving_now > pool_len_now {
-            let (a, b) = task.split();
-            // ORDERING: stat counters, read only after workers join.
-            shared.splits.fetch_add(1, Ordering::Relaxed);
-            shared.total.fetch_add(1, Ordering::Relaxed); // ORDERING: as `splits`
-                                                          // Children added before the parent retires so `pending`
-                                                          // never dips to zero in between (two children, one parent).
-            shared.pending.fetch_add(1, Ordering::SeqCst);
-            let mut pool = shared.pool.lock().unwrap_or_else(PoisonError::into_inner);
-            pool.push_back((wid, a));
-            pool.push_back((wid, b));
-            // ORDERING: advisory mirror, as in the acquire path.
-            shared.pool_len.store(pool.len(), Ordering::Relaxed);
-            continue;
-        }
-
-        // Cold-path donation: starving peers, low pool, spare tasks.
-        // ORDERING: advisory loads, as in worker_loop.
-        let starving_now = shared.starving.load(Ordering::Relaxed);
-        if starving_now > 0
-            && shared.pool_len.load(Ordering::Relaxed) < starving_now // ORDERING: as `starving`
-            && local.len() > 1
-        {
-            let give = local.len() / 2;
-            let mut pool = shared.pool.lock().unwrap_or_else(PoisonError::into_inner);
-            for _ in 0..give {
-                if let Some(t) = local.pop_back() {
-                    pool.push_back((wid, t));
-                }
-            }
-            // ORDERING: advisory mirror, as in the acquire path.
-            shared.pool_len.store(pool.len(), Ordering::Relaxed);
-        }
-
-        // "Execute" the task.
-        shared.pending.fetch_sub(1, Ordering::SeqCst);
-        // ORDERING: stat counter, read only after all workers join.
-        shared.executed.fetch_add(1, Ordering::Relaxed);
-        ran.push(task);
+        let Some(out) = take(stream, i) else { break };
+        assert_eq!(out, i, "task {i}'s slot held another task");
+        assert_eq!(result.get(), i + 1, "task {i}'s result did not reach the committer");
+        committed.push(out);
     }
-    WorkerOutcome { ran, leftover: local.into_iter().collect() }
+    // ORDERING: advisory stop, as in `Stream::stop`.
+    stream.stop.store(true, Ordering::Relaxed);
+    committed
 }
 
-/// The leaves a set of executed tasks covers, sorted.
-fn coverage(tasks: &[ModelTask]) -> Vec<u32> {
-    let mut leaves: Vec<u32> = tasks.iter().flat_map(|t| t.lo..=t.hi).collect();
-    leaves.sort_unstable();
-    leaves
-}
-
-/// Asserts the stats identity that holds at quiescence under every
-/// schedule: `executed` matches the work actually performed and
-/// `pending` is exactly the unexecuted remainder.
-fn assert_counters(shared: &ModelShared, outcomes: &[&WorkerOutcome]) {
-    let ran: usize = outcomes.iter().map(|o| o.ran.len()).sum();
-    assert_eq!(shared.executed.load(Ordering::SeqCst), ran, "executed != tasks actually run");
-    let total = shared.total.load(Ordering::SeqCst);
-    assert_eq!(
-        shared.pending.load(Ordering::SeqCst),
-        total - ran,
-        "pending != total - executed at quiescence"
-    );
-}
-
-/// Steal/donate protocol, two workers: worker 0 seeded with `n` leaf
-/// tasks, worker 1 starting starving (as in `ParallelJoin::run`).
-/// Every leaf must execute exactly once, wherever it ends up, and
-/// `stolen` must count exactly worker 1's pool takes. Use `n >= 3` so
-/// the donation path (requires `local.len() > 1` after an
-/// acquisition) is reachable.
-pub fn steal_donate_scenario(n: u32) {
-    let shared = Arc::new(ModelShared::new(n as usize, 2));
-    let seed: VecDeque<ModelTask> = (1..=n).map(ModelTask::leaf).collect();
-    let thief = thread::spawn({
-        let shared = Arc::clone(&shared);
-        move || worker(1, &shared, VecDeque::new(), false, true)
-    });
-    let w0 = worker(0, &shared, seed, false, false);
-    let w1 = thief.join();
-
-    let mut all = w0.ran.clone();
-    all.extend(w1.ran.iter().copied());
-    assert_eq!(coverage(&all), (1..=n).collect::<Vec<_>>(), "each task exactly once");
-    assert!(w0.leftover.is_empty() && w1.leftover.is_empty(), "no task left behind");
-    assert_counters(&shared, &[&w0, &w1]);
-    assert_eq!(
-        shared.stolen.load(Ordering::SeqCst),
-        w1.ran.len(),
-        "every worker-1 task came via the pool and counted as a steal"
-    );
-    assert_eq!(shared.pending.load(Ordering::SeqCst), 0, "complete run leaves nothing pending");
-}
-
-/// Stop/cancel quiesce protocol: two workers over `n` leaf tasks plus
-/// a canceller thread that fires mid-run. Under every schedule —
-/// including cancel landing between a worker's pool pop and its
-/// execution of that task (the mid-steal window) — both workers must
-/// quiesce with consistent partial accounting: `executed` counts
-/// exactly the tasks run, `pending` is exactly the remainder, and a
-/// task acquired-but-dropped at the cancel boundary is part of that
-/// remainder, never double-counted.
-pub fn quiesce_scenario(n: u32) {
-    let shared = Arc::new(ModelShared::new(n as usize, 2));
-    let seed: VecDeque<ModelTask> = (1..=n).map(ModelTask::leaf).collect();
-    let thief = thread::spawn({
-        let shared = Arc::clone(&shared);
-        move || worker(1, &shared, VecDeque::new(), false, true)
-    });
-    let canceller = thread::spawn({
-        let shared = Arc::clone(&shared);
+/// Runs two workers and the committer over `n` tasks, with an optional
+/// canceller racing them. Returns the committed indices and every
+/// index the workers ran.
+fn stream_run(n: usize, cancel_mid_run: bool) -> (Vec<usize>, Vec<usize>) {
+    let stream = Arc::new(ModelStream::new(n, 2));
+    let results: Arc<Vec<RaceCell<usize>>> = Arc::new((0..n).map(|_| RaceCell::new(0)).collect());
+    let cancel = Arc::new(AtomicBool::new(false));
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let (stream, results) = (Arc::clone(&stream), Arc::clone(&results));
+            thread::spawn(move || worker(&stream, &results))
+        })
+        .collect();
+    let canceller = cancel_mid_run.then(|| {
+        let cancel = Arc::clone(&cancel);
         // ORDERING: mirror of CancelToken::cancel (Relaxed).
-        move || shared.cancel.store(true, Ordering::Relaxed)
+        thread::spawn(move || cancel.store(true, Ordering::Relaxed))
     });
-    let w0 = worker(0, &shared, seed, false, false);
-    let w1 = thief.join();
-    canceller.join();
-
-    let mut all = w0.ran.clone();
-    all.extend(w1.ran.iter().copied());
-    let cov = coverage(&all);
-    let full: Vec<u32> = (1..=n).collect();
-    // Lossless prefix: no duplicates, no invented work.
-    let mut dedup = cov.clone();
-    dedup.dedup();
-    assert_eq!(dedup, cov, "a task executed twice under cancellation");
-    assert!(cov.iter().all(|l| full.contains(l)), "executed a task that was never created");
-    assert_counters(&shared, &[&w0, &w1]);
-    if shared.stop.load(Ordering::SeqCst) {
-        // A worker observed the cancel. The unexecuted remainder is
-        // split between the pool, private leftovers, and at most one
-        // in-flight task per worker dropped at the cancel boundary.
-        let pool_left = shared.pool.lock().unwrap_or_else(PoisonError::into_inner).len();
-        let local_left = w0.leftover.len() + w1.leftover.len();
-        let pending = shared.pending.load(Ordering::SeqCst);
-        assert!(
-            pending >= pool_left + local_left,
-            "pending {pending} lost track of {} queued tasks",
-            pool_left + local_left
-        );
-        assert!(
-            pending - (pool_left + local_left) <= 2,
-            "more dropped in-flight tasks than workers"
-        );
-    } else {
-        // Both workers drained everything before the flag was seen.
-        assert_eq!(cov, full, "clean finish must have executed everything");
-        assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
+    let committed = committer(&stream, &cancel, &results);
+    let mut ran: Vec<usize> = workers.into_iter().flat_map(|w| w.join()).collect();
+    if let Some(canceller) = canceller {
+        canceller.join();
     }
+    assert_eq!(lock(&stream.slots).running, 0, "a joined worker was not counted out");
+    ran.sort_unstable();
+    let mut unique = ran.clone();
+    unique.dedup();
+    assert_eq!(unique, ran, "a task index was claimed twice");
+    (committed, ran)
 }
 
-/// Starvation-driven re-split protocol: worker 0 holds one splittable
-/// task covering `n` leaves while worker 1 starves, so the first claim
-/// must split (starving=1 > pool_len=0 is stable until the pool is
-/// fed). Exactly-once coverage of the leaves must survive recursive
-/// splitting and the ensuing pool scramble.
-pub fn resplit_scenario(n: u32) {
-    let shared = Arc::new(ModelShared::new(1, 2));
-    let seed: VecDeque<ModelTask> = VecDeque::from([ModelTask { lo: 1, hi: n }]);
-    let thief = thread::spawn({
-        let shared = Arc::clone(&shared);
-        move || worker(1, &shared, VecDeque::new(), false, true)
-    });
-    let w0 = worker(0, &shared, seed, true, false);
-    let w1 = thief.join();
+/// Claim/commit handoff, two workers and the committer over `n` tasks:
+/// every index runs exactly once and is committed exactly once, in
+/// index order, with the result its worker wrote.
+pub fn claim_commit_scenario(n: usize) {
+    let (committed, ran) = stream_run(n, false);
+    let all: Vec<usize> = (0..n).collect();
+    assert_eq!(committed, all, "every index committed once, in order");
+    assert_eq!(ran, all, "every index ran once");
+}
 
-    let mut all = w0.ran.clone();
-    all.extend(w1.ran.iter().copied());
-    assert_eq!(
-        coverage(&all),
-        (1..=n).collect::<Vec<_>>(),
-        "split children must cover the parent exactly once"
-    );
-    assert_counters(&shared, &[&w0, &w1]);
-    assert!(
-        shared.splits.load(Ordering::SeqCst) >= 1,
-        "a starving peer over an empty pool must force a split"
-    );
-    let total = shared.total.load(Ordering::SeqCst);
-    assert_eq!(
-        total,
-        1 + shared.splits.load(Ordering::SeqCst),
-        "every split adds exactly one net task"
-    );
-    assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
+/// Stop/cancel quiesce: a canceller races the claims and the commits.
+/// Under every schedule the committer stops at a task boundary, what it
+/// committed is the in-order prefix `0..k`, every committed task ran,
+/// and both workers quiesce — a worker left waiting or a committer
+/// waiting on a task nobody will land is a deadlock the checker reports.
+pub fn quiesce_scenario(n: usize) {
+    let (committed, ran) = stream_run(n, true);
+    let prefix: Vec<usize> = (0..committed.len()).collect();
+    assert_eq!(committed, prefix, "the committed tasks are an in-order prefix");
+    assert!(committed.iter().all(|i| ran.contains(i)), "committed a task no worker ran");
+    assert!(ran.iter().all(|&i| i < n), "ran a task that does not exist");
 }
 
 /// One event on the shard supervisor's channel: a worker for attempt

@@ -1,14 +1,19 @@
 //! The three self-joins as one table over `ParallelAlgo`: SSJ (§IV-A),
 //! N-CSJ (SSJ plus the early-stop rule, §IV-B) and CSJ(g) (N-CSJ plus the
 //! merge window, §IV-C), checked on the sequential runner against brute
-//! force and against each other.
+//! force and against each other, and on the parallel runner against the
+//! sequential bytes.
 
 use csj_core::brute::{brute_force_links, brute_force_links_metric};
-use csj_core::{GroupShapeKind, JoinConfig, JoinOutput, OutputItem, ParallelAlgo, ResilientJoin};
+use csj_core::parallel::ParallelJoin;
+use csj_core::{
+    GroupShapeKind, JoinConfig, JoinOutput, JoinStats, OutputItem, ParallelAlgo, ResilientJoin,
+    RunBudget,
+};
 use csj_geom::{Metric, Point};
 use csj_index::mtree::{MTree, MTreeConfig};
 use csj_index::{rstar::RStarTree, rtree::RTree, JoinIndex, RTreeConfig};
-use csj_storage::{CountingSink, OutputWriter};
+use csj_storage::{CountingSink, OutputWriter, VecSink};
 use proptest::prelude::*;
 
 const ALGOS: [ParallelAlgo; 3] = [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)];
@@ -287,6 +292,118 @@ fn csj_tight_and_ball_groups_stay_lossless() {
     assert_eq!(ball.expanded_link_set(), want);
     // Tighter subtree-group shapes can only admit more merges.
     assert!(tight.stats.merges_succeeded >= loose.stats.merges_succeeded);
+}
+
+/// One dense cluster holding ~80% of the records plus a sparse
+/// background: uneven tasks, so parallel workers finish out of order.
+fn skewed(n: usize) -> Vec<Point<2>> {
+    (0..n)
+        .map(|i| {
+            if i % 5 != 0 {
+                let (dx, dy) = (((i * 31) % 97) as f64 * 3e-4, ((i * 57) % 89) as f64 * 3e-4);
+                Point::new([0.5 + dx, 0.5 + dy])
+            } else {
+                Point::new([((i * 131) % 997) as f64 / 997.0, ((i * 277) % 983) as f64 / 983.0])
+            }
+        })
+        .collect()
+}
+
+/// Seven tight clusters along the diagonal.
+fn diagonal_clusters(n: usize) -> Vec<Point<2>> {
+    (0..n)
+        .map(|i| {
+            let c = (i % 7) as f64 * 0.13;
+            Point::new([c + ((i * 31) % 97) as f64 * 2e-4, c + ((i * 57) % 89) as f64 * 2e-4])
+        })
+        .collect()
+}
+
+/// The counters with the scheduler's own (threads, tasks) cleared.
+fn traversal_and_output(mut stats: JoinStats) -> JoinStats {
+    stats.threads_used = 0;
+    stats.tasks_executed = 0;
+    stats
+}
+
+/// The scheduler axis: `ParallelJoin` at 1, 2 and 8 threads, collected
+/// and streamed, writes `ResilientJoin`'s bytes with all its counters
+/// (merge attempts included) for SSJ, N-CSJ, CSJ(0) and CSJ(10).
+#[test]
+fn parallel_runs_write_the_sequential_bytes_and_counters() {
+    let (stripe_pts, skewed_pts, clustered_pts) =
+        (stripe(1_000), skewed(1_500), diagonal_clusters(2_000));
+    let cases = [
+        // Cross-node links the window must merge, in ball groups.
+        (&stripe_pts, 10, JoinConfig::new(0.03).with_group_shape(GroupShapeKind::Ball)),
+        // Splits and leaf probes in sweep order; the access log armed.
+        (&skewed_pts, 8, JoinConfig::new(0.003).with_plane_sweep().with_access_log()),
+        (&clustered_pts, 10, JoinConfig::new(0.004)),
+    ];
+    let width = 5;
+    for (pts, fanout, cfg) in cases {
+        let tree = RStarTree::bulk_load_str(pts, RTreeConfig::with_max_fanout(fanout));
+        let truth = brute_force_links(pts, cfg.epsilon);
+        for algo in
+            [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(0), ParallelAlgo::Csj(10)]
+        {
+            let mut seq = OutputWriter::new(VecSink::new(), width);
+            let want = ResilientJoin::with_config(cfg, algo)
+                .run_streaming(&tree, &mut seq)
+                .expect("vec sink cannot fail");
+            let want_stats = traversal_and_output(want.stats);
+            for threads in [1, 2, 8] {
+                let join = ParallelJoin::with_config(cfg, algo).with_threads(threads);
+                let label = format!("{algo:?}, {threads} threads, {cfg:?}");
+                let collected = join.run(&tree);
+                let mut written = OutputWriter::new(VecSink::new(), width);
+                collected.write_to(&mut written).expect("vec sink cannot fail");
+                assert_eq!(written.sink().as_str(), seq.sink().as_str(), "{label}: collected");
+                assert_eq!(traversal_and_output(collected.stats), want_stats, "{label}: collected");
+                let mut streamed = OutputWriter::new(VecSink::new(), width);
+                let report =
+                    join.run_streaming(&tree, &mut streamed).expect("vec sink cannot fail");
+                assert_eq!(streamed.sink().as_str(), seq.sink().as_str(), "{label}: streamed");
+                assert!(report.completion.is_complete(), "{label}");
+                assert_eq!(report.stats.threads_used, threads as u64, "{label}");
+                assert_eq!(traversal_and_output(report.stats), want_stats, "{label}: streamed");
+            }
+            let out = ResilientJoin::with_config(cfg, algo).run(&tree).expect("in memory");
+            assert_eq!(out.expanded_link_set(), truth, "{algo:?}, {cfg:?}");
+        }
+    }
+}
+
+/// `csj join --max-links` with `--threads 2` or `8`: the run stops at a
+/// committed task, so the SSJ and N-CSJ files are byte prefixes of the
+/// complete sequential file, and a stopped CSJ(10) run stays lossless.
+#[test]
+fn parallel_budget_stop_writes_a_prefix_of_the_sequential_file() {
+    let pts = diagonal_clusters(2_000);
+    let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(10));
+    let (eps, width) = (0.005, 5);
+    let truth = brute_force_links(&pts, eps);
+    for algo in ALGOS {
+        let full = join(eps, algo, &tree);
+        let mut seq = OutputWriter::new(VecSink::new(), width);
+        full.write_to(&mut seq).expect("vec sink cannot fail");
+        let budget = RunBudget::unlimited().with_max_links(full.implied_links() / 3);
+        for threads in [2, 8] {
+            let out =
+                ParallelJoin::new(eps, algo).with_threads(threads).with_budget(budget).run(&tree);
+            let mut par = OutputWriter::new(VecSink::new(), width);
+            out.write_to(&mut par).expect("vec sink cannot fail");
+            let label = format!("{algo:?} at {threads} threads");
+            let fraction = out.completion.completed_fraction();
+            assert!(0.0 < fraction && fraction < 1.0, "{label}: fraction {fraction}");
+            assert!(out.expanded_link_set().is_subset(&truth), "{label}: a false link");
+            if algo != ParallelAlgo::Csj(10) {
+                // CSJ(g) drains its window at the stop, so its tail differs.
+                let (par, seq) = (par.sink().as_str(), seq.sink().as_str());
+                assert!(seq.starts_with(par), "{label}: {} bytes are no prefix", par.len());
+            }
+        }
+    }
 }
 
 proptest! {
