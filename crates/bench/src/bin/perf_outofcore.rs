@@ -31,9 +31,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use csj_bench::harness::{rustc_version, TimeStats};
-use csj_core::outofcore::OutOfCoreJoin;
+use csj_core::outofcore::{PagedSource, Prefetcher};
 use csj_core::parallel::ParallelAlgo;
-use csj_core::{JoinConfig, JoinStats, ResilientJoin};
+use csj_core::{JoinStats, ResilientJoin};
 use csj_geom::KernelPath;
 use csj_index::{PagedStats, PagedTree, RTreeConfig};
 use csj_storage::disk::Disk;
@@ -139,12 +139,15 @@ fn paged_run<Dk: Disk>(
     width: usize,
     prefetch_path: Option<&std::path::Path>,
 ) -> (f64, JoinStats, u64) {
-    let join = OutOfCoreJoin::new(ALGOS[leg.algo].1, eps)
-        .with_config(JoinConfig::new(eps))
-        .with_prefetch_budget(leg.prefetch_budget_pages * PAGE_SIZE);
     let mut writer = OutputWriter::new(FileSink::create(out_path).expect("output file"), width);
     let t = Instant::now();
-    let stats = join.run_streaming(tree, &mut writer, prefetch_path).expect("out-of-core join");
+    let budget = leg.prefetch_budget_pages * PAGE_SIZE;
+    let prefetch =
+        prefetch_path.map(|path| Prefetcher::spawn(path, budget).expect("read-ahead threads"));
+    let stats = ResilientJoin::new(eps, ALGOS[leg.algo].1)
+        .run_streaming(PagedSource::new(tree, prefetch), &mut writer)
+        .expect("out-of-core join")
+        .stats;
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
     (wall_ms, stats, writer.finish().expect("flush").bytes_written())
 }

@@ -8,6 +8,7 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
+use csj_core::resilient::ResilientReport;
 use csj_core::verify::verify_lossless;
 use csj_core::{Completion, JoinConfig, ResilientJoin, RunBudget};
 use csj_data::fractal;
@@ -327,21 +328,23 @@ fn join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
 /// `csj join <points-file> --eps E --data-dir DIR [--buffer-pages N]`:
 /// the external-memory path. The tree is written to real disk pages in
 /// `DIR/tree.pages` and the join runs with at most `--buffer-pages`
-/// nodes resident (plus 32 pages of frontier read-ahead). Output
-/// rows are bit-identical to the in-memory sequential join.
+/// nodes resident (plus 32 pages of frontier read-ahead). It is the
+/// sequential task loop over the page file, budgeted like the in-memory
+/// run, and its rows are bit-identical to that run's.
 fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliError> {
-    use csj_core::outofcore::OutOfCoreJoin;
+    use csj_core::outofcore::{PagedSource, Prefetcher};
     use csj_index::PagedTree;
     use csj_storage::{FileDisk, RetryPolicy, PAGE_SIZE};
 
-    for flag in ["threads", "index", "max-links", "max-bytes", "deadline"] {
+    for flag in ["threads", "index"] {
         if opts.get(flag).is_some() {
             return Err(CliError::usage(format!(
                 "--{flag} is not supported with --data-dir (out-of-core runs are sequential \
-                 and unbudgeted)"
+                 over the page file they build)"
             )));
         }
     }
+    let budget = parse_budget(opts)?;
     // `get` returned Some for the caller to dispatch here.
     let data_dir = opts.get("data-dir").unwrap_or(".");
     let buffer_pages = opts.get_or("buffer-pages", 256usize).usage()?;
@@ -405,25 +408,16 @@ fn join_outofcore_dim<const D: usize>(opts: &Opts, eps: f64) -> Result<(), CliEr
     );
 
     let width = OutputWriter::<csj_storage::CountingSink>::id_width_for(points.len());
-    let join = OutOfCoreJoin::new(algo, eps)
-        .with_config(JoinConfig::new(eps).with_metric(metric))
-        .with_prefetch_budget(32 * PAGE_SIZE);
     let start = Instant::now();
+    let source = PagedSource::new(&tree, Some(Prefetcher::spawn(&pages_path, 32 * PAGE_SIZE)?));
     let mut writer = OutputWriter::new(Out::open(out.as_deref())?, width);
-    let stats = join.run_streaming(&tree, &mut writer, Some(&pages_path))?;
+    let report = ResilientJoin::with_config(JoinConfig::new(eps).with_metric(metric), algo)
+        .with_budget(budget)
+        .with_id_width(width)
+        .run_streaming(source, &mut writer)?;
     let bytes = writer.finish()?.bytes_written();
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
+    report_join(algo, eps, start, bytes, &report);
     let pg = tree.stats();
-    eprintln!(
-        "out-of-core {} eps={eps}: {:.1} ms, {} bytes, {} links + {} groups, {} distance \
-         computations",
-        opts.get("algo").unwrap_or("csj"),
-        elapsed,
-        bytes,
-        stats.links_emitted,
-        stats.groups_emitted,
-        stats.distance_computations
-    );
     eprintln!(
         "buffer pool: {} hits / {} misses ({:.1}% hit rate), {} evictions; disk: {} page reads, \
          {} page writes, {} retries; prefetch supplied {} pages ({} issued, {} late waiting \
@@ -494,6 +488,13 @@ fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
             .run_streaming(tree, &mut writer)?,
     };
     let bytes = writer.finish()?.bytes_written();
+    report_join(algo, eps, start, bytes, &report);
+    Ok(())
+}
+
+/// Prints a `csj join` run's summary line, and the partial-result line
+/// when a budget stopped it: `bytes` written since `start`.
+fn report_join(algo: ParallelAlgo, eps: f64, start: Instant, bytes: u64, report: &ResilientReport) {
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     let name = match algo {
         ParallelAlgo::Ssj => "ssj",
@@ -518,7 +519,6 @@ fn run_join<T: JoinIndex<D> + Sync, const D: usize>(
             completed_fraction * 100.0
         );
     }
-    Ok(())
 }
 
 /// `csj shard-join <points-file> --eps E [fault-tolerance options]`
@@ -684,7 +684,7 @@ pub fn join2(args: &[String]) -> Result<(), CliError> {
 }
 
 fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
-    use csj_core::spatial::{SpatialItem, SpatialJoin};
+    use csj_core::spatial::SpatialJoin;
 
     let left_file = opts.positional(0, "left-file").usage()?;
     let right_file = opts.positional(1, "right-file").usage()?;
@@ -704,24 +704,24 @@ fn join2_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let lt = RStarTree::bulk_load_str(&left, RTreeConfig::default());
     let rt = RStarTree::bulk_load_str(&right, RTreeConfig::default());
 
-    let start = Instant::now();
-    let output = SpatialJoin::new(eps, algo).with_metric(metric).run(&lt, &rt);
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
     let width =
         OutputWriter::<csj_storage::CountingSink>::id_width_for(left.len().max(right.len()));
-    let mut sink = Out::open(opts.get("out"))?;
-    output.write_to(&mut sink, width)?;
-    sink.flush()?;
+    let start = Instant::now();
+    let mut writer = OutputWriter::new(Out::open(opts.get("out"))?, width);
+    let report =
+        SpatialJoin::new(eps, algo).with_metric(metric).run_streaming(&lt, &rt, &mut writer)?;
+    let bytes = writer.finish()?.bytes_written();
+    let elapsed = start.elapsed().as_secs_f64() * 1e3;
     // Under SSJ and N-CSJ each cross pair is implied by one row; a CSJ(g)
     // pair can be implied by two, so the rows' sum is not a distinct count.
-    let implied: u64 = output.items.iter().map(SpatialItem::implied_links).sum();
+    let s = &report.stats;
+    let implied = s.links_emitted + s.links_in_groups;
     let implied_by = if matches!(algo, ParallelAlgo::Csj(_)) { " (summed over rows)" } else { "" };
     eprintln!(
-        "spatial join eps={eps}: {elapsed:.1} ms, {} rows ({} links + {} groups), {} bytes, {implied} cross links implied{implied_by}",
-        output.items.len(),
-        output.num_links(),
-        output.num_groups(),
-        output.total_bytes(width),
+        "spatial join eps={eps}: {elapsed:.1} ms, {} rows ({} links + {} groups), {bytes} bytes, {implied} cross links implied{implied_by}",
+        s.links_emitted + s.groups_emitted,
+        s.links_emitted,
+        s.groups_emitted,
     );
     Ok(())
 }

@@ -5,6 +5,8 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 
+use csj_core::brute::parse_cross_links;
+
 fn csj() -> Command {
     Command::new(env!("CARGO_BIN_EXE_csj"))
 }
@@ -216,18 +218,7 @@ fn spatial_join2_lossless_through_cli() {
     // Expand both via the left|right line format and compare cross pairs.
     let expand = |path: &std::path::Path| -> BTreeSet<(u32, u32)> {
         let text = std::fs::read_to_string(path).unwrap();
-        let mut set = BTreeSet::new();
-        for line in text.lines() {
-            let (l, r) = line.split_once(" | ").expect("left | right format");
-            let ls: Vec<u32> = l.split(' ').map(|t| t.parse().unwrap()).collect();
-            let rs: Vec<u32> = r.split(' ').map(|t| t.parse().unwrap()).collect();
-            for &a in &ls {
-                for &b in &rs {
-                    set.insert((a, b));
-                }
-            }
-        }
-        set
+        parse_cross_links(&text).expect("left | right format")
     };
     let std_links = expand(&std_out);
     let win_links = expand(&win_out);
@@ -240,4 +231,41 @@ fn spatial_join2_lossless_through_cli() {
     for p in [&left, &right, &std_out, &win_out] {
         std::fs::remove_file(p).ok();
     }
+}
+
+#[test]
+fn budgeted_out_of_core_join_writes_the_in_memory_file() {
+    let pts = temp("ooc_budget_pts.txt");
+    let pages = temp("ooc_budget_pages");
+    assert!(csj()
+        .args(["generate", "clusters2d", "--n", "3000", "--seed", "4", "--out"])
+        .arg(&pts)
+        .status()
+        .unwrap()
+        .success());
+    for algo in ["ncsj", "csj"] {
+        let (mem, ooc) = (temp(&format!("mem_{algo}.txt")), temp(&format!("ooc_{algo}.txt")));
+        let join = |out: &PathBuf, paged: bool| {
+            let mut cmd = csj();
+            cmd.arg("join").arg(&pts).args(["--eps", "0.02", "--algo", algo]);
+            cmd.args(["--max-links", "4000", "--out"]).arg(out);
+            if paged {
+                cmd.arg("--data-dir").arg(&pages).args(["--buffer-pages", "8"]);
+            }
+            let output = cmd.output().expect("spawn csj join");
+            assert!(output.status.success(), "{algo} paged={paged}");
+            let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+            assert!(stderr.contains("partial result: link budget"), "{algo}: {stderr}");
+        };
+        join(&mem, false);
+        join(&ooc, true);
+        let (a, b) = (std::fs::read(&mem).unwrap(), std::fs::read(&ooc).unwrap());
+        assert!(!a.is_empty(), "{algo}: the budget leaves rows");
+        assert_eq!(a, b, "{algo}: the paged file must equal the in-memory file");
+        for p in [&mem, &ooc] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+    std::fs::remove_file(&pts).ok();
+    std::fs::remove_dir_all(&pages).ok();
 }

@@ -49,6 +49,24 @@ pub fn brute_force_cross_links<const D: usize>(
     set
 }
 
+/// The `(left, right)` link set that a spatial join's written rows
+/// imply, each row `<left ids> | <right ids>` standing for every pair of
+/// a left and a right id: the written bytes read back for comparison
+/// with [`brute_force_cross_links`]. `None` when a row is malformed.
+pub fn parse_cross_links(text: &str) -> Option<BTreeSet<(RecordId, RecordId)>> {
+    let ids =
+        |side: &str| side.split_whitespace().map(|t| t.parse().ok()).collect::<Option<Vec<_>>>();
+    let mut set = BTreeSet::new();
+    for line in text.lines() {
+        let (left, right) = line.split_once(" | ")?;
+        let right = ids(right)?;
+        for l in ids(left)? {
+            set.extend(right.iter().map(|&r| (l, r)));
+        }
+    }
+    Some(set)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,5 +107,14 @@ mod tests {
         let right = vec![Point::new([0.1, 0.0]), Point::new([5.0, 5.05])];
         let links = brute_force_cross_links(&left, &right, 0.2, Metric::Euclidean);
         assert_eq!(links.into_iter().collect::<Vec<_>>(), vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn cross_rows_parse_back_to_their_links() {
+        let links = parse_cross_links("0001 | 0022\n0003 0004 | 0005\n").unwrap();
+        assert_eq!(links.into_iter().collect::<Vec<_>>(), vec![(1, 22), (3, 5), (4, 5)]);
+        assert_eq!(parse_cross_links(""), Some(BTreeSet::new()));
+        assert_eq!(parse_cross_links("0001 0002\n"), None, "no separator");
+        assert_eq!(parse_cross_links("0001 | x\n"), None, "not an id");
     }
 }

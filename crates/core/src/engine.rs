@@ -12,8 +12,9 @@
 //! The engine reaches nodes through a [`NodeSource`]. Every [`JoinIndex`]
 //! is one, with `NodeId` handles and no I/O; `outofcore::PagedSource`
 //! reads node pages through a pinned buffer pool; and the spatial join's
-//! two-tree source runs `simJoin(n1, n2)` from the pair of roots of two
-//! trees (§IV-D). Every pruning and
+//! two-tree source starts from `simJoin(n1, n2)` on the pair of roots of
+//! two trees (§IV-D): a source names the join's first [`Step`]. Every
+//! pruning and
 //! early-stopping decision is a pure function of bounding shapes a parent
 //! already holds for its children, so the in-memory and paged sources
 //! make the same decisions in the same order and emit the same bytes;
@@ -273,11 +274,12 @@ pub trait NodeSource<const D: usize> {
     where
         Self: 'a;
 
-    /// The root, or `None` for an empty tree.
+    /// The first step of the join: `simJoin(root)` for one tree, the
+    /// root pair for two, or `None` when there is nothing to join.
     ///
     /// # Errors
-    /// Returns [`CsjError::Storage`] when the root cannot be read.
-    fn root(&mut self) -> Result<Option<Self::Node>, CsjError>;
+    /// Returns [`CsjError::Storage`] when a root cannot be read.
+    fn root(&mut self) -> Result<Option<Step<Self::Node>>, CsjError>;
 
     /// `true` if `n` stores records directly.
     fn is_leaf(&self, n: Self::Node) -> bool;
@@ -382,8 +384,8 @@ impl<'t, T: JoinIndex<D> + ?Sized, const D: usize> NodeSource<D> for &'t T {
     where
         Self: 'a;
 
-    fn root(&mut self) -> Result<Option<NodeId>, CsjError> {
-        Ok((**self).root())
+    fn root(&mut self) -> Result<Option<Step<NodeId>>, CsjError> {
+        Ok((**self).root().map(Step::Node))
     }
     fn is_leaf(&self, n: NodeId) -> bool {
         (**self).is_leaf(n)
@@ -744,15 +746,16 @@ where
         false
     }
 
-    /// Runs the full self-join as one unsplit recursion: the reference
-    /// the task loops, which split the root, are tested against.
+    /// Runs the full join as one unsplit recursion from the source's
+    /// root step: the reference the task loops, which split the root,
+    /// are tested against.
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] when a node read fails beyond retry
     /// or the sink rejects a write; traversal stops at the failure.
     pub fn run(&mut self) -> Result<(), CsjError> {
         if let Some(root) = self.source.root()? {
-            self.run_step(Step::Node(root))?;
+            self.run_step(root)?;
         }
         self.finish_only()
     }
@@ -812,15 +815,15 @@ where
         })
     }
 
-    /// The root split: the steps the root expands into (see
-    /// [`Engine::split`]), or the root alone when it must run whole;
-    /// empty for an empty tree.
+    /// The root split: the steps the source's root step expands into
+    /// (see [`Engine::split`]), or the root step alone when it must run
+    /// whole; empty when the source has no root step.
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] when a node read fails.
     pub fn split_root(&mut self) -> Result<Vec<Step<S::Node>>, CsjError> {
         let Some(root) = self.source.root()? else { return Ok(Vec::new()) };
-        Ok(self.split(Step::Node(root))?.unwrap_or_else(|| vec![Step::Node(root)]))
+        Ok(self.split(root)?.unwrap_or_else(|| vec![root]))
     }
 
     /// Counts a step's visit (and logs its nodes when armed).

@@ -1,8 +1,9 @@
 //! External-memory joins over page-resident trees.
 //!
-//! There is no separate out-of-core recursion or task loop:
-//! [`OutOfCoreJoin`] runs the one sequential loop,
-//! [`ResilientJoin`], over a [`PagedSource`], the [`NodeSource`] whose
+//! There is no separate out-of-core recursion or task loop: an
+//! out-of-core join is the one sequential loop, [`ResilientJoin`], over a
+//! [`PagedSource`] (optionally reading ahead through a [`Prefetcher`]),
+//! the [`NodeSource`] whose
 //! nodes live in disk pages behind a pinned LRU buffer pool instead of an
 //! in-memory arena. A node handle
 //! ([`NodeRef`]) carries the MBR and level its parent recorded, so every
@@ -790,12 +791,12 @@ impl<'t, const D: usize, Dk: Disk> NodeSource<D> for PagedSource<'t, D, Dk> {
     where
         Self: 'a;
 
-    fn root(&mut self) -> Result<Option<NodeRef<D>>, CsjError> {
+    fn root(&mut self) -> Result<Option<Step<NodeRef<D>>>, CsjError> {
         let Some(page) = self.tree.root() else { return Ok(None) };
         // One page read up front for the root's own MBR and level — its
         // parent-side summary does not exist.
         let guard = self.fetch_node(page)?;
-        Ok(Some(NodeRef { page, mbr: guard.mbr, level: guard.level }))
+        Ok(Some(Step::Node(NodeRef { page, mbr: guard.mbr, level: guard.level })))
     }
     fn is_leaf(&self, n: NodeRef<D>) -> bool {
         n.level == 0
@@ -900,6 +901,10 @@ pub type JoinVariant = ParallelAlgo;
 
 /// Configuration for a complete out-of-core join run: algorithm, join
 /// parameters, and an optional prefetch budget.
+///
+/// A thin front over [`ResilientJoin`] on a [`PagedSource`]. Besides its
+/// own tests, its only caller is the frozen `joinbench` benchmark;
+/// `csj join --data-dir` and `perf_outofcore` compose the two directly.
 #[derive(Debug)]
 pub struct OutOfCoreJoin {
     cfg: JoinConfig,

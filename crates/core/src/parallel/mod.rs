@@ -35,7 +35,7 @@ pub use crate::algo::ParallelAlgo;
 use crate::algo::WithHandler;
 use crate::budget::{CancelToken, Completion, RunBudget, StopReason};
 use crate::engine::{
-    infallible, CollectSink, DirectEmit, Engine, LinkHandler, RowSink, Step, StreamSink,
+    infallible, CollectSink, DirectEmit, Engine, LinkHandler, NodeSource, RowSink, Step, StreamSink,
 };
 use crate::error::CsjError;
 use crate::output::{JoinOutput, OutputItem, Rows};
@@ -211,12 +211,14 @@ impl ParallelJoin {
     /// split), listed in key order with the records of the splits.
     fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task> {
         let (cfg, early_stop) = (self.seq.cfg, self.seq.algo.early_stop());
-        let Some(root) = tree.root() else { return Vec::new() };
+        let Some(root) = infallible(NodeSource::<D>::root(&mut { tree })) else {
+            return Vec::new();
+        };
         let target = self.threads * 8;
         // A task's split genealogy: child `j` of a task keyed `k` is keyed
         // `k ++ [j]`, so key order is the engine's own depth-first order,
         // a split's record just before its children.
-        let mut queue = VecDeque::from([(Vec::<u32>::new(), Step::Node(root))]);
+        let mut queue = VecDeque::from([(Vec::<u32>::new(), root)]);
         let (mut tasks, mut runs) = (Vec::new(), 0);
         while runs + queue.len() < target {
             let Some((key, step)) = queue.pop_front() else { break };

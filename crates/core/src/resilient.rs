@@ -244,11 +244,11 @@ impl ResilientJoin {
 }
 
 /// A [`ResilientJoin`] run over `source` into `sink`, given the handler
-/// its algorithm picks.
-struct TaskLoop<'j, S, R> {
-    join: &'j ResilientJoin,
-    source: S,
-    sink: R,
+/// its algorithm picks (or, for the spatial join, its cross-row handler).
+pub(crate) struct TaskLoop<'j, S, R> {
+    pub(crate) join: &'j ResilientJoin,
+    pub(crate) source: S,
+    pub(crate) sink: R,
 }
 
 impl<S: NodeSource<D>, R: RowSink, const D: usize> WithHandler<D> for TaskLoop<'_, S, R> {

@@ -7,141 +7,28 @@
 //! "an entire sub-region from each type of tree is within the query
 //! range". A group therefore encodes `|L| · |R|` cross links.
 //!
-//! The join is the Figure-3 [`Engine`] over a two-tree [`NodeSource`]
-//! whose handles name a node of either tree: it runs the root pair
-//! `simJoin(left root, right root)` and, from there, only pair steps
-//! that join a left node with a right one. The bounds are the nodes'
-//! MBR bounds under the join metric, so any two index types join (an
-//! R-tree with an M-tree). A link handler of its own turns links and
-//! early-stopped node pairs into `(L, R)` rows.
+//! The join is [`ResilientJoin`]'s task loop over a two-tree
+//! [`NodeSource`] whose handles name a node of either tree: its root step
+//! is the root pair `simJoin(left root, right root)`, and from there the
+//! Figure-3 engine runs only pair steps that join a left node with a
+//! right one. The bounds are the nodes' MBR bounds under the join
+//! metric, so any two index types join (an R-tree with an M-tree). A
+//! link handler of its own turns links and early-stopped node pairs into
+//! `<left ids> | <right ids>` rows, written straight into an
+//! [`OutputWriter`] as they are found.
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use csj_geom::{Mbr, Metric, Point, RecordId};
 use csj_index::{JoinIndex, LeafEntry, NodeId};
-use csj_storage::RowEncoder;
+use csj_storage::{OutputSink, OutputWriter};
 
-use crate::engine::{
-    infallible, CollectSink, Engine, IndexLeaf, LinkHandler, NodeSource, RowSink, Step,
-};
+use crate::algo::WithHandler;
+use crate::engine::{CollectSink, IndexLeaf, LinkHandler, NodeSource, RowSink, Step};
 use crate::error::CsjError;
 use crate::parallel::ParallelAlgo;
+use crate::resilient::{ResilientJoin, ResilientReport, TaskLoop};
 use crate::stats::JoinStats;
-use crate::JoinConfig;
-
-/// One output row of a spatial join.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SpatialItem {
-    /// A qualifying cross pair `(left record, right record)`.
-    Link(RecordId, RecordId),
-    /// All of `left × right` qualifies.
-    Group {
-        /// Records from the left dataset.
-        left: Vec<RecordId>,
-        /// Records from the right dataset.
-        right: Vec<RecordId>,
-    },
-}
-
-impl SpatialItem {
-    /// Number of cross links this row implies.
-    pub fn implied_links(&self) -> u64 {
-        match self {
-            SpatialItem::Link(..) => 1,
-            SpatialItem::Group { left, right } => left.len() as u64 * right.len() as u64,
-        }
-    }
-
-    /// Bytes in the text format `<left ids> | <right ids>\n` with
-    /// fixed-width ids: `k` ids cost `k·width + k` bytes (separators and
-    /// the newline included), plus 2 bytes for `"| "`.
-    pub fn format_bytes(&self, width: usize) -> u64 {
-        match self {
-            SpatialItem::Link(..) => (2 * width + 2 + 2) as u64,
-            SpatialItem::Group { left, right } => {
-                let k = left.len() + right.len();
-                (k * width + k + 2) as u64
-            }
-        }
-    }
-}
-
-/// Collected result of a spatial join.
-#[derive(Clone, Debug, Default)]
-pub struct SpatialOutput {
-    /// Output rows in emission order.
-    pub items: Vec<SpatialItem>,
-    /// Operation counters.
-    pub stats: JoinStats,
-}
-
-impl SpatialOutput {
-    /// Number of link rows.
-    pub fn num_links(&self) -> usize {
-        self.items.iter().filter(|i| matches!(i, SpatialItem::Link(..))).count()
-    }
-
-    /// Number of group rows.
-    pub fn num_groups(&self) -> usize {
-        self.items.iter().filter(|i| matches!(i, SpatialItem::Group { .. })).count()
-    }
-
-    /// Expands to the deduplicated `(left, right)` link set.
-    pub fn expanded_link_set(&self) -> BTreeSet<(RecordId, RecordId)> {
-        let mut set = BTreeSet::new();
-        for item in &self.items {
-            match item {
-                SpatialItem::Link(a, b) => {
-                    set.insert((*a, *b));
-                }
-                SpatialItem::Group { left, right } => {
-                    for &l in left {
-                        for &r in right {
-                            set.insert((l, r));
-                        }
-                    }
-                }
-            }
-        }
-        set
-    }
-
-    /// Output size in bytes of the text encoding.
-    pub fn total_bytes(&self, width: usize) -> u64 {
-        self.items.iter().map(|i| i.format_bytes(width)).sum()
-    }
-
-    /// Streams the rows into `sink` in the text format
-    /// `<left ids> | <right ids>\n` with `width`-digit zero-padded ids
-    /// (`1..=20`, as [`RowEncoder`] takes).
-    /// A sink failure surfaces as `Err`; rows already written remain
-    /// valid output.
-    ///
-    /// # Errors
-    /// Returns [`csj_storage::StorageError`] from the first failing sink
-    /// write.
-    pub fn write_to<S: csj_storage::OutputSink>(
-        &self,
-        sink: &mut S,
-        width: usize,
-    ) -> Result<(), csj_storage::StorageError> {
-        let mut encoder = RowEncoder::new(width);
-        let mut line = Vec::with_capacity(256);
-        for item in &self.items {
-            let (left, right) = match item {
-                SpatialItem::Link(l, r) => (std::slice::from_ref(l), std::slice::from_ref(r)),
-                SpatialItem::Group { left, right } => (&left[..], &right[..]),
-            };
-            // `<left ids> ` + `| ` + `<right ids>\n`.
-            line.clear();
-            line.extend_from_slice(encoder.encode(left, b' '));
-            line.extend_from_slice(b"| ");
-            line.extend_from_slice(encoder.encode(right, b'\n'));
-            sink.write_bytes(&line)?;
-        }
-        Ok(())
-    }
-}
 
 /// A spatial (two-dataset) similarity join.
 ///
@@ -152,77 +39,87 @@ impl SpatialOutput {
 /// N-CSJ).
 ///
 /// ```
+/// use csj_core::brute::parse_cross_links;
 /// use csj_core::parallel::ParallelAlgo;
 /// use csj_core::spatial::SpatialJoin;
 /// use csj_geom::Point;
 /// use csj_index::{rstar::RStarTree, RTreeConfig};
+/// use csj_storage::{OutputWriter, VecSink};
 ///
 /// let left: Vec<Point<2>> = (0..50).map(|i| Point::new([i as f64 * 0.02, 0.0])).collect();
 /// let right: Vec<Point<2>> = (0..50).map(|i| Point::new([i as f64 * 0.02, 0.01])).collect();
 /// let lt = RStarTree::from_points(&left, RTreeConfig::with_max_fanout(8));
 /// let rt = RStarTree::from_points(&right, RTreeConfig::with_max_fanout(8));
-/// let out = SpatialJoin::new(0.05, ParallelAlgo::Csj(10)).run(&lt, &rt);
-/// assert!(!out.expanded_link_set().is_empty());
+/// let mut writer = OutputWriter::new(VecSink::new(), 2);
+/// let report = SpatialJoin::new(0.05, ParallelAlgo::Csj(10))
+///     .run_streaming(&lt, &rt, &mut writer)
+///     .expect("a vec sink cannot fail");
+/// assert!(report.completion.is_complete());
+/// let links = parse_cross_links(writer.sink().as_str()).expect("well-formed rows");
+/// assert!(!links.is_empty());
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct SpatialJoin {
-    cfg: JoinConfig,
-    algo: ParallelAlgo,
+    /// The task loop's settings: range, metric and algorithm.
+    join: ResilientJoin,
 }
 
 impl SpatialJoin {
     /// A spatial join with range `epsilon` running `algo`.
     pub fn new(epsilon: f64, algo: ParallelAlgo) -> Self {
-        SpatialJoin { cfg: JoinConfig::new(epsilon), algo }
+        SpatialJoin { join: ResilientJoin::new(epsilon, algo) }
     }
 
     /// Replaces the metric.
     pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.cfg.metric = metric;
+        self.join.cfg.metric = metric;
         self
     }
 
     /// Runs the join of two trees (which may be of different index
-    /// types). Left record ids come from `left`, right ids from `right`.
-    pub fn run<L, R, const D: usize>(&self, left: &L, right: &R) -> SpatialOutput
+    /// types), writing each `<left ids> | <right ids>` row into `writer`
+    /// as it is found. Left record ids come from `left`, right ids from
+    /// `right`.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when the sink rejects a write; rows
+    /// already written remain valid output.
+    pub fn run_streaming<L, R, W, const D: usize>(
+        &self,
+        left: &L,
+        right: &R,
+        writer: &mut OutputWriter<W>,
+    ) -> Result<ResilientReport, CsjError>
     where
         L: JoinIndex<D>,
         R: JoinIndex<D>,
+        W: OutputSink,
     {
-        let (eps, metric) = (self.cfg.epsilon, self.cfg.metric);
-        let (early_stop, g) = match self.algo {
-            ParallelAlgo::Ssj => (false, 0),
-            ParallelAlgo::Ncsj => (true, 0),
-            ParallelAlgo::Csj(g) => (true, g),
-        };
-        let mut items = Vec::new();
-        let handler = CrossRows { g, eps, metric, window: VecDeque::new(), rows: &mut items };
+        let (cfg, algo) = (self.join.cfg, self.join.algo);
+        let g = if let ParallelAlgo::Csj(g) = algo { g } else { 0 };
+        let handler =
+            CrossRows { g, eps: cfg.epsilon, metric: cfg.metric, window: VecDeque::new(), writer };
         // The engine's own sink stays empty: the handler writes the rows.
-        let mut engine = Engine::new(
-            TwoTrees([left, right]),
-            self.cfg,
-            early_stop,
-            handler,
-            CollectSink::default(),
-        );
-        if let (Some(l), Some(r)) = (left.root(), right.root()) {
-            let (l, r) = ((0, l), (1, r));
-            if engine.source.min_dist(l, r, metric) <= eps {
-                infallible(engine.run_step(Step::Pair(l, r)));
-            }
-        }
-        infallible(engine.finish_only());
-        let stats = engine.stats;
-        SpatialOutput { items, stats }
+        let run = TaskLoop {
+            join: &self.join,
+            source: TwoTrees { trees: [left, right], eps: cfg.epsilon, metric: cfg.metric },
+            sink: CollectSink::default(),
+        };
+        let (_, stats, completion) = run.run(algo.early_stop(), handler)?;
+        Ok(ResilientReport { stats, completion })
     }
 }
 
 /// A node of the left (`0`) or the right (`1`) tree.
 type Side = (usize, NodeId);
 
-/// Both trees as one node source. It has no single root: the join runs
-/// the root pair, and every pair step joins a left node with a right one.
-struct TwoTrees<'t, const D: usize>([&'t dyn JoinIndex<D>; 2]);
+/// Both trees as one node source. Its root step is the root pair, and
+/// every pair step joins a left node with a right one.
+struct TwoTrees<'t, const D: usize> {
+    trees: [&'t dyn JoinIndex<D>; 2],
+    eps: f64,
+    metric: Metric,
+}
 
 impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
     type Node = Side;
@@ -231,20 +128,24 @@ impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
     where
         Self: 'a;
 
-    fn root(&mut self) -> Result<Option<Side>, CsjError> {
-        Ok(None)
+    /// The root pair, or `None` when a tree is empty or the roots are
+    /// farther apart than ε: then the join runs and counts nothing.
+    fn root(&mut self) -> Result<Option<Step<Side>>, CsjError> {
+        let [l, r] = self.trees.map(|t| t.root());
+        let Some((l, r)) = l.zip(r).map(|(l, r)| ((0, l), (1, r))) else { return Ok(None) };
+        Ok((self.min_dist(l, r, self.metric) <= self.eps).then_some(Step::Pair(l, r)))
     }
     fn is_leaf(&self, (t, n): Side) -> bool {
-        self.0[t].is_leaf(n)
+        self.trees[t].is_leaf(n)
     }
     fn log_id(&self, (_, n): Side) -> u32 {
         n.0
     }
     fn mbr(&self, (t, n): Side) -> Mbr<D> {
-        self.0[t].node_mbr(n)
+        self.trees[t].node_mbr(n)
     }
     fn max_diameter(&self, (t, n): Side, metric: Metric) -> f64 {
-        self.0[t].max_diameter(n, metric)
+        self.trees[t].max_diameter(n, metric)
     }
     /// Every cross pair is within ε once the two MBRs' farthest points are.
     fn pair_diameter(&self, a: Side, b: Side, metric: Metric) -> f64 {
@@ -254,10 +155,10 @@ impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
         metric.min_dist_mbr(&self.mbr(a), &self.mbr(b))
     }
     fn children(&mut self, (t, n): Side) -> Result<Vec<Side>, CsjError> {
-        Ok(self.0[t].children(n).iter().map(|&c| (t, c)).collect())
+        Ok(self.trees[t].children(n).iter().map(|&c| (t, c)).collect())
     }
     fn leaf(&mut self, (t, n): Side) -> Result<Self::Leaf<'_>, CsjError> {
-        self.0[t].leaf(n)
+        self.trees[t].leaf(n)
     }
     fn leaf_pair(
         &mut self,
@@ -271,7 +172,7 @@ impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
         (t, n): Side,
         out: &mut Vec<RecordId>,
     ) -> Result<(), CsjError> {
-        self.0[t].collect_record_ids(n, out);
+        self.trees[t].collect_record_ids(n, out);
         Ok(())
     }
     fn collect_entries(
@@ -279,7 +180,7 @@ impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
         (t, n): Side,
         out: &mut Vec<LeafEntry<D>>,
     ) -> Result<(), CsjError> {
-        self.0[t].collect_entries(n, out);
+        self.trees[t].collect_entries(n, out);
         Ok(())
     }
 }
@@ -328,37 +229,48 @@ impl<const D: usize> OpenCrossGroup<D> {
     }
 }
 
-/// The `(L, R)` rows of a spatial join. With `g = 0` links and node-pair
-/// groups go out as they come. Otherwise the `g` most recent groups stay
-/// open: a link merges into the newest one it fits (or opens its own),
-/// node-pair groups enter seeded with the covering node shapes, and
-/// groups leave oldest first.
-struct CrossRows<'o, const D: usize> {
+/// The `(L, R)` rows of a spatial join, written into `writer` as they
+/// leave. With `g = 0` links and node-pair groups go out as they come.
+/// Otherwise the `g` most recent groups stay open: a link merges into
+/// the newest one it fits (or opens its own), node-pair groups enter
+/// seeded with the covering node shapes, and groups leave oldest first.
+///
+/// A group adds `|L|·|R|` to [`JoinStats::links_in_groups`], the cross
+/// counterpart of the self-join's `k(k−1)/2`.
+struct CrossRows<'w, W, const D: usize> {
     g: usize,
     eps: f64,
     metric: Metric,
     window: VecDeque<OpenCrossGroup<D>>,
-    rows: &'o mut Vec<SpatialItem>,
+    writer: &'w mut OutputWriter<W>,
 }
 
-impl<const D: usize> CrossRows<'_, D> {
-    fn open(&mut self, group: OpenCrossGroup<D>, stats: &mut JoinStats) {
+impl<W: OutputSink, const D: usize> CrossRows<'_, W, D> {
+    fn open(&mut self, group: OpenCrossGroup<D>, stats: &mut JoinStats) -> Result<(), CsjError> {
         if self.window.len() == self.g {
             if let Some(oldest) = self.window.pop_front() {
-                self.emit(oldest.left, oldest.right, stats);
+                self.emit(&oldest.left, &oldest.right, stats)?;
             }
         }
         self.window.push_back(group);
+        Ok(())
     }
 
-    fn emit(&mut self, left: Vec<RecordId>, right: Vec<RecordId>, stats: &mut JoinStats) {
+    fn emit(
+        &mut self,
+        left: &[RecordId],
+        right: &[RecordId],
+        stats: &mut JoinStats,
+    ) -> Result<(), CsjError> {
+        self.writer.write_cross(left, right)?;
         stats.groups_emitted += 1;
         stats.group_members_emitted += (left.len() + right.len()) as u64;
-        self.rows.push(SpatialItem::Group { left, right });
+        stats.links_in_groups += left.len() as u64 * right.len() as u64;
+        Ok(())
     }
 }
 
-impl<const D: usize> LinkHandler<D> for CrossRows<'_, D> {
+impl<W: OutputSink, const D: usize> LinkHandler<D> for CrossRows<'_, W, D> {
     fn on_link<S: RowSink>(
         &mut self,
         l: RecordId,
@@ -369,8 +281,8 @@ impl<const D: usize> LinkHandler<D> for CrossRows<'_, D> {
         stats: &mut JoinStats,
     ) -> Result<(), CsjError> {
         if self.g == 0 {
+            self.writer.write_cross(&[l], &[r])?;
             stats.links_emitted += 1;
-            self.rows.push(SpatialItem::Link(l, r));
             return Ok(());
         }
         for group in self.window.iter_mut().rev() {
@@ -380,8 +292,7 @@ impl<const D: usize> LinkHandler<D> for CrossRows<'_, D> {
                 return Ok(());
             }
         }
-        self.open(OpenCrossGroup::new(vec![l], vec![r], Mbr::from_corners(pl, pr)), stats);
-        Ok(())
+        self.open(OpenCrossGroup::new(vec![l], vec![r], Mbr::from_corners(pl, pr)), stats)
     }
 
     fn on_subtree<S: RowSink>(
@@ -392,21 +303,20 @@ impl<const D: usize> LinkHandler<D> for CrossRows<'_, D> {
         _sink: &mut S,
         stats: &mut JoinStats,
     ) -> Result<(), CsjError> {
-        let right = ids.split_off(first);
-        if ids.is_empty() || right.is_empty() {
+        if first == 0 || first == ids.len() {
             return Ok(());
         }
         if self.g == 0 {
-            self.emit(ids, right, stats);
-        } else {
-            self.open(OpenCrossGroup::new(ids, right, *mbr), stats);
+            let (left, right) = ids.split_at(first);
+            return self.emit(left, right, stats);
         }
-        Ok(())
+        let right = ids.split_off(first);
+        self.open(OpenCrossGroup::new(ids, right, *mbr), stats)
     }
 
     fn finish<S: RowSink>(&mut self, _sink: &mut S, stats: &mut JoinStats) -> Result<(), CsjError> {
         while let Some(group) = self.window.pop_front() {
-            self.emit(group.left, group.right, stats);
+            self.emit(&group.left, &group.right, stats)?;
         }
         Ok(())
     }
@@ -415,13 +325,41 @@ impl<const D: usize> LinkHandler<D> for CrossRows<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::brute_force_cross_links;
+    use crate::brute::{brute_force_cross_links, parse_cross_links};
     use csj_index::{
         mtree::{MTree, MTreeConfig},
         rstar::RStarTree,
         rtree::RTree,
         RTreeConfig,
     };
+    use csj_storage::VecSink;
+    use std::collections::BTreeSet;
+
+    /// The text and report of `algo`'s join of `lt` with `rt`, ids 3
+    /// digits wide.
+    fn join(
+        eps: f64,
+        algo: ParallelAlgo,
+        lt: &impl JoinIndex<2>,
+        rt: &impl JoinIndex<2>,
+    ) -> (String, ResilientReport) {
+        let mut writer = OutputWriter::new(VecSink::new(), 3);
+        let report = SpatialJoin::new(eps, algo)
+            .run_streaming(lt, rt, &mut writer)
+            .expect("a vec sink cannot fail");
+        assert!(report.completion.is_complete());
+        (writer.sink().as_str().to_string(), report)
+    }
+
+    /// The link set the rows of `algo`'s join imply.
+    fn links(
+        eps: f64,
+        algo: ParallelAlgo,
+        lt: &impl JoinIndex<2>,
+        rt: &impl JoinIndex<2>,
+    ) -> BTreeSet<(RecordId, RecordId)> {
+        parse_cross_links(&join(eps, algo, lt, rt).0).expect("well-formed rows")
+    }
 
     fn left_points(n: usize) -> Vec<Point<2>> {
         (0..n)
@@ -449,8 +387,7 @@ mod tests {
         for eps in [0.01, 0.05, 0.2] {
             let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
             for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(10)] {
-                let out = SpatialJoin::new(eps, algo).run(&lt, &rt);
-                assert_eq!(out.expanded_link_set(), want, "eps={eps} algo={algo:?}");
+                assert_eq!(links(eps, algo, &lt, &rt), want, "eps={eps} algo={algo:?}");
             }
         }
     }
@@ -461,22 +398,21 @@ mod tests {
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(8));
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(8));
         let eps = 0.08;
-        let std_out = SpatialJoin::new(eps, ParallelAlgo::Ssj).run(&lt, &rt);
-        let cmp_out = SpatialJoin::new(eps, ParallelAlgo::Ncsj).run(&lt, &rt);
-        let win_out = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&lt, &rt);
-        let w = 3;
-        assert!(cmp_out.total_bytes(w) <= std_out.total_bytes(w));
-        assert!(win_out.total_bytes(w) <= cmp_out.total_bytes(w));
+        let bytes = |algo| join(eps, algo, &lt, &rt).0.len();
+        let (std_out, cmp_out) = (bytes(ParallelAlgo::Ssj), bytes(ParallelAlgo::Ncsj));
+        assert!(cmp_out <= std_out);
+        assert!(bytes(ParallelAlgo::Csj(10)) <= cmp_out);
     }
 
     #[test]
-    fn disjoint_datasets_empty_output() {
+    fn far_apart_roots_run_and_count_nothing() {
         let lp = vec![Point::new([0.0, 0.0]), Point::new([0.1, 0.0])];
         let rp = vec![Point::new([5.0, 5.0]), Point::new([5.1, 5.0])];
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(4));
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(4));
-        let out = SpatialJoin::new(0.2, ParallelAlgo::Csj(5)).run(&lt, &rt);
-        assert!(out.items.is_empty());
+        let (text, report) = join(0.2, ParallelAlgo::Csj(5), &lt, &rt);
+        assert!(text.is_empty());
+        assert_eq!(report.stats, JoinStats { threads_used: 1, ..JoinStats::default() });
     }
 
     #[test]
@@ -484,10 +420,8 @@ mod tests {
         let lp = vec![Point::new([0.0, 0.0])];
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(4));
         let empty = RStarTree::<2>::new(RTreeConfig::default());
-        let out = SpatialJoin::new(1.0, ParallelAlgo::Ssj).run(&lt, &empty);
-        assert!(out.items.is_empty());
-        let out = SpatialJoin::new(1.0, ParallelAlgo::Ssj).run(&empty, &lt);
-        assert!(out.items.is_empty());
+        assert!(join(1.0, ParallelAlgo::Ssj, &lt, &empty).0.is_empty());
+        assert!(join(1.0, ParallelAlgo::Ssj, &empty, &lt).0.is_empty());
     }
 
     #[test]
@@ -499,8 +433,7 @@ mod tests {
         let rt = MTree::from_points(&rp, MTreeConfig::with_max_fanout(6));
         let eps = 0.06;
         let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
-        let out = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&lt, &rt);
-        assert_eq!(out.expanded_link_set(), want);
+        assert_eq!(links(eps, ParallelAlgo::Csj(10), &lt, &rt), want);
     }
 
     #[test]
@@ -509,52 +442,47 @@ mod tests {
         // reports (i, i) pairs — distance zero qualifies.
         let lp = left_points(20);
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(4));
-        let out = SpatialJoin::new(0.001, ParallelAlgo::Ssj).run(&lt, &lt);
-        let set = out.expanded_link_set();
+        let set = links(0.001, ParallelAlgo::Ssj, &lt, &lt);
         for i in 0..20u32 {
             assert!(set.contains(&(i, i)), "self pair ({i},{i})");
         }
     }
 
     #[test]
-    fn implied_links_sum_to_the_distinct_count_without_a_window() {
+    fn implied_links_count_the_distinct_pairs_without_a_window() {
         // SSJ and N-CSJ imply each cross pair in exactly one row, so the
-        // rows' sum is the distinct count `csj join2` reports.
+        // counters' implied links are the distinct count `csj join2`
+        // reports.
         let (lp, rp) = (left_points(300), right_points(300));
         let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(6));
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(6));
+        let eps = 0.08;
+        let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean).len() as u64;
         for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj] {
-            let out = SpatialJoin::new(0.08, algo).run(&lt, &rt);
-            let sum: u64 = out.items.iter().map(SpatialItem::implied_links).sum();
-            assert_eq!(sum, out.expanded_link_set().len() as u64, "{algo:?}");
-            assert_eq!(out.num_groups() > 0, algo == ParallelAlgo::Ncsj, "{algo:?}");
+            let (text, report) = join(eps, algo, &lt, &rt);
+            let s = &report.stats;
+            assert_eq!(s.links_emitted + s.links_in_groups, want, "{algo:?}");
+            assert_eq!(s.links_emitted + s.groups_emitted, text.lines().count() as u64);
+            assert_eq!(s.groups_emitted > 0, algo == ParallelAlgo::Ncsj, "{algo:?}");
         }
     }
 
     #[test]
-    fn group_byte_format_accounting() {
-        let link = SpatialItem::Link(1, 2);
-        assert_eq!(link.format_bytes(4), 12, "two ids + separators + '| '");
-        let group = SpatialItem::Group { left: vec![1, 2], right: vec![3] };
-        assert_eq!(group.format_bytes(4), 17);
-        assert_eq!(group.implied_links(), 2);
-    }
-
-    #[test]
-    fn write_to_matches_byte_accounting() {
-        use csj_storage::{OutputSink, VecSink};
-        let out = SpatialOutput {
-            items: vec![
-                SpatialItem::Link(1, 22),
-                SpatialItem::Group { left: vec![3, 4], right: vec![5] },
-            ],
-            stats: JoinStats::default(),
-        };
-        let width = 4;
-        let mut sink = VecSink::new();
-        out.write_to(&mut sink, width).expect("vec sink cannot fail");
-        assert_eq!(sink.as_str(), "0001 | 0022\n0003 0004 | 0005\n");
-        assert_eq!(sink.bytes_written(), out.total_bytes(width));
+    fn a_failing_sink_stops_the_join_at_a_row_boundary() {
+        use csj_storage::{FaultPolicy, FaultySink};
+        let (lp, rp) = (left_points(200), right_points(200));
+        let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(6));
+        let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(6));
+        let (full, _) = join(0.08, ParallelAlgo::Ncsj, &lt, &rt);
+        let sink = FaultySink::new(VecSink::new(), FaultPolicy::fail_every(40));
+        let mut writer = OutputWriter::new(sink, 3);
+        let err = SpatialJoin::new(0.08, ParallelAlgo::Ncsj)
+            .run_streaming(&lt, &rt, &mut writer)
+            .expect_err("the 40th row fails");
+        assert!(matches!(err, CsjError::Storage(_)), "{err}");
+        let written = writer.sink().inner().as_str();
+        assert_eq!(written.lines().count(), 39);
+        assert!(full.starts_with(written), "the rows written are a prefix of the full file");
     }
 
     #[test]
@@ -572,16 +500,16 @@ mod tests {
         let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(8));
         let eps = 0.05;
         let want = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
-        let out = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&lt, &rt);
-        assert_eq!(out.expanded_link_set(), want);
+        assert_eq!(links(eps, ParallelAlgo::Csj(10), &lt, &rt), want);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::brute::brute_force_cross_links;
+    use crate::brute::{brute_force_cross_links, parse_cross_links};
     use csj_index::{rstar::RStarTree, RTreeConfig};
+    use csj_storage::VecSink;
     use proptest::prelude::*;
 
     proptest! {
@@ -600,10 +528,13 @@ mod proptests {
             let lt = RStarTree::from_points(&lp, RTreeConfig::with_max_fanout(5));
             let rt = RStarTree::from_points(&rp, RTreeConfig::with_max_fanout(5));
             let algo = [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(7)][algo];
-            let out = SpatialJoin::new(eps, algo).run(&lt, &rt);
+            let mut writer = OutputWriter::new(VecSink::new(), 2);
+            SpatialJoin::new(eps, algo)
+                .run_streaming(&lt, &rt, &mut writer)
+                .expect("a vec sink cannot fail");
             prop_assert_eq!(
-                out.expanded_link_set(),
-                brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean)
+                parse_cross_links(writer.sink().as_str()),
+                Some(brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean))
             );
         }
     }

@@ -297,6 +297,8 @@ fn put_digits(field: &mut [u8], mut value: u32) {
 pub struct OutputWriter<S> {
     sink: S,
     encoder: RowEncoder,
+    /// The last cross row, joined from its two encoded sides.
+    cross: Vec<u8>,
     links: u64,
     groups: u64,
 }
@@ -307,7 +309,13 @@ impl<S: OutputSink> OutputWriter<S> {
     /// Use [`OutputWriter::id_width_for`] to derive the width from the
     /// dataset size, as the paper does ("the same fixed number of bits").
     pub fn new(sink: S, width: usize) -> Self {
-        OutputWriter { sink, encoder: RowEncoder::new(width), links: 0, groups: 0 }
+        OutputWriter {
+            sink,
+            encoder: RowEncoder::new(width),
+            cross: Vec::new(),
+            links: 0,
+            groups: 0,
+        }
     }
 
     /// The minimal width that fits every id of a dataset with `n` records.
@@ -344,6 +352,26 @@ impl<S: OutputSink> OutputWriter<S> {
             return Err(StorageError::EmptyGroupRow);
         }
         self.sink.write_bytes(self.encoder.encode(ids, b'\n'))?;
+        self.groups += 1;
+        Ok(())
+    }
+
+    /// Writes one cross row of a two-dataset join: the left ids, `"| "`,
+    /// then the right ids, e.g. `0003 0004 | 0005`. `k` ids cost
+    /// `k·(width+1) + 2` bytes. A cross row counts as a group line.
+    ///
+    /// # Errors
+    /// Returns [`StorageError::EmptyGroupRow`] when either side is empty
+    /// and any sink error otherwise.
+    pub fn write_cross(&mut self, left: &[u32], right: &[u32]) -> Result<(), StorageError> {
+        if left.is_empty() || right.is_empty() {
+            return Err(StorageError::EmptyGroupRow);
+        }
+        self.cross.clear();
+        self.cross.extend_from_slice(self.encoder.encode(left, b' '));
+        self.cross.extend_from_slice(b"| ");
+        self.cross.extend_from_slice(self.encoder.encode(right, b'\n'));
+        self.sink.write_bytes(&self.cross)?;
         self.groups += 1;
         Ok(())
     }
@@ -470,6 +498,37 @@ mod tests {
             }
         }
         assert_eq!(count.bytes_written(), vec.bytes_written());
+    }
+
+    #[test]
+    fn cross_rows_are_pinned_and_counted() {
+        let mut w = OutputWriter::new(VecSink::new(), 4);
+        w.write_cross(&[1], &[22]).unwrap();
+        w.write_cross(&[3, 4], &[5]).unwrap();
+        assert_eq!(w.sink().as_str(), "0001 | 0022\n0003 0004 | 0005\n");
+        // `k` ids cost `k·(width+1) + 2` bytes: 12 + 17.
+        assert_eq!(w.bytes_written(), 29);
+        assert_eq!(w.groups_written(), 2);
+        // An id wider than the width is written in full, on either side.
+        let mut w = OutputWriter::new(VecSink::new(), 2);
+        w.write_cross(&[12345, 6], &[7]).unwrap();
+        assert_eq!(w.sink().as_str(), "12345 06 | 07\n");
+        assert_eq!(w.bytes_written(), 14);
+        assert_eq!(w.write_cross(&[], &[1]).unwrap_err(), StorageError::EmptyGroupRow);
+        assert_eq!(w.write_cross(&[1], &[]).unwrap_err(), StorageError::EmptyGroupRow);
+        assert_eq!(w.groups_written(), 1, "an empty side writes nothing");
+    }
+
+    #[test]
+    fn faulty_sink_stops_cross_rows_at_a_row_boundary() {
+        let mut w =
+            OutputWriter::new(FaultySink::new(VecSink::new(), FaultPolicy::fail_every(2)), 3);
+        w.write_cross(&[1, 2], &[3]).unwrap();
+        let err = w.write_cross(&[4], &[5, 6]).unwrap_err();
+        assert!(matches!(err, StorageError::FaultInjected { op: IoOp::Write, .. }));
+        assert_eq!(w.groups_written(), 1, "failed row not counted");
+        assert_eq!(w.sink().inner().as_str(), "001 002 | 003\n", "failed row not written");
+        assert_eq!(w.bytes_written(), 14);
     }
 
     #[test]

@@ -9,10 +9,28 @@
 //! ```
 
 use compact_similarity_joins::prelude::*;
+use csj_core::brute::parse_cross_links;
 use csj_core::parallel::ParallelAlgo;
 use csj_core::spatial::SpatialJoin;
 use csj_data::roads::{road_network, RoadConfig};
 use csj_index::mtree::{MTree, MTreeConfig};
+use csj_storage::{OutputWriter, VecSink};
+
+/// Runs `algo` on `left ⋈ right` into memory: the rows written, their
+/// bytes, and the cross links they imply.
+fn run(
+    algo: ParallelAlgo,
+    eps: f64,
+    left: &impl JoinIndex<2>,
+    right: &impl JoinIndex<2>,
+) -> (u64, u64, std::collections::BTreeSet<(u32, u32)>) {
+    let mut writer = OutputWriter::new(VecSink::new(), 5);
+    let report = SpatialJoin::new(eps, algo)
+        .run_streaming(left, right, &mut writer)
+        .expect("an in-memory sink cannot fail");
+    let links = parse_cross_links(writer.sink().as_str()).expect("well-formed rows");
+    (report.stats.links_emitted + report.stats.groups_emitted, writer.bytes_written(), links)
+}
 
 fn main() {
     let make = |seed: u64| {
@@ -34,30 +52,22 @@ fn main() {
     let right = RStarTree::bulk_load_str(&right_pts, RTreeConfig::default());
 
     let eps = 0.01;
-    let width = 5;
+    let (std_rows, std_bytes, std_links) = run(ParallelAlgo::Ssj, eps, &left, &right);
+    let (csj_rows, csj_bytes, csj_links) = run(ParallelAlgo::Csj(10), eps, &left, &right);
 
-    let standard = SpatialJoin::new(eps, ParallelAlgo::Ssj).run(&left, &right);
-    let compact = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&left, &right);
-
-    println!("cross links: {}", standard.expanded_link_set().len());
+    println!("cross links: {}", std_links.len());
+    println!("standard: {std_rows:>8} rows {std_bytes:>12} bytes");
     println!(
-        "standard: {:>8} rows {:>12} bytes",
-        standard.items.len(),
-        standard.total_bytes(width)
+        "compact : {csj_rows:>8} rows {csj_bytes:>12} bytes ({:.1}x smaller)",
+        std_bytes as f64 / csj_bytes as f64
     );
-    println!(
-        "compact : {:>8} rows {:>12} bytes ({:.1}x smaller)",
-        compact.items.len(),
-        compact.total_bytes(width),
-        standard.total_bytes(width) as f64 / compact.total_bytes(width) as f64
-    );
-    assert_eq!(standard.expanded_link_set(), compact.expanded_link_set());
+    assert_eq!(std_links, csj_links);
     println!("compact spatial join is lossless ✓");
 
     // The trait-based design joins across index *types* too: R*-tree on
     // the left, metric tree on the right.
     let right_mtree = MTree::from_points(&right_pts, MTreeConfig::default());
-    let mixed = SpatialJoin::new(eps, ParallelAlgo::Csj(10)).run(&left, &right_mtree);
-    assert_eq!(mixed.expanded_link_set(), standard.expanded_link_set());
+    let (_, _, mixed_links) = run(ParallelAlgo::Csj(10), eps, &left, &right_mtree);
+    assert_eq!(mixed_links, std_links);
     println!("R*-tree ⋈ M-tree join agrees ✓");
 }

@@ -12,8 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use csj_core::outofcore::OutOfCoreJoin;
-use csj_core::parallel::ParallelAlgo;
+use csj_core::outofcore::PagedSource;
+use csj_core::{ParallelAlgo, ResilientJoin};
 use csj_index::{rstar::RStarTree, PagedTree, RTreeConfig};
 use csj_storage::{RetryPolicy, SimulatedDisk};
 
@@ -68,9 +68,9 @@ fn join_allocations(tree: &RStarTree<2>, pool: usize) -> (u64, u64) {
     let built =
         PagedTree::from_core(tree.core(), SimulatedDisk::new(), RetryPolicy::none(), 4096).unwrap();
     let paged = PagedTree::<2, _>::open(built.into_disk(), RetryPolicy::none(), pool).unwrap();
-    let join = OutOfCoreJoin::new(ParallelAlgo::Ncsj, 0.15);
+    let join = ResilientJoin::new(0.15, ParallelAlgo::Ncsj);
     let before = allocations();
-    let output = join.run(&paged, None).unwrap();
+    let output = join.run(PagedSource::new(&paged, None)).unwrap();
     let allocated = allocations() - before;
     assert!(!output.items.is_empty());
     (allocated, paged.stats().pool.misses)

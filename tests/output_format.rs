@@ -175,7 +175,7 @@ fn spatial_join_bytes_and_counters_are_pinned() {
         ("N-CSJ L-inf", ParallelAlgo::Ncsj, Chebyshev, false),
         ("CSJ(10) L-inf", ParallelAlgo::Csj(10), Chebyshev, false),
     ];
-    // FNV-1a digest, rows and bytes of `write_to`, then `pair_visits`,
+    // FNV-1a digest, rows and bytes of the written file, then `pair_visits`,
     // `pairs_pruned`, `early_stops_pair`, `distance_computations`,
     // `merge_attempts`, `merges_succeeded`, `links_emitted`,
     // `groups_emitted` and `group_members_emitted`.
@@ -190,10 +190,13 @@ fn spatial_join_bytes_and_counters_are_pinned() {
     ];
     for ((label, algo, metric, mtree), want) in cases.into_iter().zip(pins) {
         let join = SpatialJoin::new(eps, algo).with_metric(metric);
-        let out = if mtree { join.run(&lt, &rm) } else { join.run(&lt, &rt) };
-        let mut sink = VecSink::new();
-        out.write_to(&mut sink, width).expect("vec sink cannot fail");
-        let s = &out.stats;
+        let mut writer = OutputWriter::new(VecSink::new(), width);
+        let report = if mtree {
+            join.run_streaming(&lt, &rm, &mut writer)
+        } else {
+            join.run_streaming(&lt, &rt, &mut writer)
+        };
+        let s = &report.expect("vec sink cannot fail").stats;
         let counters = [
             s.pair_visits,
             s.pairs_pruned,
@@ -205,10 +208,12 @@ fn spatial_join_bytes_and_counters_are_pinned() {
             s.groups_emitted,
             s.group_members_emitted,
         ];
-        let bytes = out.total_bytes(width);
-        assert_eq!(sink.bytes_written(), bytes, "{label}: written bytes");
+        let (bytes, contents) = (writer.bytes_written(), writer.sink().contents());
+        let rows = contents.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(rows as u64, s.links_emitted + s.groups_emitted, "{label}: counted rows");
+        assert_eq!(contents.len() as u64, bytes, "{label}: written bytes");
         assert_eq!(
-            (csj_storage::fnv1a64(sink.contents()), out.items.len(), bytes, counters),
+            (csj_storage::fnv1a64(contents), rows, bytes, counters),
             want,
             "{label}: digest, rows, bytes, counters"
         );

@@ -1,6 +1,6 @@
 //! Cross-crate property tests: random data through the whole pipeline.
 
-use csj_core::brute::{brute_force_cross_links, brute_force_links_metric};
+use csj_core::brute::{brute_force_cross_links, brute_force_links_metric, parse_cross_links};
 use csj_core::egrid::GridJoin;
 use csj_core::spatial::SpatialJoin;
 use csj_core::verify::verify_lossless;
@@ -8,6 +8,7 @@ use csj_core::{GroupShapeKind, JoinConfig, JoinOutput, ParallelAlgo, ResilientJo
 use csj_geom::{Metric, Point};
 use csj_index::mtree::{MTree, MTreeConfig};
 use csj_index::{rstar::RStarTree, rtree::RTree, JoinIndex, RTreeConfig, SplitStrategy};
+use csj_storage::{OutputWriter, VecSink};
 use proptest::prelude::*;
 
 /// Runs `algo` at range `eps` on the sequential runner.
@@ -85,8 +86,11 @@ proptest! {
         let rt = MTree::from_points(&rp, MTreeConfig::with_max_fanout(5));
         let truth = brute_force_cross_links(&lp, &rp, eps, Metric::Euclidean);
         for algo in [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(6)] {
-            let out = SpatialJoin::new(eps, algo).run(&lt, &rt);
-            prop_assert_eq!(out.expanded_link_set(), truth.clone());
+            let mut writer = OutputWriter::new(VecSink::new(), 2);
+            SpatialJoin::new(eps, algo)
+                .run_streaming(&lt, &rt, &mut writer)
+                .expect("vec sink cannot fail");
+            prop_assert_eq!(parse_cross_links(writer.sink().as_str()), Some(truth.clone()));
         }
     }
 
