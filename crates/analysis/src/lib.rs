@@ -16,7 +16,6 @@
 //! | `determinism` | no clock/RNG in the merge/output modules |
 //! | `error-hygiene` | `pub fn … -> Result` documents an `# Errors` section |
 //! | `sync-facade` | csj-core imports sync primitives via `crate::sync`, keeping them model-checkable |
-//! | `unsafe-discipline` | every `unsafe` block carries a `// SAFETY:` justification |
 //! | `guard-discipline` | buffer-pool pins and RAII guards balance on every CFG path |
 //! | `lock-order` | mutex/`RefCell` acquisition order stays acyclic workspace-wide |
 //! | `io-under-lock` | no disk I/O reachable while a pool borrow or facade lock is held |

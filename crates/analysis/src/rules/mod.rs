@@ -25,7 +25,6 @@ pub mod padding_invariant;
 pub mod panic_safety;
 pub mod sync_facade;
 pub mod unsafe_bounds;
-pub mod unsafe_discipline;
 
 use std::collections::HashMap;
 
@@ -142,12 +141,6 @@ pub fn all_rules() -> &'static [Rule] {
             summary: "csj-core uses `crate::sync`, never `std::sync`, outside the facade",
             explain: sync_facade::EXPLAIN,
             check: Check::File(sync_facade::check),
-        },
-        Rule {
-            name: "unsafe-discipline",
-            summary: "every `unsafe` block requires a `// SAFETY:` justification",
-            explain: unsafe_discipline::EXPLAIN,
-            check: Check::File(unsafe_discipline::check),
         },
         Rule {
             name: "guard-discipline",

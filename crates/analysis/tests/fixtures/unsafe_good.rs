@@ -1,4 +1,4 @@
-//! Fixture: the forms unsafe-discipline accepts.
+//! Fixture: justified `unsafe` blocks, silent under every rule.
 
 /// Reads through a raw pointer.
 ///

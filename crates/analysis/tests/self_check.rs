@@ -61,7 +61,6 @@ fn every_suppression_names_a_real_rule() {
             "determinism",
             "error-hygiene",
             "sync-facade",
-            "unsafe-discipline",
             "guard-discipline",
             "lock-order",
             "io-under-lock",

@@ -11,9 +11,9 @@
 //! identity/throughput reference. A last pair of legs runs the 1/64
 //! pool over a `SimulatedDisk` copy of the page file with no read-ahead:
 //! no disk and no reader threads, so it measures the CPU the page path
-//! adds to the join. Every leg runs `REPS` times, interleaved
-//! round-robin with the others, and reports the min, median and max of
-//! its wall times; throughput is taken at the median, and
+//! adds to the join. Every leg runs 3 times (once under `--smoke`),
+//! interleaved round-robin with the others, and reports the min, median
+//! and max of its wall times; throughput is taken at the median, and
 //! `vs_in_memory` is the leg's median over the in-memory median of the
 //! same join.
 //!
@@ -27,71 +27,18 @@
 //!                [--data-dir <dir>]
 //! ```
 
-use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use csj_bench::harness::{rustc_version, TimeStats};
+use csj_bench::args::{PerfArgs, PerfBin};
+use csj_bench::harness::{interleaved, join_to_file, write_report, Json, TimeStats};
 use csj_core::outofcore::{PagedSource, Prefetcher};
 use csj_core::parallel::ParallelAlgo;
 use csj_core::{JoinStats, ResilientJoin};
-use csj_geom::KernelPath;
+use csj_index::rstar::RStarTree;
 use csj_index::{PagedStats, PagedTree, RTreeConfig};
 use csj_storage::disk::Disk;
-use csj_storage::{
-    FileDisk, FileSink, OutputSink, OutputWriter, RetryPolicy, SimulatedDisk, PAGE_SIZE,
-};
-
-struct Args {
-    smoke: bool,
-    out: String,
-    n: usize,
-    eps: f64,
-    data_dir: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        smoke: false,
-        out: "BENCH_outofcore.json".to_string(),
-        n: csj_data::roads::PACIFIC_NW_SIZE,
-        eps: 0.0005,
-        data_dir: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--smoke" => {
-                out.smoke = true;
-                out.n = 50_000;
-            }
-            "--out" => out.out = value("--out"),
-            "--n" => out.n = value("--n").parse().expect("--n takes a point count"),
-            "--eps" => out.eps = value("--eps").parse().expect("--eps takes a number"),
-            "--data-dir" => out.data_dir = Some(value("--data-dir")),
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --smoke  --out <file>  --n <points>  --eps <E>  --data-dir <dir>"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; see --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    out
-}
-
-/// Interleaved repetitions of every leg; each leg reports the min,
-/// median and max of its wall times (one repetition under `--smoke`).
-const REPS: usize = 3;
+use csj_storage::{FileDisk, FileSink, OutputWriter, RetryPolicy, SimulatedDisk, PAGE_SIZE};
 
 /// Total links the output encodes: individual rows plus the pairs
 /// implied by group rows.
@@ -103,78 +50,134 @@ fn encoded_links(stats: &JoinStats) -> u64 {
 const ALGOS: [(&str, ParallelAlgo); 2] =
     [("ncsj", ParallelAlgo::Ncsj), ("csj10", ParallelAlgo::Csj(10))];
 
-/// One in-memory reference leg per entry of [`ALGOS`]: its counters are
-/// the identity baseline every out-of-core leg must match.
-#[derive(Default)]
-struct Reference {
-    stats: JoinStats,
-    bytes: u64,
-    samples_ms: Vec<f64>,
+/// Where a leg's nodes live.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Nodes {
+    /// The in-memory R*-tree: the identity baseline every other leg of
+    /// the same join must match.
+    #[default]
+    InMemory,
+    /// The page file, with frontier read-ahead.
+    File,
+    /// A `SimulatedDisk` copy of the page file, without read-ahead.
+    Simulated,
 }
 
-/// One out-of-core leg; the counters are those of its last repetition.
+impl Nodes {
+    fn label(self) -> &'static str {
+        match self {
+            Nodes::InMemory => "memory",
+            Nodes::File => "file",
+            Nodes::Simulated => "simulated",
+        }
+    }
+}
+
+/// One leg; the counters are those of its last repetition.
 #[derive(Default)]
 struct Leg {
     /// Index into [`ALGOS`].
     algo: usize,
-    /// Over a `SimulatedDisk` copy of the page file, without read-ahead.
-    simulated: bool,
+    nodes: Nodes,
     pool_pages: usize,
     pool_fraction: f64,
-    samples_ms: Vec<f64>,
+    prefetch_budget_pages: usize,
     output_bytes: u64,
     stats: JoinStats,
     paged: PagedStats,
-    prefetch_budget_pages: usize,
 }
 
-/// Runs one out-of-core leg over `tree` into `out_path`, with
-/// read-ahead from `prefetch_path` when given: wall ms, stats and output
-/// bytes.
-fn paged_run<Dk: Disk>(
-    tree: &PagedTree<2, Dk>,
-    leg: &Leg,
-    eps: f64,
-    out_path: &std::path::Path,
-    width: usize,
-    prefetch_path: Option<&std::path::Path>,
-) -> (f64, JoinStats, u64) {
-    let mut writer = OutputWriter::new(FileSink::create(out_path).expect("output file"), width);
-    let t = Instant::now();
-    let budget = leg.prefetch_budget_pages * PAGE_SIZE;
-    let prefetch =
-        prefetch_path.map(|path| Prefetcher::spawn(path, budget).expect("read-ahead threads"));
-    let stats = ResilientJoin::new(eps, ALGOS[leg.algo].1)
-        .run_streaming(PagedSource::new(tree, prefetch), &mut writer)
-        .expect("out-of-core join")
-        .stats;
-    let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    (wall_ms, stats, writer.finish().expect("flush").bytes_written())
+/// The legs of one run: the in-memory reference per join, then the pool
+/// curve from 1/64 up to 1/8 of the `node_pages` footprint (the
+/// acceptance ceiling, smallest first so the hardest configuration runs
+/// first), then the smallest pool over a simulated disk.
+fn plan_legs(node_pages: u64, smoke: bool) -> Vec<Leg> {
+    let fractions: &[u64] = if smoke { &[64, 8] } else { &[64, 32, 16, 8] };
+    let pool_at = |frac: u64| ((node_pages / frac).max(4)) as usize;
+    let mut legs: Vec<Leg> = (0..ALGOS.len()).map(|algo| Leg { algo, ..Leg::default() }).collect();
+    for &frac in fractions {
+        let pool = pool_at(frac);
+        legs.extend((0..ALGOS.len()).map(|algo| Leg {
+            algo,
+            nodes: Nodes::File,
+            pool_pages: pool,
+            pool_fraction: 1.0 / frac as f64,
+            prefetch_budget_pages: (pool / 4).max(8),
+            ..Leg::default()
+        }));
+    }
+    legs.extend((0..ALGOS.len()).map(|algo| Leg {
+        algo,
+        nodes: Nodes::Simulated,
+        pool_pages: pool_at(fractions[0]),
+        pool_fraction: 1.0 / fractions[0] as f64,
+        ..Leg::default()
+    }));
+    legs
 }
 
-/// Runs `algo` over the in-memory tree into `out_path`: wall ms, stats
-/// and output bytes.
-fn in_memory_run(
-    rtree: &csj_index::rstar::RStarTree<2>,
-    algo: ParallelAlgo,
-    eps: f64,
-    out_path: &std::path::Path,
-    width: usize,
-) -> (f64, JoinStats, u64) {
-    let mut writer = OutputWriter::new(FileSink::create(out_path).expect("output file"), width);
-    let t = Instant::now();
-    let stats = ResilientJoin::new(eps, algo)
-        .run_streaming(rtree, &mut writer)
-        .expect("in-memory join")
-        .stats;
-    let wall = t.elapsed().as_secs_f64() * 1e3;
-    (wall, stats, writer.finish().expect("flush").bytes_written())
+/// Copies the page file at `path` into a `SimulatedDisk`.
+fn simulated_copy(path: &Path) -> SimulatedDisk {
+    let mut file = FileDisk::open(path).expect("open page file");
+    let mut sim = SimulatedDisk::new();
+    for page in 0..file.num_pages() {
+        let page = file.read(csj_storage::PageId(page)).expect("read page file");
+        sim.alloc();
+        sim.write(&page).expect("copy page");
+    }
+    sim
 }
 
-#[allow(clippy::too_many_lines)]
+/// The report row of `leg`, timed at `wall`; `in_memory` is the median
+/// of its join's in-memory leg.
+fn leg_row(leg: &Leg, wall: &TimeStats, in_memory: f64) -> Json {
+    let links = encoded_links(&leg.stats);
+    let mut row = vec![("algo", ALGOS[leg.algo].0.into())];
+    if leg.nodes != Nodes::InMemory {
+        row.extend([
+            ("disk", leg.nodes.label().into()),
+            ("pool_pages", leg.pool_pages.into()),
+            ("pool_fraction", Json::Fixed(leg.pool_fraction, 5)),
+            ("prefetch_budget_pages", leg.prefetch_budget_pages.into()),
+        ]);
+    }
+    row.extend(wall.fields(["wall_ms_min", "wall_ms_median", "wall_ms_max"], 1));
+    let per_sec = Json::Fixed(links as f64 / (wall.median_ms / 1e3), 0);
+    if leg.nodes == Nodes::InMemory {
+        row.extend([
+            ("links", links.into()),
+            ("groups", leg.stats.groups_emitted.into()),
+            ("output_bytes", leg.output_bytes.into()),
+            ("links_per_sec", per_sec),
+        ]);
+        return Json::Obj(row);
+    }
+    let (paged, prefetch) = (&leg.paged, &leg.paged.prefetch);
+    row.extend([
+        ("vs_in_memory", Json::Fixed(wall.median_ms / in_memory, 2)),
+        ("links_per_sec", per_sec),
+        ("output_bytes", leg.output_bytes.into()),
+        ("links", links.into()),
+        ("groups", leg.stats.groups_emitted.into()),
+        ("pool_hits", paged.pool.hits.into()),
+        ("pool_misses", paged.pool.misses.into()),
+        ("hit_rate", Json::Fixed(paged.pool.hit_rate(), 4)),
+        ("evictions", paged.pool.evictions.into()),
+        ("disk_reads", paged.disk_reads.into()),
+        ("io_retries", paged.io_retries.into()),
+        ("prefetch_supplied", paged.prefetch_supplied.into()),
+        ("prefetch_issued", prefetch.issued.into()),
+        ("prefetch_late", prefetch.late.into()),
+        ("prefetch_late_wait_ms", Json::Fixed(prefetch.late_wait_ns as f64 / 1e6, 1)),
+        ("prefetch_wasted", prefetch.wasted.into()),
+    ]);
+    Json::Obj(row)
+}
+
 fn main() {
-    let args = parse_args();
-    let dir = args.data_dir.clone().map(std::path::PathBuf::from).unwrap_or_else(|| {
+    let bin = PerfBin::OutOfCore;
+    let args = PerfArgs::parse(bin);
+    let dir = args.data_dir.clone().map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("csj_perf_outofcore_{}", std::process::id()))
     });
     std::fs::create_dir_all(&dir).expect("create data dir");
@@ -210,204 +213,110 @@ fn main() {
     drop(built);
 
     // In-memory reference: same traversal, arena-resident nodes.
-    let rtree = csj_index::rstar::RStarTree::bulk_load_str(&pts, cfg_tree);
-    let mut reference: Vec<Reference> = ALGOS.iter().map(|_| Reference::default()).collect();
+    let rtree = RStarTree::bulk_load_str(&pts, cfg_tree);
+    let mut legs = plan_legs(node_pages, args.smoke);
+    let mut sim_disk = Some(simulated_copy(&pages_path));
 
-    // Pool curve: 1/64 .. 1/8 of the index footprint (the acceptance
-    // ceiling), smallest first so the hardest configuration runs first.
-    let fractions: &[u64] = if args.smoke { &[64, 8] } else { &[64, 32, 16, 8] };
-    let mut legs: Vec<Leg> = Vec::new();
-    for &frac in fractions {
-        let pool = ((node_pages / frac).max(4)) as usize;
-        for algo in 0..ALGOS.len() {
-            legs.push(Leg {
-                algo,
-                pool_pages: pool,
-                pool_fraction: 1.0 / frac as f64,
-                prefetch_budget_pages: (pool / 4).max(8),
-                ..Leg::default()
-            });
-        }
-    }
-    // The page path's CPU alone: the smallest pool over a simulated
-    // disk, with no read-ahead.
-    let sim_pool = ((node_pages / fractions[0]).max(4)) as usize;
-    for algo in 0..ALGOS.len() {
-        legs.push(Leg {
-            algo,
-            simulated: true,
-            pool_pages: sim_pool,
-            pool_fraction: 1.0 / fractions[0] as f64,
-            ..Leg::default()
+    // Every round runs every leg once, in the same order, so host drift
+    // hits all legs alike; the in-memory legs run first and set the
+    // reference each out-of-core leg of the same join must reproduce.
+    let mut reference: [(JoinStats, u64); ALGOS.len()] = Default::default();
+    let walls = interleaved(args.iters, &mut legs, |leg| {
+        let (name, pool) = (ALGOS[leg.algo].0, leg.pool_pages);
+        let out_path = dir.join(match leg.nodes {
+            Nodes::InMemory => format!("mem_{name}.txt"),
+            _ => format!("ooc_{name}_{pool}.txt"),
         });
-    }
-    let mut sim_disk = Some({
-        let mut file = FileDisk::open(&pages_path).expect("open page file");
-        let mut sim = SimulatedDisk::new();
-        for page in 0..file.num_pages() {
-            let page = file.read(csj_storage::PageId(page)).expect("read page file");
-            sim.alloc();
-            sim.write(&page).expect("copy page");
-        }
-        sim
-    });
-
-    // Every repetition runs every leg once, in the same order, so host
-    // drift hits all legs alike.
-    let reps = if args.smoke { 1 } else { REPS };
-    for rep in 0..reps {
-        for (r, &(name, algo)) in reference.iter_mut().zip(&ALGOS) {
-            let out_path = dir.join(format!("mem_{name}.txt"));
-            let (wall, stats, bytes) = in_memory_run(&rtree, algo, eps, &out_path, width);
-            eprintln!(
-                "rep {rep} in-memory {name}: {wall:.0} ms, {} encoded links, {bytes} bytes",
-                encoded_links(&stats)
-            );
-            r.samples_ms.push(wall);
-            r.stats = stats;
-            r.bytes = bytes;
-        }
-        for leg in &mut legs {
-            let name = ALGOS[leg.algo].0;
-            let pool = leg.pool_pages;
-            let out_path = dir.join(format!("ooc_{name}_{pool}.txt"));
-            let (wall_ms, stats, output_bytes, paged) = if leg.simulated {
+        let join = ResilientJoin::new(eps, ALGOS[leg.algo].1);
+        let (wall_ms, stats, output_bytes) = match leg.nodes {
+            Nodes::InMemory => {
+                let run = join_to_file(&join, &out_path, width, || &rtree);
+                reference[leg.algo] = (run.1.clone(), run.2);
+                run
+            }
+            Nodes::File => {
+                let disk = FileDisk::open(&pages_path).expect("open page file");
+                let tree = PagedTree::<2, _>::open(disk, RetryPolicy::default(), pool)
+                    .expect("open paged tree");
+                let budget = leg.prefetch_budget_pages * PAGE_SIZE;
+                let run = join_to_file(&join, &out_path, width, || {
+                    let prefetch = Prefetcher::spawn(&pages_path, budget).expect("read-ahead");
+                    PagedSource::new(&tree, Some(prefetch))
+                });
+                leg.paged = tree.stats();
+                run
+            }
+            Nodes::Simulated => {
                 let mut disk = sim_disk.take().expect("the simulated page file");
                 disk.reads = 0;
                 let tree = PagedTree::<2, _>::open(disk, RetryPolicy::default(), pool)
                     .expect("open paged tree");
-                let (wall_ms, stats, bytes) = paged_run(&tree, leg, eps, &out_path, width, None);
-                let paged = tree.stats();
+                let run = join_to_file(&join, &out_path, width, || PagedSource::new(&tree, None));
+                leg.paged = tree.stats();
                 sim_disk = Some(tree.into_disk());
-                (wall_ms, stats, bytes, paged)
-            } else {
-                let disk = FileDisk::open(&pages_path).expect("open page file");
-                let tree = PagedTree::<2, _>::open(disk, RetryPolicy::default(), pool)
-                    .expect("open paged tree");
-                let (wall_ms, stats, bytes) =
-                    paged_run(&tree, leg, eps, &out_path, width, Some(&pages_path));
-                (wall_ms, stats, bytes, tree.stats())
-            };
+                run
+            }
+        };
 
+        if leg.nodes != Nodes::InMemory {
             // Identity gate: the out-of-core run must reproduce the
             // in-memory run exactly.
-            let r = &reference[leg.algo];
-            assert_eq!(stats.links_emitted, r.stats.links_emitted, "{name} links diverged");
-            assert_eq!(stats.groups_emitted, r.stats.groups_emitted, "{name} groups diverged");
+            let (r_stats, r_bytes) = &reference[leg.algo];
+            assert_eq!(stats.links_emitted, r_stats.links_emitted, "{name} links diverged");
+            assert_eq!(stats.groups_emitted, r_stats.groups_emitted, "{name} groups diverged");
             assert_eq!(
-                stats.distance_computations, r.stats.distance_computations,
+                stats.distance_computations, r_stats.distance_computations,
                 "{name} comparisons diverged"
             );
-            assert_eq!(output_bytes, r.bytes, "{name} output bytes diverged");
+            assert_eq!(output_bytes, *r_bytes, "{name} output bytes diverged");
             if args.smoke {
                 let mem = std::fs::read(dir.join(format!("mem_{name}.txt"))).expect("read");
                 let ooc = std::fs::read(&out_path).expect("read");
                 assert!(mem == ooc, "{name} output files diverged at {pool} pages");
             }
             let _ = std::fs::remove_file(&out_path);
-
-            eprintln!(
-                "rep {rep} pool {pool} pages {name}{}: {wall_ms:.0} ms, {:.0} links/s, \
-                 {} misses / {} hits ({:.1}% hit rate), {} evictions, {} prefetched \
-                 ({} issued, {} late, {} wasted)",
-                if leg.simulated { " (simulated disk)" } else { "" },
-                encoded_links(&stats) as f64 / (wall_ms / 1e3),
-                paged.pool.misses,
-                paged.pool.hits,
-                paged.pool.hit_rate() * 100.0,
-                paged.pool.evictions,
-                paged.prefetch_supplied,
-                paged.prefetch.issued,
-                paged.prefetch.late,
-                paged.prefetch.wasted
-            );
-            leg.samples_ms.push(wall_ms);
-            leg.output_bytes = output_bytes;
-            leg.stats = stats;
-            leg.paged = paged;
         }
-    }
+        let p = &leg.paged;
+        eprintln!(
+            "{name} {} pool {pool}: {wall_ms:.0} ms, {:.0} links/s, {output_bytes} bytes, \
+             {} misses / {} hits ({:.1}% hit rate), {} evictions, {} prefetched \
+             ({} issued, {} late, {} wasted)",
+            leg.nodes.label(),
+            encoded_links(&stats) as f64 / (wall_ms / 1e3),
+            p.pool.misses,
+            p.pool.hits,
+            p.pool.hit_rate() * 100.0,
+            p.pool.evictions,
+            p.prefetch_supplied,
+            p.prefetch.issued,
+            p.prefetch.late,
+            p.prefetch.wasted
+        );
+        leg.output_bytes = output_bytes;
+        leg.stats = stats;
+        wall_ms
+    });
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"benchmark\": \"outofcore\",");
-    let _ = writeln!(json, "  \"rustc\": \"{}\",", rustc_version());
-    let _ = writeln!(json, "  \"host_parallelism\": {},", csj_core::parallel::default_threads());
-    let _ = writeln!(json, "  \"kernel_path\": \"{}\",", KernelPath::detect().name());
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"reps\": {reps},");
-    let _ = writeln!(json, "  \"dataset\": \"pacific-nw\",");
-    let _ = writeln!(json, "  \"n\": {},", args.n);
-    let _ = writeln!(json, "  \"eps\": {},", eps);
-    let _ = writeln!(json, "  \"page_size\": {},", PAGE_SIZE);
-    let _ = writeln!(json, "  \"node_pages\": {},", node_pages);
-    let _ = writeln!(json, "  \"footprint_bytes\": {},", footprint_bytes);
-    let _ = writeln!(json, "  \"build_ms\": {:.1},", build_ms);
-    let _ = writeln!(json, "  \"in_memory\": [");
-    for (i, (r, (name, _))) in reference.iter().zip(ALGOS).enumerate() {
-        let comma = if i + 1 == reference.len() { "" } else { "," };
-        let wall = TimeStats::from_samples_ms(r.samples_ms.clone());
-        let _ = writeln!(
-            json,
-            "    {{\"algo\": \"{}\", \"wall_ms_min\": {:.1}, \"wall_ms_median\": {:.1}, \
-             \"wall_ms_max\": {:.1}, \"links\": {}, \"groups\": {}, \"output_bytes\": {}, \
-             \"links_per_sec\": {:.0}}}{comma}",
-            name,
-            wall.min_ms,
-            wall.median_ms,
-            wall.max_ms,
-            encoded_links(&r.stats),
-            r.stats.groups_emitted,
-            r.bytes,
-            encoded_links(&r.stats) as f64 / (wall.median_ms / 1e3)
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"pool_curve\": [");
-    for (i, leg) in legs.iter().enumerate() {
-        let comma = if i + 1 == legs.len() { "" } else { "," };
-        let wall = TimeStats::from_samples_ms(leg.samples_ms.clone());
-        let in_memory = TimeStats::from_samples_ms(reference[leg.algo].samples_ms.clone());
-        let _ = writeln!(
-            json,
-            "    {{\"algo\": \"{}\", \"disk\": \"{}\", \"pool_pages\": {}, \
-             \"pool_fraction\": {:.5}, \"prefetch_budget_pages\": {}, \"wall_ms_min\": {:.1}, \
-             \"wall_ms_median\": {:.1}, \"wall_ms_max\": {:.1}, \"vs_in_memory\": {:.2}, \
-             \"links_per_sec\": {:.0}, \
-             \"output_bytes\": {}, \"links\": {}, \"groups\": {}, \"pool_hits\": {}, \
-             \"pool_misses\": {}, \"hit_rate\": {:.4}, \"evictions\": {}, \"disk_reads\": {}, \
-             \"io_retries\": {}, \"prefetch_supplied\": {}, \"prefetch_issued\": {}, \
-             \"prefetch_late\": {}, \"prefetch_late_wait_ms\": {:.1}, \"prefetch_wasted\": {}}}{comma}",
-            ALGOS[leg.algo].0,
-            if leg.simulated { "simulated" } else { "file" },
-            leg.pool_pages,
-            leg.pool_fraction,
-            leg.prefetch_budget_pages,
-            wall.min_ms,
-            wall.median_ms,
-            wall.max_ms,
-            wall.median_ms / in_memory.median_ms,
-            encoded_links(&leg.stats) as f64 / (wall.median_ms / 1e3),
-            leg.output_bytes,
-            encoded_links(&leg.stats),
-            leg.stats.groups_emitted,
-            leg.paged.pool.hits,
-            leg.paged.pool.misses,
-            leg.paged.pool.hit_rate(),
-            leg.paged.pool.evictions,
-            leg.paged.disk_reads,
-            leg.paged.io_retries,
-            leg.paged.prefetch_supplied,
-            leg.paged.prefetch.issued,
-            leg.paged.prefetch.late,
-            leg.paged.prefetch.late_wait_ns as f64 / 1e6,
-            leg.paged.prefetch.wasted
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&args.out, &json).expect("write json");
-    eprintln!("wrote {}", args.out);
+    let rows: Vec<Json> = legs
+        .iter()
+        .zip(&walls)
+        .map(|(leg, wall)| leg_row(leg, wall, walls[leg.algo].median_ms))
+        .collect();
+    let (in_memory, pool_curve) = rows.split_at(ALGOS.len());
+    write_report(
+        bin,
+        &args,
+        vec![
+            ("dataset", "pacific-nw".into()),
+            ("eps", eps.into()),
+            ("page_size", PAGE_SIZE.into()),
+            ("node_pages", node_pages.into()),
+            ("footprint_bytes", footprint_bytes.into()),
+            ("build_ms", Json::Fixed(build_ms, 1)),
+            ("in_memory", Json::Arr(in_memory.to_vec())),
+            ("pool_curve", Json::Arr(pool_curve.to_vec())),
+        ],
+    );
 
     // Temp-dir hygiene: remove everything this run created unless the
     // caller chose the directory.

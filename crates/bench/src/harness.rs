@@ -1,13 +1,19 @@
-//! Measurement plumbing: timing, per-algorithm runs, TSV output and the
-//! ASCII density maps used for Figure 4.
+//! Measurement plumbing: timing, per-algorithm runs, TSV output, the
+//! ASCII density maps used for Figure 4, and the perf bins' shared parts
+//! (workload table, interleaved sampler, provenance header, JSON writer).
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
+use csj_core::engine::NodeSource;
 use csj_core::parallel::ParallelAlgo;
-use csj_core::{ResilientJoin, RunBudget};
-use csj_geom::Point;
-use csj_index::JoinIndex;
-use csj_storage::{CostModel, CountingSink, OutputWriter};
+use csj_core::{JoinStats, ResilientJoin, RunBudget};
+use csj_geom::{KernelPath, Point};
+use csj_index::{rstar::RStarTree, JoinIndex, RTreeConfig};
+use csj_storage::{CostModel, CountingSink, FileSink, OutputSink, OutputWriter};
+
+use crate::args::{PerfArgs, PerfBin};
+use crate::datasets::skewed_cluster;
 
 /// The display name of `algo` in the paper's legends.
 pub fn algo_name(algo: ParallelAlgo) -> String {
@@ -67,10 +73,8 @@ pub struct TimeStats {
 }
 
 impl TimeStats {
-    /// Min/median/max of pre-collected wall-clock samples (ms). Callers
-    /// that interleave legs round-robin (so frequency drift hits every
-    /// leg equally) gather their own samples and summarise them here.
-    pub fn from_samples_ms(mut samples: Vec<f64>) -> TimeStats {
+    /// Min/median/max of wall-clock samples (ms).
+    fn from_samples_ms(mut samples: Vec<f64>) -> TimeStats {
         assert!(!samples.is_empty());
         samples.sort_by(f64::total_cmp);
         TimeStats {
@@ -79,30 +83,74 @@ impl TimeStats {
             max_ms: samples[samples.len() - 1],
         }
     }
+
+    /// Min, median and max as report fields named `keys`, at `decimals`
+    /// places.
+    pub fn fields(&self, keys: [&'static str; 3], decimals: usize) -> [(&'static str, Json); 3] {
+        let [min, median, max] = keys;
+        [
+            (min, Json::Fixed(self.min_ms, decimals)),
+            (median, Json::Fixed(self.median_ms, decimals)),
+            (max, Json::Fixed(self.max_ms, decimals)),
+        ]
+    }
 }
 
-/// Min/median/max of `iters` wall-clock timings of `f`, in milliseconds.
-pub fn time_stats_ms(iters: usize, mut f: impl FnMut()) -> TimeStats {
+/// Wall-clock milliseconds of one call of `f`.
+pub fn timed_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// The interleaved sampler: `iters` rounds, each calling `run` once per
+/// leg in order, so clock-frequency drift and cache state hit every leg
+/// alike. `run` returns the milliseconds it measured (usually
+/// [`timed_ms`] of the whole call; a leg may keep setup such as creating
+/// its output file outside the span). Returns one [`TimeStats`] per leg.
+pub fn interleaved<L>(
+    iters: usize,
+    legs: &mut [L],
+    mut run: impl FnMut(&mut L) -> f64,
+) -> Vec<TimeStats> {
     assert!(iters >= 1);
-    let times: Vec<f64> = (0..iters)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    TimeStats::from_samples_ms(times)
+    let mut samples = vec![Vec::with_capacity(iters); legs.len()];
+    for _ in 0..iters {
+        for (leg, leg_samples) in legs.iter_mut().zip(&mut samples) {
+            leg_samples.push(run(leg));
+        }
+    }
+    samples.into_iter().map(TimeStats::from_samples_ms).collect()
+}
+
+/// Streams `join` over the node source `nodes` makes into a new file at
+/// `path`, ids `id_width` digits wide. Returns the wall ms from making
+/// the source (so read-ahead threads start inside the span) to the
+/// flushed last row — creating the file stays outside — with the join's
+/// stats and the bytes written.
+pub fn join_to_file<S: NodeSource<D>, const D: usize>(
+    join: &ResilientJoin,
+    path: impl AsRef<std::path::Path>,
+    id_width: usize,
+    nodes: impl FnOnce() -> S,
+) -> (f64, JoinStats, u64) {
+    let sink = FileSink::create(path).expect("create bench output file");
+    let mut writer = OutputWriter::new(sink, id_width);
+    let start = Instant::now();
+    let stats = join.run_streaming(nodes(), &mut writer).expect("join to file").stats;
+    let bytes = writer.finish().expect("flush bench output").bytes_written();
+    (start.elapsed().as_secs_f64() * 1e3, stats, bytes)
 }
 
 /// Median of `iters` wall-clock timings of `f`, in milliseconds.
-pub fn median_time_ms(iters: usize, f: impl FnMut()) -> f64 {
-    time_stats_ms(iters, f).median_ms
+pub fn median_time_ms(iters: usize, mut f: impl FnMut()) -> f64 {
+    interleaved(iters, &mut [()], |()| timed_ms(&mut f))[0].median_ms
 }
 
 /// `rustc --version` of the toolchain on PATH — the one that (normally)
 /// built the bench — or `"unknown"`. Perf numbers without the compiler
 /// version are not reproducible claims.
-pub fn rustc_version() -> String {
+fn rustc_version() -> String {
     std::process::Command::new("rustc")
         .arg("--version")
         .output()
@@ -111,6 +159,189 @@ pub fn rustc_version() -> String {
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// Compile-time target features relevant to the distance kernels.
+fn compiled_features() -> &'static str {
+    if cfg!(target_feature = "avx2") {
+        "avx2"
+    } else if cfg!(target_feature = "neon") {
+        "neon"
+    } else if cfg!(target_feature = "sse2") {
+        "sse2"
+    } else {
+        "baseline"
+    }
+}
+
+/// Writes a perf report to `args.out`: the provenance header every perf
+/// bin shares (which bin at which size, and the host, toolchain and
+/// kernel path the numbers came from), then `body`.
+pub fn write_report(bin: PerfBin, args: &PerfArgs, body: Vec<(&'static str, Json)>) {
+    let mut fields = vec![
+        ("bench", bin.name().into()),
+        ("smoke", args.smoke.into()),
+        ("n", args.n.into()),
+        ("iters", args.iters.into()),
+        ("host_parallelism", csj_core::parallel::default_threads().into()),
+        ("rustc_version", rustc_version().into()),
+        ("target_arch", std::env::consts::ARCH.into()),
+        ("target_features_compiled", compiled_features().into()),
+        ("kernel_path", KernelPath::detect().name().into()),
+    ];
+    fields.extend(body);
+    std::fs::write(&args.out, Json::Obj(fields).render()).expect("write benchmark output");
+    eprintln!("# wrote {}", args.out);
+}
+
+/// A JSON value of a perf report.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `true` / `false`.
+    Bool(bool),
+    /// A count.
+    Uint(u64),
+    /// A number in its shortest round-trip form; `null` if not finite.
+    Num(f64),
+    /// A number with a fixed count of decimals; `null` if not finite.
+    Fixed(f64, usize),
+    /// A string, escaped on output.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, fields in order.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+/// `From` conversions, so report fields read `("links", links.into())`.
+macro_rules! json_from {
+    ($($t:ty => |$x:ident| $value:expr),* $(,)?) => {
+        $(impl From<$t> for Json {
+            fn from($x: $t) -> Json {
+                $value
+            }
+        })*
+    };
+}
+
+json_from!(
+    bool => |b| Json::Bool(b),
+    u64 => |u| Json::Uint(u),
+    usize => |u| Json::Uint(u as u64),
+    f64 => |x| Json::Num(x),
+    &str => |s| Json::Str(s.to_string()),
+    String => |s| Json::Str(s),
+);
+
+impl Json {
+    /// The report layout: the root object's fields and every array's
+    /// elements one per line, other objects on one line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    /// Appends the value; `depth` is the indent level of its line.
+    fn write(&self, out: &mut String, depth: usize) {
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        };
+        match self {
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Uint(u) => out.push_str(&u.to_string()),
+            Json::Num(x) if x.is_finite() => out.push_str(&x.to_string()),
+            Json::Fixed(x, decimals) if x.is_finite() => {
+                let _ = write!(out, "{x:.decimals$}");
+            }
+            Json::Num(_) | Json::Fixed(..) => out.push_str("null"),
+            Json::Str(s) => write_json_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "" } else { "," });
+                    newline(out, depth + 1);
+                    item.write(out, depth + 1);
+                }
+                if !items.is_empty() {
+                    newline(out, depth);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                let root = depth == 0;
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    out.push_str(if i == 0 {
+                        ""
+                    } else if root {
+                        ","
+                    } else {
+                        ", "
+                    });
+                    if root {
+                        newline(out, 1);
+                    }
+                    write_json_str(out, key);
+                    out.push_str(": ");
+                    value.write(out, depth.max(1));
+                }
+                if root && !fields.is_empty() {
+                    newline(out, 0);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// Appends `s` as a quoted JSON string.
+fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// One workload of the perf bins: its row label, point count, ε and tree.
+pub struct Workload {
+    pub name: &'static str,
+    pub n: usize,
+    pub eps: f64,
+    pub tree: RStarTree<2>,
+}
+
+/// The perf bins' workload table at `n` points each: uniform,
+/// skewed-cluster and Sierpinski, in R*-trees with page-sized leaves (a
+/// 4 KB page holds ~170 two-dimensional entries, as in the paper's
+/// disk-resident R-trees). Large leaves also put the run time where the
+/// joins spend it on real data: leaf probing.
+pub fn perf_workloads(n: usize) -> Vec<Workload> {
+    let table = [
+        ("uniform", csj_data::uniform::uniform::<2>(n, 42), 0.01),
+        ("skewed-cluster", skewed_cluster(n, 42), 0.0004),
+        ("sierpinski", csj_data::sierpinski::triangle_2d(n, 42), 0.008),
+    ];
+    table
+        .into_iter()
+        .map(|(name, points, eps)| Workload {
+            name,
+            n: points.len(),
+            eps,
+            tree: RStarTree::bulk_load_str(&points, RTreeConfig::with_max_fanout(170)),
+        })
+        .collect()
 }
 
 /// Runs `algo` on `tree` and measures it. SSJ runs under `ssj_budget`
@@ -236,16 +467,6 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn time_stats_ordered() {
-        let s = time_stats_ms(5, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(s.min_ms >= 0.0);
-        assert!(s.min_ms <= s.median_ms);
-        assert!(s.median_ms <= s.max_ms);
     }
 
     #[test]

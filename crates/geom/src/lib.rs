@@ -15,9 +15,10 @@
 //! (`Copy` where possible), and performs no allocation in the hot paths.
 
 #![warn(missing_docs)]
-// The SIMD kernels are the workspace's only `unsafe`; keep every unsafe
+// The SIMD kernels are this crate's only `unsafe`; keep every unsafe
 // operation inside an explicit `unsafe {}` block (each carries a
-// `// SAFETY:` justification enforced by csj-lint's unsafe-discipline).
+// `// SAFETY:` justification enforced by clippy's
+// `undocumented_unsafe_blocks`, denied workspace-wide).
 #![warn(unsafe_op_in_unsafe_fn)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 

@@ -115,13 +115,6 @@ impl ShardJoin {
         self
     }
 
-    /// Replaces the retry backoff schedule (exponential + deterministic
-    /// jitter; see [`RetryPolicy::backoff_for`]).
-    pub fn with_backoff(mut self, backoff: RetryPolicy) -> Self {
-        self.backoff = backoff;
-        self
-    }
-
     /// Per-attempt wall-clock deadline; two deadline strikes trigger an
     /// adaptive re-split of the shard.
     pub fn with_task_deadline(mut self, deadline: Duration) -> Self {
