@@ -73,19 +73,19 @@ fn measure_grid(w: &Workload, iters: usize, max_threads: usize) -> Vec<Json> {
 fn main() {
     let bin = PerfBin::Baseline;
     let args = PerfArgs::parse(bin);
-    let mut body = Vec::new();
+    // The key is always there, `null` on a multi-core host, so a report's
+    // key layout does not depend on the host.
+    let mut warning = Json::Null;
     if csj_core::parallel::default_threads() == 1 {
-        body.push((
-            "single_core_warning",
-            "HOST HAS 1 CPU: all multi-thread rows are oversubscribed on one core; \
-             speedup_vs_sequential is meaningless here"
-                .into(),
-        ));
+        warning = "HOST HAS 1 CPU: all multi-thread rows are oversubscribed on one core; \
+                   speedup_vs_sequential is meaningless here"
+            .into();
         eprintln!(
             "# WARNING: host_parallelism == 1 — multi-thread numbers below measure \
              oversubscription, not parallel speedup"
         );
     }
+    let mut body = vec![("single_core_warning", warning)];
     let mut workloads = Vec::new();
     for w in perf_workloads(args.n) {
         let started = Instant::now();

@@ -197,6 +197,8 @@ pub fn write_report(bin: PerfBin, args: &PerfArgs, body: Vec<(&'static str, Json
 /// A JSON value of a perf report.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
+    /// `null`.
+    Null,
     /// `true` / `false`.
     Bool(bool),
     /// A count.
@@ -256,7 +258,7 @@ impl Json {
             Json::Fixed(x, decimals) if x.is_finite() => {
                 let _ = write!(out, "{x:.decimals$}");
             }
-            Json::Num(_) | Json::Fixed(..) => out.push_str("null"),
+            Json::Null | Json::Num(_) | Json::Fixed(..) => out.push_str("null"),
             Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');

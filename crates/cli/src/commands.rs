@@ -539,7 +539,6 @@ pub fn shard_join(args: &[String]) -> Result<(), CliError> {
             "heartbeat-ms",
             "fault-plan",
             "workers",
-            "format",
         ],
     )
     .usage()?;
@@ -608,31 +607,16 @@ fn shard_join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
 
     let width = OutputWriter::<csj_storage::CountingSink>::id_width_for(points.len());
-    let out = opts.get("out");
-    let bytes = match opts.get("format").unwrap_or("rows") {
-        "rows" => {
-            let mut writer = OutputWriter::new(Out::open(out)?, width);
-            run.output.write_to(&mut writer)?;
-            writer.finish()?.bytes_written()
-        }
-        "canonical" => {
-            let text = csj_shard::canonical_link_lines(&run.output);
-            let mut sink = Out::open(out)?;
-            sink.write_bytes(text.as_bytes())?;
-            sink.flush()?;
-            text.len() as u64
-        }
-        other => {
-            return Err(CliError::usage(format!("unknown --format {other:?} (rows or canonical)")))
-        }
-    };
+    let mut writer = OutputWriter::new(Out::open(opts.get("out"))?, width);
+    run.output.write_to(&mut writer)?;
+    let bytes = writer.finish()?.bytes_written();
 
     let stats = &run.output.stats;
     for r in &run.reports {
         eprintln!(
-            "shard {}: {} owned points, {} attempt(s), {} retr{}, {} timeout(s){}{}{}",
+            "shard {}: {:.1}% of the tasks, {} attempt(s), {} retr{}, {} timeout(s){}{}{}",
             r.key,
-            r.owned_points,
+            r.task_share * 100.0,
             r.attempts,
             r.retries,
             if r.retries == 1 { "y" } else { "ies" },
@@ -658,7 +642,7 @@ fn shard_join_dim<const D: usize>(opts: &Opts) -> Result<(), CliError> {
         run.output.completion
     {
         eprintln!(
-            "partial result: {reason}; {:.1}% of owned points covered; output above is \
+            "partial result: {reason}; {:.1}% of the tasks committed; output above is \
              lossless over the surviving shards; extrapolated totals ≈ {estimated_links:.0} \
              links, {estimated_bytes:.0} bytes",
             completed_fraction * 100.0

@@ -13,7 +13,7 @@
 //! csj shard-join <points-file> --eps <E> [--shards <N>] [--algo ...]
 //!              [--max-attempts <N>] [--task-deadline <secs>]
 //!              [--speculate-after <secs>] [--fault-plan <plan>]
-//!              [--workers process|thread] [--format rows|canonical]
+//!              [--workers process|thread]
 //! csj shard-worker            (internal: spoken to over stdin/stdout)
 //! ```
 //!
@@ -110,15 +110,13 @@ commands:
              [--shards <N>] [--max-attempts <N>] [--task-deadline <secs>]
              [--speculate-after <secs>] [--heartbeat-ms <N>]
              [--fault-plan <plan>] [--workers process|thread]
-             [--format rows|canonical]
-      fault-tolerant multi-process join: ε-strip shards run in worker
-      processes under a supervisor with heartbeats, bounded retries,
+      fault-tolerant multi-process join: shards run slices of the task
+      list in worker processes under a supervisor with heartbeats, bounded retries,
       straggler speculation and adaptive re-split. Shards lost beyond
       the retry budget degrade the run to a partial result (exit 0)
       instead of failing it. --fault-plan injects deterministic worker
       faults, e.g. 'kill:0@1;delay:1@1=300;garble:2@2;stall:1.0@1'.
-      --format canonical emits the expanded link set as sorted 'a b'
-      lines (identical to the sequential join's when the run completes)
+      a complete run writes the bytes of `join` on the same points
   shard-worker
       internal: run one shard task, speaking the checksummed frame
       protocol on stdin/stdout (launched by shard-join, not by hand)

@@ -1,6 +1,6 @@
 //! End-to-end tests of `csj shard-join` with *real worker processes*:
 //! the supervisor spawns `csj shard-worker` children over the frame
-//! protocol, injects faults, and must still match the sequential join.
+//! protocol, injects faults, and must still write `csj join`'s bytes.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -22,56 +22,34 @@ fn generate(pts: &PathBuf, n: &str, seed: &str) {
     assert!(status.success());
 }
 
-/// The sequential join's canonical link lines, via `join` + `expand`
-/// (expand prints the distinct expanded links in sorted order — the
-/// same canonical form `shard-join --format canonical` emits).
-fn sequential_canonical(pts: &PathBuf, eps: &str) -> String {
-    let out = temp("seq_rows.txt");
-    let status = csj()
-        .args(["join"])
-        .arg(pts)
-        .args(["--eps", eps, "--algo", "csj", "--window", "10", "--out"])
-        .arg(&out)
-        .status()
-        .expect("spawn csj join");
-    assert!(status.success());
-    let expanded = csj().arg("expand").arg(&out).output().expect("spawn csj expand");
-    assert!(expanded.status.success());
+/// The bytes `csj <args…> --out FILE` writes; panics with its stderr
+/// when it fails.
+fn written(args: &[&str]) -> (Vec<u8>, String) {
+    let out = temp(&format!("{}_{}.txt", args[0], args.len()));
+    let run = csj().args(args).arg("--out").arg(&out).output().expect("spawn csj");
+    let stderr = String::from_utf8_lossy(&run.stderr).to_string();
+    assert!(run.status.success(), "csj {args:?} failed: {stderr}");
+    let bytes = std::fs::read(&out).expect("output file");
     let _ = std::fs::remove_file(&out);
-    // `expand` streams links in encounter order; canonical form is the
-    // same lines sorted numerically.
-    let mut pairs: Vec<(u32, u32)> = String::from_utf8(expanded.stdout)
-        .expect("utf8 links")
-        .lines()
-        .map(|l| {
-            let (a, b) = l.split_once(' ').expect("'a b' line");
-            (a.parse().expect("id"), b.parse().expect("id"))
-        })
-        .collect();
-    pairs.sort_unstable();
-    pairs.iter().map(|(a, b)| format!("{a} {b}\n")).collect()
+    (bytes, stderr)
 }
 
 #[test]
-fn process_workers_with_faults_match_the_sequential_join() {
+fn process_workers_with_faults_write_the_sequential_bytes() {
     let pts = temp("pts.txt");
     generate(&pts, "600", "9");
-    let want = sequential_canonical(&pts, "0.02");
-    assert!(!want.is_empty(), "baseline must have links");
-
-    // Three shards; shard 0's first worker is killed, shard 1's first
-    // worker straggles and loses to a speculative twin. Recovery must be
-    // bit-identical.
-    let got = csj()
-        .args(["shard-join"])
-        .arg(&pts)
-        .args([
-            "--eps",
-            "0.02",
-            "--algo",
-            "csj",
-            "--window",
-            "10",
+    let pts_arg = pts.to_str().expect("utf8 path");
+    for algo in [&["ssj"][..], &["ncsj"], &["csj"], &["csj", "--window", "0"]] {
+        let mut join = vec!["join", pts_arg, "--eps", "0.02", "--algo"];
+        join.extend(algo);
+        let (want, _) = written(&join);
+        assert!(!want.is_empty(), "baseline must have rows");
+        // Three shards; shard 0's first worker is killed, shard 1's
+        // first worker straggles and loses to a speculative twin.
+        // Recovery must be bit-identical.
+        let mut shard = join.clone();
+        shard[0] = "shard-join";
+        shard.extend([
             "--shards",
             "3",
             "--max-attempts",
@@ -82,19 +60,11 @@ fn process_workers_with_faults_match_the_sequential_join() {
             "0.08",
             "--workers",
             "process",
-            "--format",
-            "canonical",
-        ])
-        .output()
-        .expect("spawn csj shard-join");
-    let stderr = String::from_utf8_lossy(&got.stderr).to_string();
-    assert!(got.status.success(), "shard-join failed: {stderr}");
-    assert_eq!(
-        String::from_utf8(got.stdout).expect("utf8"),
-        want,
-        "sharded canonical output must equal sequential; stderr: {stderr}"
-    );
-    assert!(stderr.contains("supervisor:"), "per-shard report expected: {stderr}");
+        ]);
+        let (got, stderr) = written(&shard);
+        assert!(got == want, "{algo:?}: sharded bytes differ from `csj join`'s; stderr: {stderr}");
+        assert!(stderr.contains("supervisor:"), "per-shard report expected: {stderr}");
+    }
     let _ = std::fs::remove_file(&pts);
 }
 
@@ -116,8 +86,6 @@ fn kill_beyond_budget_exits_zero_with_a_partial_report() {
             "kill:0@1;kill:0@2",
             "--workers",
             "process",
-            "--format",
-            "canonical",
         ])
         .output()
         .expect("spawn csj shard-join");

@@ -705,9 +705,6 @@ where
     /// rules (italic lines of Figure 3).
     pub fn new(mut source: S, cfg: JoinConfig, early_stop: bool, handler: H, sink: R) -> Self {
         source.expand_with(Expander::new(cfg, early_stop));
-        // One engine is one thread of execution; the parallel runner
-        // overwrites this with its worker count.
-        let stats = JoinStats { threads_used: 1, ..JoinStats::new(cfg.record_access_log) };
         Engine {
             source,
             steps: Vec::new(),
@@ -717,8 +714,19 @@ where
             cancel: None,
             stopped: None,
             sink,
-            stats,
+            stats: Self::fresh_stats(cfg),
         }
+    }
+
+    /// Zeroed counters. One engine is one thread of execution; the
+    /// parallel runner overwrites this with its worker count.
+    fn fresh_stats(cfg: JoinConfig) -> JoinStats {
+        JoinStats { threads_used: 1, ..JoinStats::new(cfg.record_access_log) }
+    }
+
+    /// Takes the counters so far, leaving zeroed ones.
+    pub(crate) fn take_stats(&mut self) -> JoinStats {
+        std::mem::replace(&mut self.stats, Self::fresh_stats(self.cfg))
     }
 
     /// Arms a cooperative cancellation token: the recursion checks it on

@@ -22,12 +22,17 @@
 //! any thread count. Budget and cancel are checked at commit, so a stop
 //! commits nothing past the first unrun or interrupted task, and a
 //! partial SSJ or N-CSJ file is a prefix of the sequential file.
+//!
+//! The pieces are public for runs in other processes: a [`TaskRunner`]
+//! expands the task list over any [`NodeSource`] and runs a slice of
+//! it, and [`commit_slices`] commits finished slices in key order. A
+//! sharded run is this stream with slices in place of claims.
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
 use csj_geom::{Mbr, Point, RecordId};
-use csj_index::{JoinIndex, NodeId};
+use csj_index::JoinIndex;
 use csj_storage::{OutputSink, OutputWriter};
 
 pub use crate::algo::ParallelAlgo;
@@ -143,78 +148,72 @@ impl ParallelJoin {
         let (_, stats, completion) = self.seq.algo.with_handler(&self.seq.cfg, run)?;
         Ok(ResilientReport { stats, completion })
     }
+}
 
-    /// Commits finished tasks in index order until all are in or the run
-    /// stops. Returns the stop reason, if any, and the number of steps
-    /// committed complete.
-    fn commit<H: LinkHandler<D>, R: TaskSink, const D: usize>(
-        &self,
-        tasks: &[Task],
-        stream: &Stream<Done<D>>,
-        start: Instant,
-        handler: &mut H,
-        sink: &mut R,
-        stats: &mut JoinStats,
-    ) -> Result<(Option<StopReason>, usize), CsjError> {
-        let mut done = 0;
-        for (i, task) in tasks.iter().enumerate() {
-            if let Task::Split(split) = task {
-                stats.absorb(split);
-                continue;
-            }
-            if let Some(reason) = self.seq.boundary_check(stats, start) {
-                return Ok((Some(reason), done));
-            }
-            // `None`: a worker panicked before task `i` landed; the
-            // scope's join re-raises the panic.
-            let Some(out) = stream.take(i) else { return Ok((None, done)) };
-            stats.absorb(&out.stats);
-            sink.task_rows(&out.rows, (i + 1) as f64 / tasks.len() as f64)?;
-            for event in out.events {
-                match event {
-                    Event::Link(a, pa, b, pb) => handler.on_link(a, &pa, b, &pb, sink, stats)?,
-                    Event::Subtree(ids, first, mbr) => {
-                        handler.on_subtree(ids, first, &mbr, sink, stats)?
-                    }
-                }
-            }
-            if !out.completed {
-                // Canceled mid-task: its rows are a lossless prefix.
-                return Ok((Some(StopReason::Canceled), done));
-            }
-            done += 1;
-        }
-        Ok((None, done))
-    }
+/// An entry of the key-ordered task list: work to run, or the record of
+/// a split (its visit and pruned pairs), which the committer takes as it
+/// passes. In the list the work is a [`Step`]; at commit it is the way
+/// to the step's result.
+#[derive(Clone, Debug)]
+pub enum Task<T> {
+    /// A step to run.
+    Run(T),
+    /// A split's record.
+    Split(JoinStats),
+}
 
-    /// Runs one step on its own engine: SSJ and N-CSJ rows into a store,
-    /// CSJ(g) handler calls into a recording.
-    fn run_task<T: JoinIndex<D>, const D: usize>(&self, tree: &T, step: Step<NodeId>) -> Done<D> {
-        let (cfg, early_stop) = (self.seq.cfg, self.seq.algo.early_stop());
-        let record = matches!(self.seq.algo, ParallelAlgo::Csj(_)).then(Vec::new);
+/// The result of running task-list entries, as a runner hands it to the
+/// committer.
+#[derive(Debug, Default, PartialEq)]
+pub struct Done<const D: usize> {
+    /// SSJ and N-CSJ: the rows.
+    pub rows: Rows,
+    /// CSJ(g): the handler calls, in traversal order.
+    pub events: Vec<Event<D>>,
+    /// The counters, the split records among the entries included.
+    pub stats: JoinStats,
+    /// `false` when a cancel interrupted the run.
+    pub completed: bool,
+}
+
+/// A CSJ(g) task's handler call, recorded for the committer's window.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Event<const D: usize> {
+    /// [`LinkHandler::on_link`]: the link's ids and points.
+    Link(RecordId, Point<D>, RecordId, Point<D>),
+    /// [`LinkHandler::on_subtree`]: the ids, the count from the first
+    /// node and the covering box.
+    Subtree(Vec<RecordId>, usize, Mbr<D>),
+}
+
+/// One engine over a [`NodeSource`] that expands the task list and runs
+/// entries of it: SSJ and N-CSJ rows into a store, CSJ(g) handler calls
+/// into a recording.
+pub struct TaskRunner<S: NodeSource<D>, const D: usize>(Engine<S, Recorder<D>, CollectSink, D>);
+
+impl<S: NodeSource<D>, const D: usize> TaskRunner<S, D> {
+    /// A runner over `source` with `join`'s configuration, algorithm and
+    /// cancel token.
+    pub fn new(join: &ResilientJoin, source: S) -> Self {
+        let record = matches!(join.algo, ParallelAlgo::Csj(_)).then(Vec::new);
+        let (cfg, early_stop) = (join.cfg, join.algo.early_stop());
         let mut engine =
-            Engine::new(tree, cfg, early_stop, Recorder(record), CollectSink::default());
-        if let Some(token) = &self.seq.cancel {
+            Engine::new(source, cfg, early_stop, Recorder(record), CollectSink::default());
+        if let Some(token) = &join.cancel {
             engine.set_cancel(token.clone());
         }
-        infallible(engine.run_step(step));
-        Done {
-            completed: engine.stop_reason().is_none(),
-            rows: engine.sink.items,
-            events: engine.handler.0.unwrap_or_default(),
-            stats: engine.stats,
-        }
+        TaskRunner(engine)
     }
 
     /// Breadth-first task expansion through [`Engine::split`] until there
-    /// are comfortably more steps to run than workers (or nothing left to
-    /// split), listed in key order with the records of the splits.
-    fn expand_tasks<T: JoinIndex<D>, const D: usize>(&self, tree: &T) -> Vec<Task> {
-        let (cfg, early_stop) = (self.seq.cfg, self.seq.algo.early_stop());
-        let Some(root) = infallible(NodeSource::<D>::root(&mut { tree })) else {
-            return Vec::new();
-        };
-        let target = self.threads * 8;
+    /// are at least `target` steps to run (or nothing left to split),
+    /// listed in key order with the records of the splits.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node read fails.
+    pub fn expand(&mut self, target: usize) -> Result<Vec<Task<Step<S::Node>>>, CsjError> {
+        let engine = &mut self.0;
+        let Some(root) = engine.source.root()? else { return Ok(Vec::new()) };
         // A task's split genealogy: child `j` of a task keyed `k` is keyed
         // `k ++ [j]`, so key order is the engine's own depth-first order,
         // a split's record just before its children.
@@ -222,8 +221,7 @@ impl ParallelJoin {
         let (mut tasks, mut runs) = (Vec::new(), 0);
         while runs + queue.len() < target {
             let Some((key, step)) = queue.pop_front() else { break };
-            let mut engine = Engine::new(tree, cfg, early_stop, DirectEmit, CollectSink::default());
-            match infallible(engine.split(step)) {
+            match engine.split(step)? {
                 // A pair whose children all pruned away leaves only its
                 // record.
                 Some(children) => {
@@ -232,7 +230,7 @@ impl ParallelJoin {
                         child_key.push(j as u32);
                         (child_key, child)
                     }));
-                    tasks.push((key, Task::Split(engine.stats)));
+                    tasks.push((key, Task::Split(engine.take_stats())));
                 }
                 None => {
                     runs += 1;
@@ -242,36 +240,101 @@ impl ParallelJoin {
         }
         tasks.extend(queue.into_iter().map(|(key, step)| (key, Task::Run(step))));
         tasks.sort_by(|a, b| a.0.cmp(&b.0));
-        tasks.into_iter().map(|(_, task)| task).collect()
+        Ok(tasks.into_iter().map(|(_, task)| task).collect())
+    }
+
+    /// Runs `tasks` in order, steps on the engine and split records into
+    /// its counters, until they are done or a cancel interrupts a step;
+    /// then ends the source's run.
+    ///
+    /// # Errors
+    /// Returns [`CsjError::Storage`] when a node read fails.
+    pub fn run(self, tasks: &[Task<Step<S::Node>>]) -> Result<Done<D>, CsjError> {
+        let TaskRunner(mut engine) = self;
+        let mut ran = Ok(());
+        for task in tasks {
+            match task {
+                Task::Split(split) => engine.stats.absorb(split),
+                Task::Run(step) => ran = engine.run_step(*step),
+            }
+            if ran.is_err() || engine.stop_reason().is_some() {
+                break;
+            }
+        }
+        engine.source.end_run(&mut engine.stats);
+        ran?;
+        Ok(Done {
+            completed: engine.stop_reason().is_none(),
+            events: engine.handler.0.take().unwrap_or_default(),
+            stats: engine.take_stats(),
+            rows: engine.sink.items,
+        })
     }
 }
 
-/// An entry of the key-ordered task list: a step for a worker to run, or
-/// the record of a split (its visit and pruned pairs), which the
-/// committer takes as it passes.
-enum Task {
-    Run(Step<NodeId>),
-    Split(JoinStats),
+/// Commits finished slices of a task list, in key order, through the one
+/// handler `join`'s algorithm picks: the rows and counters the slices'
+/// entries would give committed one by one.
+pub fn commit_slices<const D: usize>(
+    join: &ResilientJoin,
+    slices: Vec<Done<D>>,
+) -> (Rows, JoinStats) {
+    let run = Replay { join, slices };
+    infallible(join.algo.with_handler(&join.cfg, run))
 }
 
-/// A finished step, as its worker hands it to the committer.
-struct Done<const D: usize> {
-    /// SSJ and N-CSJ: the rows.
-    rows: Rows,
-    /// CSJ(g): the handler calls, in traversal order.
-    events: Vec<Event<D>>,
-    stats: JoinStats,
-    /// `false` when a cancel interrupted the step.
-    completed: bool,
-}
-
-/// A CSJ(g) task's handler call, recorded for the committer's window.
-enum Event<const D: usize> {
-    /// [`LinkHandler::on_link`]: the link's ids and points.
-    Link(RecordId, Point<D>, RecordId, Point<D>),
-    /// [`LinkHandler::on_subtree`]: the ids, the count from the first
-    /// node and the covering box.
-    Subtree(Vec<RecordId>, usize, Mbr<D>),
+/// Commits task-list entries in key order through `handler` into `sink`:
+/// a split's record into the counters, a step's result, taken once the
+/// boundary check passes, as rows or replayed handler calls. Drains the
+/// handler's window at the end, also after a stop, so the output stays
+/// lossless over the committed steps. Returns the stop reason, if any,
+/// and the number of steps committed complete.
+fn commit<F, H, R, const D: usize>(
+    join: &ResilientJoin,
+    entries: impl ExactSizeIterator<Item = Task<F>>,
+    start: Instant,
+    handler: &mut H,
+    sink: &mut R,
+    stats: &mut JoinStats,
+) -> Result<(Option<StopReason>, usize), CsjError>
+where
+    F: FnOnce() -> Option<Done<D>>,
+    H: LinkHandler<D>,
+    R: TaskSink,
+{
+    let total = entries.len();
+    let (mut reason, mut done) = (None, 0);
+    for (i, entry) in entries.enumerate() {
+        let take = match entry {
+            Task::Split(split) => {
+                stats.absorb(&split);
+                continue;
+            }
+            Task::Run(take) => take,
+        };
+        reason = join.boundary_check(stats, start);
+        // `None` from `take`: a worker panicked before the step landed;
+        // the scope's join re-raises the panic.
+        let Some(out) = reason.is_none().then(take).flatten() else { break };
+        stats.absorb(&out.stats);
+        sink.task_rows(&out.rows, (i + 1) as f64 / total as f64)?;
+        for event in out.events {
+            match event {
+                Event::Link(a, pa, b, pb) => handler.on_link(a, &pa, b, &pb, sink, stats)?,
+                Event::Subtree(ids, first, mbr) => {
+                    handler.on_subtree(ids, first, &mbr, sink, stats)?
+                }
+            }
+        }
+        if !out.completed {
+            // Canceled mid-step: its rows are a lossless prefix.
+            reason = Some(StopReason::Canceled);
+            break;
+        }
+        done += 1;
+    }
+    handler.finish(sink, stats)?;
+    Ok((reason, done))
 }
 
 /// A task's link handler: with a recording (CSJ(g)) it records the
@@ -351,37 +414,60 @@ impl<T: JoinIndex<D> + Sync, R: TaskSink, const D: usize> WithHandler<D> for Com
 
     fn run<H: LinkHandler<D>>(self, _early_stop: bool, mut handler: H) -> Self::Out {
         let Commit { join, tree, mut sink } = self;
+        let seq = &join.seq;
         // csj-lint: allow(determinism) — wall-clock feeds RunBudget
         // deadline accounting only; a deadline stop yields
         // Completion::Partial, and completed runs never consult it.
         let start = Instant::now();
-        let tasks = join.expand_tasks(tree);
+        let tasks = infallible(TaskRunner::new(seq, tree).expand(join.threads * 8));
         let runs = tasks.iter().filter(|task| matches!(task, Task::Run(_))).count();
         let workers = join.threads.min(runs);
-        let stream = Stream::new(tasks.len(), workers);
-        let mut stats = JoinStats::new(join.seq.cfg.record_access_log);
+        let stream = &Stream::new(tasks.len(), workers);
+        let mut stats = JoinStats::new(seq.cfg.record_access_log);
         let committed = std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
                     stream.work(|i| match &tasks[i] {
-                        Task::Run(step) => Some(join.run_task(tree, *step)),
+                        Task::Run(_) => {
+                            Some(infallible(TaskRunner::new(seq, tree).run(&tasks[i..=i])))
+                        }
                         Task::Split(_) => None,
                     })
                 });
             }
-            let committed =
-                join.commit(&tasks, &stream, start, &mut handler, &mut sink, &mut stats);
+            let entries = tasks.iter().enumerate().map(|(i, task)| match task {
+                Task::Split(split) => Task::Split(split.clone()),
+                Task::Run(_) => Task::Run(move || stream.take(i)),
+            });
+            let committed = commit(seq, entries, start, &mut handler, &mut sink, &mut stats);
             stream.stop();
             committed
         });
         let (reason, done) = committed?;
-        // Drain the window, also after a stop: the output stays lossless
-        // over the committed tasks.
-        handler.finish(&mut sink, &mut stats)?;
         stats.threads_used = workers as u64;
         stats.tasks_executed = done as u64;
-        let completion = join.seq.completion(reason, done, runs, &stats);
+        let completion = seq.completion(reason, done, runs, &stats);
         Ok((sink, stats, completion))
+    }
+}
+
+/// A [`commit_slices`] run, given the handler the algorithm picks.
+struct Replay<'j, const D: usize> {
+    join: &'j ResilientJoin,
+    slices: Vec<Done<D>>,
+}
+
+impl<const D: usize> WithHandler<D> for Replay<'_, D> {
+    type Out = Result<(Rows, JoinStats), CsjError>;
+
+    fn run<H: LinkHandler<D>>(self, _early_stop: bool, mut handler: H) -> Self::Out {
+        let (mut sink, mut stats) = (CollectSink::default(), JoinStats::default());
+        let entries = self.slices.into_iter().map(|slice| Task::Run(move || Some(slice)));
+        // csj-lint: allow(determinism) — wall-clock feeds RunBudget
+        // deadline accounting only, and a replay runs unbudgeted.
+        let start = Instant::now();
+        commit(self.join, entries, start, &mut handler, &mut sink, &mut stats)?;
+        Ok((sink.items, stats))
     }
 }
 

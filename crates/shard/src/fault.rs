@@ -15,7 +15,6 @@ use std::time::Duration;
 
 use csj_core::CsjError;
 
-use crate::frame::fault_code;
 use crate::plan::key_string;
 
 /// A single worker-side failure mode.
@@ -33,18 +32,6 @@ pub enum FaultKind {
     /// The worker stops heartbeating and hangs (heartbeat-grace
     /// liveness detection must reap it).
     Stall,
-}
-
-impl FaultKind {
-    /// The wire encoding: `(fault code, parameter)`.
-    pub fn to_wire(self) -> (u8, u64) {
-        match self {
-            FaultKind::Kill => (fault_code::KILL, 0),
-            FaultKind::Delay(d) => (fault_code::DELAY, d.as_millis() as u64),
-            FaultKind::Garble => (fault_code::GARBLE, 0),
-            FaultKind::Stall => (fault_code::STALL, 0),
-        }
-    }
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]

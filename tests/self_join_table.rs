@@ -1,8 +1,8 @@
 //! The three self-joins as one table over `ParallelAlgo`: SSJ (§IV-A),
 //! N-CSJ (SSJ plus the early-stop rule, §IV-B) and CSJ(g) (N-CSJ plus the
 //! merge window, §IV-C), checked on the sequential runner against brute
-//! force and against each other, and on the parallel runner against the
-//! sequential bytes.
+//! force and against each other, and on the parallel and sharded runners
+//! against the sequential bytes.
 
 use csj_core::brute::{brute_force_links, brute_force_links_metric};
 use csj_core::parallel::ParallelJoin;
@@ -370,6 +370,58 @@ fn parallel_runs_write_the_sequential_bytes_and_counters() {
             }
             let out = ResilientJoin::with_config(cfg, algo).run(&tree).expect("in memory");
             assert_eq!(out.expanded_link_set(), truth, "{algo:?}, {cfg:?}");
+        }
+    }
+}
+
+/// The scheduler axis, sharded: `ShardJoin` on the in-process transport
+/// at 1, 2, 3 and 7 shards writes the bytes and counters of
+/// `ResilientJoin` on `csj join`'s tree for SSJ, N-CSJ, CSJ(0) and
+/// CSJ(10) — fault-free, with shard 1's first worker killed and retried,
+/// and with shard 1 re-split after two deadline strikes.
+#[test]
+fn sharded_runs_write_the_sequential_bytes_and_counters() {
+    use csj_shard::{InProcessTransport, ShardFaultPlan, ShardJoin};
+    use std::time::Duration;
+
+    let counters = |s: &JoinStats| {
+        let merges = (s.merge_attempts, s.merges_succeeded);
+        (s.links_emitted, s.groups_emitted, s.distance_computations, merges)
+    };
+    let transport = InProcessTransport::new();
+    let straggle = Duration::from_secs(5);
+    let resplit = ShardFaultPlan::none().delay(&[1], 1, straggle).delay(&[1], 2, straggle);
+    for (pts, eps) in [(stripe(1_200), 0.03), (diagonal_clusters(1_500), 0.004)] {
+        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::default());
+        let width = OutputWriter::<VecSink>::id_width_for(pts.len());
+        for algo in
+            [ParallelAlgo::Ssj, ParallelAlgo::Ncsj, ParallelAlgo::Csj(0), ParallelAlgo::Csj(10)]
+        {
+            let mut seq = OutputWriter::new(VecSink::new(), width);
+            let want = ResilientJoin::new(eps, algo)
+                .run_streaming(&tree, &mut seq)
+                .expect("vec sink cannot fail");
+            let check = |label: String, join: ShardJoin| {
+                let label = format!("{algo:?}, {label}, eps {eps}");
+                let run = join.run(&pts, &transport).expect("faults within the budget");
+                assert!(run.output.completion.is_complete(), "{label}");
+                let mut written = OutputWriter::new(VecSink::new(), width);
+                run.output.write_to(&mut written).expect("vec sink cannot fail");
+                assert_eq!(written.sink().as_str(), seq.sink().as_str(), "{label}");
+                assert_eq!(counters(&run.output.stats), counters(&want.stats), "{label}");
+                run.output.stats
+            };
+            for shards in [1, 2, 3, 7] {
+                let join = ShardJoin::new(eps, algo).with_shards(shards).with_max_attempts(2);
+                assert_eq!(check(format!("{shards} shards"), join.clone()).shard_retries, 0);
+                let killed = join.with_fault_plan(ShardFaultPlan::none().kill(&[1], 1));
+                let stats = check(format!("{shards} shards, kill"), killed);
+                assert_eq!(stats.shard_retries, u64::from(shards > 1), "{algo:?}, {shards}");
+            }
+            let deadline = Duration::from_millis(300);
+            let split = ShardJoin::new(eps, algo).with_shards(3).with_task_deadline(deadline);
+            let stats = check("3 shards, re-split".into(), split.with_fault_plan(resplit.clone()));
+            assert!(stats.shard_resplits >= 1, "{algo:?}: no re-split");
         }
     }
 }
