@@ -117,3 +117,34 @@ fn sharded_kill_beyond_retries_degrades_to_partial() {
         assert!(truth.contains(link), "emitted link {link:?} is not a true link");
     }
 }
+
+/// A shard whose slice is one task cannot be re-split (its halves would
+/// be an empty slice and the same task), so when that task outlasts the
+/// deadline on every attempt the run spends the shard's budget and
+/// degrades to `Partial { ShardsLost }` instead of re-splitting forever.
+#[test]
+fn sharded_one_task_slice_past_its_deadline_degrades_to_partial() {
+    use csj_shard::{InProcessTransport, ShardFaultPlan, ShardJoin};
+    use std::time::Duration;
+
+    // 30 points make one leaf, so the task list is one entry: shard 1
+    // runs it and shard 0's slice is empty.
+    let pts = clustered(30);
+    let slow = Duration::from_millis(900);
+    let plan = (1..=3).fold(ShardFaultPlan::none(), |plan, a| plan.delay(&[1], a, slow));
+    let run = ShardJoin::new(0.05, ParallelAlgo::Ssj)
+        .with_shards(2)
+        .with_max_attempts(3)
+        .with_task_deadline(Duration::from_millis(150))
+        .with_fault_plan(plan)
+        .run(&pts, &InProcessTransport::new())
+        .expect("a lost shard degrades the run, it does not error");
+    let Completion::Partial { reason, completed_fraction, .. } = run.output.completion else {
+        panic!("shard 1 timed out on every attempt: {:?}", run.reports)
+    };
+    assert_eq!((reason, completed_fraction), (StopReason::ShardsLost, 0.0));
+    let shares: Vec<_> = run.reports.iter().map(|r| (r.key.as_str(), r.task_share)).collect();
+    assert_eq!(shares, [("0", 0.0), ("1", 1.0)], "one task, run by shard 1");
+    assert_eq!(run.output.stats.shard_resplits, 0);
+    assert_eq!(run.output.stats.shard_timeouts, 3);
+}
