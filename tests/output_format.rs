@@ -219,3 +219,92 @@ fn spatial_join_bytes_and_counters_are_pinned() {
         );
     }
 }
+
+/// One sequential `csj join` run written to memory: the FNV-1a digest,
+/// rows and bytes of the file, then `merge_attempts`, `merges_succeeded`,
+/// `groups_emitted` and the early stops.
+fn sequential_pin<T: csj_index::JoinIndex<2>>(
+    tree: &T,
+    n: usize,
+    cfg: csj_core::JoinConfig,
+    algo: ParallelAlgo,
+) -> (u64, usize, u64, [u64; 4]) {
+    let width = OutputWriter::<VecSink>::id_width_for(n);
+    let mut writer = OutputWriter::new(VecSink::new(), width);
+    let report = ResilientJoin::with_config(cfg, algo)
+        .with_id_width(width)
+        .run_streaming(tree, &mut writer)
+        .expect("vec sink cannot fail");
+    let s = &report.stats;
+    let (bytes, contents) = (writer.bytes_written(), writer.sink().contents());
+    let rows = contents.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!(contents.len() as u64, bytes, "written bytes");
+    let counters = [
+        s.merge_attempts,
+        s.merges_succeeded,
+        s.groups_emitted,
+        s.early_stops_node + s.early_stops_pair,
+    ];
+    (csj_storage::fnv1a64(contents), rows, bytes, counters)
+}
+
+/// Every other CSJ(g) identity check compares a path against the
+/// sequential runner; this pins the sequential bytes themselves, so a
+/// change to the group window cannot move them unnoticed. The MBR window
+/// probes its bound slabs under L2 and walks its shapes under L-inf;
+/// ball windows always walk.
+#[test]
+fn sequential_self_join_bytes_and_counters_are_pinned() {
+    use csj_core::group::GroupShapeKind::Ball;
+    use csj_core::JoinConfig;
+    use csj_data::clusters::{gaussian_mixture, ClusterConfig};
+    use csj_geom::Metric::Chebyshev;
+    use csj_index::mtree::{MTree, MTreeConfig};
+
+    // Tight clusters, where early stops fire and subtree groups enter the
+    // window, and a small road network, where links dominate.
+    let clustered = gaussian_mixture::<2>(2000, ClusterConfig { clusters: 8, sigma: 0.01 }, 17);
+    let roads = csj_data::roads::road_network(&csj_data::roads::RoadConfig {
+        n_points: 6000,
+        cores: 3,
+        core_sigma: 0.08,
+        rural_fraction: 0.35,
+        grid_snap_prob: 0.75,
+        step: 0.004,
+        mean_road_len: 0.05,
+        seed: 29,
+    });
+    let ct = RStarTree::bulk_load_str(&clustered, RTreeConfig::with_max_fanout(12));
+    // M-tree node boxes circumscribe balls, so tight groups differ there.
+    let cm = MTree::from_points(&clustered, MTreeConfig::with_max_fanout(12));
+    let rt = RStarTree::bulk_load_str(&roads, RTreeConfig::default());
+    let (c, r) = (JoinConfig::new(0.03), JoinConfig::new(0.01));
+    let (csj10, csj3) = (ParallelAlgo::Csj(10), ParallelAlgo::Csj(3));
+    // (label, config, algorithm) and the pin: digest, rows, bytes, then
+    // `merge_attempts`, `merges_succeeded`, `groups_emitted`, early stops.
+    #[rustfmt::skip]
+    let cases = [
+        ("clusters CSJ(10)", c, csj10, (0x240e60c4179afdfc, 6527, 392820, [276523, 125068, 6527, 734])),
+        ("clusters CSJ(3)", c, csj3, (0x0a5f0ad62fc5b92e, 7838, 411695, [174061, 123757, 7838, 734])),
+        ("clusters CSJ(0)", c, ParallelAlgo::Csj(0), (0x9b6b81e085a4e162, 131595, 1386730, [0, 0, 131595, 734])),
+        ("clusters N-CSJ", c, ParallelAlgo::Ncsj, (0x465bc83d7b1d0a9c, 131595, 1386730, [0, 0, 734, 734])),
+        ("clusters CSJ(10) ball", c.with_group_shape(Ball), csj10, (0x2013a229146acab1, 3659, 320260, [248783, 127936, 3659, 734])),
+        ("clusters CSJ(10) L-inf", c.with_metric(Chebyshev), csj10, (0x3c5217a9f50e65a2, 1825, 252180, [201858, 109151, 1825, 956])),
+        ("M-tree CSJ(10)", c, csj10, (0xf011dbfc7f3b5509, 10541, 495140, [282898, 103376, 10541, 1797])),
+        ("M-tree CSJ(10) tight", c.with_tight_groups(), csj10, (0x9d34a02340478728, 10217, 484915, [282086, 103700, 10217, 1797])),
+        ("roads CSJ(10)", r, csj10, (0xa2bbf1b567552e2b, 6653, 114215, [105322, 16012, 6653, 0])),
+        ("roads CSJ(3)", r, csj3, (0x8c9283bc13eb58a7, 7635, 124695, [43614, 15030, 7635, 0])),
+        ("roads CSJ(0)", r, ParallelAlgo::Csj(0), (0x0356d9d04cfb1457, 22665, 226650, [0, 0, 22665, 0])),
+        ("roads N-CSJ", r, ParallelAlgo::Ncsj, (0x8fbc1504356af719, 22665, 226650, [0, 0, 0, 0])),
+        ("roads CSJ(10) ball", r.with_group_shape(Ball), csj10, (0xdddc33118f9ad46a, 6344, 111770, [103926, 16321, 6344, 0])),
+        ("roads CSJ(10) L-inf", r.with_metric(Chebyshev), csj10, (0xea266889a74d22d7, 5044, 102500, [97294, 20081, 5044, 0])),
+    ];
+    for (label, cfg, algo, want) in cases {
+        let got = match label.split(' ').next() {
+            Some("clusters") => sequential_pin(&ct, clustered.len(), cfg, algo),
+            Some("M-tree") => sequential_pin(&cm, clustered.len(), cfg, algo),
+            _ => sequential_pin(&rt, roads.len(), cfg, algo),
+        };
+        assert_eq!(got, want, "{label}: digest, rows, bytes, counters");
+    }
+}
