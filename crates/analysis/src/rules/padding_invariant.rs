@@ -1,7 +1,8 @@
 //! `padding-invariant`: the SoA bound-slab contract.
 //!
-//! The merge window's bound slabs (`slab_lo`/`slab_hi` column arrays)
-//! carry a three-part contract the SIMD mask probe depends on:
+//! The merge window's bound slabs (`slab_lo`/`slab_hi` column arrays,
+//! kept by csj-geom's `BoundSlabs`) carry a three-part contract the
+//! SIMD fit probe and its chunk commit depend on:
 //!
 //! 1. Slab lengths are padded to whole 4-lane multiples, so the AVX2
 //!    kernel never reads past the columns (`slab_len_for` rounds up
@@ -24,9 +25,9 @@
 //!   `truncate`, `drain`, `pop`, `push`, `swap_remove`) on a
 //!   `slab_`-named column is only valid in a function that either
 //!   refills with `INFINITY` or records the opt-out (`slab_ok = …`).
-//! * **P4 (finite ε):** a call to the slab fit probe (`mbr_fit_pick` /
-//!   `fit_pick`) outside `csj-geom` must be dominated by a guard
-//!   mentioning `INFINITY` (the `eps_sq < f64::INFINITY` test).
+//! * **P4 (finite ε):** a call to the fused slab fit probe and commit
+//!   (`mbr_fit_pick_commit`) outside `csj-geom` must be dominated by a
+//!   guard mentioning `INFINITY` (the `eps_sq < f64::INFINITY` test).
 
 use crate::ast;
 use crate::cfg::{self, Step};
@@ -41,9 +42,10 @@ padding-invariant: the SoA bound-slab contract behind the SIMD mask
 probe.
 
 The merge window keeps per-dimension bound columns (`slab_lo`,
-`slab_hi`) padded to whole 4-lane multiples and filled with `+inf`
-sentinels in every lane that holds no live group. The AVX2/NEON fit
-mask reads all lanes unconditionally; the contract is what makes that
+`slab_hi`, in csj-geom's `BoundSlabs`) padded to whole 4-lane
+multiples and filled with `+inf` sentinels in every lane that holds no
+live group. The AVX2/NEON fit mask reads all lanes unconditionally and
+the commit stores whole 4-lane chunks; the contract is what makes that
 sound:
 
   P1  construction/refill: `vec![...]` / `.resize(...)` on a column
@@ -57,12 +59,12 @@ sound:
       surrounding function must refill with `INFINITY` or record the
       opt-out by assigning `slab_ok`.
   P4  finite epsilon: the sentinels only mask lanes under a finite
-      threshold, so calls to the fit probe (`mbr_fit_pick`/`fit_pick`)
-      outside csj-geom must be dominated by a guard mentioning
-      `INFINITY` (e.g. `eps_sq < f64::INFINITY`). Guards that flow
-      through a computed bool (`let simd_ok = eps_sq < INF; ... if
-      simd_ok {...}` selecting a *value*) are invisible to the
-      control-flow analysis and take a reasoned allow.
+      threshold, so calls to the fused fit probe and commit
+      (`mbr_fit_pick_commit`) outside csj-geom must be dominated by a
+      guard mentioning `INFINITY` (e.g. `eps_sq < f64::INFINITY`).
+      Guards that flow through a computed bool (`let simd_ok = eps_sq
+      < INF; ... if simd_ok {...}` selecting a *value*) are invisible
+      to the control-flow analysis and take a reasoned allow.
 
 Scope: crates/geom and crates/core, non-test code.";
 
@@ -351,7 +353,7 @@ fn check_finite_eps(ctx: &FileCtx, parsed: &ast::ParsedFile, out: &mut Vec<Diagn
             let mut env = state.clone();
             for step in &block.steps {
                 if let Step::Call(c) = step {
-                    if (c.name == "mbr_fit_pick" || c.name == "fit_pick")
+                    if c.name == "mbr_fit_pick_commit"
                         && !ctx.code_in_test(c.ci as usize)
                         && !env.dead
                         && !env.guards.iter().any(|g| g.contains("INFINITY"))

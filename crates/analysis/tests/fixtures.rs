@@ -248,7 +248,7 @@ fn padding_invariant_bad_fires_on_every_contract_breach() {
     let (fired, _) =
         run("crates/core/src/fixture.rs", include_str!("fixtures/padding_invariant_bad.rs"));
     // Zero-filled construction, zero-filled resize, non-4-multiple
-    // slab_len, silent mutation, unguarded fit-mask probe.
+    // slab_len, silent mutation, unguarded fused fit probe and commit.
     assert_eq!(lines_of(&fired, "padding-invariant"), vec![4, 9, 13, 17, 21], "fired: {fired:?}");
     assert_eq!(fired.len(), 5, "no other rule may fire: {fired:?}");
 }

@@ -17,6 +17,6 @@ pub fn shrink_silently(slab_lo: &mut Vec<f64>) {
     slab_lo.clear();
 }
 
-pub fn pick_unguarded(lo: &[f64], hi: &[f64]) -> usize {
-    mbr_fit_pick(lo, hi)
+pub fn pick_unguarded(slabs: &mut Slabs, eps_sq: f64) -> usize {
+    mbr_fit_pick_commit(slabs, eps_sq)
 }

@@ -22,9 +22,9 @@ pub fn shrink_with_opt_out(slab_lo: &mut Vec<f64>, slab_ok: &mut bool) {
     slab_lo.clear();
 }
 
-pub fn pick_guarded(lo: &[f64], hi: &[f64], eps_sq: f64) -> usize {
+pub fn pick_guarded(slabs: &mut Slabs, eps_sq: f64) -> usize {
     if eps_sq < f64::INFINITY {
-        mbr_fit_pick(lo, hi)
+        mbr_fit_pick_commit(slabs, eps_sq)
     } else {
         0
     }

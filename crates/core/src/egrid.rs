@@ -164,7 +164,7 @@ impl GridJoin {
                 stats.early_stops_node += 1;
                 let ids: Vec<RecordId> =
                     bucket.iter().chain(other.into_iter().flatten()).copied().collect();
-                infallible(handler.on_subtree(ids, bucket.len(), &mbr, sink, stats));
+                infallible(handler.on_subtree(&ids, bucket.len(), &mbr, sink, stats));
                 return;
             }
         }

@@ -40,7 +40,7 @@ use csj_storage::{OutputSink, OutputWriter};
 
 use crate::budget::{CancelToken, StopReason};
 use crate::error::CsjError;
-use crate::group::{GroupShape, GroupWindow, LinkProbe, OpenGroup};
+use crate::group::{GroupShape, GroupWindow, LinkProbe};
 use crate::output::Rows;
 use crate::stats::JoinStats;
 use crate::JoinConfig;
@@ -109,10 +109,12 @@ pub trait LinkHandler<const D: usize> {
 
     /// Handles a subtree (or pair of subtrees) whose bounding shape fits
     /// within ε: `ids` are all records below, the first `first` of them
-    /// from the step's first node, and `mbr` is the covering shape.
+    /// from the step's first node, and `mbr` is the covering shape. The
+    /// ids are lent from a buffer the caller reuses; a handler that
+    /// keeps them copies them.
     fn on_subtree<R: RowSink>(
         &mut self,
-        ids: Vec<RecordId>,
+        ids: &[RecordId],
         first: usize,
         mbr: &Mbr<D>,
         sink: &mut R,
@@ -171,13 +173,13 @@ impl<const D: usize> LinkHandler<D> for DirectEmit {
 
     fn on_subtree<R: RowSink>(
         &mut self,
-        ids: Vec<RecordId>,
+        ids: &[RecordId],
         _first: usize,
         _mbr: &Mbr<D>,
         sink: &mut R,
         stats: &mut JoinStats,
     ) -> Result<(), CsjError> {
-        emit_group_row(sink, stats, &ids)
+        emit_group_row(sink, stats, ids)
     }
 }
 
@@ -220,17 +222,15 @@ impl<S: GroupShape<D>, const D: usize> LinkHandler<D> for WindowedEmit<S, D> {
 
     fn on_subtree<R: RowSink>(
         &mut self,
-        ids: Vec<RecordId>,
+        ids: &[RecordId],
         _first: usize,
         mbr: &Mbr<D>,
         sink: &mut R,
         stats: &mut JoinStats,
     ) -> Result<(), CsjError> {
-        let group = OpenGroup::from_subtree(ids, mbr, self.metric);
-        if let Some(evicted) = self.window.push(group) {
-            emit_group_row(sink, stats, &evicted.into_sorted_members())?;
-        }
-        Ok(())
+        // The subtree opens a group in place, like a link that fits no
+        // open group; the displaced oldest group (if any) is emitted.
+        self.window.open_subtree(ids, mbr, self.metric, |m| emit_group_row(sink, stats, m))
     }
 
     fn finish<R: RowSink>(&mut self, sink: &mut R, stats: &mut JoinStats) -> Result<(), CsjError> {
@@ -693,6 +693,10 @@ pub struct Engine<S: NodeSource<D>, H, R, const D: usize> {
     pub sink: R,
     /// Accumulated counters.
     pub stats: JoinStats,
+    /// The ids of the subtree an early stop emits, reused.
+    subtree_ids: Vec<RecordId>,
+    /// The entries a tightened subtree box is computed from, reused.
+    subtree_entries: Vec<LeafEntry<D>>,
 }
 
 impl<S, H, R, const D: usize> Engine<S, H, R, D>
@@ -715,6 +719,8 @@ where
             stopped: None,
             sink,
             stats: Self::fresh_stats(cfg),
+            subtree_ids: Vec::new(),
+            subtree_entries: Vec::new(),
         }
     }
 
@@ -888,21 +894,22 @@ where
 
     /// Emits an early-stopped subtree (pair) as one group.
     fn emit_subtree(&mut self, step: Step<S::Node>) -> Result<(), CsjError> {
-        let mut ids = Vec::new();
+        self.subtree_ids.clear();
         let (first, mbr) = match step {
             Step::Node(n) => {
                 self.stats.early_stops_node += 1;
-                self.source.collect_record_ids(n, &mut ids)?;
-                (ids.len(), self.subtree_mbr(n)?)
+                self.source.collect_record_ids(n, &mut self.subtree_ids)?;
+                (self.subtree_ids.len(), self.subtree_mbr(n)?)
             }
             Step::Pair(a, b) => {
                 self.stats.early_stops_pair += 1;
-                self.source.collect_record_ids(a, &mut ids)?;
-                let first = ids.len();
-                self.source.collect_record_ids(b, &mut ids)?;
+                self.source.collect_record_ids(a, &mut self.subtree_ids)?;
+                let first = self.subtree_ids.len();
+                self.source.collect_record_ids(b, &mut self.subtree_ids)?;
                 (first, self.subtree_mbr(a)?.union(&self.subtree_mbr(b)?))
             }
         };
+        let ids = &self.subtree_ids;
         self.handler.on_subtree(ids, first, &mbr, &mut self.sink, &mut self.stats)
     }
 
@@ -912,10 +919,11 @@ where
         if !self.cfg.tighten_group_mbr {
             return Ok(self.source.mbr(n));
         }
-        let mut entries = Vec::new();
-        self.source.collect_entries(n, &mut entries)?;
+        let entries = &mut self.subtree_entries;
+        entries.clear();
+        self.source.collect_entries(n, entries)?;
         let mut mbr = Mbr::empty();
-        for e in &entries {
+        for e in entries.iter() {
             mbr.expand_to_point(&e.point);
         }
         Ok(mbr)

@@ -20,11 +20,15 @@
 //!   loop, then a branch-free squared-diagonal-vs-ε² compare
 //!   ([`Metric::norm_within`]) with no shape copy and no undo;
 //! * [`GroupWindow`] is a fixed-capacity array ring (no `VecDeque`
-//!   indirection); a link that opens a group once the ring is full emits
-//!   the displaced oldest group straight from its slot and reuses that
-//!   slot's member vector ([`GroupWindow::open_link`]).
+//!   indirection). Its boxes live in bound slabs that one kernel call
+//!   per link probes and commits into, and its member logs are sets
+//!   while they are short; a link or early-stopped subtree that opens a
+//!   group once the ring is full emits the displaced oldest group
+//!   straight from its slot and reuses that slot's member storage
+//!   ([`GroupWindow::open_link`], [`GroupWindow::open_subtree`]).
 
-use csj_geom::{probe, KernelPath, Mbr, Metric, Point, RecordId, Sphere};
+use csj_geom::probe::{self, BoundSlabs};
+use csj_geom::{KernelPath, Mbr, Metric, Point, RecordId, Sphere};
 
 /// A qualifying link prepared for merge probing: both endpoints plus the
 /// link's bounding box, computed once and reused across every merge
@@ -281,13 +285,164 @@ impl<const D: usize> GroupShape<D> for BallShape<D> {
     }
 }
 
-/// Appends an endpoint to a raw member log, skipping the common case of
-/// the same endpoint recurring across consecutive links (nested leaf
-/// loops); full deduplication happens once, at emission.
+/// Largest member log kept as a set. Up to this length a push first
+/// checks the log and skips an id already in it, so the log is the
+/// group's member set and emission only sorts it; most CSJ(g) groups
+/// stay within it. A longer log — mostly an early-stopped subtree —
+/// appends raw, skipping only a repeat of its last id, and is
+/// deduplicated once at emission, so no scan grows with the group.
+const SET_MAX: usize = 16;
+
+/// Adds an endpoint to a member log (see [`SET_MAX`]).
 #[inline]
 fn push_member(members: &mut Vec<RecordId>, id: RecordId) {
-    if members.last() != Some(&id) {
+    let seen =
+        if members.len() < SET_MAX { members.contains(&id) } else { members.last() == Some(&id) };
+    if !seen {
         members.push(id);
+    }
+}
+
+/// Finalizes a member log in place: sorted, deduplicated. A log within
+/// [`SET_MAX`] already is a set, so it is only sorted.
+#[inline]
+fn finalize_members(m: &mut Vec<RecordId>) {
+    sort_ids(m);
+    if m.len() > SET_MAX {
+        m.dedup();
+    }
+}
+
+/// Sorts member ids; never-merged two-point groups dominate, and take
+/// one compare.
+#[inline]
+fn sort_ids(m: &mut [RecordId]) {
+    if m.len() == 2 {
+        if m[0] > m[1] {
+            m.swap(0, 1);
+        }
+    } else {
+        m.sort_unstable();
+    }
+}
+
+/// The member logs of a window's ring slots. A log is a set while it is
+/// short: slot `i`'s members are then the first `len[i]` ids of its fixed
+/// row `ids[i * SET_MAX..][..SET_MAX]`, and every lane past them holds a
+/// copy of a member. A push therefore compares the new id against the
+/// whole row at once — no loop exit or branch that depends on the data —
+/// and writes it to lane `len[i]` unconditionally, counting it only if
+/// it was new. A group that outgrows the row spills to its slot's reused
+/// `spill` vector, which logs raw (see [`push_member`]).
+#[derive(Debug, Default)]
+struct MemberSets {
+    ids: Vec<RecordId>,
+    /// Set size per slot, or [`SPILLED`].
+    len: Vec<usize>,
+    spill: Vec<Vec<RecordId>>,
+}
+
+/// `MemberSets::len` of a slot whose log lives in its spill vector.
+const SPILLED: usize = usize::MAX;
+
+impl MemberSets {
+    /// Adds an empty slot.
+    fn add_slot(&mut self) {
+        self.ids.resize(self.ids.len() + SET_MAX, 0);
+        self.len.push(0);
+        self.spill.push(Vec::new());
+    }
+
+    /// Empties slot `i`, keeping its allocations.
+    fn clear(&mut self, i: usize) {
+        if self.len[i] == SPILLED {
+            self.spill[i].clear();
+        }
+        self.len[i] = 0;
+    }
+
+    /// Slot `i`'s row.
+    fn row(&mut self, i: usize) -> &mut [RecordId] {
+        &mut self.ids[i * SET_MAX..][..SET_MAX]
+    }
+
+    /// Adds `id` to slot `i`'s members.
+    #[inline]
+    fn push(&mut self, i: usize, id: RecordId) {
+        let len = self.len[i];
+        if !(1..SET_MAX).contains(&len) {
+            return self.push_cold(i, id);
+        }
+        let row = self.row(i);
+        let seen = row.iter().fold(false, |seen, &m| seen | (m == id));
+        row[len] = id;
+        self.len[i] = len + usize::from(!seen);
+    }
+
+    /// [`MemberSets::push`] into an empty slot, a full row or a spilled
+    /// log.
+    #[cold]
+    fn push_cold(&mut self, i: usize, id: RecordId) {
+        match self.len[i] {
+            0 => {
+                self.row(i).fill(id);
+                self.len[i] = 1;
+            }
+            SPILLED => push_member(&mut self.spill[i], id),
+            _ => {
+                let row = &self.ids[i * SET_MAX..][..SET_MAX];
+                if !row.contains(&id) {
+                    let spill = &mut self.spill[i];
+                    spill.clear();
+                    spill.extend_from_slice(row);
+                    spill.push(id);
+                    self.len[i] = SPILLED;
+                }
+            }
+        }
+    }
+
+    /// Adds a subtree's ids to slot `i`'s members: one by one while the
+    /// row can hold them, in one copy to the spill log otherwise.
+    fn extend(&mut self, i: usize, ids: &[RecordId]) {
+        let len = self.len[i];
+        if len != SPILLED && len + ids.len() <= SET_MAX {
+            for &id in ids {
+                self.push(i, id);
+            }
+            return;
+        }
+        let spill = &mut self.spill[i];
+        if len != SPILLED {
+            spill.clear();
+            spill.extend_from_slice(&self.ids[i * SET_MAX..][..len]);
+            self.len[i] = SPILLED;
+        }
+        spill.extend_from_slice(ids);
+    }
+
+    /// Slot `i`'s member set, sorted (and deduplicated) in place.
+    fn finalize(&mut self, i: usize) -> &[RecordId] {
+        match self.len[i] {
+            SPILLED => {
+                let spill = &mut self.spill[i];
+                finalize_members(spill);
+                spill
+            }
+            len => {
+                let row = &mut self.ids[i * SET_MAX..][..len];
+                sort_ids(row);
+                row
+            }
+        }
+    }
+
+    /// Slot `i`'s member log as an owned vector.
+    fn to_vec(&self, i: usize) -> Vec<RecordId> {
+        match self.len[i] {
+            SPILLED => self.spill[i].clone(),
+            len => self.ids[i * SET_MAX..][..len].to_vec(),
+        }
     }
 }
 
@@ -306,13 +461,11 @@ fn link_shape<S: GroupShape<D>, const D: usize>(link: &LinkProbe<'_, D>, metric:
 
 /// An output group still open for CSJ merging.
 ///
-/// Members are kept as a raw push log (consecutive duplicates skipped);
-/// [`OpenGroup::into_sorted_members`] deduplicates at emission time. This
-/// keeps the per-link merge cost to a couple of comparisons instead of a
-/// hash insert — the merge loop is the hottest path of CSJ(g).
+/// Members are kept as a log that is a set while it is short (16 ids); [`OpenGroup::into_sorted_members`] sorts it (and
+/// deduplicates a long one) at emission time.
 #[derive(Clone, Debug)]
 pub struct OpenGroup<S, const D: usize> {
-    /// Member record ids as pushed (may contain non-consecutive repeats).
+    /// Member record ids as logged (a long log may hold repeats).
     pub members: Vec<RecordId>,
     /// Current bounding shape.
     pub shape: S,
@@ -332,12 +485,6 @@ impl<S: GroupShape<D>, const D: usize> OpenGroup<S, D> {
         g.add_member(a);
         g.add_member(b);
         g
-    }
-
-    /// Opens a group for a whole subtree (the early-stopping rule).
-    pub fn from_subtree(members: Vec<RecordId>, mbr: &Mbr<D>, metric: Metric) -> Self {
-        debug_assert!(!members.is_empty());
-        OpenGroup { members, shape: S::from_mbr(mbr, metric) }
     }
 
     fn add_member(&mut self, id: RecordId) {
@@ -378,8 +525,8 @@ impl<S: GroupShape<D>, const D: usize> OpenGroup<S, D> {
         }
     }
 
-    /// Number of member entries pushed so far (counts repeats; use
-    /// [`OpenGroup::into_sorted_members`] for the true member set).
+    /// Number of member entries logged so far (a long log counts
+    /// repeats; use [`OpenGroup::into_sorted_members`] for the set).
     pub fn len(&self) -> usize {
         self.members.len()
     }
@@ -394,43 +541,26 @@ impl<S: GroupShape<D>, const D: usize> OpenGroup<S, D> {
     #[inline]
     pub fn into_sorted_members(self) -> Vec<RecordId> {
         let mut m = self.members;
-        sort_dedup_members(&mut m);
+        finalize_members(&mut m);
         m
     }
 }
 
-/// Finalizes a member log in place: sorted, deduplicated.
-#[inline]
-fn sort_dedup_members(m: &mut Vec<RecordId>) {
-    // Never-merged two-point groups dominate; their log is two distinct
-    // ids (consecutive duplicates are skipped at push), so ordering them
-    // is one compare — skip the sort machinery.
-    if m.len() == 2 {
-        if m[0] > m[1] {
-            m.swap(0, 1);
-        }
-        return;
-    }
-    m.sort_unstable();
-    m.dedup();
-}
-
-/// The `g` most recent groups, as a FIFO ring. Pushing beyond capacity
-/// evicts (returns) the oldest group, which is then final and can be
+/// The `g` most recent groups, as a FIFO ring. Opening a group beyond
+/// capacity displaces the oldest group, which is then final and is
 /// emitted — groups outside the window can never change again.
 ///
-/// Stored struct-of-arrays: the shapes live in one contiguous slab,
-/// the member vectors in a parallel one, and — for box shapes — the
-/// bounds additionally in per-dimension slabs (`slab_lo`/`slab_hi`).
-/// The merge probe — the hottest loop of CSJ(g), run up to `g` times
-/// per residual link — then collapses to one wide pass: a fit bitmask
-/// over the whole window ([`csj_geom::probe::mbr_fit_mask`], SIMD when
-/// the host has it) and integer arithmetic to recover the newest-first
-/// accept decision and the attempt count the sequential walk would have
-/// produced. A member vector is touched exactly once, on the one group
-/// that accepts the link. A wrapping head index replaces `VecDeque`
-/// indirection: once warm, a push is one `mem::replace` per slab at the
-/// head slot.
+/// Stored struct-of-arrays: the shapes live in one contiguous slab, the
+/// member logs in a parallel one, and — for box shapes — the bounds in
+/// [`BoundSlabs`]. The merge probe — the hottest loop of CSJ(g), run up
+/// to `g` times per residual link — then collapses to one kernel call
+/// ([`csj_geom::probe::mbr_fit_pick_commit`], SIMD when the host has
+/// it): a fit bitmask over the whole window, integer arithmetic for the
+/// newest-first accept decision and the attempt count the sequential
+/// walk would have produced, and the fold of the link into the accepting
+/// box. A member log is touched exactly once, on the one group that
+/// accepts the link. A wrapping head index replaces `VecDeque`
+/// indirection: once warm, an open overwrites the head slot in place.
 #[derive(Debug)]
 pub struct GroupWindow<S, const D: usize> {
     /// Group shapes; grows up to `capacity`, then slots are overwritten
@@ -438,70 +568,36 @@ pub struct GroupWindow<S, const D: usize> {
     /// while still filling), so slot age increases with distance from
     /// the newest slot.
     shapes: Vec<S>,
-    /// Raw member lists, parallel to `shapes`.
-    members: Vec<Vec<RecordId>>,
-    /// Per-dimension lower/upper bound slabs mirroring `shapes`,
-    /// maintained while every shape reports [`GroupShape::slab_bounds`];
-    /// they feed the vectorized whole-window probe. Held at the fixed
-    /// padded length [`GroupWindow::slab_len`]: slots no open group
-    /// occupies stay at the `+∞` sentinel (an infinite side always fails
-    /// the ordered `≤ ε²` compare, so sentinel lanes never set a mask
-    /// bit), which lets the SIMD probe run whole vectors with no scalar
-    /// tail and lets `push` store by index instead of branching between
-    /// grow and replace.
-    slab_lo: [Vec<f64>; D],
-    slab_hi: [Vec<f64>; D],
-    /// Fixed slab length: the capacity rounded up to a 4-lane multiple,
-    /// or 0 when the window is too wide for the mask probe (or has no
-    /// capacity) and probes sequentially instead.
-    slab_len: usize,
-    /// `false` once any pushed shape declined to provide slab bounds;
-    /// the window then probes sequentially for its whole life.
+    /// Member logs, parallel to `shapes`.
+    members: MemberSets,
+    /// The boxes' bounds, mirroring `shapes` while every shape reports
+    /// [`GroupShape::slab_bounds`]; on the slab probe path they are the
+    /// authoritative merged bounds.
+    slabs: BoundSlabs<D>,
+    /// `false` when the window is too wide for the mask probe, or once
+    /// any pushed shape declined to provide slab bounds; the window then
+    /// probes sequentially until it is drained.
     slab_ok: bool,
-    /// Dispatch for the mask probe, resolved once per window.
-    path: KernelPath,
+    /// The member log a zero-capacity window finalizes a subtree group
+    /// in, reused.
+    spare: Vec<RecordId>,
     head: usize,
     capacity: usize,
-}
-
-/// Padded bound-slab length for a window: the capacity rounded up to a
-/// whole number of 4-wide SIMD lanes, or 0 when the window exceeds the
-/// mask width (those windows probe sequentially).
-fn slab_len_for(capacity: usize) -> usize {
-    if capacity == 0 || capacity > probe::MAX_WINDOW {
-        0
-    } else {
-        (capacity + 3) & !3
-    }
 }
 
 impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
     /// A window considering the `capacity` most recent groups.
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.min(1024);
-        let slab_len = slab_len_for(capacity);
+        let slabs = BoundSlabs::new(capacity, KernelPath::detect());
         GroupWindow {
             shapes: Vec::with_capacity(cap),
-            members: Vec::with_capacity(cap),
-            slab_lo: std::array::from_fn(|_| vec![f64::INFINITY; slab_len]),
-            slab_hi: std::array::from_fn(|_| vec![f64::INFINITY; slab_len]),
-            slab_len,
-            slab_ok: slab_len != 0,
-            path: KernelPath::detect(),
+            members: MemberSets::default(),
+            slab_ok: slabs.lanes() != 0,
+            slabs,
+            spare: Vec::new(),
             head: 0,
             capacity,
-        }
-    }
-
-    /// Refreshes slot `i`'s bound-slab columns from its shape.
-    fn sync_slab(&mut self, i: usize) {
-        if self.slab_ok {
-            if let Some((lo, hi)) = self.shapes[i].slab_bounds() {
-                for d in 0..D {
-                    self.slab_lo[d][i] = lo[d];
-                    self.slab_hi[d][i] = hi[d];
-                }
-            }
         }
     }
 
@@ -530,16 +626,13 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
             return false;
         }
         // Slab probe path: the decision is the squared-diagonal fit of
-        // the padded bound slabs, which are the authoritative merged
-        // bounds here (shapes are only rematerialized from them when
-        // groups leave the window via `drain`). One wide fit mask plus
-        // integer selection recovers the slot the sequential
-        // newest-first walk would accept and the attempts it would have
-        // counted, so decisions, output, and stats are identical on
-        // every dispatch path.
+        // the bound slabs, which are the authoritative merged bounds here
+        // (shapes are only rematerialized from them when groups leave the
+        // window via `drain`). One kernel call picks the slot the
+        // sequential newest-first walk would accept, counts the attempts
+        // it would have made and folds the link into that slot, so
+        // decisions, output and stats are identical on every path.
         if self.slab_ok && matches!(metric, Metric::Euclidean) {
-            let head = self.head;
-            debug_assert!(n <= probe::MAX_WINDOW && head < probe::MAX_WINDOW);
             let eps_sq = eps * eps;
             // SIMD needs a NaN-free span (the one case where lane
             // min/max diverges from f64::min/max) and a finite ε² (so
@@ -548,58 +641,41 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
             // same operations, same decision.
             let simd_ok = eps_sq < f64::INFINITY
                 && (0..D).all(|d| !link.span.lo[d].is_nan() && !link.span.hi[d].is_nan());
-            let lo: [&[f64]; D] = std::array::from_fn(|d| self.slab_lo[d].as_slice());
-            let hi: [&[f64]; D] = std::array::from_fn(|d| self.slab_hi[d].as_slice());
-            let path = if simd_ok { self.path } else { KernelPath::Scalar };
             // csj-lint: allow(padding-invariant) — the finite-ε guard is
             // `simd_ok` above, which selects the scalar kernel as a *value*
-            // (`path`) rather than branching around the call; value flow is
-            // outside the control-flow analysis, but the sentinel contract
-            // holds: a non-finite ε² forces KernelPath::Scalar.
-            let (slot, tried) = probe::mbr_fit_pick(
-                path,
-                &lo,
-                &hi,
+            // rather than branching around the call; value flow is outside
+            // the control-flow analysis, but the sentinel contract holds:
+            // a non-finite ε² runs the scalar kernel.
+            let (slot, tried) = probe::mbr_fit_pick_commit(
+                &mut self.slabs,
+                simd_ok,
                 &link.span.lo.0,
                 &link.span.hi.0,
                 eps_sq,
-                head,
+                self.head,
                 n,
             );
             *attempts += tried;
-            return match slot {
-                Some(i) => {
-                    // Debug builds re-run the checked shape merge: it
-                    // must agree with the mask, and it keeps the ring
-                    // shape fresh so the slab-vs-shape invariant below
-                    // can be asserted bit-for-bit.
-                    #[cfg(debug_assertions)]
-                    assert!(
-                        self.shapes[i].try_extend_link(link, eps, metric),
-                        "fit mask and sequential merge test must agree"
-                    );
-                    // Commit: fold the span into the slabs — exactly the
-                    // min/max the shape's own merge would perform.
-                    for d in 0..D {
-                        let l = self.slab_lo[d][i];
-                        self.slab_lo[d][i] = l.min(link.span.lo[d]);
-                        let h = self.slab_hi[d][i];
-                        self.slab_hi[d][i] = h.max(link.span.hi[d]);
-                    }
-                    #[cfg(debug_assertions)]
-                    if let Some((lo, hi)) = self.shapes[i].slab_bounds() {
-                        for d in 0..D {
-                            assert_eq!(lo[d].to_bits(), self.slab_lo[d][i].to_bits());
-                            assert_eq!(hi[d].to_bits(), self.slab_hi[d][i].to_bits());
-                        }
-                    }
-                    let members = &mut self.members[i];
-                    push_member(members, link.a);
-                    push_member(members, link.b);
-                    true
+            let Some(i) = slot else { return false };
+            // Debug builds re-run the checked shape merge: it must agree
+            // with the mask and leave the shape on the committed bounds.
+            #[cfg(debug_assertions)]
+            {
+                assert!(
+                    self.shapes[i].try_extend_link(link, eps, metric),
+                    "fit mask and sequential merge test must agree"
+                );
+                if let Some((lo, hi)) = self.shapes[i].slab_bounds() {
+                    let (slab_lo, slab_hi) = self.slabs.get(i);
+                    // FLOAT-EQ: the commit is the shape's own min/max
+                    // fold; `==` lets a signed-zero tie, which no
+                    // decision reads, resolve either way.
+                    assert!(lo.0 == slab_lo && hi.0 == slab_hi, "slabs and shape disagree");
                 }
-                None => false,
-            };
+            }
+            self.members.push(i, link.a);
+            self.members.push(i, link.b);
+            return true;
         }
 
         // Sequential reference walk (no slabs, or a metric the mask
@@ -621,10 +697,11 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
         }
         match hit {
             Some(i) => {
-                self.sync_slab(i);
-                let members = &mut self.members[i];
-                push_member(members, link.a);
-                push_member(members, link.b);
+                if let (true, Some((lo, hi))) = (self.slab_ok, self.shapes[i].slab_bounds()) {
+                    self.slabs.set(i, &lo.0, &hi.0);
+                }
+                self.members.push(i, link.a);
+                self.members.push(i, link.b);
                 true
             }
             None => false,
@@ -633,13 +710,8 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
 
     /// Opens a group covering `link` in the newest slot, finalizing —
     /// through `emit` — the oldest group the open displaces once the
-    /// ring is full. The displaced slot's member log is sorted and
-    /// deduplicated in place and handed to `emit` as a slice, then its
-    /// allocation is reused for the new group: the steady-state open
-    /// neither allocates nor moves a vector, where routing through
-    /// [`GroupWindow::push`] would bounce both through the caller. With
-    /// zero capacity the link's own (already final) pair is emitted from
-    /// the stack.
+    /// ring is full, reusing its slot. With zero capacity the link's own
+    /// (already final) pair is emitted from the stack.
     ///
     /// Decision-equivalent to `push(OpenGroup::from_link(..))` plus
     /// emitting the returned eviction: same groups, same order. `emit`
@@ -665,57 +737,94 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
             let (a, b) = if link.a <= link.b { (link.a, link.b) } else { (link.b, link.a) };
             return emit(&[a, b]);
         }
-        let growing = self.shapes.len() < self.capacity;
-        let slot = if growing { self.shapes.len() } else { self.head };
-        if !growing {
-            // The head slot holds the oldest group — final the moment a
-            // newer one displaces it. Emit straight from the slot, then
-            // reuse its member allocation.
-            let m = &mut self.members[slot];
-            sort_dedup_members(m);
-            emit(m)?;
-            m.clear();
-        }
-        let shape = link_shape(link, metric);
-        self.set_slab(slot, &shape);
-        if growing {
-            let mut members = Vec::with_capacity(8);
-            members.push(link.a);
-            self.shapes.push(shape);
-            self.members.push(members);
-        } else {
-            self.shapes[slot] = shape;
-            self.members[slot].push(link.a);
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-        }
-        push_member(&mut self.members[slot], link.b);
+        let slot = self.open_slot(link_shape(link, metric), &mut emit)?;
+        self.members.push(slot, link.a);
+        self.members.push(slot, link.b);
         Ok(())
     }
 
-    /// Writes `shape`'s bounds into slab column `slot`; a shape without
-    /// slab bounds switches the window to sequential probing for good.
+    /// Opens a group for an early-stopped subtree — its record `ids`
+    /// under the covering box `mbr` — in the newest slot, as
+    /// [`GroupWindow::open_link`] does for a link. The ids are copied
+    /// into the slot's reused member log; with zero capacity they are
+    /// finalized in a reused spare log and emitted at once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error `emit` returns, as
+    /// [`GroupWindow::open_link`] does.
+    pub fn open_subtree<X, E>(
+        &mut self,
+        ids: &[RecordId],
+        mbr: &Mbr<D>,
+        metric: Metric,
+        mut emit: E,
+    ) -> Result<(), X>
+    where
+        E: FnMut(&[RecordId]) -> Result<(), X>,
+    {
+        debug_assert!(!ids.is_empty());
+        if self.capacity == 0 {
+            let spare = &mut self.spare;
+            spare.clear();
+            spare.extend_from_slice(ids);
+            spare.sort_unstable();
+            spare.dedup();
+            return emit(spare);
+        }
+        let slot = self.open_slot(S::from_mbr(mbr, metric), &mut emit)?;
+        self.members.extend(slot, ids);
+        Ok(())
+    }
+
+    /// Installs `shape` in the newest slot and returns that slot with an
+    /// empty member log. Once the ring is full the head slot holds the
+    /// oldest group — final the moment a newer one displaces it — which
+    /// is finalized in place and handed to `emit` as a slice; its member
+    /// allocation is then reused, so the steady-state open neither
+    /// allocates nor moves a vector.
+    fn open_slot<X>(
+        &mut self,
+        shape: S,
+        emit: &mut impl FnMut(&[RecordId]) -> Result<(), X>,
+    ) -> Result<usize, X> {
+        let growing = self.shapes.len() < self.capacity;
+        let slot = if growing { self.shapes.len() } else { self.head };
+        if !growing {
+            emit(self.members.finalize(slot))?;
+            self.members.clear(slot);
+        }
+        self.set_slab(slot, &shape);
+        if growing {
+            self.shapes.push(shape);
+            self.members.add_slot();
+        } else {
+            self.shapes[slot] = shape;
+            self.advance_head();
+        }
+        Ok(slot)
+    }
+
+    /// Moves the head past the slot just overwritten (wrapping without
+    /// dividing), keeping FIFO eviction order.
+    fn advance_head(&mut self) {
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+    }
+
+    /// Writes `shape`'s bounds into slot `slot` of the slabs; a shape
+    /// without slab bounds switches the window to sequential probing
+    /// until it is drained.
     #[inline]
     fn set_slab(&mut self, slot: usize, shape: &S) {
         if !self.slab_ok {
             return;
         }
         match shape.slab_bounds() {
-            Some((lo, hi)) => {
-                for d in 0..D {
-                    self.slab_lo[d][slot] = lo[d];
-                    self.slab_hi[d][slot] = hi[d];
-                }
-            }
-            None => {
-                self.slab_ok = false;
-                for d in 0..D {
-                    self.slab_lo[d].clear();
-                    self.slab_hi[d].clear();
-                }
-            }
+            Some((lo, hi)) => self.slabs.set(slot, &lo.0, &hi.0),
+            None => self.slab_ok = false,
         }
     }
 
@@ -731,22 +840,21 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
         let growing = self.shapes.len() < self.capacity;
         // The incoming group's slot: the append position while the ring
         // fills, the head slot (displacing the oldest) once full.
-        self.set_slab(if growing { self.shapes.len() } else { self.head }, &group.shape);
-        if growing {
+        let slot = if growing { self.shapes.len() } else { self.head };
+        self.set_slab(slot, &group.shape);
+        let evicted = if growing {
             self.shapes.push(group.shape);
-            self.members.push(group.members);
-            return None;
-        }
-        // Full: the head slot holds the oldest group. Replace it with
-        // the newcomer and advance (wrap without dividing), keeping FIFO
-        // eviction order.
-        let shape = std::mem::replace(&mut self.shapes[self.head], group.shape);
-        let members = std::mem::replace(&mut self.members[self.head], group.members);
-        self.head += 1;
-        if self.head == self.capacity {
-            self.head = 0;
-        }
-        Some(OpenGroup { members, shape })
+            self.members.add_slot();
+            None
+        } else {
+            let shape = std::mem::replace(&mut self.shapes[slot], group.shape);
+            let members = self.members.to_vec(slot);
+            self.members.clear(slot);
+            self.advance_head();
+            Some(OpenGroup { members, shape })
+        };
+        self.members.extend(slot, &group.members);
+        evicted
     }
 
     /// Closes the window, yielding all remaining groups oldest-first.
@@ -755,23 +863,19 @@ impl<S: GroupShape<D>, const D: usize> GroupWindow<S, D> {
         // restore each departing shape from its slab columns so drained
         // groups carry their true merged bounds.
         if self.slab_ok {
-            for i in 0..self.shapes.len() {
-                let lo = Point::new(std::array::from_fn(|d| self.slab_lo[d][i]));
-                let hi = Point::new(std::array::from_fn(|d| self.slab_hi[d][i]));
-                self.shapes[i].set_slab_bounds(&lo, &hi);
+            for (i, shape) in self.shapes.iter_mut().enumerate() {
+                let (lo, hi) = self.slabs.get(i);
+                shape.set_slab_bounds(&Point::new(lo), &Point::new(hi));
             }
         }
         let mut shapes = std::mem::take(&mut self.shapes);
-        let mut members = std::mem::take(&mut self.members);
+        let members = std::mem::take(&mut self.members);
+        let mut members: Vec<Vec<RecordId>> =
+            (0..shapes.len()).map(|i| members.to_vec(i)).collect();
         shapes.rotate_left(self.head);
         members.rotate_left(self.head);
-        for d in 0..D {
-            self.slab_lo[d].clear();
-            self.slab_lo[d].resize(self.slab_len, f64::INFINITY);
-            self.slab_hi[d].clear();
-            self.slab_hi[d].resize(self.slab_len, f64::INFINITY);
-        }
-        self.slab_ok = self.slab_len != 0;
+        self.slabs.reset();
+        self.slab_ok = self.slabs.lanes() != 0;
         self.head = 0;
         shapes.into_iter().zip(members).map(|(shape, members)| OpenGroup { members, shape })
     }
@@ -819,21 +923,51 @@ mod tests {
         let mut g: OpenGroup<MbrShape<2>, 2> =
             OpenGroup::from_link(1, &p(0.0, 0.0), 2, &p(0.1, 0.0), L2);
         assert!(g.try_merge(2, &p(0.1, 0.0), 3, &p(0.2, 0.0), 1.0, L2));
-        // Consecutive repeat of 2 is skipped at push time …
+        assert!(g.try_merge(1, &p(0.0, 0.0), 3, &p(0.2, 0.0), 1.0, L2));
+        // A short log is a set: repeats are skipped at push time.
         assert_eq!(g.members, vec![1, 2, 3]);
-        // … and any remaining repeats vanish at emission.
-        assert!(g.clone().try_merge(1, &p(0.0, 0.0), 2, &p(0.1, 0.0), 1.0, L2));
-        let mut g2 = g.clone();
-        assert!(g2.try_merge(1, &p(0.0, 0.0), 2, &p(0.1, 0.0), 1.0, L2));
-        assert_eq!(g2.into_sorted_members(), vec![1, 2, 3]);
+        assert_eq!(g.into_sorted_members(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn long_member_logs_are_deduplicated_at_emission() {
+        let mbr = Mbr::from_corners(&p(0.0, 0.0), &p(0.3, 0.4));
+        let ids: Vec<u32> = (0..2 * SET_MAX as u32).rev().collect();
+        let mut w: GroupWindow<MbrShape<2>, 2> = GroupWindow::new(2);
+        let mut emitted = Vec::new();
+        w.open_subtree(&ids, &mbr, L2, |m| {
+            emitted.push(m.to_vec());
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        let (pa, pb) = (p(0.1, 0.1), p(0.2, 0.2));
+        let mut attempts = 0;
+        // Both endpoints are already members: the raw log repeats them.
+        assert!(w.try_merge_link(&LinkProbe::new(3, &pa, 5, &pb), 0.5, L2, &mut attempts));
+        let g = w.drain().next().unwrap();
+        assert_eq!(g.members.len(), ids.len() + 2);
+        assert_eq!(g.into_sorted_members(), (0..2 * SET_MAX as u32).collect::<Vec<_>>());
+        assert!(emitted.is_empty());
     }
 
     #[test]
     fn subtree_group_has_node_shape() {
         let mbr = Mbr::from_corners(&p(0.0, 0.0), &p(0.3, 0.4));
-        let g: OpenGroup<MbrShape<2>, 2> = OpenGroup::from_subtree(vec![5, 6, 7], &mbr, L2);
-        assert_eq!(g.members, vec![5, 6, 7]);
+        let mut w: GroupWindow<MbrShape<2>, 2> = GroupWindow::new(1);
+        let mut emitted = Vec::new();
+        let mut emit = |m: &[u32]| {
+            emitted.push(m.to_vec());
+            Ok::<_, ()>(())
+        };
+        w.open_subtree(&[7, 5, 6], &mbr, L2, &mut emit).unwrap();
+        w.open_subtree(&[9, 8], &mbr, L2, &mut emit).unwrap();
+        let g = w.drain().next().unwrap();
         assert_eq!(g.shape.diameter(L2), 0.5);
+        assert_eq!(g.into_sorted_members(), vec![8, 9]);
+        // A zero-capacity window emits the sorted set at once.
+        let mut w0: GroupWindow<MbrShape<2>, 2> = GroupWindow::new(0);
+        w0.open_subtree(&[4, 2, 3], &mbr, L2, &mut emit).unwrap();
+        assert_eq!(emitted, vec![vec![5, 6, 7], vec![2, 3, 4]]);
     }
 
     #[test]

@@ -182,8 +182,9 @@ pub enum Event<const D: usize> {
     /// [`LinkHandler::on_link`]: the link's ids and points.
     Link(RecordId, Point<D>, RecordId, Point<D>),
     /// [`LinkHandler::on_subtree`]: the ids, the count from the first
-    /// node and the covering box.
-    Subtree(Vec<RecordId>, usize, Mbr<D>),
+    /// node and the covering box, boxed so that a recorded link, the
+    /// common event, stays small.
+    Subtree(Box<(Vec<RecordId>, usize, Mbr<D>)>),
 }
 
 /// One engine over a [`NodeSource`] that expands the task list and runs
@@ -321,8 +322,9 @@ where
         for event in out.events {
             match event {
                 Event::Link(a, pa, b, pb) => handler.on_link(a, &pa, b, &pb, sink, stats)?,
-                Event::Subtree(ids, first, mbr) => {
-                    handler.on_subtree(ids, first, &mbr, sink, stats)?
+                Event::Subtree(subtree) => {
+                    let (ids, first, mbr) = &*subtree;
+                    handler.on_subtree(ids, *first, mbr, sink, stats)?
                 }
             }
         }
@@ -361,7 +363,7 @@ impl<const D: usize> LinkHandler<D> for Recorder<D> {
 
     fn on_subtree<R: RowSink>(
         &mut self,
-        ids: Vec<RecordId>,
+        ids: &[RecordId],
         first: usize,
         mbr: &Mbr<D>,
         sink: &mut R,
@@ -370,7 +372,7 @@ impl<const D: usize> LinkHandler<D> for Recorder<D> {
         let Some(events) = &mut self.0 else {
             return LinkHandler::<D>::on_subtree(&mut DirectEmit, ids, first, mbr, sink, stats);
         };
-        events.push(Event::Subtree(ids, first, *mbr));
+        events.push(Event::Subtree(Box::new((ids.to_vec(), first, *mbr))));
         Ok(())
     }
 }
@@ -582,6 +584,13 @@ mod tests {
                 Point::new([c + ((i * 31) % 97) as f64 * 2e-4, c + ((i * 57) % 89) as f64 * 2e-4])
             })
             .collect()
+    }
+
+    #[test]
+    fn a_recorded_link_takes_48_bytes() {
+        // Two ids and two 2-D points; the boxed subtree payload must not
+        // widen the enum every recorded link pays for.
+        assert_eq!(std::mem::size_of::<Event<2>>(), 48);
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl<W: OutputSink, const D: usize> LinkHandler<D> for CrossRows<'_, W, D> {
 
     fn on_subtree<S: RowSink>(
         &mut self,
-        mut ids: Vec<RecordId>,
+        ids: &[RecordId],
         first: usize,
         mbr: &Mbr<D>,
         _sink: &mut S,
@@ -310,8 +310,8 @@ impl<W: OutputSink, const D: usize> LinkHandler<D> for CrossRows<'_, W, D> {
             let (left, right) = ids.split_at(first);
             return self.emit(left, right, stats);
         }
-        let right = ids.split_off(first);
-        self.open(OpenCrossGroup::new(ids, right, *mbr), stats)
+        let (left, right) = ids.split_at(first);
+        self.open(OpenCrossGroup::new(left.to_vec(), right.to_vec(), *mbr), stats)
     }
 
     fn finish<S: RowSink>(&mut self, _sink: &mut S, stats: &mut JoinStats) -> Result<(), CsjError> {

@@ -503,7 +503,8 @@ impl<const D: usize> ResultFrame<D> {
                     put_u32(&mut buf, *a);
                     put_u32(&mut buf, *b);
                 }
-                Event::Subtree(members, first, mbr) => {
+                Event::Subtree(subtree) => {
+                    let (members, first, mbr) = &**subtree;
                     buf.push(1);
                     ids(&mut buf, members);
                     put_u32(&mut buf, *first as u32);
@@ -565,7 +566,7 @@ impl<const D: usize> ResultFrame<D> {
                         *x = c.f64()?;
                     }
                     let [lo, hi] = corners.map(Point::new);
-                    Event::Subtree(members, first, Mbr { lo, hi })
+                    Event::Subtree(Box::new((members, first, Mbr { lo, hi })))
                 }
                 tag => return Err(ShardError::Protocol(format!("unknown event tag {tag}"))),
             });
@@ -671,7 +672,7 @@ mod tests {
                 rows: Rows::from_iter([OutputItem::Link(3, 9), OutputItem::Group(&[4, 5, 6])]),
                 events: vec![
                     Event::Link(3, points[3], 9, points[9]),
-                    Event::Subtree(vec![4, 5, 6], 2, mbr),
+                    Event::Subtree(Box::new((vec![4, 5, 6], 2, mbr))),
                 ],
                 stats,
                 completed: true,
