@@ -1,6 +1,6 @@
 //! Kernel-dispatch and merge-path benchmarks (`BENCH_kernels.json`).
 //!
-//! Three parts:
+//! Four parts:
 //!
 //! 1. The SSJ leaf probe three ways — naive scalar loop over records,
 //!    chunked AoS kernel, and the dispatched SoA kernel (AVX2/NEON when
@@ -8,13 +8,17 @@
 //!    All three legs must produce identical hit lists and comparison
 //!    counts; agreement is asserted, not assumed, so a CI run on either
 //!    dispatch path is also a correctness check.
-//! 2. The CSJ(10)-vs-N-CSJ single-thread wall-time gap on the three
+//! 2. The cross-leaf probe on a Pacific-NW road STR tree at ε = 2⁻⁹:
+//!    every pair of distinct leaves whose boxes are within ε, probed by
+//!    the naive scalar loop over all pairs and by the dispatched kernel
+//!    over the ε-strip. Every run's hit list must equal the first's.
+//! 3. The CSJ(10)-vs-N-CSJ single-thread wall-time gap on the three
 //!    perf workloads — the headline number for the merge path
 //!    (LinkProbe + whole-window slab probe + ring window). Each leg
 //!    streams the paper text format to a real file: the paper's cost
 //!    model is "the join writes its result", so the compact format's
 //!    smaller output is part of the measured work, not an afterthought.
-//! 3. Row emission on a Pacific-NW road network at ε = 2⁻⁹: collected
+//! 4. Row emission on a Pacific-NW road network at ε = 2⁻⁹: collected
 //!    N-CSJ rows written by `JoinOutput::write_to` into a `FileSink`
 //!    (the write alone is timed), and the streamed CSJ(10) file path
 //!    (join and write together), reported as rows/s.
@@ -35,8 +39,8 @@ use csj_bench::harness::{interleaved, join_to_file, perf_workloads, timed_ms, wr
 use csj_bench::harness::{Json, Workload};
 use csj_core::parallel::{ParallelAlgo, ParallelJoin};
 use csj_core::ResilientJoin;
-use csj_geom::{DistKernel, KernelPath, Metric, Point, SoaBuffer};
-use csj_index::{rstar::RStarTree, RTreeConfig};
+use csj_geom::{DistKernel, KernelPath, Metric, Point, ProbeScratch, SoaBuffer};
+use csj_index::{rstar::RStarTree, JoinIndex, NodeId, RTreeConfig};
 use csj_storage::{FileSink, OutputSink, OutputWriter};
 
 /// Where the merge-gap and row-emit legs write their output.
@@ -53,8 +57,9 @@ fn kernel_microbench(iters: usize, n: usize) -> Json {
     let eps = 0.002;
     let metric = Metric::Euclidean;
     let kernel = DistKernel::new(metric, eps);
+    let mut scratch = ProbeScratch::new();
     // One pass of the leg: its comparison count and hit list.
-    let probe = |leg: &str| {
+    let mut probe = |leg: &str| {
         let (mut comparisons, mut hits) = (0u64, Vec::new());
         let hit = |i, j| {
             hits.push((i, j));
@@ -72,7 +77,9 @@ fn kernel_microbench(iters: usize, n: usize) -> Json {
                 }
             }
             "chunked" => kernel.self_join_points(&pts, &mut comparisons, hit).expect("infallible"),
-            _ => kernel.self_join(soa.view(), &mut comparisons, hit).expect("infallible"),
+            _ => kernel
+                .self_join(soa.view(), &mut scratch, &mut comparisons, hit)
+                .expect("infallible"),
         }
         (comparisons, hits)
     };
@@ -106,6 +113,92 @@ fn kernel_microbench(iters: usize, n: usize) -> Json {
         ("chunked_ms", Json::Fixed(chunked_ms, 3)),
         ("dispatched_ms", Json::Fixed(dispatched_ms, 3)),
         ("chunked_speedup", Json::Fixed(scalar_ms / chunked_ms, 3)),
+        ("dispatched_speedup", Json::Fixed(scalar_ms / dispatched_ms, 3)),
+    ])
+}
+
+/// The leaves of `tree`, and every pair of distinct leaves whose boxes
+/// are within `eps` of each other.
+fn near_leaf_pairs(tree: &RStarTree<2>, eps: f64) -> Vec<(NodeId, NodeId)> {
+    let mut leaves = Vec::new();
+    let mut stack: Vec<NodeId> = tree.root().into_iter().collect();
+    while let Some(n) = stack.pop() {
+        if tree.is_leaf(n) {
+            leaves.push(n);
+        } else {
+            stack.extend_from_slice(tree.children(n));
+        }
+    }
+    let metric = Metric::Euclidean;
+    let mut pairs = Vec::new();
+    for (i, &a) in leaves.iter().enumerate() {
+        for &b in &leaves[i + 1..] {
+            if metric.min_dist_mbr(&tree.node_mbr(a), &tree.node_mbr(b)) <= eps {
+                pairs.push((a, b));
+            }
+        }
+    }
+    pairs
+}
+
+/// The cross-leaf probe two ways over the same near leaf pairs: the
+/// naive scalar loop over every pair of records, and the dispatched
+/// kernel over each pair's ε-strip, interleaved. Hits are `(leaf pair,
+/// left row, right row)`; every run must reproduce the first run's list.
+fn cross_leaf(tree: &RStarTree<2>, eps: f64, iters: usize) -> Json {
+    let pairs = near_leaf_pairs(tree, eps);
+    let metric = Metric::Euclidean;
+    let kernel = DistKernel::new(metric, eps);
+    let mut scratch = ProbeScratch::new();
+    let (mut hits, mut reference) = (Vec::new(), None::<Vec<(u32, u32, u32)>>);
+    let mut legs = [("scalar", 0u64), ("dispatched", 0u64)];
+    let walls = interleaved(iters, &mut legs, |(leg, evaluated)| {
+        hits.clear();
+        *evaluated = 0;
+        let ms = timed_ms(|| {
+            for (k, &(a, b)) in pairs.iter().enumerate() {
+                let mut hit = |i: usize, j: usize| {
+                    hits.push((k as u32, i as u32, j as u32));
+                    Ok::<_, Infallible>(())
+                };
+                if *leg == "scalar" {
+                    let (ea, eb) = (tree.leaf_entries(a), tree.leaf_entries(b));
+                    *evaluated += (ea.len() * eb.len()) as u64;
+                    for (i, x) in ea.iter().enumerate() {
+                        for (j, y) in eb.iter().enumerate() {
+                            if metric.within(&x.point, &y.point, eps) {
+                                hit(i, j).expect("infallible");
+                            }
+                        }
+                    }
+                } else {
+                    let (sa, sb) = (tree.leaf_soa(a), tree.leaf_soa(b));
+                    kernel.cross_join(sa, sb, &mut scratch, evaluated, hit).expect("infallible");
+                }
+            }
+        });
+        let expected = reference.get_or_insert_with(|| hits.clone());
+        assert!(hits == *expected, "{leg} leg hit list diverged from the first run's");
+        ms
+    });
+    let [(_, all_pairs), (_, strip_pairs)] = legs;
+    let (scalar_ms, dispatched_ms) = (walls[0].median_ms, walls[1].median_ms);
+    eprintln!(
+        "# cross-leaf ({} leaf pairs): scalar {scalar_ms:.2} ms over {all_pairs} pairs, {} strip \
+         {dispatched_ms:.2} ms over {strip_pairs} ({:.2}x)",
+        pairs.len(),
+        KernelPath::detect().name(),
+        scalar_ms / dispatched_ms,
+    );
+    Json::Obj(vec![
+        ("points", tree.num_records().into()),
+        ("eps", eps.into()),
+        ("leaf_pairs", pairs.len().into()),
+        ("pairs", all_pairs.into()),
+        ("strip_pairs", strip_pairs.into()),
+        ("hits", reference.map_or(0, |h| h.len()).into()),
+        ("scalar_ms", Json::Fixed(scalar_ms, 3)),
+        ("dispatched_ms", Json::Fixed(dispatched_ms, 3)),
         ("dispatched_speedup", Json::Fixed(scalar_ms / dispatched_ms, 3)),
     ])
 }
@@ -174,23 +267,21 @@ struct EmitLeg {
     bytes: u64,
 }
 
-/// The row-emission legs on `n` road points: a collected N-CSJ output
+/// The row-emission legs on the road `tree`: a collected N-CSJ output
 /// written with `JoinOutput::write_to` (the write is timed), and the
 /// streamed CSJ(10) join into a file (join and write timed together),
 /// interleaved `iters` times.
-fn row_emit(n: usize, iters: usize) -> Vec<Json> {
-    let points = csj_data::roads::pacific_nw(n);
-    let eps = 1.0 / 512.0;
-    let tree = RStarTree::bulk_load_str(&points, RTreeConfig::default());
-    let width = OutputWriter::<FileSink>::id_width_for(points.len());
-    let collected = ParallelJoin::new(eps, ParallelAlgo::Ncsj).with_threads(1).run(&tree);
+fn row_emit(tree: &RStarTree<2>, eps: f64, iters: usize) -> Vec<Json> {
+    let n = tree.num_records();
+    let width = OutputWriter::<FileSink>::id_width_for(n);
+    let collected = ParallelJoin::new(eps, ParallelAlgo::Ncsj).with_threads(1).run(tree);
 
     let new_leg = |name| EmitLeg { name, rows: 0, bytes: 0 };
     let mut legs = [new_leg("ncsj-collected-write"), new_leg("csj10-streamed-join")];
     let walls = interleaved(iters, &mut legs, |leg| {
         if leg.name == "csj10-streamed-join" {
             let join = ResilientJoin::new(eps, ParallelAlgo::Csj(10));
-            let (ms, stats, bytes) = join_to_file(&join, OUT_PATH, width, || &tree);
+            let (ms, stats, bytes) = join_to_file(&join, OUT_PATH, width, || tree);
             (leg.rows, leg.bytes) = (stats.rows_emitted(), bytes);
             return ms;
         }
@@ -217,7 +308,7 @@ fn row_emit(n: usize, iters: usize) -> Vec<Json> {
             let mut row = vec![
                 ("leg", leg.name.into()),
                 ("dataset", "pacific_nw".into()),
-                ("n", points.len().into()),
+                ("n", n.into()),
                 ("eps", eps.into()),
                 ("rows", leg.rows.into()),
                 ("bytes", leg.bytes.into()),
@@ -239,12 +330,18 @@ fn main() {
     std::fs::create_dir_all("target").expect("create target dir");
 
     let micro = kernel_microbench(args.iters, if args.smoke { 500 } else { 3_000 });
+    // The Pacific-NW road network at ε = 2⁻⁹ (500k points in a full run),
+    // shared by the cross-leaf and row-emission legs.
+    let roads = csj_data::roads::pacific_nw(args.n * 25);
+    let (roads, eps) = (RStarTree::bulk_load_str(&roads, RTreeConfig::default()), 1.0 / 512.0);
+    let cross = cross_leaf(&roads, eps, args.iters);
     let gaps = perf_workloads(args.n).iter().map(|w| merge_gap(w, args.iters)).collect();
     let body = vec![
         ("kernel_microbench", micro),
+        ("cross_leaf_probe", cross),
         ("merge_gap_sink", "file (paper text format, write time included)".into()),
         ("merge_gap", Json::Arr(gaps)),
-        ("row_emit", Json::Arr(row_emit(args.n * 25, args.iters))),
+        ("row_emit", Json::Arr(row_emit(&roads, eps, args.iters))),
     ];
     write_report(bin, &args, body);
 }

@@ -34,7 +34,7 @@
 //! verification (structured output) and the experiment harness (byte
 //! counting at full speed).
 
-use csj_geom::{DistKernel, Mbr, Metric, Point, RecordId, SoaView};
+use csj_geom::{DistKernel, Mbr, Metric, Point, ProbeScratch, RecordId, SoaView};
 use csj_index::{JoinIndex, LeafEntry, NodeId};
 use csj_storage::{OutputSink, OutputWriter};
 
@@ -300,11 +300,12 @@ pub trait NodeSource<const D: usize> {
     /// below `b`.
     fn min_dist(&self, a: Self::Node, b: Self::Node, metric: Metric) -> f64;
 
-    /// The children of internal node `n`, in stored order.
+    /// Appends the children of internal node `n` to `out`, in stored
+    /// order.
     ///
     /// # Errors
     /// Returns [`CsjError::Storage`] when `n` cannot be read.
-    fn children(&mut self, n: Self::Node) -> Result<Vec<Self::Node>, CsjError>;
+    fn children(&mut self, n: Self::Node, out: &mut Vec<Self::Node>) -> Result<(), CsjError>;
 
     /// Pins leaf `n`.
     ///
@@ -405,8 +406,9 @@ impl<'t, T: JoinIndex<D> + ?Sized, const D: usize> NodeSource<D> for &'t T {
     fn min_dist(&self, a: NodeId, b: NodeId, metric: Metric) -> f64 {
         (**self).min_dist(a, b, metric)
     }
-    fn children(&mut self, n: NodeId) -> Result<Vec<NodeId>, CsjError> {
-        Ok((**self).children(n).to_vec())
+    fn children(&mut self, n: NodeId, out: &mut Vec<NodeId>) -> Result<(), CsjError> {
+        out.extend_from_slice((**self).children(n));
+        Ok(())
     }
     fn leaf(&mut self, n: NodeId) -> Result<IndexLeaf<'t, T>, CsjError> {
         Ok(IndexLeaf { tree: *self, n })
@@ -496,13 +498,14 @@ impl Expander {
     /// `Pair(a, b)` (empty if `a` is a leaf); `cb` those of `b` (empty
     /// if `b` is a leaf). Hands `emit` each child step in execution
     /// order and `None` for each pair the MINDIST prune drops, until
-    /// `emit` returns `false`.
+    /// `emit` returns `false`. With plane sweep, `ca` and `cb` are left
+    /// in sweep order.
     pub fn pair<S: NodeSource<D>, const D: usize>(
         &self,
         src: &S,
         step: Step<S::Node>,
-        ca: Vec<S::Node>,
-        cb: Vec<S::Node>,
+        ca: &mut [S::Node],
+        cb: &mut [S::Node],
         mut emit: impl FnMut(Option<Step<S::Node>>) -> bool,
     ) {
         // A pair step, or `None` when the MINDIST prune drops it.
@@ -512,12 +515,12 @@ impl Expander {
         match step {
             Step::Node(n) => {
                 let axis = self.sweep_axis(src, &[n]);
-                let children = self.sweep_sorted(src, ca, axis);
-                for (i, &a) in children.iter().enumerate() {
+                self.sweep_sort(src, ca, axis);
+                for (i, &a) in ca.iter().enumerate() {
                     if !emit(Some(Step::Node(a))) {
                         return;
                     }
-                    for &b in &children[(i + 1)..] {
+                    for &b in &ca[(i + 1)..] {
                         if self.swept_past(src, axis, a, b) {
                             break;
                         }
@@ -530,14 +533,14 @@ impl Expander {
             Step::Pair(a, b) => match (src.is_leaf(a), src.is_leaf(b)) {
                 (true, true) => {}
                 (true, false) => {
-                    for c in cb {
+                    for &c in &*cb {
                         if !emit(pair(a, c)) {
                             return;
                         }
                     }
                 }
                 (false, true) => {
-                    for c in ca {
+                    for &c in &*ca {
                         if !emit(pair(c, b)) {
                             return;
                         }
@@ -545,10 +548,10 @@ impl Expander {
                 }
                 (false, false) => {
                     let axis = self.sweep_axis(src, &[a, b]);
-                    let (ca, cb) =
-                        (self.sweep_sorted(src, ca, axis), self.sweep_sorted(src, cb, axis));
-                    for &x in &ca {
-                        for &y in &cb {
+                    self.sweep_sort(src, ca, axis);
+                    self.sweep_sort(src, cb, axis);
+                    for &x in &*ca {
+                        for &y in &*cb {
                             if self.swept_past(src, axis, x, y) {
                                 break;
                             }
@@ -575,19 +578,18 @@ impl Expander {
         })
     }
 
-    /// `nodes` in sweep order: by lower bound on `axis` (stable), or as
-    /// stored without plane sweep.
-    fn sweep_sorted<S: NodeSource<D>, const D: usize>(
+    /// Puts `nodes` in sweep order: by lower bound on `axis` (stable), or
+    /// leaves them as stored without plane sweep.
+    fn sweep_sort<S: NodeSource<D>, const D: usize>(
         &self,
         src: &S,
-        mut nodes: Vec<S::Node>,
+        nodes: &mut [S::Node],
         axis: Option<usize>,
-    ) -> Vec<S::Node> {
+    ) {
         if let Some(axis) = axis {
             let lo = |n: S::Node| src.mbr(n).lo[axis];
             nodes.sort_by(|&x, &y| lo(x).total_cmp(&lo(y)));
         }
-        nodes
     }
 
     /// `true` when `b` starts more than ε past the end of `a` on the
@@ -697,6 +699,12 @@ pub struct Engine<S: NodeSource<D>, H, R, const D: usize> {
     subtree_ids: Vec<RecordId>,
     /// The entries a tightened subtree box is computed from, reused.
     subtree_entries: Vec<LeafEntry<D>>,
+    /// The children of the step being expanded (of `a` and `b` for a
+    /// pair), reused.
+    children: [Vec<S::Node>; 2],
+    /// The leaf-probe kernel and the buffers its probes reuse.
+    kernel: DistKernel,
+    probe: ProbeScratch<D>,
 }
 
 impl<S, H, R, const D: usize> Engine<S, H, R, D>
@@ -721,6 +729,9 @@ where
             stats: Self::fresh_stats(cfg),
             subtree_ids: Vec::new(),
             subtree_entries: Vec::new(),
+            children: [Vec::new(), Vec::new()],
+            kernel: DistKernel::new(cfg.metric, cfg.epsilon),
+            probe: ProbeScratch::new(),
         }
     }
 
@@ -865,16 +876,20 @@ where
         if fate != Expansion::Children {
             return Ok(fate);
         }
-        let (ca, cb) = match step {
-            Step::Node(n) => (self.source.children(n)?, Vec::new()),
+        let [ca, cb] = &mut self.children;
+        ca.clear();
+        cb.clear();
+        match step {
+            Step::Node(n) => self.source.children(n, ca)?,
             Step::Pair(a, b) => {
-                let ca =
-                    if self.source.is_leaf(a) { Vec::new() } else { self.source.children(a)? };
-                let cb =
-                    if self.source.is_leaf(b) { Vec::new() } else { self.source.children(b)? };
-                (ca, cb)
+                if !self.source.is_leaf(a) {
+                    self.source.children(a, ca)?;
+                }
+                if !self.source.is_leaf(b) {
+                    self.source.children(b, cb)?;
+                }
             }
-        };
+        }
         let (steps, stats) = (&mut self.steps, &mut self.stats);
         expander.pair(&self.source, step, ca, cb, |child| {
             match child {
@@ -931,15 +946,16 @@ where
 
     /// Probes a leaf (pair): the batched distance kernel over the
     /// struct-of-arrays slabs (SIMD when the host has it, chunked scalar
-    /// otherwise), or the sorted plane sweep when configured.
+    /// otherwise; a Euclidean leaf pair over its ε-strip only), or the
+    /// sorted plane sweep when configured.
     fn probe_leaves(&mut self, step: Step<S::Node>) -> Result<(), CsjError> {
         let eps = self.cfg.epsilon;
         let metric = self.cfg.metric;
-        let kernel = DistKernel::new(metric, eps);
         let axis = match step {
             Step::Node(n) => self.sweep_axis(&[n]),
             Step::Pair(a, b) => self.sweep_axis(&[a, b]),
         };
+        let (kernel, scratch) = (&self.kernel, &mut self.probe);
         let handler = &mut self.handler;
         let sink = &mut self.sink;
         let stats = &mut self.stats;
@@ -953,7 +969,9 @@ where
                 let e = leaf.entries();
                 match axis {
                     Some(axis) => sweep_self(e, axis, metric, eps, &mut comps, &mut hit),
-                    None => kernel.self_join(leaf.soa(), &mut comps, |i, j| hit(&e[i], &e[j])),
+                    None => {
+                        kernel.self_join(leaf.soa(), scratch, &mut comps, |i, j| hit(&e[i], &e[j]))
+                    }
                 }
             }
             Step::Pair(a, b) => {
@@ -961,8 +979,9 @@ where
                 let (ea, eb) = (la.entries(), lb.entries());
                 match axis {
                     Some(axis) => sweep_cross(ea, eb, axis, metric, eps, &mut comps, &mut hit),
-                    None => kernel
-                        .cross_join(la.soa(), lb.soa(), &mut comps, |i, j| hit(&ea[i], &eb[j])),
+                    None => kernel.cross_join(la.soa(), lb.soa(), scratch, &mut comps, |i, j| {
+                        hit(&ea[i], &eb[j])
+                    }),
                 }
             }
         };

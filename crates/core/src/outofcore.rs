@@ -709,14 +709,14 @@ impl<'t, const D: usize, Dk: Disk> PagedSource<'t, D, Dk> {
                 self.unplanned.swap_remove(i);
                 continue;
             }
-            let Some([ca, cb]) = self.children_at_hand(&pf, step) else {
+            let Some([mut ca, mut cb]) = self.children_at_hand(&pf, step) else {
                 i += 1;
                 continue;
             };
             // The frame's reads, up to its first step that expands.
             let mut reads = Vec::new();
             let mut open = false;
-            expander.pair(&*self, step, ca, cb, |child| {
+            expander.pair(&*self, step, &mut ca, &mut cb, |child| {
                 let Some(child) = child else { return true };
                 reads.extend(step_pages(&child));
                 open = expander.classify(&*self, child) == Expansion::Children;
@@ -816,15 +816,16 @@ impl<'t, const D: usize, Dk: Disk> NodeSource<D> for PagedSource<'t, D, Dk> {
     fn min_dist(&self, a: NodeRef<D>, b: NodeRef<D>, metric: Metric) -> f64 {
         metric.min_dist_mbr(&a.mbr, &b.mbr)
     }
-    fn children(&mut self, n: NodeRef<D>) -> Result<Vec<NodeRef<D>>, CsjError> {
-        // The children's summaries are cloned out of the page, so the pin
+    fn children(&mut self, n: NodeRef<D>, out: &mut Vec<NodeRef<D>>) -> Result<(), CsjError> {
+        // The children's summaries are copied out of the page, so the pin
         // is released before any recursion.
         let guard = self.fetch_node(n.page)?;
-        Ok(guard
-            .children
-            .iter()
-            .map(|&(page, mbr)| NodeRef { page, mbr, level: n.level - 1 })
-            .collect())
+        out.extend(guard.children.iter().map(|&(page, mbr)| NodeRef {
+            page,
+            mbr,
+            level: n.level - 1,
+        }));
+        Ok(())
     }
     fn leaf(&mut self, n: NodeRef<D>) -> Result<NodeGuard<'t, D, Dk>, CsjError> {
         self.fetch_node(n.page)

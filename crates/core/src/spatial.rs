@@ -154,8 +154,9 @@ impl<'t, const D: usize> NodeSource<D> for TwoTrees<'t, D> {
     fn min_dist(&self, a: Side, b: Side, metric: Metric) -> f64 {
         metric.min_dist_mbr(&self.mbr(a), &self.mbr(b))
     }
-    fn children(&mut self, (t, n): Side) -> Result<Vec<Side>, CsjError> {
-        Ok(self.trees[t].children(n).iter().map(|&c| (t, c)).collect())
+    fn children(&mut self, (t, n): Side, out: &mut Vec<Side>) -> Result<(), CsjError> {
+        out.extend(self.trees[t].children(n).iter().map(|&c| (t, c)));
+        Ok(())
     }
     fn leaf(&mut self, (t, n): Side) -> Result<Self::Leaf<'_>, CsjError> {
         self.trees[t].leaf(n)

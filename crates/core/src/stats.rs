@@ -14,7 +14,10 @@ pub struct JoinStats {
     pub node_visits: u64,
     /// Node-pair recursion steps (`simJoin(n1, n2)` calls).
     pub pair_visits: u64,
-    /// Point-to-point distance predicate evaluations.
+    /// Point-to-point distance predicate evaluations: the pairs the leaf
+    /// probes actually evaluate. A Euclidean cross-leaf probe evaluates
+    /// only its ε-strip (the rows of each leaf within ε of the other's
+    /// box), so this counts fewer pairs than the leaves' product.
     pub distance_computations: u64,
     /// Early stops on a single node (subtree emitted as one group).
     pub early_stops_node: u64,

@@ -27,12 +27,21 @@
 //! * non-Euclidean metrics fall back to the scalar predicate per pair, so
 //!   batching never changes which pairs qualify.
 //!
-//! The SIMD sweeps process rows in blocks of [`SWEEP_BLOCK`], collecting
-//! qualifying row indices into a stack ring that is drained to the caller
-//! after each wide sweep — candidate generation is batched, emission order
-//! is untouched, and the hot loop contains no callback.
+//! The SIMD sweeps process rows in blocks of [`SWEEP_BLOCK`], compacting
+//! qualifying row indices into a hit ring without a branch per hit (a
+//! lane-index table turns each compare mask into stored indices) and
+//! draining the ring to the caller after each wide sweep — candidate
+//! generation is batched, emission order is untouched, and the hot loop
+//! contains no callback.
+//!
+//! A Euclidean cross probe first drops what cannot link: rows of either
+//! leaf farther than ε, on some axis, from the other leaf's bounding box
+//! (the ε-strip, see [`DistKernel::cross_join`]). The test is exact in the
+//! kernel's own arithmetic, so it removes distance computations, never
+//! hits. The hit ring and the strip live in a caller-owned
+//! [`ProbeScratch`], so a probe allocates nothing once it has grown.
 
-use crate::{Metric, Point, SoaView};
+use crate::{Mbr, Metric, Point, SoaView};
 use std::sync::OnceLock;
 
 /// Chunk width for the chunked-scalar path. Eight 64-bit lanes fill a
@@ -40,12 +49,67 @@ use std::sync::OnceLock;
 /// AVX2-class hardware; the value is a tuning knob, not a correctness one.
 pub const LANES: usize = 8;
 
-/// Rows per wide sweep in the explicit SIMD paths. Each sweep collects its
-/// qualifying row indices into a `[u32; SWEEP_BLOCK]` stack ring before
-/// they are drained to the hit callback, so the vector loop never calls
-/// out. Leaves are smaller than this in practice (fanout ≈ 170), so a
-/// probe row is normally a single sweep.
+/// Rows per wide sweep in the explicit SIMD paths. Each sweep compacts its
+/// qualifying row indices into the [`ProbeScratch`] hit ring before they
+/// are drained to the hit callback, so the vector loop never calls out.
+/// Leaves are smaller than this in practice (the default R*-tree fanout
+/// is 50), so a probe row is normally a single sweep.
 pub const SWEEP_BLOCK: usize = 256;
+
+/// The buffers a leaf probe reuses: the hit ring the SIMD sweeps compact
+/// into, and a cross probe's ε-strip — the right leaf's rows that can
+/// link, gathered into their own slabs, with the row each came from.
+///
+/// One scratch serves any number of probes, one at a time; its buffers
+/// grow to the largest leaf and are then only reused.
+#[derive(Debug)]
+pub struct ProbeScratch<const D: usize> {
+    ring: Vec<u32>,
+    strip: [Vec<f64>; D],
+    strip_rows: Vec<u32>,
+}
+
+impl<const D: usize> Default for ProbeScratch<D> {
+    fn default() -> Self {
+        ProbeScratch::new()
+    }
+}
+
+impl<const D: usize> ProbeScratch<D> {
+    /// An empty scratch; nothing is allocated until the first probe.
+    pub fn new() -> Self {
+        ProbeScratch {
+            ring: Vec::new(),
+            strip: std::array::from_fn(|_| Vec::new()),
+            strip_rows: Vec::new(),
+        }
+    }
+
+    /// The hit ring, sized for one sweep block. Every store of a sweep
+    /// lands inside it: a chunk's store starts at the hit count, which
+    /// never exceeds the rows swept before the chunk.
+    fn ring(ring: &mut Vec<u32>) -> &mut [u32] {
+        if ring.len() < SWEEP_BLOCK {
+            ring.resize(SWEEP_BLOCK, 0);
+        }
+        ring
+    }
+}
+
+/// The box of a slab view's rows: per axis the `f64::min`/`f64::max` of
+/// its coordinates, which skip NaN (empty when every row is NaN there).
+/// Row by row, so the axes' folds run side by side.
+fn slab_box<const D: usize>(view: SoaView<'_, D>) -> Mbr<D> {
+    let (mut lo, mut hi) = ([f64::INFINITY; D], [f64::NEG_INFINITY; D]);
+    for j in 0..view.len() {
+        let p = view.coords(j);
+        for d in 0..D {
+            lo[d] = lo[d].min(p[d]);
+            hi[d] = hi[d].max(p[d]);
+        }
+    }
+    Mbr { lo: Point::new(lo), hi: Point::new(hi) }
+}
 
 /// Which distance-sweep implementation a [`DistKernel`] drives.
 ///
@@ -190,7 +254,8 @@ impl DistKernel {
     }
 
     /// All pairs `(i, j)` with `i < j` and row `i` within ε of row `j`,
-    /// reported through `on_hit` in `(i asc, j asc)` order.
+    /// reported through `on_hit` in `(i asc, j asc)` order; `scratch` holds
+    /// the hit ring between probes.
     ///
     /// `comparisons` is advanced by the number of distance predicate
     /// evaluations (one per pair; whole probe rows are counted up front,
@@ -203,6 +268,7 @@ impl DistKernel {
     pub fn self_join<const D: usize, E>(
         &self,
         pts: SoaView<'_, D>,
+        scratch: &mut ProbeScratch<D>,
         comparisons: &mut u64,
         mut on_hit: impl FnMut(usize, usize) -> Result<(), E>,
     ) -> Result<(), E> {
@@ -219,17 +285,28 @@ impl DistKernel {
             }
             return Ok(());
         }
+        let ring = ProbeScratch::<D>::ring(&mut scratch.ring);
         for i in 0..n {
             *comparisons += (n - i - 1) as u64;
             let probe = pts.coords(i);
-            self.probe_soa(&probe, pts.dims(), i + 1, |j| on_hit(i, j))?;
+            self.probe_soa(&probe, pts.dims(), i + 1, ring, |j| on_hit(i, j))?;
         }
         Ok(())
     }
 
     /// All pairs `(i, j)` with `left` row `i` within ε of `right` row `j`,
     /// reported through `on_hit` in `(i asc, j asc)` order. Counting as in
-    /// [`DistKernel::self_join`].
+    /// [`DistKernel::self_join`], over the pairs actually evaluated.
+    ///
+    /// Under the Euclidean metric only the ε-strip is swept: the rows of
+    /// `right` within ε of `left`'s box are gathered into `scratch`, and
+    /// each row of `left` within ε of the gathered rows' box is probed
+    /// against them alone. A row is dropped when, on some axis `d`, its
+    /// gap to the box, `g = fl(p_d − hi_d)` or `fl(lo_d − p_d)`, is
+    /// positive and `fl(g·g) > ε²`, a test exact in the sweeps' own
+    /// arithmetic (the argument is on the private `beyond`). Surviving
+    /// rows keep their order, so the hits and their order are exactly the
+    /// unrestricted sweep's.
     ///
     /// # Errors
     ///
@@ -239,6 +316,7 @@ impl DistKernel {
         &self,
         left: SoaView<'_, D>,
         right: SoaView<'_, D>,
+        scratch: &mut ProbeScratch<D>,
         comparisons: &mut u64,
         mut on_hit: impl FnMut(usize, usize) -> Result<(), E>,
     ) -> Result<(), E> {
@@ -255,12 +333,62 @@ impl DistKernel {
             }
             return Ok(());
         }
+        let ProbeScratch { ring, strip, strip_rows } = scratch;
+        let ring = ProbeScratch::<D>::ring(ring);
+        if strip_rows.len() < nr {
+            strip_rows.resize(nr, 0);
+            strip.iter_mut().for_each(|slab| slab.resize(nr, 0.0));
+        }
+        let reach = slab_box(left);
+        // Gather without a branch per row: every row is written at the
+        // strip's end, which advances only past a row that can link.
+        let mut len = 0;
+        for j in 0..nr {
+            let q = right.coords(j);
+            for (slab, &x) in strip.iter_mut().zip(&q) {
+                slab[len] = x;
+            }
+            strip_rows[len] = j as u32;
+            len += usize::from(!self.beyond(&q, &reach));
+        }
+        if len == 0 {
+            return Ok(());
+        }
+        let strip = SoaView::new(std::array::from_fn(|d| &strip[d][..len]));
+        let strip_box = slab_box(strip);
         for i in 0..nl {
-            *comparisons += nr as u64;
             let probe = left.coords(i);
-            self.probe_soa(&probe, right.dims(), 0, |j| on_hit(i, j))?;
+            if self.beyond(&probe, &strip_box) {
+                continue;
+            }
+            *comparisons += len as u64;
+            self.probe_soa(&probe, strip.dims(), 0, ring, |k| on_hit(i, strip_rows[k] as usize))?;
         }
         Ok(())
+    }
+
+    /// `true` when no point of `bx` is within ε of `p` by this kernel's
+    /// arithmetic, so a probe may skip `p` without losing a hit.
+    ///
+    /// Exactness: say some axis `d` has `p_d > hi_d`, with gap
+    /// `g = fl(p_d − hi_d) > 0` and `fl(g·g) > ε²` (`ε²` as the sweeps
+    /// hold it). Every point `q` of the box has `q_d <= hi_d`, so
+    /// `p_d − q_d >= p_d − hi_d`, and rounding to nearest is monotone and
+    /// sign-symmetric: the kernel's `|fl(q_d − p_d)| >= g`, hence its term
+    /// `fl(fl(q_d − p_d)²) >= fl(g·g) > ε²`. The kernel sums non-negative
+    /// terms, and `fl(s + t) >= t` when `s >= 0`, so the pair's sum is at
+    /// least that term and fails `<= ε²`. The case `p_d < lo_d` is the
+    /// mirror image. A NaN coordinate never rejects (its gap compares
+    /// false) and never links, so the box need not cover NaN rows, which
+    /// [`slab_box`] skips.
+    #[inline]
+    fn beyond<const D: usize>(&self, p: &[f64; D], bx: &Mbr<D>) -> bool {
+        let mut out = false;
+        for (d, &x) in p.iter().enumerate() {
+            let gap = (x - bx.hi[d]).max(bx.lo[d] - x);
+            out |= gap > 0.0 && gap * gap > self.eps_sq;
+        }
+        out
     }
 
     /// AoS variant of [`DistKernel::self_join`] over a contiguous
@@ -284,7 +412,8 @@ impl DistKernel {
     }
 
     /// AoS variant of [`DistKernel::cross_join`] over contiguous
-    /// `[Point<D>]` slices. Always runs the chunked-scalar sweep.
+    /// `[Point<D>]` slices. Always runs the chunked-scalar sweep, over
+    /// every pair (no ε-strip).
     ///
     /// # Errors
     ///
@@ -305,23 +434,43 @@ impl DistKernel {
     }
 
     /// One probe against slab rows `[start, len)`, dispatching on the
-    /// kernel path. Hit indices are absolute row numbers, ascending.
+    /// kernel path; the SIMD sweeps compact into `ring`. Hit indices are
+    /// absolute row numbers, ascending.
     #[inline]
     fn probe_soa<const D: usize, E>(
         &self,
         probe: &[f64; D],
         dims: &[&[f64]; D],
         start: usize,
+        ring: &mut [u32],
         mut on_hit: impl FnMut(usize) -> Result<(), E>,
     ) -> Result<(), E> {
+        let n = dims.first().map_or(start, |s| s.len());
+        debug_assert!(n <= u32::MAX as usize, "slab rows must fit the u32 hit ring");
+        debug_assert!(ring.len() >= SWEEP_BLOCK);
+        let eps_sq = self.eps_sq;
         match self.path {
             KernelPath::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
-                return self.probe_soa_avx2(probe, dims, start, on_hit);
+                return drain_blocks(start, n, ring, on_hit, |lo, hi, out| {
+                    // SAFETY: `KernelPath::Avx2` is only reachable post-clamp,
+                    // i.e. after `is_x86_feature_detected!("avx2")` confirmed
+                    // the CPU executes AVX2; `lo..hi` is in bounds for every
+                    // slab (all have length `n`, checked by `SoaView`) and
+                    // spans at most `SWEEP_BLOCK <= out.len()` rows.
+                    unsafe { x86::sweep_avx2(probe, dims, lo, hi, eps_sq, out) }
+                });
             }
             KernelPath::Neon => {
                 #[cfg(target_arch = "aarch64")]
-                return self.probe_soa_neon(probe, dims, start, on_hit);
+                return drain_blocks(start, n, ring, on_hit, |lo, hi, out| {
+                    // SAFETY: `KernelPath::Neon` is only reachable post-clamp,
+                    // i.e. after `is_aarch64_feature_detected!("neon")`
+                    // confirmed NEON; `lo..hi` is in bounds for every slab
+                    // (all have length `n`, checked by `SoaView`) and spans
+                    // at most `SWEEP_BLOCK <= out.len()` rows.
+                    unsafe { neon::sweep_neon(probe, dims, lo, hi, eps_sq, out) }
+                });
             }
             KernelPath::Scalar => {}
         }
@@ -383,63 +532,6 @@ impl DistKernel {
         Ok(())
     }
 
-    /// AVX2 sweep: blocks of [`SWEEP_BLOCK`] rows, hits collected into a
-    /// stack ring by the vector loop and drained here in ascending order.
-    #[cfg(target_arch = "x86_64")]
-    fn probe_soa_avx2<const D: usize, E>(
-        &self,
-        probe: &[f64; D],
-        dims: &[&[f64]; D],
-        start: usize,
-        mut on_hit: impl FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let n = dims.first().map_or(start, |s| s.len());
-        debug_assert!(n <= u32::MAX as usize, "slab rows must fit the u32 hit ring");
-        let mut hits = [0u32; SWEEP_BLOCK];
-        let mut lo = start;
-        while lo < n {
-            let hi = (lo + SWEEP_BLOCK).min(n);
-            // SAFETY: `KernelPath::Avx2` is only reachable post-clamp, i.e.
-            // after `is_x86_feature_detected!("avx2")` confirmed the CPU
-            // executes AVX2; `lo..hi` is in bounds for every slab (all
-            // slabs have length `n`, checked by `SoaView`).
-            let count = unsafe { x86::sweep_avx2(probe, dims, lo, hi, self.eps_sq, &mut hits) };
-            for &j in &hits[..count] {
-                on_hit(j as usize)?;
-            }
-            lo = hi;
-        }
-        Ok(())
-    }
-
-    /// NEON sweep: same block/ring structure as the AVX2 path.
-    #[cfg(target_arch = "aarch64")]
-    fn probe_soa_neon<const D: usize, E>(
-        &self,
-        probe: &[f64; D],
-        dims: &[&[f64]; D],
-        start: usize,
-        mut on_hit: impl FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let n = dims.first().map_or(start, |s| s.len());
-        debug_assert!(n <= u32::MAX as usize, "slab rows must fit the u32 hit ring");
-        let mut hits = [0u32; SWEEP_BLOCK];
-        let mut lo = start;
-        while lo < n {
-            let hi = (lo + SWEEP_BLOCK).min(n);
-            // SAFETY: `KernelPath::Neon` is only reachable post-clamp, i.e.
-            // after `is_aarch64_feature_detected!("neon")` confirmed NEON;
-            // `lo..hi` is in bounds for every slab (all slabs have length
-            // `n`, checked by `SoaView`).
-            let count = unsafe { neon::sweep_neon(probe, dims, lo, hi, self.eps_sq, &mut hits) };
-            for &j in &hits[..count] {
-                on_hit(j as usize)?;
-            }
-            lo = hi;
-        }
-        Ok(())
-    }
-
     /// One probe point against a contiguous AoS row; hit offsets are
     /// relative to `row` and ascending. Chunked-scalar only.
     #[inline]
@@ -494,15 +586,64 @@ impl DistKernel {
     }
 }
 
+/// Runs `sweep` over rows `[start, n)` in blocks of [`SWEEP_BLOCK`],
+/// draining the hit indices each block compacts into `ring` to `on_hit`
+/// in ascending order.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+fn drain_blocks<E>(
+    start: usize,
+    n: usize,
+    ring: &mut [u32],
+    mut on_hit: impl FnMut(usize) -> Result<(), E>,
+    mut sweep: impl FnMut(usize, usize, &mut [u32]) -> usize,
+) -> Result<(), E> {
+    let mut lo = start;
+    while lo < n {
+        let hi = (lo + SWEEP_BLOCK).min(n);
+        let count = sweep(lo, hi, ring);
+        for &j in &ring[..count] {
+            on_hit(j as usize)?;
+        }
+        lo = hi;
+    }
+    Ok(())
+}
+
+/// For each `W`-lane compare mask `m`, the indices of its set lanes in
+/// ascending order, padded with zeros: the branch-free compaction stores
+/// a mask's row all at once and advances by `m.count_ones()`, so the
+/// padding is overwritten by the next store or lies past the count.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+const fn lane_index<const W: usize, const M: usize>() -> [[u32; W]; M] {
+    let mut table = [[0u32; W]; M];
+    let mut m = 0;
+    while m < M {
+        let (mut lane, mut k) = (0, 0);
+        while lane < W {
+            if (m >> lane) & 1 == 1 {
+                table[m][k] = lane as u32;
+                k += 1;
+            }
+            lane += 1;
+        }
+        m += 1;
+    }
+    table
+}
+
 /// Explicit AVX2 sweep. Kept in its own module so every `unsafe` surface
 /// is in one place and compiled only on x86-64.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::SWEEP_BLOCK;
+    use super::{lane_index, SWEEP_BLOCK};
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_mul_pd,
-        _mm256_set1_pd, _mm256_setzero_pd, _mm256_sub_pd, _CMP_LE_OQ,
+        _mm256_set1_pd, _mm256_setzero_pd, _mm256_sub_pd, _mm_add_epi32, _mm_loadu_si128,
+        _mm_set1_epi32, _mm_storeu_si128, _CMP_LE_OQ,
     };
+
+    /// The set lanes of each 4-lane `movemask`, ascending.
+    static LANES4: [[u32; 4]; 16] = lane_index::<4, 16>();
 
     /// Sweeps `probe` against slab rows `[lo, hi)`, writing qualifying row
     /// indices into `out` in ascending order; returns how many were
@@ -512,14 +653,19 @@ mod x86 {
     /// Bit-identity with the scalar sweep: `vsub`/`vmul`/`vadd` are the
     /// IEEE-754 operations the scalar loop performs, in the same dimension
     /// order, with no FMA contraction; `_CMP_LE_OQ` is ordered `<=`
-    /// (false on NaN) exactly like the scalar compare; `movemask` +
-    /// `trailing_zeros` walks qualifying lanes in ascending order.
+    /// (false on NaN) exactly like the scalar compare; the `movemask`
+    /// row of [`LANES4`] lists the qualifying lanes in ascending order.
+    ///
+    /// Branch-free compaction: each chunk stores four indices at the hit
+    /// count and advances it by the mask's popcount. The count never
+    /// exceeds the rows swept before the chunk, so the store ends by
+    /// `hi - lo <= SWEEP_BLOCK <= out.len()`.
     ///
     /// # Safety
     ///
     /// The CPU must support AVX2 (callers establish this via runtime
-    /// feature detection), `hi - lo` must not exceed `SWEEP_BLOCK`, and
-    /// every slab in `dims` must have length ≥ `hi`.
+    /// feature detection), `hi - lo` must not exceed `SWEEP_BLOCK` or
+    /// `out.len()`, and every slab in `dims` must have length ≥ `hi`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sweep_avx2<const D: usize>(
         probe: &[f64; D],
@@ -527,11 +673,12 @@ mod x86 {
         lo: usize,
         hi: usize,
         eps_sq: f64,
-        out: &mut [u32; SWEEP_BLOCK],
+        out: &mut [u32],
     ) -> usize {
-        debug_assert!(hi - lo <= SWEEP_BLOCK);
+        debug_assert!(hi - lo <= SWEEP_BLOCK && hi - lo <= out.len());
         let mut count = 0usize;
         let thr = _mm256_set1_pd(eps_sq);
+        let dst = out.as_mut_ptr();
         let mut j = lo;
         while j + 4 <= hi {
             let mut acc = _mm256_setzero_pd();
@@ -545,13 +692,19 @@ mod x86 {
                 // and break bit-identity with the scalar sweep.
                 acc = _mm256_add_pd(acc, _mm256_mul_pd(delta, delta));
             }
-            let mut m = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(acc, thr)) as u32;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                out[count] = (j + lane) as u32;
-                count += 1;
-                m &= m - 1;
-            }
+            let m = (_mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(acc, thr)) & 15) as usize;
+            let rows = _mm_add_epi32(
+                // SAFETY: `LANES4[m]` is four `u32`s, one unaligned 128-bit
+                // load (`m < 16` after the mask).
+                unsafe { _mm_loadu_si128(LANES4[m].as_ptr().cast()) },
+                _mm_set1_epi32(j as i32),
+            );
+            debug_assert!(count + 4 <= out.len());
+            // SAFETY: BOUNDS(count + 4 <= out.len()) — `count <= j - lo`
+            // hits so far and `j + 4 <= hi`, so the four stored indices
+            // end by `hi - lo <= out.len()` (caller contract).
+            unsafe { _mm_storeu_si128(dst.add(count).cast(), rows) };
+            count += m.count_ones() as usize;
             j += 4;
         }
         while j < hi {
@@ -560,10 +713,8 @@ mod x86 {
                 let delta = dims[d][j] - probe[d];
                 sq += delta * delta;
             }
-            if sq <= eps_sq {
-                out[count] = j as u32;
-                count += 1;
-            }
+            out[count] = j as u32;
+            count += usize::from(sq <= eps_sq);
             j += 1;
         }
         count
@@ -574,22 +725,26 @@ mod x86 {
 /// module: 2×f64 lanes instead of 4.
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use super::SWEEP_BLOCK;
+    use super::{lane_index, SWEEP_BLOCK};
     use std::arch::aarch64::{
         vaddq_f64, vcleq_f64, vdupq_n_f64, vgetq_lane_u64, vld1q_f64, vmulq_f64, vsubq_f64,
     };
+
+    /// The set lanes of each 2-lane compare mask, ascending.
+    static LANES2: [[u32; 2]; 4] = lane_index::<2, 4>();
 
     /// Sweeps `probe` against slab rows `[lo, hi)`, writing qualifying row
     /// indices into `out` in ascending order; returns how many were
     /// written. Bit-identity argument as in `sweep_avx2`: IEEE-754
     /// sub/mul/add in dimension order, no FMA, `vcleq_f64` is ordered
-    /// `<=` (false on NaN), lanes checked low-to-high.
+    /// `<=` (false on NaN), lanes listed low-to-high by [`LANES2`].
+    /// Compaction is branch-free as in `sweep_avx2`, two indices a chunk.
     ///
     /// # Safety
     ///
     /// The CPU must support NEON (callers establish this via runtime
-    /// feature detection), `hi - lo` must not exceed `SWEEP_BLOCK`, and
-    /// every slab in `dims` must have length ≥ `hi`.
+    /// feature detection), `hi - lo` must not exceed `SWEEP_BLOCK` or
+    /// `out.len()`, and every slab in `dims` must have length ≥ `hi`.
     #[target_feature(enable = "neon")]
     pub(super) unsafe fn sweep_neon<const D: usize>(
         probe: &[f64; D],
@@ -597,9 +752,9 @@ mod neon {
         lo: usize,
         hi: usize,
         eps_sq: f64,
-        out: &mut [u32; SWEEP_BLOCK],
+        out: &mut [u32],
     ) -> usize {
-        debug_assert!(hi - lo <= SWEEP_BLOCK);
+        debug_assert!(hi - lo <= SWEEP_BLOCK && hi - lo <= out.len());
         let mut count = 0usize;
         let thr = vdupq_n_f64(eps_sq);
         let mut j = lo;
@@ -616,14 +771,13 @@ mod neon {
                 acc = vaddq_f64(acc, vmulq_f64(delta, delta));
             }
             let le = vcleq_f64(acc, thr);
-            if vgetq_lane_u64::<0>(le) != 0 {
-                out[count] = j as u32;
-                count += 1;
-            }
-            if vgetq_lane_u64::<1>(le) != 0 {
-                out[count] = (j + 1) as u32;
-                count += 1;
-            }
+            let m = ((vgetq_lane_u64::<0>(le) & 1) | (vgetq_lane_u64::<1>(le) & 2)) as usize;
+            let [first, second] = LANES2[m];
+            // `count <= j - lo` and `j + 2 <= hi`: both stores land below
+            // `hi - lo <= out.len()`.
+            out[count] = j as u32 + first;
+            out[count + 1] = j as u32 + second;
+            count += m.count_ones() as usize;
             j += 2;
         }
         while j < hi {
@@ -632,10 +786,8 @@ mod neon {
                 let delta = dims[d][j] - probe[d];
                 sq += delta * delta;
             }
-            if sq <= eps_sq {
-                out[count] = j as u32;
-                count += 1;
-            }
+            out[count] = j as u32;
+            count += usize::from(sq <= eps_sq);
             j += 1;
         }
         count
@@ -715,10 +867,15 @@ mod tests {
         let mut hits = Vec::new();
         let mut comps = 0u64;
         kernel
-            .self_join(buf.view(), &mut comps, |i, j| -> Result<(), Never> {
-                hits.push((i, j));
-                Ok(())
-            })
+            .self_join(
+                buf.view(),
+                &mut ProbeScratch::new(),
+                &mut comps,
+                |i, j| -> Result<(), Never> {
+                    hits.push((i, j));
+                    Ok(())
+                },
+            )
             .unwrap();
         (hits, comps)
     }
@@ -732,9 +889,9 @@ mod tests {
         let mut hits = Vec::new();
         let mut comps = 0u64;
         kernel
-            .cross_join(ba.view(), bb.view(), &mut comps, |i, j| -> Result<(), Never> {
+            .cross_join(ba.view(), bb.view(), &mut ProbeScratch::new(), &mut comps, |i, j| {
                 hits.push((i, j));
-                Ok(())
+                Ok::<_, Never>(())
             })
             .unwrap();
         (hits, comps)
@@ -770,7 +927,12 @@ mod tests {
                 let kernel = DistKernel::with_path(m, eps, path);
                 let (hits, comps) = run_cross(&kernel, &a, &b);
                 assert_eq!(hits, want, "{m:?} {}", path.name());
-                assert_eq!(comps, want_comps, "{m:?} {}", path.name());
+                // The Euclidean ε-strip evaluates at most every pair; the
+                // other metrics evaluate all of them.
+                match m {
+                    Metric::Euclidean => assert!(comps <= want_comps, "{}", path.name()),
+                    _ => assert_eq!(comps, want_comps, "{m:?} {}", path.name()),
+                }
             }
         }
     }
@@ -844,7 +1006,7 @@ mod tests {
             let kernel = DistKernel::with_path(Metric::Euclidean, 0.9, path);
             let buf = SoaBuffer::from_points(&pts);
             let mut seen = 0usize;
-            let res = kernel.self_join(buf.view(), &mut 0, |_, _| {
+            let res = kernel.self_join(buf.view(), &mut ProbeScratch::new(), &mut 0, |_, _| {
                 seen += 1;
                 if seen == 5 {
                     Err("stop")
@@ -862,16 +1024,24 @@ mod tests {
         let kernel = DistKernel::new(Metric::Euclidean, 1.0);
         let empty = SoaBuffer::<3>::new();
         let some = SoaBuffer::from_points(&scatter(5, 4));
-        let mut comps = 0u64;
+        let (mut comps, mut scratch) = (0u64, ProbeScratch::new());
         kernel
-            .cross_join(empty.view(), some.view(), &mut comps, |_, _| -> Result<(), Never> {
-                panic!("no pairs")
-            })
+            .cross_join(
+                empty.view(),
+                some.view(),
+                &mut scratch,
+                &mut comps,
+                |_, _| -> Result<(), Never> { panic!("no pairs") },
+            )
             .unwrap();
         kernel
-            .cross_join(some.view(), empty.view(), &mut comps, |_, _| -> Result<(), Never> {
-                panic!("no pairs")
-            })
+            .cross_join(
+                some.view(),
+                empty.view(),
+                &mut scratch,
+                &mut comps,
+                |_, _| -> Result<(), Never> { panic!("no pairs") },
+            )
             .unwrap();
         assert_eq!(comps, 0);
     }
@@ -929,10 +1099,15 @@ mod proptests {
         let mut hits = Vec::new();
         let mut comps = 0u64;
         kernel
-            .self_join(buf.view(), &mut comps, |i, j| -> Result<(), Never> {
-                hits.push((i, j));
-                Ok(())
-            })
+            .self_join(
+                buf.view(),
+                &mut ProbeScratch::new(),
+                &mut comps,
+                |i, j| -> Result<(), Never> {
+                    hits.push((i, j));
+                    Ok(())
+                },
+            )
             .unwrap();
         (hits, comps)
     }
@@ -1016,5 +1191,98 @@ mod proptests {
             let simd = hits_on(KernelPath::native(), &pts, eps);
             prop_assert_eq!(&scalar, &simd);
         }
+
+        /// The ε-strip cross probe returns exactly the unrestricted
+        /// all-pairs scan's hits, in its order, on every path. Leaves sit
+        /// on a 1/8 grid with ε = 5/8, so 3-4-5 offsets and 5-step axis
+        /// gaps put pairs and box edges exactly ε apart; the shift makes
+        /// the boxes overlap, touch, sit exactly ε apart or leave an
+        /// empty strip, and the small z range makes duplicates.
+        #[test]
+        fn strip_cross_probe_matches_all_pairs(
+            a in prop::collection::vec((0i64..10, 0i64..10, 0i64..2), 0..40),
+            b in prop::collection::vec((0i64..10, 0i64..10, 0i64..2), 0..40),
+            shift in (-16i64..16, -16i64..16),
+            dup in 0usize..3,
+        ) {
+            let at = |(x, y, z): (i64, i64, i64), (dx, dy): (i64, i64)| {
+                Point::new([(x + dx) as f64 * STEP, (y + dy) as f64 * STEP, z as f64 * STEP])
+            };
+            let left: Vec<Point<3>> = a.iter().map(|&g| at(g, (0, 0))).collect();
+            let mut right: Vec<Point<3>> = b.iter().map(|&g| at(g, shift)).collect();
+            if dup > 0 {
+                right.extend(left.iter().take(dup));
+            }
+            check_strip(&left, &right);
+        }
+
+        /// Every compaction mask: one probe point against 64 rows, row
+        /// `k` a hit (a duplicate or a 3-4-5 neighbour at exactly ε) when
+        /// bit `k` of `pattern` is set and a near miss (4-4 steps away,
+        /// inside the strip) when not.
+        #[test]
+        fn strip_cross_probe_matches_all_pairs_on_mask_patterns(pattern in any::<u64>()) {
+            let (left, right) = mask_leaves(pattern);
+            check_strip(&left, &right);
+        }
+    }
+
+    /// Grid step of the strip tests; ε is five steps.
+    const STEP: f64 = 0.125;
+
+    /// A probe point at the origin and 64 rows whose hits follow the bits
+    /// of `pattern` (see `strip_cross_probe_matches_all_pairs_on_mask_patterns`).
+    fn mask_leaves(pattern: u64) -> (Vec<Point<3>>, Vec<Point<3>>) {
+        let right = (0..64)
+            .map(|k| match (pattern >> k & 1 == 1, k % 3) {
+                (true, 0) => Point::new([0.0; 3]),
+                (true, _) => Point::new([3.0 * STEP, 4.0 * STEP, 0.0]),
+                (false, _) => Point::new([4.0 * STEP, -4.0 * STEP, 0.0]),
+            })
+            .collect();
+        (vec![Point::new([0.0; 3])], right)
+    }
+
+    /// The strip probe on the scalar and native paths against the
+    /// unrestricted all-pairs scan under `Metric::within`.
+    fn check_strip(left: &[Point<3>], right: &[Point<3>]) {
+        let eps = 5.0 * STEP;
+        let mut want = Vec::new();
+        for (i, p) in left.iter().enumerate() {
+            for (j, q) in right.iter().enumerate() {
+                if Metric::Euclidean.within(p, q, eps) {
+                    want.push((i, j));
+                }
+            }
+        }
+        let (bl, br) = (SoaBuffer::from_points(left), SoaBuffer::from_points(right));
+        let mut scratch = ProbeScratch::new();
+        for path in [KernelPath::Scalar, KernelPath::native()] {
+            let kernel = DistKernel::with_path(Metric::Euclidean, eps, path);
+            let (mut hits, mut comps) = (Vec::new(), 0u64);
+            kernel
+                .cross_join(bl.view(), br.view(), &mut scratch, &mut comps, |i, j| {
+                    hits.push((i, j));
+                    Ok::<_, Never>(())
+                })
+                .unwrap();
+            prop_assert_eq!(&hits, &want, "{}", path.name());
+            prop_assert!(comps <= (left.len() * right.len()) as u64);
+        }
+    }
+
+    /// The mask patterns above reach every 4-lane (AVX2) and 2-lane
+    /// (NEON) compare mask, checked here on a pattern whose nibbles are
+    /// all sixteen masks.
+    #[test]
+    fn mask_patterns_cover_every_lane_mask() {
+        let pattern = 0xFEDC_BA98_7654_3210u64;
+        let (left, right) = mask_leaves(pattern);
+        let hit = |k: usize| Metric::Euclidean.within(&left[0], &right[k], 5.0 * STEP);
+        let mask = |k: usize, w: usize| (0..w).fold(0, |m, l| m | usize::from(hit(k + l)) << l);
+        let quads: std::collections::BTreeSet<usize> = (0..16).map(|c| mask(4 * c, 4)).collect();
+        let pairs: std::collections::BTreeSet<usize> = (0..32).map(|c| mask(2 * c, 2)).collect();
+        assert_eq!((quads.len(), pairs.len()), (16, 4));
+        check_strip(&left, &right);
     }
 }

@@ -32,7 +32,7 @@ pub mod soa;
 pub mod sphere;
 
 pub use aabb::Mbr;
-pub use kernel::{DistKernel, KernelPath};
+pub use kernel::{DistKernel, KernelPath, ProbeScratch};
 pub use metric::Metric;
 pub use point::Point;
 pub use soa::{SoaBuffer, SoaView};

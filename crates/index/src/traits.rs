@@ -86,26 +86,27 @@ pub trait JoinIndex<const D: usize> {
     /// Appends every record id stored in the subtree under `n` to `out`.
     ///
     /// Used by the early-stopping rule to emit a whole subtree as one
-    /// group. The default implementation walks the subtree iteratively.
+    /// group. The default implementation walks the subtree depth first,
+    /// last child first (the order of a stack walk), recursing rather
+    /// than allocating a stack: the depth is the tree height.
     fn collect_record_ids(&self, n: NodeId, out: &mut Vec<RecordId>) {
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            if self.is_leaf(cur) {
-                out.extend(self.leaf_entries(cur).iter().map(|e| e.id));
-            } else {
-                stack.extend_from_slice(self.children(cur));
+        if self.is_leaf(n) {
+            out.extend(self.leaf_entries(n).iter().map(|e| e.id));
+        } else {
+            for &c in self.children(n).iter().rev() {
+                self.collect_record_ids(c, out);
             }
         }
     }
 
-    /// Appends every `(id, point)` pair in the subtree under `n` to `out`.
+    /// Appends every `(id, point)` pair in the subtree under `n` to `out`,
+    /// in [`JoinIndex::collect_record_ids`] order.
     fn collect_entries(&self, n: NodeId, out: &mut Vec<LeafEntry<D>>) {
-        let mut stack = vec![n];
-        while let Some(cur) = stack.pop() {
-            if self.is_leaf(cur) {
-                out.extend_from_slice(self.leaf_entries(cur));
-            } else {
-                stack.extend_from_slice(self.children(cur));
+        if self.is_leaf(n) {
+            out.extend_from_slice(self.leaf_entries(n));
+        } else {
+            for &c in self.children(n).iter().rev() {
+                self.collect_entries(c, out);
             }
         }
     }

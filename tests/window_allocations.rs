@@ -1,10 +1,13 @@
-//! CSJ(g)'s group window allocates nothing per link, group or early stop.
+//! The in-memory join allocates nothing per node visit, and CSJ(g)'s
+//! group window nothing per link, group or early stop.
 //!
 //! This binary counts every heap allocation (its own global allocator)
 //! while CSJ(10) and N-CSJ stream the same clustered points, where early
 //! stops fire, into a byte-counting sink. Both run the same traversal
 //! with the same early stops; N-CSJ writes each link and subtree as its
-//! own row, CSJ(10) merges them through the window. Whatever CSJ(10)
+//! own row, CSJ(10) merges them through the window. N-CSJ's own count is
+//! the traversal's (child lists, early-stop ids, leaf-probe scratch), and
+//! it must not grow with the node pairs visited. Whatever CSJ(10)
 //! allocates beyond N-CSJ is the window's, and it must not grow with the
 //! links, groups or early stops of the input.
 
@@ -56,6 +59,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The counter is process-wide, so the tests measure one at a time.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn allocations() -> u64 {
     // ORDERING: see `Counting::alloc`.
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -75,11 +81,39 @@ fn run(tree: &RStarTree<2>, algo: ParallelAlgo) -> (u64, JoinStats) {
 /// log growing to the largest group it has held (a doubling per step).
 const WINDOW_ALLOCATIONS: u64 = 200;
 
+/// What the traversal may allocate whatever the input: its reused
+/// buffers (step stack, child lists, early-stop ids, the leaf probes'
+/// hit ring and ε-strip) each doubling up to the largest size it holds.
+const TRAVERSAL_ALLOCATIONS: u64 = 64;
+
+/// `n` clustered points in an STR R*-tree of fanout 12.
+fn clustered_tree(n: usize) -> RStarTree<2> {
+    let pts = gaussian_mixture::<2>(n, ClusterConfig { clusters: 8, sigma: 0.01 }, 17);
+    RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12))
+}
+
+#[test]
+fn ncsj_traversal_allocations_do_not_grow_with_pair_visits() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (small, small_stats) = run(&clustered_tree(2_000), ParallelAlgo::Ncsj);
+    let (large, large_stats) = run(&clustered_tree(8_000), ParallelAlgo::Ncsj);
+    assert!(
+        large_stats.pair_visits >= 10 * small_stats.pair_visits,
+        "the larger input must visit many more node pairs: {small_stats:?} vs {large_stats:?}"
+    );
+    assert!(
+        small <= TRAVERSAL_ALLOCATIONS && large <= small + TRAVERSAL_ALLOCATIONS,
+        "N-CSJ allocated {small} times for {} pair visits and {large} times for {}",
+        small_stats.pair_visits,
+        large_stats.pair_visits
+    );
+}
+
 #[test]
 fn csj_window_allocations_do_not_grow_with_links_or_groups() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     for n in [2_000, 8_000] {
-        let pts = gaussian_mixture::<2>(n, ClusterConfig { clusters: 8, sigma: 0.01 }, 17);
-        let tree = RStarTree::bulk_load_str(&pts, RTreeConfig::with_max_fanout(12));
+        let tree = clustered_tree(n);
         let (ncsj, ncsj_stats) = run(&tree, ParallelAlgo::Ncsj);
         let (csj, s) = run(&tree, ParallelAlgo::Csj(10));
         let early_stops = s.early_stops_node + s.early_stops_pair;
